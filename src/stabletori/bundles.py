@@ -109,20 +109,6 @@ def nilpotent_log(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return B
 
 
-def nilpotent_exp(B: np.ndarray) -> np.ndarray:
-    """exp(B) for nilpotent B (finite series)."""
-    B = np.asarray(B, dtype=complex)
-    r = B.shape[0]
-    out = np.eye(r, dtype=complex)
-    P = np.eye(r, dtype=complex)
-    fact = 1.0
-    for j in range(1, r):
-        P = P @ B
-        fact *= j
-        out = out + P / fact
-    return out
-
-
 @dataclass(frozen=True)
 class AtiyahData:
     """The rank-r indecomposable degree-zero bundle with a unipotent twist."""
@@ -211,22 +197,6 @@ def atiyah_sections(data: AtiyahData, lat: Lattice, n: int) -> list[SectionGrid]
             seam_residual=0.0,
             meta={"atiyah": data, "index": j},
         ))
-    return out
-
-
-def flat_frame_metric(data: AtiyahData, eta: np.ndarray) -> np.ndarray:
-    """Alternative metric G(eta) = expm(eta B)^H expm(eta B).
-
-    This is the metric in which the flat-trivialization frame e_j is
-    unitary at eta = 0; it is uniformly equivalent to the orthonormal
-    metric for small delta.
-    """
-    B = data.B
-    out = np.empty(eta.shape + (data.r, data.r), dtype=complex)
-    flat = out.reshape(-1, data.r, data.r)
-    for i, e in enumerate(np.ravel(eta)):
-        E = nilpotent_exp(e * B)
-        flat[i] = E.conj().T @ E
     return out
 
 

@@ -273,7 +273,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".")
     parser.add_argument("--grid", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--svg", action="store_true")
     args = parser.parse_args(argv)
 

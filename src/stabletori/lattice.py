@@ -127,6 +127,16 @@ class CoverSpec:
         (a, b), (c, d) = self.basis
         return a * d - b * c
 
+    def contains(self, other: "CoverSpec") -> bool:
+        """True when the sublattice of `other` lies inside this one.
+
+        Exact integer test: other = A @ self for an integer matrix A, that
+        is other @ adj(self) is divisible by det(self).
+        """
+        (a, b), (c, d) = self.basis
+        adj = np.array([[d, -b], [-c, a]], dtype=int)
+        return bool(np.all(other.matrix @ adj % self.degree == 0))
+
     @staticmethod
     def scaling(k: int) -> "CoverSpec":
         """The sublattice k*Lambda, covering degree k**2."""

@@ -92,8 +92,7 @@ class LensScenario:
         disc_err = abs(lam_fine - lam_coarse)
         imm = self.cover_immersion(kx, ky, self.systole_n)
         R = induced_systole(imm, window=1, stride=self.systole_n // 4)
-        form = self.cover_form(kx, ky, self.n)
-        return spec.degree, R, form, disc_err
+        return spec.degree, R, lam_fine, disc_err
 
     def exact_systole(self, kx: int = 1, ky: int = 1) -> float:
         a, b = self.periods
@@ -170,7 +169,7 @@ class FlatTorusScenario:
         imm = flat_chart_immersion(kx * self.a_len, ky * self.b_len,
                                    self.systole_n)
         R = induced_systole(imm, window=1, stride=self.systole_n // 4)
-        return spec.degree, R, form, 0.0
+        return spec.degree, R, min_eigenvalue(form).lambda_min, 0.0
 
 
 def sublattice_growth_table(tau: complex, kmax: int = 10):

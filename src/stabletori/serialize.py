@@ -11,10 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundles import FlatBundle
-from .lattice import CoverSpec, Lattice
-from .sections import SectionGrid
-
 
 def fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
@@ -22,38 +18,6 @@ def fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return "%.12g" % float(x)
-
-
-def lattice_to_json(lat: Lattice) -> dict:
-    return {"tau1": lat.tau1, "tau2": lat.tau2}
-
-
-def lattice_from_json(obj: dict) -> Lattice:
-    return Lattice(float(obj["tau1"]), float(obj["tau2"]))
-
-
-def cover_to_json(spec: CoverSpec) -> list:
-    return [list(row) for row in spec.basis]
-
-
-def bundle_to_json(bundle: FlatBundle) -> dict:
-    def mat(M):
-        return [[[float(z.real), float(z.imag)] for z in row] for row in M]
-
-    return {
-        "rank": bundle.rank,
-        "rho1": mat(bundle.rho1),
-        "rhotau": mat(bundle.rhotau),
-        "tau": [bundle.lattice.tau1, bundle.lattice.tau2],
-    }
-
-
-def bundle_from_json(obj: dict) -> FlatBundle:
-    def mat(rows):
-        return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-    lat = Lattice(float(obj["tau"][0]), float(obj["tau"][1]))
-    return FlatBundle(mat(obj["rho1"]), mat(obj["rhotau"]), lat)
 
 
 def write_csv(path, header: list[str], rows, comment: str | None = None):
@@ -70,21 +34,6 @@ def write_csv(path, header: list[str], rows, comment: str | None = None):
 def write_json(path, obj):
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
-
-
-def section_to_csv(path, sec: SectionGrid, comment: str | None = None):
-    header = ["xi", "eta"]
-    for c in range(sec.rank):
-        header += [f"re{c}", f"im{c}"]
-    rows = []
-    for i in range(sec.nx):
-        for j in range(sec.ny):
-            row = [i * sec.hx, j * sec.hy]
-            for c in range(sec.rank):
-                z = sec.values[i, j, c]
-                row += [z.real, z.imag]
-            rows.append(row)
-    write_csv(path, header, rows, comment)
 
 
 def svg_heatmap(path, field: np.ndarray, title: str = "", cell: int = 4):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-import scipy.linalg
 
 from .errors import (ConvergenceError, DomainError, IsotropyViolationError,
                      ResolutionError, WrongFormError)
@@ -28,7 +27,11 @@ from .sections import SectionGrid
 
 @dataclass
 class DiscreteForm:
-    """Hermitian quadratic form Q and mass form M over section dofs."""
+    """Hermitian quadratic form Q and mass form M over section dofs.
+
+    meta["potential_min"], when present, is a lower bound of the spectrum
+    of (Q, M); min_eigenvalue needs it.
+    """
 
     Q: sp.spmatrix
     M: sp.spmatrix
@@ -61,16 +64,13 @@ class DiscreteForm:
         v = self.pack(values)
         return float(np.real(np.vdot(v, self.M @ v)))
 
-    def rayleigh(self, values: np.ndarray) -> float:
-        return self.q_value(values) / self.m_value(values)
-
 
 @dataclass
 class SpectrumResult:
     lambda_min: float
     eigensection: np.ndarray
     residual: float
-    iterations: int
+    iterations: int     # -1: ARPACK does not report its count
 
 
 def _cov_diff_1d(n: int, h: float, step_angle: float, scheme: str) -> sp.spmatrix:
@@ -106,6 +106,8 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
     The mass form is the flat area measure, so generalized eigenvalues are
     physical frequencies squared plus the potential.
     """
+    if n < 2:
+        raise ResolutionError("twisted form needs a grid of at least 2 x 2")
     phi, theta = twist
     h = 1.0 / n
     ginv, sqrtg = chart_metric(periods, shear)
@@ -143,12 +145,18 @@ def lattice_twisted_form(lat: Lattice, scale: float, twist: tuple[float, float],
     return flat_twisted_form((a, b), twist, n, potential=potential, shear=shear)
 
 
-def min_eigenvalue(form: DiscreteForm, dense_cutoff: int = 2000) -> SpectrumResult:
+def min_eigenvalue(form: DiscreteForm) -> SpectrumResult:
     """Smallest generalized eigenvalue of (Q, M).
 
-    Dense solve below the cutoff; sparse shift-invert Lanczos above it,
-    shifted below the known lower bound of the form when available.
+    Shift-invert Lanczos with the shift placed below the lower bound the
+    form records in meta["potential_min"]: every eigenvalue lies above the
+    shift, so the one nearest to it is the bottom.  A form without that
+    bound cannot be certified this way and is rejected.  The start vector
+    is seeded so that repeated solves give identical digits.
     """
+    lb = form.meta.get("potential_min")
+    if lb is None:
+        raise WrongFormError("form records no spectral lower bound")
     Q, M = form.Q, form.M
     mdiag = M.diagonal()
     if np.any(mdiag <= 0):
@@ -157,33 +165,27 @@ def min_eigenvalue(form: DiscreteForm, dense_cutoff: int = 2000) -> SpectrumResu
     S = sp.diags(s)
     Qs = (S @ Q @ S).tocsc()
 
-    if form.dof <= dense_cutoff:
-        dense = Qs.toarray()
-        vals, vecs = scipy.linalg.eigh(dense)
-        lam = float(vals[0])
-        y = vecs[:, 0]
-        iterations = 0
-    else:
-        lb = form.meta.get("potential_min", 0.0)
-        sigma = lb - 0.1 * max(1.0, abs(lb))
-        last_exc = None
-        lam = None
-        for attempt in range(4):
-            try:
-                vals, vecs = spla.eigsh(Qs, k=1, sigma=sigma, which="LM",
-                                        maxiter=10000, tol=1e-12)
-                lam = float(vals[0])
-                y = vecs[:, 0]
-                break
-            except Exception as exc:  # singular shift or no convergence
-                last_exc = exc
-                sigma -= max(1.0, abs(sigma))
-        if lam is None:
-            raise ConvergenceError(f"eigensolver failed: {last_exc}")
-        iterations = -1
+    # Not a constant vector: that is itself a plane-wave eigenvector.
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(form.dof) + 1j * rng.standard_normal(form.dof)
+    sigma = lb - 0.1 * max(1.0, abs(lb))
+    last_exc = None
+    lam = None
+    for attempt in range(4):
+        try:
+            vals, vecs = spla.eigsh(Qs, k=1, sigma=sigma, which="LM", v0=v0,
+                                    maxiter=10000, tol=1e-12)
+            lam = float(vals[0])
+            y = vecs[:, 0]
+            break
+        except RuntimeError as exc:  # singular shift or no convergence
+            last_exc = exc
+            sigma -= max(1.0, abs(sigma))
+    if lam is None:
+        raise ConvergenceError(f"eigensolver failed: {last_exc}")
     v = s * y
     res = np.linalg.norm(Q @ v - lam * (M @ v)) / max(np.linalg.norm(v), 1e-30)
-    return SpectrumResult(lam, v.reshape(form.shape), float(res), iterations)
+    return SpectrumResult(lam, v.reshape(form.shape), float(res), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +343,7 @@ def pic_index_form(imm: Immersion, N: AmbientSpace, n: int) -> DiscreteForm:
     w = form.meta["cell_weight"]
     ndof = form.Q.shape[0]
     form.Q = (0.25 * form.Q - rterm * w * sp.eye(ndof)).tocsr()
+    form.meta["potential_min"] = 0.25 * form.meta["potential_min"] - rterm
     form.meta["rterm"] = rterm
     form.meta["line"] = hol
     return form
@@ -510,20 +513,21 @@ def stability_threshold(disc_error: float = 0.0) -> float:
 def covering_sweep(scenario, covers) -> list[SweepRow]:
     """Systole / bottom-eigenvalue table over a tower of covers.
 
-    `scenario` provides level(spec) -> (degree, systole, form, disc_error);
-    monotone nonincreasing lambda_min across nested levels is checked and
-    recorded in each scenario's diagnostics.
+    `scenario` provides level(spec) -> (degree, systole, lambda_min,
+    disc_error).  An eigenfunction on a cover lifts to every cover of it, so
+    lambda_min may not increase from a cover to any later cover it contains;
+    covers that are not nested are not compared.
     """
     rows = []
-    prev = np.inf
+    seen = []
     for spec in covers:
-        degree, systole, form, disc_err = scenario.level(spec)
-        lam = min_eigenvalue(form).lambda_min
+        degree, systole, lam, disc_err = scenario.level(spec)
+        for prev_spec, prev_lam in seen:
+            if prev_spec.contains(spec) and lam > prev_lam + 1e-8:
+                raise DomainError("lambda_min increased along the tower")
+        seen.append((spec, lam))
         stable = lam >= -stability_threshold(disc_err)
         rows.append(SweepRow(degree, systole, lam, stable))
-        if lam > prev + 1e-8:
-            raise DomainError("lambda_min increased along the tower")
-        prev = lam
     return rows
 
 

@@ -75,6 +75,34 @@ def test_stability_pass(tmp_path):
     assert not data["rows"][1]["stable"]
 
 
+def test_stability_output_is_deterministic_in_process(tmp_path):
+    cfg = _cfg(tmp_path, "c.json", {"k_max": 1})
+    outs = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+        outs.append((out / "stability.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_stability_tower_with_unnested_covers_passes(tmp_path):
+    # the covers 3*Lambda and 4*Lambda are not nested, so lambda_min may
+    # rise from k=3 to k=4
+    cfg = _cfg(tmp_path, "c.json", {"k_max": 4})
+    out = tmp_path / "out"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+    data = json.loads((out / "stability.json").read_text())
+    lams = [r["lambda_min"] for r in data["rows"]]
+    assert lams[3] > lams[2]
+    assert lams[3] <= lams[1] <= lams[0]
+
+
+@pytest.mark.parametrize("grid", ["1", "2"])
+def test_stability_tiny_grid_trips_resource_guard(tmp_path, grid):
+    rc = main(["stability", "--grid", grid, "--out", str(tmp_path)])
+    assert rc == 4
+
+
 def test_systole_pass(tmp_path):
     cfg = _cfg(tmp_path, "c.json", {"grid": 64, "samples": 1500})
     out = tmp_path / "out"

@@ -87,6 +87,12 @@ def test_cover_spec_degree_and_validation():
         CoverSpec(((1, 0), (2, 0)))   # rank deficient
 
 
+@given(st.integers(1, 12), st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_scaling_covers_nest_exactly_by_divisibility(j, k):
+    assert CoverSpec.scaling(j).contains(CoverSpec.scaling(k)) == (k % j == 0)
+
+
 def test_cover_lattice_scaling_tower():
     lat = Lattice(0.0, 1.0)
     for k in (1, 2, 5):

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from stabletori.errors import (DomainError, IsotropyViolationError,
                                ResolutionError, WrongFormError)
 from stabletori.lattice import CoverSpec, Lattice, normalize_lattice
 from stabletori.bundles import LineHolonomy
+from stabletori.geometry import product_geodesic_torus
 from stabletori.scenarios import (EllipticScenario, FlatTorusScenario,
                                   LensScenario, flat_chart_immersion)
 from stabletori.stability import (covering_sweep, cutoff_inequality_audit,
@@ -75,9 +77,15 @@ def test_spectrum_convergence_is_second_order():
 
 def test_dense_and_sparse_paths_agree():
     form = flat_twisted_form((1.0, 1.3), (1.7, -0.6), 40, potential=-1.0)
-    dense = min_eigenvalue(form, dense_cutoff=10 ** 9).lambda_min
-    sparse = min_eigenvalue(form, dense_cutoff=1).lambda_min
+    dense = scipy.linalg.eigh(form.Q.toarray(), form.M.toarray(),
+                              eigvals_only=True)[0]
+    sparse = min_eigenvalue(form).lambda_min
     assert sparse == pytest.approx(dense, abs=1e-9)
+
+
+def test_min_eigenvalue_rejects_form_without_lower_bound():
+    with pytest.raises(WrongFormError):
+        min_eigenvalue(EllipticScenario(n=16).form())
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +124,14 @@ def test_pic_index_form_curvature_term():
     # the zero mode of the dbar form sits at zero: lambda_min(dbar) = 0
     lam = min_eigenvalue(form).lambda_min
     assert abs(lam) < 5e-4
+
+
+def test_pic_index_form_untwisted_bottom_is_minus_rterm():
+    # zero twist: the constant section has no dbar energy, so the bottom is
+    # exactly -rterm = -1/4; the shift must sit below the rescaled bound
+    imm = product_geodesic_torus(2.0, 1.0, 3, (1, 0), 48)
+    form = pic_index_form(imm, imm.ambient, 48)
+    assert min_eigenvalue(form).lambda_min == pytest.approx(-0.25, abs=1e-9)
 
 
 def test_reduced_pic_gap_saturated_by_lens_zero_mode():
@@ -245,9 +261,8 @@ def test_covering_sweep_rejects_increasing_lambda():
 
         def level(self, spec):
             self.calls += 1
-            pot = 0.0 if self.calls == 1 else 1.0   # lambda goes up: invalid
-            form = flat_twisted_form((1.0, 1.0), (0.0, 0.0), 16, potential=pot)
-            return 1, 1.0, form, 0.0
+            lam = 0.0 if self.calls == 1 else 1.0   # lambda goes up: invalid
+            return 1, 1.0, lam, 0.0
 
     with pytest.raises(DomainError):
         covering_sweep(Fake(), [CoverSpec.scaling(1), CoverSpec.scaling(2)])
