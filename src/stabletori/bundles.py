@@ -40,9 +40,6 @@ class LineHolonomy:
         object.__setattr__(self, "phi", principal_angle(self.phi))
         object.__setattr__(self, "theta", principal_angle(self.theta))
 
-    def is_trivial(self, tol: float = 1e-12) -> bool:
-        return abs(self.phi) <= tol and abs(self.theta) <= tol
-
     def dual(self) -> "LineHolonomy":
         return LineHolonomy(-self.phi, -self.theta)
 
@@ -164,11 +161,6 @@ class FlatBundle:
     @property
     def rank(self) -> int:
         return self.rho1.shape[0]
-
-    @staticmethod
-    def from_line(L: LineHolonomy, lat: Lattice) -> "FlatBundle":
-        return FlatBundle(np.array([[np.exp(1j * L.phi)]]),
-                          np.array([[np.exp(1j * L.theta)]]), lat)
 
     @staticmethod
     def atiyah(L: LineHolonomy, data: AtiyahData, lat: Lattice) -> "FlatBundle":

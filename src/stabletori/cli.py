@@ -24,7 +24,8 @@ import numpy as np
 from . import serialize
 from .bundles import (FlatBundle, LineHolonomy, decompose_commuting_pair,
                       line_section)
-from .errors import ResolutionError, StableToriError
+from .errors import (ConfigError, ResolutionError, ResourceGuard,
+                     StableToriError)
 from .lattice import CoverSpec, Lattice, wirtinger_factors
 from .scenarios import (EllipticScenario, FlatTorusScenario, LensScenario,
                         flat_chart_immersion, sublattice_growth_table)
@@ -73,14 +74,6 @@ def load_config(sub: str, args) -> dict:
     if cfg.get("grid", 0) and cfg["grid"] ** 2 > MAX_GRID_DOF:
         raise ResourceGuard(f"grid {cfg['grid']} exceeds the dof cap")
     return cfg
-
-
-class ConfigError(Exception):
-    pass
-
-
-class ResourceGuard(Exception):
-    pass
 
 
 def cmd_sections(cfg, out: Path, svg: bool):
@@ -276,18 +269,12 @@ def main(argv=None) -> int:
     parser.add_argument("--svg", action="store_true")
     args = parser.parse_args(argv)
 
+    # ConfigError and ResourceGuard are StableToriErrors too: they must be
+    # caught before the catch-all that maps to the assertion exit code.
     try:
         cfg = load_config(args.subcommand, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ResourceGuard as exc:
-        print(f"resource guard: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         failures = COMMANDS[args.subcommand](cfg, out, args.svg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

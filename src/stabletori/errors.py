@@ -5,6 +5,14 @@ class StableToriError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigError(StableToriError):
+    """Command-line configuration that cannot be read or is not accepted."""
+
+
+class ResourceGuard(StableToriError):
+    """Requested run exceeds a resource cap."""
+
+
 class InvalidLatticeError(StableToriError):
     """Lattice parameter outside the upper half-plane."""
 

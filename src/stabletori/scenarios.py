@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import LineHolonomy, principal_angle
-from .errors import DomainError
+from .errors import DomainError, ResolutionError
 from .geometry import (AmbientSpace, Immersion, elliptic_curve_immersion,
                        product_geodesic_torus, surface_quantities)
 from .lattice import CoverSpec, Lattice, cover_lattice, flat_systole
@@ -86,6 +86,10 @@ class LensScenario:
         return flat_chart_immersion(kx * a, ky * b, n)
 
     def level(self, spec: CoverSpec):
+        if self.n < 4:
+            raise ResolutionError(
+                f"lens grid {self.n} is too coarse: each level also solves its "
+                f"half-grid companion at {self.n // 2}, so the grid must be at least 4")
         kx, ky = _diagonal_cover(spec)
         lam_fine = min_eigenvalue(self.cover_form(kx, ky, self.n)).lambda_min
         lam_coarse = min_eigenvalue(self.cover_form(kx, ky, self.n // 2)).lambda_min
@@ -93,10 +97,6 @@ class LensScenario:
         imm = self.cover_immersion(kx, ky, self.systole_n)
         R = induced_systole(imm, window=1, stride=self.systole_n // 4)
         return spec.degree, R, lam_fine, disc_err
-
-    def exact_systole(self, kx: int = 1, ky: int = 1) -> float:
-        a, b = self.periods
-        return min(kx * a, ky * b)
 
 
 @dataclass

@@ -77,13 +77,6 @@ class SectionGrid:
         eta = np.arange(self.ny) * self.hy
         return np.meshgrid(xi, eta, indexing="ij")
 
-    def norm_field(self) -> np.ndarray:
-        """Pointwise length in the orthonormal-frame metric."""
-        return np.linalg.norm(self.values, axis=2)
-
-    def with_values(self, values: np.ndarray) -> "SectionGrid":
-        return replace(self, values=np.asarray(values, dtype=complex))
-
     def flat_frame_values(self) -> np.ndarray:
         """Representative in the flat trivialization, T(xi,eta) * c."""
         xi, eta = self.grids()

@@ -20,6 +20,8 @@ from .geometry import AmbientSpace, Immersion, surface_quantities
 from .lattice import Lattice, wirtinger_factors
 from .sections import SectionGrid
 
+SYMBOL_TOL = 1e-9   # relative residual and probe bound of min_eigenvalue
+
 
 # ---------------------------------------------------------------------------
 # forms
@@ -29,8 +31,9 @@ from .sections import SectionGrid
 class DiscreteForm:
     """Hermitian quadratic form Q and mass form M over section dofs.
 
-    meta["potential_min"], when present, is a lower bound of the spectrum
-    of (Q, M); min_eigenvalue needs it.
+    meta["symbol"], when present, is the n x n array of the generalized
+    eigenvalues of (Q, M), indexed by the FFT mode (mx, my) whose grid plane
+    wave is the eigenvector; min_eigenvalue needs it.
     """
 
     Q: sp.spmatrix
@@ -69,8 +72,8 @@ class DiscreteForm:
 class SpectrumResult:
     lambda_min: float
     eigensection: np.ndarray
-    residual: float
-    iterations: int     # -1: ARPACK does not report its count
+    residual: float     # relative to max(1, max|symbol|) |M v|
+    iterations: int     # 0: read off the closed-form symbol
 
 
 def _cov_diff_1d(n: int, h: float, step_angle: float, scheme: str) -> sp.spmatrix:
@@ -104,7 +107,8 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
     over the unit (xi, eta) cell, with the holonomy phases (phi, theta)
     entering as constant connection potentials in the difference stencils.
     The mass form is the flat area measure, so generalized eigenvalues are
-    physical frequencies squared plus the potential.
+    physical frequencies squared plus the potential.  A constant potential
+    makes the form diagonal in grid plane waves; its symbol is recorded.
     """
     if n < 2:
         raise ResolutionError("twisted form needs a grid of at least 2 x 2")
@@ -129,11 +133,19 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
     V = np.broadcast_to(np.asarray(potential, dtype=float), (n, n)).reshape(-1)
     Q = Q + sp.diags(V * w)
     M = sp.diags(np.full(n * n, w))
-    vmin = float(V.min()) * 1.0
-    return DiscreteForm(Q, M, convention, (n, n), meta={
-        "periods": periods, "twist": twist, "shear": shear,
-        "potential_min": vmin, "cell_weight": w,
-    })
+    meta = {"periods": periods, "twist": twist, "shear": shear}
+    if V.min() == V.max():
+        # The grid plane wave of mode m has step phase theta = (2 pi m - phi) h
+        # under the connection; F has symbol (e^{i theta} - 1) / h and C has
+        # i sin(theta) / h.  Signed modes keep theta small.
+        m = (np.arange(n) + n // 2) % n - n // 2
+        tx = (2 * np.pi * m - phi) * h
+        ty = (2 * np.pi * m - theta) * h
+        meta["symbol"] = (ginv[0, 0] * (4 * np.sin(tx / 2) ** 2)[:, None]
+                          + ginv[1, 1] * (4 * np.sin(ty / 2) ** 2)[None, :]
+                          + 2 * ginv[0, 1] * np.outer(np.sin(tx), np.sin(ty))
+                          ) / h ** 2 + V[0]
+    return DiscreteForm(Q, M, convention, (n, n), meta=meta)
 
 
 def lattice_twisted_form(lat: Lattice, scale: float, twist: tuple[float, float],
@@ -146,46 +158,41 @@ def lattice_twisted_form(lat: Lattice, scale: float, twist: tuple[float, float],
 
 
 def min_eigenvalue(form: DiscreteForm) -> SpectrumResult:
-    """Smallest generalized eigenvalue of (Q, M).
+    """Smallest generalized eigenvalue of (Q, M), read off the form's symbol.
 
-    Shift-invert Lanczos with the shift placed below the lower bound the
-    form records in meta["potential_min"]: every eigenvalue lies above the
-    shift, so the one nearest to it is the bottom.  A form without that
-    bound cannot be certified this way and is rejected.  The start vector
-    is seeded so that repeated solves give identical digits.
+    The bottom of meta["symbol"] (first FFT index on ties) and its grid plane
+    wave are the answer.  Two checks tie them to the assembled matrices: the
+    eigenpair residual, and one seeded probe Q z = M ifft2(symbol fft2(z)),
+    which shows that the whole spectrum, so the minimality, matches Q.  Both
+    are relative to max(1, max|symbol|) |M x|; either above SYMBOL_TOL raises
+    ConvergenceError.  A form without a symbol (a masked form or a
+    non-constant potential) raises WrongFormError.
     """
-    lb = form.meta.get("potential_min")
-    if lb is None:
-        raise WrongFormError("form records no spectral lower bound")
+    symbol = form.meta.get("symbol")
+    if symbol is None:
+        raise WrongFormError("form records no Fourier symbol")
     Q, M = form.Q, form.M
-    mdiag = M.diagonal()
-    if np.any(mdiag <= 0):
+    if np.any(M.diagonal() <= 0):
         raise DomainError("mass form must be positive definite")
-    s = 1.0 / np.sqrt(mdiag)
-    S = sp.diags(s)
-    Qs = (S @ Q @ S).tocsc()
-
-    # Not a constant vector: that is itself a plane-wave eigenvector.
+    n = symbol.shape[0]
+    mx, my = np.unravel_index(np.argmin(symbol), symbol.shape)
+    lam = float(symbol[mx, my])
+    j = np.arange(n)
+    wave = np.exp(2j * np.pi * ((mx * j[:, None] + my * j) % n) / n).reshape(-1)
+    v = wave / np.sqrt(np.real(np.vdot(wave, M @ wave)))
+    scale = max(1.0, float(np.abs(symbol).max()))
+    Mv = M @ v
+    res = float(np.linalg.norm(Q @ v - lam * Mv) / (scale * np.linalg.norm(Mv)))
     rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(form.dof) + 1j * rng.standard_normal(form.dof)
-    sigma = lb - 0.1 * max(1.0, abs(lb))
-    last_exc = None
-    lam = None
-    for attempt in range(4):
-        try:
-            vals, vecs = spla.eigsh(Qs, k=1, sigma=sigma, which="LM", v0=v0,
-                                    maxiter=10000, tol=1e-12)
-            lam = float(vals[0])
-            y = vecs[:, 0]
-            break
-        except RuntimeError as exc:  # singular shift or no convergence
-            last_exc = exc
-            sigma -= max(1.0, abs(sigma))
-    if lam is None:
-        raise ConvergenceError(f"eigensolver failed: {last_exc}")
-    v = s * y
-    res = np.linalg.norm(Q @ v - lam * (M @ v)) / max(np.linalg.norm(v), 1e-30)
-    return SpectrumResult(lam, v.reshape(form.shape), float(res), -1)
+    z = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
+    lifted = np.fft.ifft2(symbol * np.fft.fft2(z.reshape(n, n))).reshape(-1)
+    probe = float(np.linalg.norm(Q @ z - M @ lifted)
+                  / (scale * np.linalg.norm(M @ z)))
+    if res > SYMBOL_TOL or probe > SYMBOL_TOL:
+        raise ConvergenceError(
+            f"symbol does not match the assembled form: residual {res:.1e}, "
+            f"probe {probe:.1e}", best=lam)
+    return SpectrumResult(lam, v.reshape(form.shape), res, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +347,8 @@ def pic_index_form(imm: Immersion, N: AmbientSpace, n: int) -> DiscreteForm:
     # |dbar c|^2 is a quarter of the covariant Dirichlet density mode by
     # mode, so the assembled Laplacian form is scaled down before the
     # curvature potential (which is already in dbar normalization) enters.
-    w = form.meta["cell_weight"]
-    ndof = form.Q.shape[0]
-    form.Q = (0.25 * form.Q - rterm * w * sp.eye(ndof)).tocsr()
-    form.meta["potential_min"] = 0.25 * form.meta["potential_min"] - rterm
+    form.Q = (0.25 * form.Q - rterm * form.M).tocsr()
+    form.meta["symbol"] = 0.25 * form.meta["symbol"] - rterm
     form.meta["rterm"] = rterm
     form.meta["line"] = hol
     return form

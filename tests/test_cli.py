@@ -103,6 +103,14 @@ def test_stability_tiny_grid_trips_resource_guard(tmp_path, grid):
     assert rc == 4
 
 
+def test_stability_grid_3_names_half_grid_companion(tmp_path, capsys):
+    rc = main(["stability", "--grid", "3", "--out", str(tmp_path)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "half-grid companion" in err
+    assert "at least 4" in err
+
+
 def test_systole_pass(tmp_path):
     cfg = _cfg(tmp_path, "c.json", {"grid": 64, "samples": 1500})
     out = tmp_path / "out"

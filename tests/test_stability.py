@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from stabletori.errors import (DomainError, IsotropyViolationError,
-                               ResolutionError, WrongFormError)
+from stabletori.errors import (ConvergenceError, DomainError,
+                               IsotropyViolationError, ResolutionError,
+                               WrongFormError)
 from stabletori.lattice import CoverSpec, Lattice, normalize_lattice
 from stabletori.bundles import LineHolonomy
 from stabletori.geometry import product_geodesic_torus
@@ -88,6 +91,68 @@ def test_min_eigenvalue_rejects_form_without_lower_bound():
         min_eigenvalue(EllipticScenario(n=16).form())
 
 
+def _dense_bottom(form):
+    return scipy.linalg.eigh(form.Q.toarray(), form.M.toarray(),
+                             eigvals_only=True)[0]
+
+
+@given(st.floats(0.5, 3.0), st.floats(0.5, 3.0), st.floats(-np.pi, np.pi),
+       st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0), st.floats(-5.0, 5.0),
+       st.integers(2, 10))
+@settings(max_examples=60, deadline=None)
+def test_symbol_bottom_matches_dense_eigh(a, b, phi, theta, shear, pot, n):
+    form = flat_twisted_form((a, b), (phi, theta), n, potential=pot,
+                             shear=shear)
+    got = min_eigenvalue(form).lambda_min
+    assert got == pytest.approx(_dense_bottom(form), abs=1e-9)
+
+
+@given(st.floats(0.3, 3.0), st.floats(0.3, 2.0),
+       st.sampled_from([(1, 0), (2, 1), (3, 1), (3, 2), (4, 3), (5, 2)]),
+       st.integers(2, 10))
+@settings(max_examples=40, deadline=None)
+def test_pic_symbol_bottom_matches_dense_eigh(L, rho, lens, n):
+    imm = product_geodesic_torus(L, rho, 3, lens, n)
+    form = pic_index_form(imm, imm.ambient, n)
+    got = min_eigenvalue(form).lambda_min
+    assert got == pytest.approx(_dense_bottom(form), abs=1e-9)
+
+
+def _node_dip(form):
+    # a dip of the potential at one node
+    return sp.csr_matrix(([3.0 * form.M[5, 5]], ([5], [5])),
+                         shape=form.Q.shape)
+
+
+def _mode_dip(form):
+    # lowers the plane wave of mode (2, 3) below the bottom of the symbol;
+    # the symbol's minimizer stays an exact eigenvector, so only the probe
+    # can see the change
+    j = np.arange(16)
+    u = np.exp(2j * np.pi * (2 * j[:, None] + 3 * j) / 16).reshape(-1)
+    mu = form.M @ u / np.sqrt(np.real(np.vdot(u, form.M @ u)))
+    return sp.csr_matrix(1e3 * np.outer(mu, mu.conj()))
+
+
+@pytest.mark.parametrize("dip", [_node_dip, _mode_dip])
+def test_min_eigenvalue_rejects_form_altered_after_assembly(dip):
+    form = flat_twisted_form((1.0, 1.3), (1.7, -0.6), 16, potential=-1.0)
+    form.Q = (form.Q - dip(form)).tocsr()
+    with pytest.raises(ConvergenceError) as info:
+        min_eigenvalue(form)
+    # the true bottom lies below the one the symbol claims
+    assert info.value.best > _dense_bottom(form)
+
+
+def test_min_eigenvalue_rejects_non_constant_potential():
+    pot = np.zeros((16, 16))
+    pot[3, 4] = -2.0
+    form = flat_twisted_form((1.0, 1.0), (0.5, 0.5), 16, potential=pot)
+    assert "symbol" not in form.meta
+    with pytest.raises(WrongFormError):
+        min_eigenvalue(form)
+
+
 # ---------------------------------------------------------------------------
 # lens second variation
 
@@ -128,7 +193,7 @@ def test_pic_index_form_curvature_term():
 
 def test_pic_index_form_untwisted_bottom_is_minus_rterm():
     # zero twist: the constant section has no dbar energy, so the bottom is
-    # exactly -rterm = -1/4; the shift must sit below the rescaled bound
+    # exactly -rterm = -1/4; the symbol must carry the same rescaling as Q
     imm = product_geodesic_torus(2.0, 1.0, 3, (1, 0), 48)
     form = pic_index_form(imm, imm.ambient, 48)
     assert min_eigenvalue(form).lambda_min == pytest.approx(-0.25, abs=1e-9)
