@@ -195,7 +195,16 @@ def cmd_stability(cfg, out: Path, svg: bool):
     return failures
 
 
+def _config_int(cfg, key: str, low: int) -> int:
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def cmd_systole(cfg, out: Path, svg: bool):
+    samples = _config_int(cfg, "samples", 1000)
+    seed = _config_int(cfg, "seed", 0)
     failures = []
     scen = LensScenario(L=cfg["L"], rho=cfg["rho"], p=cfg["p"], q=cfg["q"],
                         n=cfg["grid"])
@@ -206,7 +215,7 @@ def cmd_systole(cfg, out: Path, svg: bool):
     amb = AmbientSpace(kind="product_circle_sphere", circle_radius=cfg["L"],
                        sphere_radius=cfg["rho"], n_sphere=3,
                        lens=(cfg["p"], cfg["q"]))
-    kap = kappa_pic_estimate(amb, samples=cfg["samples"], seed=cfg["seed"])
+    kap = kappa_pic_estimate(amb, samples=samples, seed=seed)
     deltas = axis_truncated_distances(imm, R, cfg["grid"])
     hol = scen.line_holonomies()[0]
     trial = phase_trial_section(hol, R, deltas, imm, cfg["grid"])
@@ -217,6 +226,7 @@ def cmd_systole(cfg, out: Path, svg: bool):
         "bound": verdict.bound, "lambda_min": lam,
         "seam_residual": trial.seam_residual,
         "rayleigh_lhs": ray.lhs, "rayleigh_energy": ray.rhs,
+        "rayleigh_chain_holds": ray.chain_holds,
         "verdict": verdict.passed,
     }
     if not verdict.passed:

@@ -273,6 +273,7 @@ class RayleighReport:
     energy_bound: float
     bound_R: float
     verdict: bool
+    chain_holds: bool
 
 
 def rayleigh_bound_check(s: SectionGrid, imm: Immersion, kappa: float,
@@ -280,7 +281,9 @@ def rayleigh_bound_check(s: SectionGrid, imm: Immersion, kappa: float,
     """Check kappa * Mass(s) <= dbar energy <= (2 pi / (sqrt3 R))^2 Mass(s).
 
     When the scenario is stable this chain forces R <= (2 pi / sqrt3) /
-    sqrt(kappa); the verdict records that comparison.
+    sqrt(kappa); the verdict records that comparison.  `chain_holds`
+    records whether the computed chain itself holds; it is reported and not
+    judged, because its first inequality needs stability.
     """
     from .stability import dbar_energy_chart
     R = s.meta.get("R")
@@ -293,7 +296,9 @@ def rayleigh_bound_check(s: SectionGrid, imm: Immersion, kappa: float,
     ebound = (2 * np.pi / (np.sqrt(3.0) * R)) ** 2 * mass_da
     bound_R = GENERAL_CONSTANT / np.sqrt(kappa) if kappa > 0 else np.inf
     verdict = (not stable) or kappa <= 0 or R <= bound_R * 1.0001
-    return RayleighReport(lhs, energy, ebound, float(bound_R), bool(verdict))
+    chain = lhs <= energy <= ebound
+    return RayleighReport(lhs, energy, ebound, float(bound_R), bool(verdict),
+                          bool(chain))
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,37 @@ def test_systole_pass(tmp_path):
     assert data["seam_residual"] <= 1e-9
 
 
+def test_systole_default_reports_rayleigh_chain_and_is_deterministic(tmp_path):
+    # the default lens zero mode discretizes below -1e-6, so the chain
+    # kappa Mass <= energy, which needs stability, is reported, not judged
+    outs = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        assert main(["systole", "--out", str(out)]) == 0
+        outs.append((out / "systole.json").read_bytes())
+    assert outs[0] == outs[1]
+    data = json.loads(outs[0])
+    assert data["rayleigh_chain_holds"] is False
+    assert data["rayleigh_lhs"] > data["rayleigh_energy"]
+    assert data["lambda_min"] < -1e-6
+
+
+@pytest.mark.parametrize("payload, args", [
+    ({"samples": 20000.5}, []),
+    ({"samples": "many"}, []),
+    ({"seed": True}, []),
+    ({"samples": 999}, []),
+    ({"seed": -1}, []),
+    ({}, ["--seed", "-1"]),
+])
+def test_systole_bad_samples_or_seed_is_a_config_error(tmp_path, capsys,
+                                                       payload, args):
+    cfg = _cfg(tmp_path, "c.json", payload)
+    rc = main(["systole", "--config", cfg, "--out", str(tmp_path), *args])
+    assert rc == 3
+    assert "config error" in capsys.readouterr().err
+
+
 def test_abelian_pass(tmp_path):
     out = tmp_path / "out"
     assert main(["abelian", "--out", str(out)]) == 0

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabletori.errors import DomainError
 from stabletori.lattice import Lattice
 from stabletori.geometry import (AmbientSpace, IsotropicPlane, KappaReport,
                                  complex_sectional_curvature,
+                                 complex_sectional_curvatures,
                                  elliptic_curve_immersion, kappa_pic_estimate,
                                  plane_from_frame, product_geodesic_torus,
                                  random_isotropic_plane, surface_quantities)
@@ -79,6 +81,81 @@ def test_kappa_estimate_flat_is_zero():
 def test_kappa_estimate_guards():
     with pytest.raises(DomainError):
         kappa_pic_estimate(_product_ambient(), samples=10)
+
+
+def _oracle_planes(raw, n_sphere):
+    """Isotropic pairs (X, Y) in ambient coordinates from raw tangent frames.
+
+    The tangent space at the base point (0, rho, 0, ...) of S^1 x S^n is
+    spanned by the coordinates 0, 2, 3, ..., n + 1.
+    """
+    tangent = [0] + list(range(2, n_sphere + 2))
+    pairs = []
+    for A in raw:
+        Q, R = np.linalg.qr(A)
+        Q = Q * np.sign(np.diag(R))
+        E = np.zeros((n_sphere + 2, 4))
+        E[tangent] = Q
+        pairs.append((E[:, 0] + 1j * E[:, 1], E[:, 2] + 1j * E[:, 3]))
+    return pairs
+
+
+def _oracle_curvature(X, Y, rho):
+    """R(X, Y, conj X, conj Y) / |X wedge Y|^2 on S^1 x S^n(rho) at the base
+    point: only the sphere-tangent coordinates 2, 3, ... carry curvature."""
+    x, y = X[2:], Y[2:]
+    z, w = np.conj(x), np.conj(y)
+    num = (np.sum(x * z) * np.sum(y * w) - np.sum(x * w) * np.sum(y * z)) / rho ** 2
+    den = (np.sum(np.abs(X) ** 2) * np.sum(np.abs(Y) ** 2)
+           - abs(np.sum(np.conj(X) * Y)) ** 2)
+    return num.real / den
+
+
+@given(st.floats(0.3, 3.0), st.sampled_from([3, 4]), st.integers(1, 40),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_batched_curvature_matches_oracle(rho, n_sphere, count, seed):
+    amb = AmbientSpace(kind="product_circle_sphere", sphere_radius=rho,
+                       n_sphere=n_sphere)
+    raw = np.random.default_rng(seed).standard_normal((count, n_sphere + 1, 4))
+    pairs = _oracle_planes(raw, n_sphere)
+    X = np.array([x for x, _ in pairs])
+    Y = np.array([y for _, y in pairs])
+    got = complex_sectional_curvatures(amb, X, Y)
+    want = [_oracle_curvature(x, y, rho) for x, y in pairs]
+    assert got.shape == (count,)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+def test_kappa_sampling_matches_oracle_across_blocks():
+    """5000 draws span two full blocks and a partial one; the estimate is
+    the minimum over the same seeded stream drawn one frame at a time."""
+    amb = AmbientSpace(kind="product_circle_sphere", sphere_radius=0.8,
+                       n_sphere=4)
+    rep = kappa_pic_estimate(amb, samples=5000, refine=0, seed=11)
+    rng = np.random.default_rng(11)
+    pairs = _oracle_planes([rng.standard_normal((5, 4)) for _ in range(5000)], 4)
+    vals = [_oracle_curvature(x, y, 0.8) for x, y in pairs]
+    best = int(np.argmin(vals))
+    assert rep.kappa_hat == pytest.approx(vals[best], abs=1e-14)
+    # the reported plane is the oracle's best draw
+    assert np.allclose(rep.plane.X, pairs[best][0], atol=1e-14)
+    assert np.allclose(rep.plane.Y, pairs[best][1], atol=1e-14)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda X, Y: (X.real, Y), "not isotropic"),
+    (lambda X, Y: (X, 1j * X), "degenerate"),
+])
+def test_batched_curvature_checks_every_plane(rng, bad, message):
+    amb = _product_ambient(1.0)
+    pairs = _oracle_planes(rng.standard_normal((8, 4, 4)), 3)
+    X = np.array([x for x, _ in pairs])
+    Y = np.array([y for _, y in pairs])
+    complex_sectional_curvatures(amb, X, Y)
+    X[5], Y[5] = bad(X[5], Y[5])
+    with pytest.raises(DomainError, match=message):
+        complex_sectional_curvatures(amb, X, Y)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,23 @@ def test_rayleigh_chain_on_lens_trial_section():
     assert rayleigh_bound_check(s, imm, kappa=0.5, stable=False).verdict
 
 
+def test_rayleigh_chain_holds_reports_each_inequality():
+    sc = LensScenario()
+    n = 96
+    imm = sc.cover_immersion(1, 1, n)
+    R = 2 * np.pi / 3
+    td = axis_truncated_distances(imm, R, n)
+    s = phase_trial_section(sc.line_holonomies()[0], R, td, imm, n)
+    # at kappa = 1/2 the discrete energy sits 1.6e-4 below kappa * Mass
+    rep = rayleigh_bound_check(s, imm, kappa=0.5)
+    assert rep.lhs > rep.rhs and not rep.chain_holds
+    assert rep.verdict
+    assert rayleigh_bound_check(s, imm, kappa=0.49).chain_holds
+    # the upper inequality (2 pi / sqrt3 R)^2 Mass fails once R is read 4x
+    s.meta["R"] = 4 * R
+    assert not rayleigh_bound_check(s, imm, kappa=0.49).chain_holds
+
+
 def test_rayleigh_check_requires_systole_tag():
     sc = LensScenario()
     imm = sc.cover_immersion(1, 1, 32)
