@@ -26,9 +26,9 @@ from .bundles import (FlatBundle, LineHolonomy, decompose_commuting_pair,
                       line_section)
 from .errors import (ConfigError, ResolutionError, ResourceGuard,
                      StableToriError)
-from .lattice import CoverSpec, Lattice, wirtinger_factors
+from .lattice import CoverSpec, Lattice
 from .scenarios import (EllipticScenario, FlatTorusScenario, LensScenario,
-                        flat_chart_immersion, sublattice_growth_table)
+                        sublattice_growth_table)
 from .sections import dbar
 from .stability import covering_sweep, log_cutoff, min_eigenvalue
 from .systole import (axis_truncated_distances, induced_systole,
@@ -56,6 +56,13 @@ DEFAULTS = {
 }
 
 
+def _config_int(cfg, key: str, low: int) -> int:
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def load_config(sub: str, args) -> dict:
     cfg = dict(DEFAULTS[sub])
     if args.config:
@@ -71,19 +78,20 @@ def load_config(sub: str, args) -> dict:
         cfg["grid"] = args.grid
     if args.seed is not None and "seed" in cfg:
         cfg["seed"] = args.seed
-    if cfg.get("grid", 0) and cfg["grid"] ** 2 > MAX_GRID_DOF:
+    if "grid" in cfg and _config_int(cfg, "grid", 0) ** 2 > MAX_GRID_DOF:
         raise ResourceGuard(f"grid {cfg['grid']} exceeds the dof cap")
     return cfg
 
 
 def cmd_sections(cfg, out: Path, svg: bool):
+    k_max = _config_int(cfg, "k_max", 1)
+    grid = _config_int(cfg, "grid", 1)
     lat = Lattice(*cfg["tau"])
     L = LineHolonomy(cfg["phi"], cfg["theta"])
-    fxi, feta = wirtinger_factors(lat)
     rows = []
     failures = []
-    for k in range(1, cfg["k_max"] + 1):
-        sec = line_section(L, k, lat, cfg["grid"])
+    for k in range(1, k_max + 1):
+        sec = line_section(L, k, lat, grid)
         sup = float(np.max(np.abs(dbar(sec).values)))
         exact = sec.meta["sup_dbar_exact"]
         ratio = sup / exact if exact > 0 else 1.0
@@ -141,14 +149,20 @@ def cmd_decompose(cfg, out: Path, svg: bool):
 
 
 def cmd_cutoff(cfg, out: Path, svg: bool):
-    n = cfg["grid"]
-    imm = flat_chart_immersion(1.0, 1.0, n)
+    n = _config_int(cfg, "grid", 1)
+    epsilons = cfg["epsilons"]
+    if (not isinstance(epsilons, list) or not epsilons
+            or any(isinstance(e, bool) or not isinstance(e, (int, float))
+                   for e in epsilons)):
+        raise ConfigError("epsilons must be a non-empty list of numbers, "
+                          f"got {epsilons!r}")
+    lat = Lattice(0.0, 1.0)
     center = (0.5 + 0.5 / n, 0.5 + 0.5 / n)
     rows = []
     failures = []
-    for eps in cfg["epsilons"]:
+    for eps in epsilons:
         try:
-            phi, energy = log_cutoff(eps, center, imm, n=n)
+            phi, energy = log_cutoff(eps, center, lat, n)
         except ResolutionError as exc:
             failures.append(f"eps={eps}: {exc}")
             continue
@@ -195,13 +209,6 @@ def cmd_stability(cfg, out: Path, svg: bool):
     return failures
 
 
-def _config_int(cfg, key: str, low: int) -> int:
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
-    return value
-
-
 def cmd_systole(cfg, out: Path, svg: bool):
     samples = _config_int(cfg, "samples", 1000)
     seed = _config_int(cfg, "seed", 0)
@@ -245,8 +252,9 @@ def cmd_systole(cfg, out: Path, svg: bool):
 
 
 def cmd_abelian(cfg, out: Path, svg: bool):
+    k_max = _config_int(cfg, "k_max", 1)
     tau = complex(cfg["tau"][0], cfg["tau"][1])
-    rows = sublattice_growth_table(tau, cfg["k_max"])
+    rows = sublattice_growth_table(tau, k_max)
     failures = []
     for (k, deg, got, want) in rows:
         if abs(got - want) > 1e-10 * max(1.0, want):

@@ -204,6 +204,11 @@ def _chart_factors(imm: Immersion) -> tuple[complex, complex]:
     return fxi / imm.scale, feta / imm.scale
 
 
+def _tile(fld: np.ndarray, extent: int) -> np.ndarray:
+    """Repeat a per-node field periodically over the [0, extent)^2 cover."""
+    return np.tile(fld, (extent, extent) + (1,) * (fld.ndim - 2))
+
+
 def ambient_derivative_fields(imm: Immersion, values: np.ndarray,
                               twist: tuple[float, float] = (0.0, 0.0),
                               extent: int = 1):
@@ -241,14 +246,10 @@ def euclidean_index_form(imm: Immersion,
     n, dim = imm.n, imm.dim
     N = extent * n
 
-    def tile(fld):
-        reps = (extent, extent) + (1,) * (fld.ndim - 2)
-        return np.tile(fld, reps)
-
-    PT = tile(quants.tangent_proj)
-    PN = tile(quants.normal_proj)
-    mask = tile(imm.mask)
-    lam2 = tile(imm.lam2)
+    PT = _tile(quants.tangent_proj, extent)
+    PN = _tile(quants.normal_proj, extent)
+    mask = _tile(imm.mask, extent)
+    lam2 = _tile(imm.lam2, extent)
 
     h = extent / N
     phi, theta = twist
@@ -386,46 +387,66 @@ def reduced_pic_gap(s: SectionGrid, kappa: float, imm: Immersion,
 # logarithmic cutoff
 
 
-def log_cutoff(epsilon: float, center: tuple[float, float], imm: Immersion,
-               n: int | None = None):
+def _disc_window(center: float, half: float, n: int) -> np.ndarray:
+    """Grid indices mod n covering `center` +- `half` on a grid of step 1/n.
+
+    Two cells of margin on each side and one extra index for the forward
+    difference; all n + 1 indices (0, ..., n - 1, 0) when that would cover
+    the grid, which is the wrap pair np.roll gives.
+    """
+    lo = int(np.floor((center - half) * n)) - 2
+    hi = int(np.ceil((center + half) * n)) + 2
+    if hi - lo + 1 >= n:
+        return np.arange(n + 1) % n
+    return np.arange(lo, hi + 2) % n
+
+
+def log_cutoff(epsilon: float, center: tuple[float, float], lattice: Lattice,
+               n: int, scale: float = 1.0):
     """Logarithmic cutoff around a chart point and its Dirichlet energy.
 
-    phi = clip(log(r / eps^2) / |log eps|, 0, 1) with r the chart distance
-    to `center` (in the same units as the immersion scale).  The energy is
-    the conformally invariant chart Dirichlet integral, which equals the
-    induced-metric energy for any conformal immersion; for the flat metric
-    it converges to 2 pi / |log eps|.
+    phi = clip(log(r / eps^2) / |log eps|, 0, 1) with r the distance to
+    `center` in the chart z = scale * (xi + eta * tau) sampled on an n x n
+    grid.  The energy is the conformally invariant chart Dirichlet integral,
+    which equals the induced-metric energy for any conformal immersion; for
+    the flat metric it converges to 2 pi / |log eps|.
+
+    phi is exactly 1 outside the disc r < eps, so phi and its forward
+    differences are evaluated only on the disc's bounding index window.
     """
     if not (0 < epsilon < 1):
         raise DomainError("epsilon must be in (0, 1)")
-    if n is None:
-        n = imm.n
-    lat = imm.lattice
-    h_phys = imm.scale * max(1.0, abs(lat.tau)) / n
+    h_phys = scale * max(1.0, abs(lattice.tau)) / n
     if (epsilon - epsilon ** 2) / h_phys < 8:
         raise ResolutionError("annulus resolved by fewer than 8 cells")
     if epsilon ** 2 / h_phys < 2:
         raise ResolutionError("inner radius under-resolved")
     hx = 1.0 / n
-    xi = np.arange(n) * hx
-    X, Y = np.meshgrid(xi, xi, indexing="ij")
-    dxi = X - center[0]
-    deta = Y - center[1]
+    # |z| < eps bounds |eta| by eps / (scale tau2) and then |xi| by
+    # eps / scale + |tau1| |eta|.
+    half_eta = epsilon / (scale * lattice.tau2)
+    half_xi = epsilon / scale + abs(lattice.tau1) * half_eta
+    ix = _disc_window(center[0], half_xi, n)
+    iy = _disc_window(center[1], half_eta, n)
+    dxi = ix * hx - center[0]
+    deta = iy * hx - center[1]
     dxi -= np.round(dxi)
     deta -= np.round(deta)
-    r = np.abs(imm.scale * (dxi + deta * lat.tau))
+    r = np.abs(scale * (dxi[:, None] + deta[None, :] * lattice.tau))
     with np.errstate(divide="ignore"):
-        phi = np.log(r / epsilon ** 2) / (-np.log(epsilon))
-    phi = np.clip(phi, 0.0, 1.0)
-    phi[r == 0] = 0.0
+        win = np.log(r / epsilon ** 2) / (-np.log(epsilon))
+    win = np.clip(win, 0.0, 1.0)
+    win[r == 0] = 0.0
 
-    ginv, sqrtg = chart_metric((imm.scale, imm.scale * lat.tau2),
-                               shear=imm.scale * lat.tau1)
-    px = (np.roll(phi, -1, axis=0) - phi) / hx
-    py = (np.roll(phi, -1, axis=1) - phi) / hx
+    ginv, sqrtg = chart_metric((scale, scale * lattice.tau2),
+                               shear=scale * lattice.tau1)
+    px = (win[1:, :-1] - win[:-1, :-1]) / hx
+    py = (win[:-1, 1:] - win[:-1, :-1]) / hx
     dens = (ginv[0, 0] * px ** 2 + ginv[1, 1] * py ** 2
             + 2 * ginv[0, 1] * px * py)
     energy = float(np.sum(dens) * sqrtg * hx * hx)
+    phi = np.ones((n, n))
+    phi[np.ix_(ix, iy)] = win
     return phi, energy
 
 
@@ -453,13 +474,9 @@ def cutoff_inequality_audit(values: np.ndarray, phi: np.ndarray,
     twist = form.meta.get("twist", (0.0, 0.0))
     quants = surface_quantities(imm)
 
-    def tile(fld):
-        reps = (extent, extent) + (1,) * (fld.ndim - 2)
-        return np.tile(fld, reps)
-
-    PT = tile(quants.tangent_proj)
-    PN = tile(quants.normal_proj)
-    mask = tile(imm.mask)
+    PT = _tile(quants.tangent_proj, extent)
+    PN = _tile(quants.normal_proj, extent)
+    mask = _tile(imm.mask, extent)
     w0 = imm.dxdy_weight()
     w = np.where(mask, w0, 0.0)
 
@@ -541,12 +558,8 @@ def second_ff_energy(values: np.ndarray, imm: Immersion,
     """int |(d_z s)^top|^2 da for an ambient-valued section over a cover."""
     quants = surface_quantities(imm)
 
-    def tile(fld):
-        reps = (extent, extent) + (1,) * (fld.ndim - 2)
-        return np.tile(fld, reps)
-
-    PT = tile(quants.tangent_proj)
-    da = tile(imm.da_field())
+    PT = _tile(quants.tangent_proj, extent)
+    da = _tile(imm.da_field(), extent)
     dz, _ = ambient_derivative_fields(imm, values, extent=extent)
     top = np.einsum("xyij,xyj->xyi", PT, dz)
     return float(np.sum(np.sum(np.abs(top) ** 2, axis=2) * da))

@@ -66,6 +66,42 @@ def test_cutoff_unresolved_grid_fails(tmp_path):
     assert rc == 2
 
 
+def test_cutoff_output_is_deterministic_in_process(tmp_path):
+    outs = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        assert main(["cutoff", "--out", str(out)]) == 0
+        outs.append(((out / "cutoff.csv").read_bytes(),
+                     (out / "cutoff.json").read_bytes()))
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("sub, payload, args", [
+    ("cutoff", {"epsilons": "abc"}, []),
+    ("cutoff", {"epsilons": 0.05}, []),
+    ("cutoff", {"epsilons": []}, []),
+    ("cutoff", {"epsilons": [True]}, []),
+    ("cutoff", {"grid": 0}, []),
+    ("cutoff", {}, ["--grid", "0"]),
+    ("cutoff", {"grid": -8}, []),
+    ("cutoff", {"grid": 2.5}, []),
+    ("sections", {"k_max": 0}, []),
+    ("abelian", {"k_max": 0}, []),
+    ("abelian", {"k_max": "x"}, []),
+])
+def test_bad_grid_epsilons_or_k_max_is_a_config_error(tmp_path, capsys, sub,
+                                                      payload, args):
+    cfg = _cfg(tmp_path, "c.json", payload)
+    rc = main([sub, "--config", cfg, "--out", str(tmp_path), *args])
+    assert rc == 3
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cutoff_epsilon_outside_unit_interval_is_a_domain_error(tmp_path):
+    cfg = _cfg(tmp_path, "c.json", {"epsilons": [1.5]})
+    assert main(["cutoff", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
 def test_stability_pass(tmp_path):
     cfg = _cfg(tmp_path, "c.json", {"k_max": 2, "grid": 48})
     out = tmp_path / "out"

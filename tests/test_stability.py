@@ -1,5 +1,7 @@
 """Twisted spectra, index forms, cutoffs, and covering sweeps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -263,7 +265,8 @@ def test_second_ff_energy_vanishes_for_flat_immersion():
 def test_log_cutoff_energy_matches_analytic_value():
     n = 512
     imm = flat_chart_immersion(1.0, 1.0, n)
-    phi, energy = log_cutoff(0.1, (0.5 + 0.5 / n, 0.5 + 0.5 / n), imm, n)
+    phi, energy = log_cutoff(0.1, (0.5 + 0.5 / n, 0.5 + 0.5 / n),
+                             imm.lattice, n, imm.scale)
     exact = 2 * np.pi / abs(np.log(0.1))
     assert energy == pytest.approx(exact, rel=0.03)
     assert phi.min() == 0.0 and phi.max() == 1.0
@@ -272,12 +275,75 @@ def test_log_cutoff_energy_matches_analytic_value():
 def test_log_cutoff_resolution_guards():
     imm = flat_chart_immersion(1.0, 1.0, 64)
     with pytest.raises(ResolutionError):
-        log_cutoff(0.05, (0.5, 0.5), imm, 64)      # annulus unresolved
+        # annulus unresolved
+        log_cutoff(0.05, (0.5, 0.5), imm.lattice, 64, imm.scale)
     imm2 = flat_chart_immersion(1.0, 1.0, 256)
     with pytest.raises(ResolutionError):
-        log_cutoff(0.05, (0.5, 0.5), imm2, 256)    # inner radius unresolved
+        # inner radius unresolved
+        log_cutoff(0.05, (0.5, 0.5), imm2.lattice, 256, imm2.scale)
     with pytest.raises(DomainError):
-        log_cutoff(1.5, (0.5, 0.5), imm, 64)
+        log_cutoff(1.5, (0.5, 0.5), imm.lattice, 64, imm.scale)
+
+
+def _full_grid_log_cutoff(epsilon, center, tau, n, scale):
+    """The cutoff and its forward-difference energy over every grid node."""
+    hx = 1.0 / n
+    xi = np.arange(n) * hx
+    X, Y = np.meshgrid(xi, xi, indexing="ij")
+    dxi = X - center[0]
+    deta = Y - center[1]
+    dxi -= np.round(dxi)
+    deta -= np.round(deta)
+    r = np.abs(scale * (dxi + deta * tau))
+    with np.errstate(divide="ignore"):
+        phi = np.log(r / epsilon ** 2) / (-np.log(epsilon))
+    phi = np.clip(phi, 0.0, 1.0)
+    phi[r == 0] = 0.0
+    a, b, s = scale, scale * tau.imag, scale * tau.real
+    ginv = np.linalg.inv(np.array([[a * a, a * s], [a * s, s * s + b * b]]))
+    px = (np.roll(phi, -1, axis=0) - phi) / hx
+    py = (np.roll(phi, -1, axis=1) - phi) / hx
+    dens = (ginv[0, 0] * px ** 2 + ginv[1, 1] * py ** 2
+            + 2 * ginv[0, 1] * px * py)
+    return phi, float(np.sum(dens) * a * b * hx * hx)
+
+
+def _assert_matches_full_grid(epsilon, center, tau, n, scale):
+    phi, energy = log_cutoff(epsilon, center, Lattice(tau.real, tau.imag),
+                             n, scale)
+    want_phi, want_energy = _full_grid_log_cutoff(epsilon, center, tau, n,
+                                                  scale)
+    assert np.array_equal(phi, want_phi)
+    assert energy == pytest.approx(want_energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("epsilon, center, tau, n, scale", [
+    (0.15, (0.01, 0.98), 1j, 256, 1.0),              # window wraps a corner
+    (0.15, (0.5, 0.5), 0.3 + 1.2j, 256, 1.0),        # sheared lattice
+    (0.15, (0.02, 0.97), 0.3 + 1.2j, 256, 1.0),
+    (0.2, (0.3, 0.7), 1j, 256, 2.5),                 # scale != 1
+    (0.6, (0.4, 0.1), 1j, 64, 1.0),                  # window covers the grid
+])
+def test_log_cutoff_window_matches_full_grid(epsilon, center, tau, n, scale):
+    _assert_matches_full_grid(epsilon, center, tau, n, scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(epsilon=st.floats(0.15, 0.85),
+       cx=st.floats(-1.0, 2.0), cy=st.floats(-1.0, 2.0))
+def test_log_cutoff_window_property(epsilon, cx, cy):
+    _assert_matches_full_grid(epsilon, (cx, cy), 0.3 + 1.2j, 128, 1.0)
+
+
+def test_log_cutoff_allocates_little_beyond_phi():
+    n = 1024
+    tracemalloc.start()
+    try:
+        log_cutoff(0.1, (0.5 + 0.5 / n, 0.5 + 0.5 / n), Lattice(0.0, 1.0), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
 
 
 def test_cutoff_inequality_audit_chain_holds():
@@ -285,7 +351,8 @@ def test_cutoff_inequality_audit_chain_holds():
     imm = sc.immersion()
     form = sc.form()
     n = 128
-    phi, _ = log_cutoff(0.18, (0.5 + 0.5 / n, 0.5 + 0.5 / n), imm, n)
+    phi, _ = log_cutoff(0.18, (0.5 + 0.5 / n, 0.5 + 0.5 / n),
+                        imm.lattice, n, imm.scale)
     vals = next(sc.random_normal_sections(1, seed=3))
     rep = cutoff_inequality_audit(vals, phi, form)
     assert rep.chain_holds
