@@ -26,14 +26,12 @@ from .bundles import (FlatBundle, LineHolonomy, decompose_commuting_pair,
                       line_section)
 from .errors import (ConfigError, ResolutionError, ResourceGuard,
                      StableToriError)
-from .lattice import CoverSpec, Lattice
-from .scenarios import (EllipticScenario, FlatTorusScenario, LensScenario,
-                        sublattice_growth_table)
+from .lattice import CoverSpec, Lattice, flat_systole
+from .scenarios import FlatTorusScenario, LensScenario, sublattice_growth_table
 from .sections import dbar
 from .stability import covering_sweep, log_cutoff, min_eigenvalue
-from .systole import (axis_truncated_distances, induced_systole,
-                      phase_trial_section, rayleigh_bound_check,
-                      systole_bound_verdict)
+from .systole import (axis_truncated_distances, phase_trial_section,
+                      rayleigh_bound_check, systole_bound_verdict)
 from .geometry import kappa_pic_estimate, AmbientSpace
 
 EXIT_PASS = 0
@@ -63,6 +61,22 @@ def _config_int(cfg, key: str, low: int) -> int:
     return value
 
 
+def _config_numbers(cfg, key: str, length: int = 0) -> list:
+    value = cfg[key]
+    if (not isinstance(value, list) or not value
+            or (length and len(value) != length)
+            or any(isinstance(x, bool) or not isinstance(x, (int, float))
+                   for x in value)):
+        what = f"a list of {length}" if length else "a non-empty list of"
+        raise ConfigError(f"{key} must be {what} numbers, got {value!r}")
+    return value
+
+
+def _lens_scenario(cfg) -> LensScenario:
+    return LensScenario(L=cfg["L"], rho=cfg["rho"], p=_config_int(cfg, "p", 1),
+                        q=cfg["q"], n=cfg["grid"])
+
+
 def load_config(sub: str, args) -> dict:
     cfg = dict(DEFAULTS[sub])
     if args.config:
@@ -86,7 +100,7 @@ def load_config(sub: str, args) -> dict:
 def cmd_sections(cfg, out: Path, svg: bool):
     k_max = _config_int(cfg, "k_max", 1)
     grid = _config_int(cfg, "grid", 1)
-    lat = Lattice(*cfg["tau"])
+    lat = Lattice(*_config_numbers(cfg, "tau", 2))
     L = LineHolonomy(cfg["phi"], cfg["theta"])
     rows = []
     failures = []
@@ -108,12 +122,13 @@ def cmd_sections(cfg, out: Path, svg: bool):
 
 
 def cmd_decompose(cfg, out: Path, svg: bool):
-    rng = np.random.default_rng(cfg["seed"])
+    r = _config_int(cfg, "rank", 1)
+    count = _config_int(cfg, "count", 1)
+    rng = np.random.default_rng(_config_int(cfg, "seed", 0))
     failures = []
     reports = []
     lat = Lattice(0.0, 1.0)
-    for trial in range(cfg["count"]):
-        r = cfg["rank"]
+    for trial in range(count):
         # Random block structure conjugated by a random matrix.
         blocks = []
         left = r
@@ -150,12 +165,7 @@ def cmd_decompose(cfg, out: Path, svg: bool):
 
 def cmd_cutoff(cfg, out: Path, svg: bool):
     n = _config_int(cfg, "grid", 1)
-    epsilons = cfg["epsilons"]
-    if (not isinstance(epsilons, list) or not epsilons
-            or any(isinstance(e, bool) or not isinstance(e, (int, float))
-                   for e in epsilons)):
-        raise ConfigError("epsilons must be a non-empty list of numbers, "
-                          f"got {epsilons!r}")
+    epsilons = _config_numbers(cfg, "epsilons")
     lat = Lattice(0.0, 1.0)
     center = (0.5 + 0.5 / n, 0.5 + 0.5 / n)
     rows = []
@@ -185,14 +195,14 @@ def cmd_cutoff(cfg, out: Path, svg: bool):
 
 def cmd_stability(cfg, out: Path, svg: bool):
     failures = []
+    k_max = _config_int(cfg, "k_max", 1)
     if cfg["scenario"] == "lens":
-        scen = LensScenario(L=cfg["L"], rho=cfg["rho"], p=cfg["p"], q=cfg["q"],
-                            n=cfg["grid"])
+        scen = _lens_scenario(cfg)
     elif cfg["scenario"] == "flat":
         scen = FlatTorusScenario(n=cfg["grid"])
     else:
         raise ConfigError(f"unknown scenario {cfg['scenario']!r}")
-    covers = [CoverSpec.scaling(k) for k in range(1, cfg["k_max"] + 1)]
+    covers = [CoverSpec.scaling(k) for k in range(1, k_max + 1)]
     rows = covering_sweep(scen, covers)
     serialize.write_csv(out / "stability.csv",
                         ["degree", "R_k", "lambda_min", "stable"],
@@ -213,12 +223,11 @@ def cmd_systole(cfg, out: Path, svg: bool):
     samples = _config_int(cfg, "samples", 1000)
     seed = _config_int(cfg, "seed", 0)
     failures = []
-    scen = LensScenario(L=cfg["L"], rho=cfg["rho"], p=cfg["p"], q=cfg["q"],
-                        n=cfg["grid"])
+    scen = _lens_scenario(cfg)
     form = scen.cover_form(1, 1, cfg["grid"])
     lam = min_eigenvalue(form).lambda_min
     imm = scen.cover_immersion(1, 1, scen.systole_n)
-    R = induced_systole(imm, window=1, stride=scen.systole_n // 4)
+    R = flat_systole(imm.lattice, imm.scale)
     amb = AmbientSpace(kind="product_circle_sphere", circle_radius=cfg["L"],
                        sphere_radius=cfg["rho"], n_sphere=3,
                        lens=(cfg["p"], cfg["q"]))
@@ -227,7 +236,8 @@ def cmd_systole(cfg, out: Path, svg: bool):
     hol = scen.line_holonomies()[0]
     trial = phase_trial_section(hol, R, deltas, imm, cfg["grid"])
     ray = rayleigh_bound_check(trial, imm, kap.kappa_hat, stable=lam >= -1e-6)
-    verdict = systole_bound_verdict(lam, R, kap.kappa_hat, case="general")
+    verdict = systole_bound_verdict(lam, R, kap.kappa_hat, case="general",
+                                    grid_margin=0.0)  # R is exact
     summary = {
         "R": R, "kappa_hat": kap.kappa_hat, "C": verdict.constant,
         "bound": verdict.bound, "lambda_min": lam,
@@ -253,7 +263,7 @@ def cmd_systole(cfg, out: Path, svg: bool):
 
 def cmd_abelian(cfg, out: Path, svg: bool):
     k_max = _config_int(cfg, "k_max", 1)
-    tau = complex(cfg["tau"][0], cfg["tau"][1])
+    tau = complex(*_config_numbers(cfg, "tau", 2))
     rows = sublattice_growth_table(tau, k_max)
     failures = []
     for (k, deg, got, want) in rows:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .bundles import LineHolonomy
 from .errors import DomainError
@@ -256,6 +255,7 @@ def kappa_pic_estimate(N: AmbientSpace, samples: int = 2000,
             best_val, best_raw = float(vals[i]), A[i]
 
     if refine > 0 and best_raw is not None:
+        import scipy.optimize  # slow to import; only the refine needs it
         res = scipy.optimize.minimize(
             lambda x: float(k_of_raw(x.reshape(nt, 4))),
             best_raw.ravel(), method="Nelder-Mead",

@@ -177,14 +177,12 @@ def cover_lattice(lat: Lattice, spec: CoverSpec,
 
 
 def flat_systole(lat: Lattice, scale: float = 1.0) -> float:
-    """Length of the shortest nonzero lattice vector of scale*(Z + Z*tau)."""
+    """Length of the shortest nonzero lattice vector of scale*(Z + Z*tau).
+
+    That is the first generator U[0, 0] + U[0, 1]*tau of the Gauss-reduced
+    basis: |m + n*tau'| >= 1 for tau' reduced and (m, n) != (0, 0).
+    """
     if not (scale > 0):
         raise InvalidLatticeError("scale must be positive")
-    reduced, _ = normalize_lattice(lat.tau)
-    best = np.inf
-    for m in range(-2, 3):
-        for n in range(-2, 3):
-            if m == 0 and n == 0:
-                continue
-            best = min(best, abs(m + n * reduced.tau))
-    return scale * best
+    _, U = normalize_lattice(lat.tau)
+    return float(scale * abs(U[0, 0] + U[0, 1] * lat.tau))

@@ -13,15 +13,14 @@ from .geometry import (AmbientSpace, Immersion, elliptic_curve_immersion,
 from .lattice import CoverSpec, Lattice, cover_lattice, flat_systole
 from .stability import (DiscreteForm, euclidean_index_form, flat_twisted_form,
                         min_eigenvalue)
-from .systole import induced_systole
 
 
 def flat_chart_immersion(a_len: float, b_len: float, n: int,
                          ambient: AmbientSpace | None = None) -> Immersion:
     """Flat isometric chart torus with unit conformal factor.
 
-    Used as the metric carrier for systole computations and as the totally
-    geodesic torus inside a flat 4-torus.
+    Used as the chart of trial sections and graph-distance cross-checks,
+    and as the totally geodesic torus inside a flat 4-torus.
     """
     if ambient is None:
         ambient = AmbientSpace(kind="flat_torus", dim=4)
@@ -91,11 +90,11 @@ class LensScenario:
                 f"lens grid {self.n} is too coarse: each level also solves its "
                 f"half-grid companion at {self.n // 2}, so the grid must be at least 4")
         kx, ky = _diagonal_cover(spec)
+        a, b = self.periods
+        R = flat_systole(Lattice(0.0, ky * b / (kx * a)), kx * a)
         lam_fine = min_eigenvalue(self.cover_form(kx, ky, self.n)).lambda_min
         lam_coarse = min_eigenvalue(self.cover_form(kx, ky, self.n // 2)).lambda_min
         disc_err = abs(lam_fine - lam_coarse)
-        imm = self.cover_immersion(kx, ky, self.systole_n)
-        R = induced_systole(imm, window=1, stride=self.systole_n // 4)
         return spec.degree, R, lam_fine, disc_err
 
 
@@ -160,15 +159,12 @@ class FlatTorusScenario:
     a_len: float = 1.0
     b_len: float = 1.0
     n: int = 64
-    systole_n: int = 64
 
     def level(self, spec: CoverSpec):
         kx, ky = _diagonal_cover(spec)
-        form = flat_twisted_form((kx * self.a_len, ky * self.b_len),
-                                 (0.0, 0.0), self.n, potential=0.0)
-        imm = flat_chart_immersion(kx * self.a_len, ky * self.b_len,
-                                   self.systole_n)
-        R = induced_systole(imm, window=1, stride=self.systole_n // 4)
+        a, b = kx * self.a_len, ky * self.b_len
+        form = flat_twisted_form((a, b), (0.0, 0.0), self.n, potential=0.0)
+        R = flat_systole(Lattice(0.0, b / a), a)
         return spec.degree, R, min_eigenvalue(form).lambda_min, 0.0
 
 

@@ -1,18 +1,19 @@
 """Induced distances and systoles, phase trial sections, and the
 systole-bound verdict R <= C / sqrt(kappa).
 
-Distances are computed on a patch of the universal cover: an 8-neighbor
-weighted grid graph (Dijkstra) by default, with a first-order fast-marching
-solver for rectangular conformal charts as an independent cross-check.
+Flat charts take the exact lattice systole (`lattice.flat_systole`).
+Non-flat immersions, and the flat cross-checks, use distances on a patch of
+the universal cover: an 8-neighbor weighted grid graph (Dijkstra), with
+first-order fast marching on rectangular conformal charts as a second check.
 The 8-neighbor metric overestimates lengths by at most ~8.24% in the worst
-direction; verdicts carry that margin.
+direction; verdicts on graph systoles carry that margin.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,7 +23,7 @@ from .bundles import LineHolonomy
 from .errors import DomainError, ResolutionError, UnreachableError
 from .geometry import Immersion
 from .lattice import wirtinger_factors
-from .sections import SectionGrid, dbar
+from .sections import SectionGrid
 
 EIGHT_NEIGHBOR_ANISOTROPY = 0.0824
 
@@ -41,7 +42,6 @@ class DistanceField:
     dist: np.ndarray          # (nsrc, W, W)
     window: int
     n: int                    # grid points per fundamental domain side
-    spacing: tuple[float, float]
 
     def center_offset(self) -> int:
         return self.window * self.n
@@ -59,12 +59,8 @@ def _patch_edges(imm: Immersion, window: int):
     idx = np.arange(W * W).reshape(W, W)
     for dx, dy in steps:
         chord = abs(imm.scale * (dx * h + dy * h * tau))
-        if dx >= 0:
-            src = idx[: W - dx, :]
-            lam_a = lam[: W - dx, :]
-        else:
-            src = idx[-dx:, :]
-            lam_a = lam[-dx:, :]
+        src = idx[: W - dx, :]     # every step has dx >= 0
+        lam_a = lam[: W - dx, :]
         if dy >= 0:
             src = src[:, : W - dy]
             lam_a = lam_a[:, : W - dy]
@@ -98,8 +94,7 @@ def geodesic_distance(imm: Immersion, sources, window: int = 1) -> DistanceField
     d = _csgraph_dijkstra(G, indices=src_idx, directed=False)
     if np.any(~np.isfinite(d)):
         raise UnreachableError("patch graph is disconnected")
-    return DistanceField(d.reshape(len(src_idx), W, W), window, n,
-                         (imm.scale / n, imm.scale * imm.lattice.tau2 / n))
+    return DistanceField(d.reshape(len(src_idx), W, W), window, n)
 
 
 def fmm_distance(imm: Immersion, source: tuple[int, int],

@@ -286,7 +286,7 @@ def test_criterion_9_sublattice_systole_growth():
         for k in range(1, 11):
             lat_k, scale_k, _ = cover_lattice(lat, CoverSpec.scaling(k))
             ok = ok and flat_systole(lat_k, scale_k) == k * base
-    sc = FlatTorusScenario(n=16, systole_n=16)
+    sc = FlatTorusScenario(n=16)
     rows = covering_sweep(sc, [CoverSpec.scaling(k) for k in (1, 2, 3)])
     rs = [r.systole for r in rows]
     ok = ok and all(b > a for a, b in zip(rs, rs[1:]))

@@ -224,3 +224,29 @@ def test_subprocess_entry_point(tmp_path):
          "--out", str(tmp_path)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("sub, payload", [
+    ("stability", {"p": 0}),
+    ("stability", {"k_max": 0}),
+    ("decompose", {"rank": 0}),
+    ("decompose", {"count": 0}),
+    ("decompose", {"count": "x"}),
+    ("abelian", {"tau": "x"}),
+    ("sections", {"tau": [0, 1, 2]}),
+])
+def test_bad_lens_decompose_or_tau_config_is_a_config_error(tmp_path, capsys,
+                                                            sub, payload):
+    cfg = _cfg(tmp_path, "c.json", payload)
+    rc = main([sub, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 3
+    assert "config error" in capsys.readouterr().err
+
+
+def test_importing_the_cli_does_not_load_scipy_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stabletori.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

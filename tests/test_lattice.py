@@ -138,3 +138,32 @@ def test_sublattice_systole_growth_is_exact():
     for k in range(1, 11):
         lat_k, scale_k, _ = cover_lattice(lat, CoverSpec.scaling(k))
         assert flat_systole(lat_k, scale_k) == pytest.approx(k * base, rel=1e-12)
+
+
+def _enumerated_systole(tau: complex, scale: float) -> float:
+    """Shortest |m + n*tau| by enumeration: |n| Im(tau) <= |1| bounds n."""
+    best = 1.0
+    nmax = int(np.ceil(1.0 / tau.imag))
+    for n in range(-nmax, nmax + 1):
+        centre = int(round(-n * tau.real))
+        for m in range(centre - 2, centre + 3):
+            if m or n:
+                best = min(best, abs(m + n * tau))
+    return scale * best
+
+
+@pytest.mark.parametrize("lat, expected", [
+    (Lattice(0.0, 1.0 / 6.0), 1.0 / 6.0),
+    (Lattice(0.3, 0.4), 0.5),
+    (Lattice(0.2, 0.9), abs(0.2 + 0.9j)),
+])
+def test_flat_systole_of_unreduced_lattice(lat, expected):
+    assert flat_systole(lat) == pytest.approx(expected, rel=1e-12)
+
+
+@given(st.floats(-3, 3), st.floats(0.05, 3), st.floats(0.1, 10))
+@settings(max_examples=100, deadline=None)
+def test_flat_systole_matches_enumeration(t1, t2, scale):
+    lat = Lattice(t1, t2)
+    assert flat_systole(lat, scale) == pytest.approx(
+        _enumerated_systole(lat.tau, scale), rel=1e-12)

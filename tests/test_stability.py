@@ -380,7 +380,7 @@ def test_covering_sweep_lens_onset():
 
 
 def test_covering_sweep_flat_tower_stays_stable():
-    sc = FlatTorusScenario(n=32, systole_n=32)
+    sc = FlatTorusScenario(n=32)
     rows = covering_sweep(sc, [CoverSpec.scaling(k) for k in (1, 2)])
     assert all(r.stable for r in rows)
     assert rows[1].systole == pytest.approx(2 * rows[0].systole, rel=1e-9)

@@ -6,8 +6,9 @@ import pytest
 from stabletori.bundles import LineHolonomy
 from stabletori.errors import DomainError, ResolutionError
 from stabletori.geometry import AmbientSpace, Immersion
-from stabletori.lattice import Lattice
-from stabletori.scenarios import LensScenario, flat_chart_immersion
+from stabletori.lattice import CoverSpec, Lattice
+from stabletori.scenarios import (FlatTorusScenario, LensScenario,
+                                  flat_chart_immersion)
 from stabletori.systole import (EIGHT_NEIGHBOR_ANISOTROPY,
                                 EXCEPTIONAL_CONSTANT, GENERAL_CONSTANT,
                                 axis_truncated_distances, exceptional_cutoffs,
@@ -86,6 +87,27 @@ def test_induced_systole_lens_torus():
     imm = LensScenario().cover_immersion(1, 1, 64)
     R = induced_systole(imm, window=1, stride=16)
     assert R == pytest.approx(2 * np.pi / 3, rel=1e-6)
+
+
+@pytest.mark.parametrize("scenario, k, chart", [
+    (LensScenario(n=8), 1, None),
+    (LensScenario(n=8), 2, None),
+    (LensScenario(n=8), 3, None),
+    (FlatTorusScenario(n=8), 2, (2.0, 2.0)),
+    (FlatTorusScenario(a_len=1.5, b_len=0.7, n=8), 1, (1.5, 0.7)),
+])
+def test_exact_level_systole_within_dijkstra_bracket(scenario, k, chart):
+    # the exact lattice systole of a level against the graph distance on the
+    # same flat chart, which overestimates by at most the 8-neighbor margin;
+    # 1e-12 covers the rounding of the graph's summed edge lengths
+    _, R, _, _ = scenario.level(CoverSpec.scaling(k))
+    if chart is None:
+        imm = scenario.cover_immersion(k, k, 64)
+    else:
+        imm = flat_chart_immersion(*chart, 32)
+    R_graph = induced_systole(imm, window=1, stride=imm.n // 4)
+    assert (R_graph / (1 + EIGHT_NEIGHBOR_ANISOTROPY) <= R
+            <= R_graph * (1 + 1e-12))
 
 
 # ---------------------------------------------------------------------------
