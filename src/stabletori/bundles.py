@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import ztrsen
 
 from .errors import (ConvergenceError, DomainError, InvalidCoverError,
                      ShapeError)
@@ -127,10 +128,6 @@ class AtiyahData:
         return out
 
     @property
-    def N(self) -> np.ndarray:
-        return self.A - np.eye(self.r)
-
-    @property
     def B(self) -> np.ndarray:
         return nilpotent_log(self.A)
 
@@ -161,12 +158,6 @@ class FlatBundle:
     @property
     def rank(self) -> int:
         return self.rho1.shape[0]
-
-    @staticmethod
-    def atiyah(L: LineHolonomy, data: AtiyahData, lat: Lattice) -> "FlatBundle":
-        eye = np.eye(data.r)
-        return FlatBundle(np.exp(1j * L.phi) * eye,
-                          np.exp(1j * L.theta) * data.A, lat)
 
 
 def atiyah_sections(data: AtiyahData, lat: Lattice, n: int) -> list[SectionGrid]:
@@ -200,9 +191,6 @@ def atiyah_sections(data: AtiyahData, lat: Lattice, n: int) -> list[SectionGrid]
 class Summand:
     rank: int
     line_class: LineHolonomy
-    atiyah_rank: int
-    degree: int = 0
-    moduli: tuple[float, float] = (1.0, 1.0)
 
 
 @dataclass
@@ -210,63 +198,40 @@ class DecompositionReport:
     summands: list[Summand]
     residual: float
     warnings: list[str] = field(default_factory=list)
-    stabilization_K: int | None = None
 
     def rank_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(s.rank for s in self.summands))
 
 
-def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Indices of values grouped by absolute closeness (union-find light)."""
-    order = np.argsort(values.real + 1e-3 * values.imag)
-    groups: list[list[int]] = []
-    scale = max(np.max(np.abs(values)), 1.0)
-    for idx in order:
-        for g in groups:
-            if abs(values[idx] - values[g[0]]) <= tol * scale:
-                g.append(idx)
-                break
-        else:
-            groups.append([idx])
-    # Merge any groups whose representatives drifted close.
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                if abs(values[groups[i][0]] - values[groups[j][0]]) <= tol * scale:
-                    groups[i].extend(groups.pop(j))
-                    merged = True
-                    break
-            if merged:
-                break
-    return [np.array(g) for g in groups]
+# A fixed generic weight: distinct joint eigenvalue pairs (a, c) of a
+# commuting pair give distinct eigenvalues a + PAIR_MIX * c of A + PAIR_MIX * C.
+PAIR_MIX = 0.5772156649 + 1.2020569032j
 
 
-def _invariant_subspaces(M: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Orthonormal bases of the generalized eigenspaces of M.
+def _joint_clusters(pairs: np.ndarray, tol: float) -> np.ndarray:
+    """Cluster label of each pair: the first index of its chain of pairs
+    linked by max-norm distance <= tol * scale (single linkage)."""
+    scale = max(np.max(np.abs(pairs)), 1.0)
+    reach = np.max(np.abs(pairs[:, None] - pairs[None]), axis=2) <= tol * scale
+    for _ in range(len(pairs).bit_length()):  # transitive closure
+        reach = reach @ reach
+    return np.argmax(reach, axis=1)
 
-    Eigenvalues of a defective Jordan block of size b split numerically by
-    roughly eps**(1/b), so the caller must pass a clustering tolerance at
-    least that coarse; decompose_commuting_pair walks a tolerance ladder and
-    validates each attempt against the block-diagonalization residual.
+
+def _joint_bases(T: np.ndarray, Z: np.ndarray,
+                 labels: np.ndarray) -> list[np.ndarray]:
+    """Orthonormal bases of the invariant subspaces of the labelled clusters.
+
+    Each cluster is moved to the front of the Schur form (T, Z) by ztrsen,
+    so the leading columns of the reordered Z span its invariant subspace.
     """
-    r = M.shape[0]
-    T, Z = scipy.linalg.schur(M, output="complex")
-    eigs = np.diag(T)
-    clusters = _cluster(eigs, tol)
-    if len(clusters) == 1:
-        return [np.eye(r, dtype=complex)]
-    scale = max(np.max(np.abs(eigs)), 1.0)
     bases = []
-    for cl in clusters:
-        members = eigs[cl]
-
-        def in_cluster(lam, members=members):
-            return bool(np.min(np.abs(lam - members)) <= 2 * tol * scale)
-
-        TT, ZZ, sdim = scipy.linalg.schur(M, output="complex", sort=in_cluster)
-        bases.append(ZZ[:, :sdim if sdim > 0 else len(cl)])
+    for c in np.unique(labels):
+        _, Zc, _, m, _, _, info = ztrsen((labels == c).astype(np.int32), T, Z,
+                                         job="N")
+        if info != 0:
+            raise np.linalg.LinAlgError("Schur reordering failed")
+        bases.append(Zc[:, :m])
     return bases
 
 
@@ -337,45 +302,55 @@ def decompose_commuting_pair(bundle: FlatBundle, tol: float = 1e-8):
 
     Returns (DecompositionReport, filtrations, change_of_basis).  In the
     returned basis both matrices are block diagonal; each block is a scalar
-    multiple of a unipotent matrix carrying a single Jordan chain.  The
-    filtration of a summand is the nested family spanned by the leading
-    chain vectors.
+    multiple of a unipotent upper triangular matrix, in an orthonormal basis
+    of one Jordan chain ordered along its flag.  The filtration of a summand
+    is the nested family spanned by the leading columns of its block.
+
+    When one factor is scalar on each joint block, both matrices are
+    polynomials in the generic combination A + PAIR_MIX * C, so one complex
+    Schur form Z of it triangularizes both and gives every joint eigenvalue
+    pair on the diagonals of Z^H A Z and Z^H C Z.
+    The pairs of a defective Jordan block of size b split numerically by
+    roughly eps**(1/b), so the pairs are clustered along a ladder of
+    tolerances, every rung reusing the same Schur form and skipping a
+    partition already tried; the first rung whose block-diagonalization
+    residual meets `tol` wins.  If none does, ConvergenceError carries the
+    report of the best rung as `best`.
     """
     A, C = bundle.rho1, bundle.rhotau
-    best = None
-    ctol = max(tol, 1e-7)
-    while ctol <= 1e-2:
+    T, Z = scipy.linalg.schur(A + PAIR_MIX * C, output="complex")
+    pairs = np.stack([np.diag(Z.conj().T @ M @ Z) for M in (A, C)], axis=1)
+    rungs = [max(tol, 1e-7)]
+    while rungs[-1] * 10.0 <= 1e-2:
+        rungs.append(rungs[-1] * 10.0)
+    best = labels = None
+    for ctol in rungs:
+        prev, labels = labels, _joint_clusters(pairs, ctol)
+        if prev is not None and np.array_equal(labels, prev):
+            continue
         try:
-            out = _decompose_attempt(bundle, tol, ctol)
+            out = _decompose_attempt(A, C, _joint_bases(T, Z, labels), tol)
         except np.linalg.LinAlgError:
-            out = None
-        if out is not None:
-            if out[0].residual <= max(tol, 1e-9):
-                if ctol > max(tol, 1e-7):
-                    out[0].warnings.append(
-                        f"eigenvalue clusters merged at tolerance {ctol:g}")
-                return out
-            if best is None or out[0].residual < best[0].residual:
-                best = out
-        ctol *= 10.0
+            continue
+        if out[0].residual <= max(tol, 1e-9):
+            if ctol > rungs[0]:
+                out[0].warnings.append(
+                    f"eigenvalue clusters merged at tolerance {ctol:g}")
+            return out
+        if best is None or out[0].residual < best.residual:
+            best = out[0]
     if best is None:
         raise ConvergenceError("no consistent block decomposition found")
-    best[0].warnings.append("block residual above tolerance at every "
-                            "clustering level")
-    return best
+    best.warnings.append("block residual above tolerance at every "
+                         "clustering level")
+    raise ConvergenceError(
+        f"no block decomposition within tolerance {tol:g} "
+        f"(best residual {best.residual:.2e})", best=best)
 
 
-def _decompose_attempt(bundle: FlatBundle, tol: float, ctol: float):
-    A, C = bundle.rho1, bundle.rhotau
+def _decompose_attempt(A: np.ndarray, C: np.ndarray,
+                       blocks: list[np.ndarray], tol: float):
     warnings: list[str] = []
-    blocks: list[np.ndarray] = []  # full-space bases, one per joint block
-    for QA in _invariant_subspaces(A, ctol):
-        C_r = QA.conj().T @ C @ QA
-        for QC in _invariant_subspaces(C_r, ctol):
-            blocks.append(QA @ QC)
-    if sum(b.shape[1] for b in blocks) != A.shape[0]:
-        return None
-
     cols: list[np.ndarray] = []
     summands: list[Summand] = []
     filtrations: list[list[np.ndarray]] = []
@@ -383,8 +358,8 @@ def _decompose_attempt(bundle: FlatBundle, tol: float, ctol: float):
         A_b = Q.conj().T @ A @ Q
         C_b = Q.conj().T @ C @ Q
         d = Q.shape[1]
-        lamA = np.mean(np.diag(scipy.linalg.schur(A_b, output="complex")[0]))
-        lamC = np.mean(np.diag(scipy.linalg.schur(C_b, output="complex")[0]))
+        lamA = np.trace(A_b) / d
+        lamC = np.trace(C_b) / d
         NA = A_b - lamA * np.eye(d)
         NC = C_b - lamC * np.eye(d)
         nA, nC = np.linalg.norm(NA), np.linalg.norm(NC)
@@ -395,33 +370,25 @@ def _decompose_attempt(bundle: FlatBundle, tol: float, ctol: float):
             N = NC
         else:
             N = NA
-        if np.linalg.norm(N) <= tol * max(1.0, abs(lamA), abs(lamC)):
-            chain_mats = [np.eye(d, dtype=complex)[:, i:i + 1] for i in range(d)]
-        else:
-            chain_mats = _jordan_chains(N, tol)
         line = LineHolonomy(float(np.angle(lamA)), float(np.angle(lamC)))
-        for ch in chain_mats:
-            cols.append(Q @ ch)
-            summands.append(Summand(
-                rank=ch.shape[1], line_class=line, atiyah_rank=ch.shape[1],
-                moduli=(float(abs(lamA)), float(abs(lamC))),
-            ))
-            filt = [ (Q @ ch)[:, : j + 1] for j in range(ch.shape[1]) ]
-            filtrations.append(filt)
+        for ch in _jordan_chains(N, tol):
+            # An orthonormal basis of the chain's flag keeps the change of
+            # basis well conditioned; the chain vectors can differ in length
+            # by orders of magnitude.
+            basis = Q @ np.linalg.qr(ch)[0]
+            cols.append(basis)
+            summands.append(Summand(rank=ch.shape[1], line_class=line))
+            filtrations.append([basis[:, :j + 1] for j in range(ch.shape[1])])
 
     T = np.hstack(cols)
     if np.linalg.cond(T) > 1e8:
         warnings.append("ill-conditioned change of basis")
     Tinv = np.linalg.inv(T)
+    owner = np.repeat(np.arange(len(summands)), [s.rank for s in summands])
+    in_block = owner[:, None] == owner[None]
     residual = 0.0
     for M in (A, C):
-        Mt = Tinv @ M @ T
-        Mblk = np.zeros_like(Mt)
-        off = 0
-        for s in summands:
-            sl = slice(off, off + s.rank)
-            Mblk[sl, sl] = Mt[sl, sl]
-            off += s.rank
+        Mblk = np.where(in_block, Tinv @ M @ T, 0.0)
         residual = max(residual,
                        float(np.linalg.norm(T @ Mblk @ Tinv - M)
                              / max(np.linalg.norm(M), 1.0)))

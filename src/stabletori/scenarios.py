@@ -8,8 +8,9 @@ import numpy as np
 
 from .bundles import LineHolonomy, principal_angle
 from .errors import DomainError, ResolutionError
-from .geometry import (AmbientSpace, Immersion, elliptic_curve_immersion,
-                       product_geodesic_torus, surface_quantities)
+from .geometry import (AmbientSpace, Immersion, SurfaceQuantities,
+                       elliptic_curve_immersion, product_geodesic_torus,
+                       surface_quantities)
 from .lattice import CoverSpec, Lattice, cover_lattice, flat_systole
 from .stability import (DiscreteForm, euclidean_index_form, flat_twisted_form,
                         min_eigenvalue)
@@ -113,10 +114,15 @@ class EllipticScenario:
         return euclidean_index_form(self.immersion(), extent=extent)
 
     def random_normal_sections(self, count: int, extent: int = 1,
-                               seed: int = 0, modes: int = 4):
-        """Band-limited normal-projected sections supported off the puncture."""
-        imm = self.immersion()
-        quants = surface_quantities(imm)
+                               seed: int = 0, modes: int = 4,
+                               imm: Immersion | None = None,
+                               quants: SurfaceQuantities | None = None):
+        """Band-limited normal-projected sections supported off the puncture.
+
+        `imm` and its `surface_quantities` are built here unless given.
+        """
+        imm = imm or self.immersion()
+        quants = quants or surface_quantities(imm)
         n = imm.n
         N = extent * n
         PN = np.tile(quants.normal_proj, (extent, extent, 1, 1))
@@ -142,9 +148,12 @@ class EllipticScenario:
     def stability_audit(self, count: int = 200, extent: int = 1,
                         seed: int = 0) -> tuple[float, bool]:
         """Worst Q(s)/Mass(s) over random sections; True when stable."""
-        form = self.form(extent)
+        imm = self.immersion()
+        quants = surface_quantities(imm)
+        form = euclidean_index_form(imm, extent=extent, quants=quants)
         worst = np.inf
-        for vals in self.random_normal_sections(count, extent, seed):
+        for vals in self.random_normal_sections(count, extent, seed,
+                                                imm=imm, quants=quants):
             q = form.q_value(vals)
             m = form.m_value(vals)
             if m > 1e-14:

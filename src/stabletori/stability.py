@@ -16,7 +16,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import (ConvergenceError, DomainError, IsotropyViolationError,
                      ResolutionError, WrongFormError)
-from .geometry import AmbientSpace, Immersion, surface_quantities
+from .geometry import (AmbientSpace, Immersion, SurfaceQuantities,
+                       surface_quantities)
 from .lattice import Lattice, wirtinger_factors
 from .sections import SectionGrid
 
@@ -232,17 +233,19 @@ def ambient_derivative_fields(imm: Immersion, values: np.ndarray,
 
 def euclidean_index_form(imm: Immersion,
                          twist: tuple[float, float] = (0.0, 0.0),
-                         extent: int = 1) -> DiscreteForm:
+                         extent: int = 1,
+                         quants: SurfaceQuantities | None = None) -> DiscreteForm:
     """Complexified stability form for an immersion into Euclidean space.
 
     Q(s) = sum ( |(d_zbar s)^perp|^2 - |(d_z s)^top|^2 ) dxdy over the grid,
     restricted to dofs on unmasked nodes; mass form uses the induced area.
     `extent` builds the form on the [0, extent)^2 cover with the immersion
-    data repeated periodically.
+    data repeated periodically.  `quants` are the immersion's
+    `surface_quantities`, computed here unless the caller has them.
     """
     if imm.ambient.kind != "euclidean":
         raise WrongFormError("euclidean index form needs a euclidean ambient")
-    quants = surface_quantities(imm)
+    quants = quants or surface_quantities(imm)
     n, dim = imm.n, imm.dim
     N = extent * n
 

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from stabletori.errors import DomainError, ShapeError
+from stabletori.errors import ConvergenceError, DomainError, ShapeError
 from stabletori.lattice import CoverSpec, Lattice, wirtinger_factors
 from stabletori.bundles import (AtiyahData, FlatBundle, LineHolonomy,
                                 TWO_TORSION_LABELS, atiyah_sections,
@@ -200,6 +200,86 @@ def test_decomposition_filtration_is_nested(rng):
         # each step contains the previous columns
         proj = b @ np.linalg.pinv(b)
         assert np.allclose(proj @ a, a, atol=1e-8)
+
+
+def _same_angle(a, b):
+    return abs(principal_angle(a - b)) <= 1e-6
+
+
+@st.composite
+def _block_structures(draw):
+    """Blocks (size, phi, theta) of total rank <= 6; the angles come from an
+    eight-point grid, so two blocks either share a line class or lie
+    at least pi/4 apart."""
+    grid = [-math.pi + 2 * math.pi * (k + 0.5) / 8 for k in range(8)]
+    left = draw(st.integers(1, 6))
+    blocks = []
+    while left:
+        b = draw(st.integers(1, left))
+        blocks.append((b, draw(st.sampled_from(grid)),
+                       draw(st.sampled_from(grid))))
+        left -= b
+    return blocks, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@given(_block_structures())
+@settings(max_examples=60, deadline=None)
+def test_decomposition_recovers_random_block_structures(structure):
+    blocks, seed = structure
+    r = sum(b for b, _, _ in blocks)
+    A = np.zeros((r, r), dtype=complex)
+    C = np.zeros((r, r), dtype=complex)
+    off = 0
+    for b, phi, theta in blocks:
+        A[off:off + b, off:off + b] = np.exp(1j * phi) * np.eye(b)
+        C[off:off + b, off:off + b] = np.exp(1j * theta) * (
+            np.eye(b) + np.diag(np.full(b - 1, 0.3), 1))
+        off += b
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    Si = np.linalg.inv(S)
+    rep, _, _ = decompose_commuting_pair(FlatBundle(S @ A @ Si, S @ C @ Si, LAT))
+    assert rep.rank_multiset() == tuple(sorted(b for b, _, _ in blocks))
+    assert rep.residual <= 1e-8
+    # every summand matches one constructed block in rank and line class
+    left = list(blocks)
+    for s in rep.summands:
+        match = [blk for blk in left if blk[0] == s.rank
+                 and _same_angle(blk[1], s.line_class.phi)
+                 and _same_angle(blk[2], s.line_class.theta)]
+        assert match, (s, blocks)
+        left.remove(match[0])
+
+
+def test_decomposition_takes_one_schur_form_per_pair(monkeypatch, rng):
+    calls = []
+    schur = scipy.linalg.schur
+
+    def counting_schur(*args, **kwargs):
+        calls.append(1)
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    for blocks in ([6], [5, 1], [2, 2, 2], [1, 1, 1, 1, 1, 1], [3, 2, 1]):
+        r1, r2, _ = _random_block_pair(rng, blocks)
+        calls.clear()
+        rep, _, _ = decompose_commuting_pair(FlatBundle(r1, r2, LAT))
+        assert rep.rank_multiset() == tuple(sorted(blocks))
+        assert 1 <= len(calls) <= 2
+
+
+def test_decomposition_raises_with_best_report_when_no_rung_fits():
+    # This pair does not commute (the bundle's check is opened on purpose),
+    # so no basis block-diagonalizes both matrices.
+    A = np.diag([1.0, -1.0]).astype(complex)
+    C = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
+    bundle = FlatBundle(A, C, LAT, commute_tol=10.0)
+    with pytest.raises(ConvergenceError) as info:
+        decompose_commuting_pair(bundle)
+    best = info.value.best
+    assert best.residual > 1e-8
+    assert sum(best.rank_multiset()) == 2
+    assert "block residual above tolerance at every clustering level" in best.warnings
 
 
 def test_non_commuting_pair_rejected():

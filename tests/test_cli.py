@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+import stabletori.cli
+from stabletori.bundles import DecompositionReport, LineHolonomy, Summand
 from stabletori.cli import main
+from stabletori.errors import ConvergenceError
 
 
 def _cfg(tmp_path, name, payload):
@@ -51,6 +54,46 @@ def test_decompose_deterministic_under_seed(tmp_path):
         assert main(["decompose", "--out", str(out), "--seed", "5"]) == 0
         runs.append((out / "decompose.json").read_bytes())
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("seed", [0, 69, 84, 106, 147, 209, 254, 257, 268, 273])
+def test_decompose_rank_6_passes_on_seeds_that_used_to_fail(tmp_path, seed):
+    cfg = _cfg(tmp_path, "c.json", {"rank": 6, "count": 40, "seed": seed})
+    out = tmp_path / "out"
+    assert main(["decompose", "--config", cfg, "--out", str(out)]) == 0
+    data = json.loads((out / "decompose.json").read_text())
+    assert data["failures"] == []
+    assert len(data["reports"]) == 40
+
+
+def test_decompose_reports_the_merge_warning(tmp_path):
+    # Trial 0 of this seed is one 3-block: its eigenvalues split by about
+    # eps**(1/3), so the clusters merge above the finest tolerance.
+    cfg = _cfg(tmp_path, "c.json", {"rank": 3, "count": 1, "seed": 0})
+    out = tmp_path / "out"
+    assert main(["decompose", "--config", cfg, "--out", str(out)]) == 0
+    report, = json.loads((out / "decompose.json").read_text())["reports"]
+    assert report["ranks"] == [3]
+    assert report["warnings"] == ["eigenvalue clusters merged at tolerance 0.0001"]
+
+
+def test_decompose_records_a_trial_that_raises(tmp_path, monkeypatch):
+    def failing(bundle):
+        r = bundle.rank
+        best = DecompositionReport(
+            summands=[Summand(rank=1, line_class=LineHolonomy(0.0, 0.0))] * r,
+            residual=1.5e-3, warnings=["block residual above tolerance"])
+        raise ConvergenceError("no block decomposition", best=best)
+
+    monkeypatch.setattr(stabletori.cli, "decompose_commuting_pair", failing)
+    cfg = _cfg(tmp_path, "c.json", {"rank": 2, "count": 1, "seed": 0})
+    out = tmp_path / "out"
+    assert main(["decompose", "--config", cfg, "--out", str(out)]) == 2
+    data = json.loads((out / "decompose.json").read_text())
+    report, = data["reports"]
+    assert report["residual"] == 1.5e-3
+    assert report["warnings"] == ["block residual above tolerance"]
+    assert "trial 0: residual 1.50e-03" in data["failures"]
 
 
 def test_cutoff_pass(tmp_path):
@@ -241,6 +284,22 @@ def test_bad_lens_decompose_or_tau_config_is_a_config_error(tmp_path, capsys,
     rc = main([sub, "--config", cfg, "--out", str(tmp_path)])
     assert rc == 3
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub, payload, key", [
+    ("stability", {"q": "x"}, "q"),
+    ("systole", {"q": "x"}, "q"),
+    ("sections", {"phi": "x"}, "phi"),
+    ("sections", {"theta": "x"}, "theta"),
+    ("stability", {"rho": 0}, "rho"),
+    ("stability", {"L": -1}, "L"),
+])
+def test_bad_lens_or_line_value_is_a_config_error_naming_its_key(
+        tmp_path, capsys, sub, payload, key):
+    cfg = _cfg(tmp_path, "c.json", payload)
+    rc = main([sub, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 3
+    assert f"config error: {key} must be" in capsys.readouterr().err
 
 
 def test_importing_the_cli_does_not_load_scipy_optimize():

@@ -239,6 +239,32 @@ def test_elliptic_form_positive_on_normal_sections():
     assert worst >= -1e-6
 
 
+def test_elliptic_audit_builds_its_immersion_once(monkeypatch):
+    import stabletori.scenarios as scenarios
+    import stabletori.stability as stability
+    sc = EllipticScenario(n=16)
+    # the audit's sections and form, built separately
+    form = sc.form()
+    want = min(form.q_value(v) / form.m_value(v)
+               for v in sc.random_normal_sections(5, seed=7))
+
+    builds = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            builds.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod, name in ((scenarios, "elliptic_curve_immersion"),
+                      (scenarios, "surface_quantities"),
+                      (stability, "surface_quantities")):
+        monkeypatch.setattr(mod, name, counting(getattr(mod, name)))
+    worst, _ = sc.stability_audit(count=5, seed=7)
+    assert sorted(builds) == ["elliptic_curve_immersion", "surface_quantities"]
+    assert worst == want
+
+
 def test_euclidean_index_form_split_parts_have_signs():
     sc = EllipticScenario(n=32)
     form = sc.form()
