@@ -85,10 +85,12 @@ def _config_numbers(cfg, key: str, length: int = 0) -> list:
 
 
 def _lens_scenario(cfg) -> LensScenario:
+    p, q = _config_int(cfg, "p", 1), _config_int(cfg, "q")
+    if p > 1 and math.gcd(p, q) != 1:
+        raise ConfigError(f"p={p} and q={q} must be coprime when p > 1")
     return LensScenario(L=_config_number(cfg, "L", positive=True),
                         rho=_config_number(cfg, "rho", positive=True),
-                        p=_config_int(cfg, "p", 1), q=_config_int(cfg, "q"),
-                        n=cfg["grid"])
+                        p=p, q=q, n=cfg["grid"])
 
 
 def load_config(sub: str, args) -> dict:
@@ -244,23 +246,24 @@ def cmd_systole(cfg, out: Path, svg: bool):
     seed = _config_int(cfg, "seed", 0)
     failures = []
     scen = _lens_scenario(cfg)
-    form = scen.cover_form(1, 1, cfg["grid"])
-    lam = min_eigenvalue(form).lambda_min
-    imm = scen.cover_immersion(1, 1, scen.systole_n)
+    n = cfg["grid"]
+    lam = min_eigenvalue(scen.cover_form(1, 1, n)).lambda_min
+    imm = scen.cover_immersion(1, 1, n)
     R = flat_systole(imm.lattice, imm.scale)
-    amb = AmbientSpace(kind="product_circle_sphere", circle_radius=cfg["L"],
-                       sphere_radius=cfg["rho"], n_sphere=3,
-                       lens=(cfg["p"], cfg["q"]))
-    kap = kappa_pic_estimate(amb, samples=samples, seed=seed)
-    deltas = axis_truncated_distances(imm, R, cfg["grid"])
+    amb = AmbientSpace(kind="product_circle_sphere", circle_radius=scen.L,
+                       sphere_radius=scen.rho, n_sphere=scen.n_sphere,
+                       lens=(scen.p, scen.q))
+    kappa = amb.kappa_pic
+    audit = kappa_pic_estimate(amb, samples=samples, seed=seed)
+    deltas = axis_truncated_distances(imm, R, n)
     hol = scen.line_holonomies()[0]
-    trial = phase_trial_section(hol, R, deltas, imm, cfg["grid"])
-    ray = rayleigh_bound_check(trial, imm, kap.kappa_hat, stable=lam >= -1e-6)
-    verdict = systole_bound_verdict(lam, R, kap.kappa_hat, case="general",
+    trial = phase_trial_section(hol, R, deltas, imm, n)
+    ray = rayleigh_bound_check(trial, imm, kappa, stable=lam >= -1e-6)
+    verdict = systole_bound_verdict(lam, R, kappa, case="general",
                                     grid_margin=0.0)  # R is exact
     summary = {
-        "R": R, "kappa_hat": kap.kappa_hat, "C": verdict.constant,
-        "bound": verdict.bound, "lambda_min": lam,
+        "R": R, "kappa": kappa, "kappa_hat": audit.kappa_hat,
+        "C": verdict.constant, "bound": verdict.bound, "lambda_min": lam,
         "seam_residual": trial.seam_residual,
         "rayleigh_lhs": ray.lhs, "rayleigh_energy": ray.rhs,
         "rayleigh_chain_holds": ray.chain_holds,

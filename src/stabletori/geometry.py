@@ -15,7 +15,7 @@ import numpy as np
 
 from .bundles import LineHolonomy
 from .errors import DomainError
-from .lattice import Lattice
+from .lattice import Lattice, wirtinger_factors
 from .weierstrass import eisenstein_invariants, wp
 
 
@@ -54,6 +54,20 @@ class AmbientSpace:
     @property
     def is_flat(self) -> bool:
         return self.kind in ("euclidean", "flat_torus")
+
+    @property
+    def kappa_pic(self) -> float:
+        """Exact kappa = min K(Pi) over isotropic planes: 0 if flat, else
+        1 / (2 rho^2) on S^1(L) x S^m(rho), m >= 3, and its lens quotients.
+
+        Proof: only sphere parts carry curvature, and the sphere directions
+        have complex codimension 1, so an isotropic plane holds some Y = y
+        with no circle part.  Take X = a e0 + x in it with <X, Y> = 0.
+        Isotropy gives a^2 = -(x,x), (y,y) = (x,y) = 0, and <x,y> = 0, so
+        K = |x|^2 / (rho^2 (|a|^2 + |x|^2)).  As |a|^2 = |(x,x)| <= |x|^2,
+        K >= 1 / (2 rho^2), attained at X = e0 + i e1, Y = e2 + i e3 (m >= 3).
+        """
+        return 0.0 if self.is_flat else 0.5 / self.sphere_radius ** 2
 
     @property
     def tangent_dim(self) -> int:
@@ -205,12 +219,6 @@ def random_isotropic_plane(n: int, rng) -> IsotropicPlane:
     return plane_from_frame(_orthonormal_frames(rng.standard_normal((n, 4))))
 
 
-def complex_sectional_curvature(N: AmbientSpace, at: np.ndarray | None,
-                                plane: IsotropicPlane) -> float:
-    """K(Pi) = R(X, Y, conj X, conj Y) / |X wedge Y|^2."""
-    return float(complex_sectional_curvatures(N, plane.X, plane.Y, at))
-
-
 @dataclass
 class KappaReport:
     kappa_hat: float
@@ -220,15 +228,15 @@ class KappaReport:
 
 
 def kappa_pic_estimate(N: AmbientSpace, samples: int = 2000,
-                       refine: int = 200, seed: int = 0) -> KappaReport:
-    """Estimate kappa = min K(Pi) over isotropic planes by sampling.
+                       seed: int = 0) -> KappaReport:
+    """Audit the closed form `N.kappa_pic` by sampling isotropic planes.
 
     Sampling happens in the tangent space at the base point (the model
-    geometries are homogeneous), followed by local minimization over raw
-    4-frame coordinates.  The raw frames come from one seeded stream in
-    blocks of KAPPA_BLOCK, each block checked and evaluated as one batch;
-    the best sample is the earliest draw attaining the minimum.
-    Deterministic for a fixed seed.
+    geometries are homogeneous).  The raw frames come from one seeded
+    stream in blocks of KAPPA_BLOCK, each block checked and evaluated as one
+    batch; the reported minimum is the earliest draw attaining it.  A
+    sampled minimum below `N.kappa_pic * (1 - 1e-12)` contradicts the closed
+    form and raises DomainError.  Deterministic for a fixed seed.
     """
     if samples < 1000:
         raise DomainError("need at least 10^3 samples")
@@ -241,30 +249,21 @@ def kappa_pic_estimate(N: AmbientSpace, samples: int = 2000,
     point = N.base_point()
     rng = np.random.default_rng(seed)
 
-    def k_of_raw(A):
-        X, Y = _frame_pair(basis @ _orthonormal_frames(A))
-        return complex_sectional_curvatures(N, X, Y, point)
-
     best_val = np.inf
-    best_raw = None
+    best_plane = None
     for start in range(0, samples, KAPPA_BLOCK):
         A = rng.standard_normal((min(KAPPA_BLOCK, samples - start), nt, 4))
-        vals = k_of_raw(A)
+        X, Y = _frame_pair(basis @ _orthonormal_frames(A))
+        vals = complex_sectional_curvatures(N, X, Y, point)
         i = int(np.argmin(vals))
         if vals[i] < best_val:
-            best_val, best_raw = float(vals[i]), A[i]
+            best_val, best_plane = float(vals[i]), (X[i], Y[i])
 
-    if refine > 0 and best_raw is not None:
-        import scipy.optimize  # slow to import; only the refine needs it
-        res = scipy.optimize.minimize(
-            lambda x: float(k_of_raw(x.reshape(nt, 4))),
-            best_raw.ravel(), method="Nelder-Mead",
-            options={"maxiter": refine * 10, "xatol": 1e-10, "fatol": 1e-12})
-        if res.fun < best_val:
-            best_val, best_raw = res.fun, res.x.reshape(nt, 4)
-
-    plane = plane_from_frame(basis @ _orthonormal_frames(best_raw))
-    return KappaReport(float(best_val), plane, best_val > 1e-9, samples)
+    if best_val < N.kappa_pic * (1 - 1e-12):
+        raise DomainError(f"sampled curvature {best_val!r} lies below the "
+                          f"closed-form kappa {N.kappa_pic!r}")
+    return KappaReport(best_val, IsotropicPlane(*best_plane),
+                       best_val > 1e-9, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -360,19 +359,13 @@ def product_geodesic_torus(L: float, rho: float, n_sphere: int,
     holonomy twist data on the complexified normal lines.
     """
     p, q = lens
-    if p < 1:
-        raise DomainError("lens order must be >= 1")
-    if p > 1 and math.gcd(p, q) != 1:
-        raise DomainError("lens parameters must be coprime")
+    amb = AmbientSpace(kind="product_circle_sphere", circle_radius=L,
+                       sphere_radius=rho, n_sphere=n_sphere, lens=(p, q))
     if p > 1 and n_sphere != 3:
         raise DomainError("twisted lens quotients are supported on S^3 only")
-    if n_sphere < 3:
-        raise DomainError("sphere dimension must be >= 3")
     a_len = 2 * np.pi * L
     b_len = 2 * np.pi * rho / p
     lat = Lattice(0.0, b_len / a_len)
-    amb = AmbientSpace(kind="product_circle_sphere", circle_radius=L,
-                       sphere_radius=rho, n_sphere=n_sphere, lens=(p, q))
     dim = amb.dim
     h = 1.0 / n
     xi = np.arange(n) * h
@@ -448,8 +441,7 @@ def surface_quantities(imm: Immersion) -> SurfaceQuantities:
     elif imm.ambient.kind == "euclidean":
         # (d_z F_z)^perp by periodic central differences in the chart.
         h = 1.0 / n
-        fxi = 0.5 * (1 - 1j * imm.lattice.tau1 / imm.lattice.tau2)
-        feta = 1j / (2 * imm.lattice.tau2)
+        fxi, feta = wirtinger_factors(imm.lattice)
         dz_xi = (np.roll(imm.Fz, -1, axis=0) - np.roll(imm.Fz, 1, axis=0)) / (2 * h)
         dz_eta = (np.roll(imm.Fz, -1, axis=1) - np.roll(imm.Fz, 1, axis=1)) / (2 * h)
         dzFz = (np.conj(fxi) * dz_xi + np.conj(feta) * dz_eta) / imm.scale

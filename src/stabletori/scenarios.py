@@ -56,7 +56,6 @@ class LensScenario:
     p: int = 3
     q: int = 1
     n: int = 96
-    systole_n: int = 64
     n_sphere: int = 3
 
     def base_immersion(self, n: int | None = None) -> Immersion:

@@ -213,7 +213,7 @@ def test_criterion_6_holomorphic_curve_stability():
 
 def test_criterion_7_lens_scenario_end_to_end():
     t0 = time.perf_counter()
-    sc = LensScenario(n=96, systole_n=64)
+    sc = LensScenario(n=96)
     oracle = fourier_lambda_min(sc.periods, (0.0, 2 * np.pi / 3),
                                 potential=-1.0)
     lam1 = min_eigenvalue(sc.cover_form(1, 1, 96)).lambda_min

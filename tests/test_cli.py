@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import stabletori.cli
@@ -213,6 +214,25 @@ def test_systole_default_reports_rayleigh_chain_and_is_deterministic(tmp_path):
     assert data["rayleigh_chain_holds"] is False
     assert data["rayleigh_lhs"] > data["rayleigh_energy"]
     assert data["lambda_min"] < -1e-6
+    # the bound uses the closed-form kappa; the sampled audit sits on it
+    assert data["kappa"] == 0.5
+    assert data["kappa_hat"] == pytest.approx(0.5, rel=1e-12)
+    assert data["bound"] == data["C"] / np.sqrt(0.5)
+    assert data["verdict"] is True
+
+
+def test_systole_kappa_follows_the_sphere_radius_and_is_deterministic(
+        tmp_path):
+    cfg = _cfg(tmp_path, "c.json", {"rho": 1.02})
+    outs = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        assert main(["systole", "--config", cfg, "--out", str(out)]) == 0
+        outs.append((out / "systole.json").read_bytes())
+    assert outs[0] == outs[1]
+    data = json.loads(outs[0])
+    assert data["kappa"] == 1 / (2 * 1.02 ** 2)
+    assert data["kappa_hat"] >= data["kappa"] * (1 - 1e-12)
 
 
 @pytest.mark.parametrize("payload, args", [
@@ -302,10 +322,25 @@ def test_bad_lens_or_line_value_is_a_config_error_naming_its_key(
     assert f"config error: {key} must be" in capsys.readouterr().err
 
 
-def test_importing_the_cli_does_not_load_scipy_optimize():
+@pytest.mark.parametrize("sub", ["stability", "systole"])
+def test_non_coprime_lens_is_a_config_error_naming_p_and_q(tmp_path, capsys,
+                                                           sub):
+    cfg = _cfg(tmp_path, "c.json", {"p": 2, "q": 2})
+    rc = main([sub, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 3
+    assert ("config error: p=2 and q=2 must be coprime when p > 1"
+            in capsys.readouterr().err)
+
+
+def test_importing_the_cli_does_not_load_scipy_optimize(tmp_path):
+    """Neither the import nor a full default `systole` run loads it."""
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, stabletori.cli; print('scipy.optimize' in sys.modules)"],
+         "import sys, stabletori.cli\n"
+         "print('scipy.optimize' in sys.modules)\n"
+         f"rc = stabletori.cli.main(['systole', '--out', {str(tmp_path)!r}])\n"
+         "print(rc, 'scipy.optimize' in sys.modules)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split("\n")[:2] == ["False", "0 False"]
+    assert (tmp_path / "systole.json").exists()

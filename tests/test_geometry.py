@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from stabletori.errors import DomainError
 from stabletori.lattice import Lattice
 from stabletori.geometry import (AmbientSpace, IsotropicPlane, KappaReport,
-                                 complex_sectional_curvature,
                                  complex_sectional_curvatures,
                                  elliptic_curve_immersion, kappa_pic_estimate,
                                  plane_from_frame, product_geodesic_torus,
@@ -83,6 +82,48 @@ def test_kappa_estimate_guards():
         kappa_pic_estimate(_product_ambient(), samples=10)
 
 
+def test_kappa_pic_closed_form_values():
+    assert AmbientSpace(kind="flat_torus", dim=5).kappa_pic == 0.0
+    assert AmbientSpace(kind="euclidean", dim=4).kappa_pic == 0.0
+    assert _product_ambient(1.0).kappa_pic == 0.5
+    assert _product_ambient(0.5).kappa_pic == 2.0
+
+
+@pytest.mark.parametrize("n_sphere", [3, 4, 5])
+def test_kappa_pic_is_attained_by_e0_plus_i_e1(n_sphere):
+    """X = e0 + i e1, Y = e2 + i e3 in the tangent frame reads the closed
+    form: half of the sphere's sectional curvature."""
+    rho = 0.7
+    amb = AmbientSpace(kind="product_circle_sphere", sphere_radius=rho,
+                       n_sphere=n_sphere)
+    E = amb.tangent_basis()
+    X = E[:, 0] + 1j * E[:, 1]
+    Y = E[:, 2] + 1j * E[:, 3]
+    K = complex_sectional_curvatures(amb, X, Y)
+    assert K == pytest.approx(amb.kappa_pic, rel=1e-14)
+    assert amb.kappa_pic == 0.5 / rho ** 2
+
+
+@given(st.floats(0.3, 3.0), st.integers(3, 6), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_kappa_pic_bounds_every_isotropic_plane(rho, n_sphere, seed):
+    amb = AmbientSpace(kind="product_circle_sphere", sphere_radius=rho,
+                       n_sphere=n_sphere)
+    raw = np.random.default_rng(seed).standard_normal((64, n_sphere + 1, 4))
+    pairs = _oracle_planes(raw, n_sphere)
+    X = np.array([x for x, _ in pairs])
+    Y = np.array([y for _, y in pairs])
+    K = complex_sectional_curvatures(amb, X, Y)
+    assert np.all(K >= amb.kappa_pic * (1 - 1e-12))
+    assert np.all(K <= (1 / rho ** 2) * (1 + 1e-12))
+
+
+def test_kappa_estimate_rejects_a_closed_form_above_the_samples(monkeypatch):
+    monkeypatch.setattr(AmbientSpace, "kappa_pic", property(lambda self: 0.6))
+    with pytest.raises(DomainError, match="below the closed-form kappa"):
+        kappa_pic_estimate(_product_ambient(1.0), samples=1000, seed=0)
+
+
 def _oracle_planes(raw, n_sphere):
     """Isotropic pairs (X, Y) in ambient coordinates from raw tangent frames.
 
@@ -132,7 +173,7 @@ def test_kappa_sampling_matches_oracle_across_blocks():
     the minimum over the same seeded stream drawn one frame at a time."""
     amb = AmbientSpace(kind="product_circle_sphere", sphere_radius=0.8,
                        n_sphere=4)
-    rep = kappa_pic_estimate(amb, samples=5000, refine=0, seed=11)
+    rep = kappa_pic_estimate(amb, samples=5000, seed=11)
     rng = np.random.default_rng(11)
     pairs = _oracle_planes([rng.standard_normal((5, 4)) for _ in range(5000)], 4)
     vals = [_oracle_curvature(x, y, 0.8) for x, y in pairs]

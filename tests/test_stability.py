@@ -396,7 +396,7 @@ def test_stability_threshold_floor_and_scaling():
 
 
 def test_covering_sweep_lens_onset():
-    sc = LensScenario(n=64, systole_n=32)
+    sc = LensScenario(n=64)
     covers = [CoverSpec.scaling(k) for k in (1, 2, 3)]
     rows = covering_sweep(sc, covers)
     assert rows[0].stable
