@@ -15,11 +15,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (ConvergenceError, DomainError, IsotropyViolationError,
-                     ResolutionError, WrongFormError)
+                     ResolutionError, ShapeError, WrongFormError)
 from .geometry import (AmbientSpace, Immersion, SurfaceQuantities,
                        surface_quantities)
 from .lattice import Lattice, wirtinger_factors
-from .sections import SectionGrid
+from .sections import SectionGrid, dbar
 
 SYMBOL_TOL = 1e-9   # relative residual and probe bound of min_eigenvalue
 
@@ -48,7 +48,7 @@ class DiscreteForm:
         self.M = self.M.tocsr()
         herm = spla.norm(self.Q - self.Q.getH())
         scale = max(spla.norm(self.Q), 1.0)
-        if herm > 1e-12 * scale:
+        if not herm <= 1e-12 * scale:     # also rejects NaN entries
             raise DomainError("form is not Hermitian")
 
     @property
@@ -77,11 +77,9 @@ class SpectrumResult:
     iterations: int     # 0: read off the closed-form symbol
 
 
-def _cov_diff_1d(n: int, h: float, step_angle: float, scheme: str) -> sp.spmatrix:
-    """1D periodic covariant difference with a constant connection phase."""
+def _cov_diff_1d(n: int, h: float, step_angle: float) -> sp.spmatrix:
+    """1D periodic central covariant difference with a constant connection phase."""
     shift_fwd = sp.diags([np.ones(n - 1), [1.0]], [1, -(n - 1)], format="csr")
-    if scheme == "forward":
-        return (shift_fwd * np.exp(-1j * step_angle) - sp.eye(n)) / h
     shift_bwd = shift_fwd.T.tocsr()
     return (shift_fwd * np.exp(-1j * step_angle)
             - shift_bwd * np.exp(1j * step_angle)) / (2 * h)
@@ -95,8 +93,7 @@ def chart_metric(periods: tuple[float, float], shear: float = 0.0):
     a, b = periods
     G = np.array([[a * a, a * shear], [a * shear, shear * shear + b * b]])
     ginv = np.linalg.inv(G)
-    sqrtg = a * b
-    return ginv, sqrtg
+    return ginv, a * b
 
 
 def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
@@ -114,25 +111,34 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
     if n < 2:
         raise ResolutionError("twisted form needs a grid of at least 2 x 2")
     phi, theta = twist
+    try:
+        V = np.broadcast_to(np.asarray(potential, dtype=float), (n, n))
+    except ValueError as exc:
+        raise ShapeError(f"potential does not broadcast to {n} x {n}") from exc
+    if not (np.isfinite([*periods, *twist, shear]).all() and np.isfinite(V).all()
+            and np.prod(periods)):
+        raise DomainError("form inputs must be finite, the periods nonzero")
     h = 1.0 / n
     ginv, sqrtg = chart_metric(periods, shear)
     w = sqrtg * h * h
 
-    Fx = _cov_diff_1d(n, h, phi * h, "forward")
-    Fy = _cov_diff_1d(n, h, theta * h, "forward")
-    Cx = _cov_diff_1d(n, h, phi * h, "central")
-    Cy = _cov_diff_1d(n, h, theta * h, "central")
-    I = sp.eye(n, format="csr")
-    Dxf = sp.kron(Fx, I, format="csr")
-    Dyf = sp.kron(I, Fy, format="csr")
-    Cx2 = sp.kron(Cx, I, format="csr")
-    Cy2 = sp.kron(I, Cy, format="csr")
-
-    Q = w * (ginv[0, 0] * (Dxf.getH() @ Dxf)
-             + ginv[1, 1] * (Dyf.getH() @ Dyf)
-             + ginv[0, 1] * (Cx2.getH() @ Cy2 + Cy2.getH() @ Cx2))
-    V = np.broadcast_to(np.asarray(potential, dtype=float), (n, n)).reshape(-1)
-    Q = Q + sp.diags(V * w)
+    # Q / w = g^00 Fx^H Fx + g^11 Fy^H Fy + g^01 (Cx^H Cy + Cy^H Cx) + V for
+    # F = (e^{-i a} S - 1) / h and C = (e^{-i a} S - e^{i a} S^T) / 2h = -C^H,
+    # a the step phase and S the shift to the next node.  gen[ox, oy] couples
+    # a node to the one (ox, oy) on, mod n; n = 2 folds the two neighbours.
+    ex, ey = np.exp(-1j * phi * h), np.exp(-1j * theta * h)
+    one, fwd, bwd = np.eye(n)[[0, 1, -1]]   # 1D stencils of 1, S and S^T
+    lx, ly = (2 * one - e * fwd - np.conj(e) * bwd for e in (ex, ey))
+    cx, cy = (e * fwd - np.conj(e) * bwd for e in (ex, ey))
+    gen = w / h ** 2 * (ginv[0, 0] * np.outer(lx, one)
+                        + ginv[1, 1] * np.outer(one, ly)
+                        - 0.5 * ginv[0, 1] * np.outer(cx, cy))
+    ox, oy = np.nonzero(gen)      # (0, 0) first
+    cols = (np.arange(n)[:, None, None] + ox) % n * n + (np.arange(n)[:, None] + oy) % n
+    data = gen[ox, oy] + np.zeros((n, n, 1))
+    data[..., 0] += w * V
+    Q = sp.csr_matrix((data.reshape(-1), cols.reshape(-1),
+                       np.arange(0, data.size + 1, len(ox))), shape=(n * n, n * n))
     M = sp.diags(np.full(n * n, w))
     meta = {"periods": periods, "twist": twist, "shear": shear}
     if V.min() == V.max():
@@ -140,12 +146,11 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
         # under the connection; F has symbol (e^{i theta} - 1) / h and C has
         # i sin(theta) / h.  Signed modes keep theta small.
         m = (np.arange(n) + n // 2) % n - n // 2
-        tx = (2 * np.pi * m - phi) * h
-        ty = (2 * np.pi * m - theta) * h
+        tx, ty = ((2 * np.pi * m - t) * h for t in (phi, theta))
         meta["symbol"] = (ginv[0, 0] * (4 * np.sin(tx / 2) ** 2)[:, None]
                           + ginv[1, 1] * (4 * np.sin(ty / 2) ** 2)[None, :]
                           + 2 * ginv[0, 1] * np.outer(np.sin(tx), np.sin(ty))
-                          ) / h ** 2 + V[0]
+                          ) / h ** 2 + V[0, 0]
     return DiscreteForm(Q, M, convention, (n, n), meta=meta)
 
 
@@ -165,9 +170,9 @@ def min_eigenvalue(form: DiscreteForm) -> SpectrumResult:
     wave are the answer.  Two checks tie them to the assembled matrices: the
     eigenpair residual, and one seeded probe Q z = M ifft2(symbol fft2(z)),
     which shows that the whole spectrum, so the minimality, matches Q.  Both
-    are relative to max(1, max|symbol|) |M x|; either above SYMBOL_TOL raises
-    ConvergenceError.  A form without a symbol (a masked form or a
-    non-constant potential) raises WrongFormError.
+    are relative to max(1, max|symbol|) |M x|; either above SYMBOL_TOL, or
+    not finite, raises ConvergenceError.  A form without a symbol (a masked
+    form or a non-constant potential) raises WrongFormError.
     """
     symbol = form.meta.get("symbol")
     if symbol is None:
@@ -189,7 +194,7 @@ def min_eigenvalue(form: DiscreteForm) -> SpectrumResult:
     lifted = np.fft.ifft2(symbol * np.fft.fft2(z.reshape(n, n))).reshape(-1)
     probe = float(np.linalg.norm(Q @ z - M @ lifted)
                   / (scale * np.linalg.norm(M @ z)))
-    if res > SYMBOL_TOL or probe > SYMBOL_TOL:
+    if not (np.isfinite(lam) and res <= SYMBOL_TOL and probe <= SYMBOL_TOL):
         raise ConvergenceError(
             f"symbol does not match the assembled form: residual {res:.1e}, "
             f"probe {probe:.1e}", best=lam)
@@ -257,8 +262,8 @@ def euclidean_index_form(imm: Immersion,
     h = extent / N
     phi, theta = twist
     fxi, feta = _chart_factors(imm)
-    Cx = _cov_diff_1d(N, h, phi * h, "central")
-    Cy = _cov_diff_1d(N, h, theta * h, "central")
+    Cx = _cov_diff_1d(N, h, phi * h)
+    Cy = _cov_diff_1d(N, h, theta * h)
     I = sp.eye(N, format="csr")
     Id = sp.eye(dim, format="csr")
     Dx = sp.kron(sp.kron(Cx, I), Id, format="csr")
@@ -345,22 +350,18 @@ def pic_index_form(imm: Immersion, N: AmbientSpace, n: int) -> DiscreteForm:
     point = imm.F[0, 0]
     fz = imm.Fz[0, 0]
     rterm = np.real(N.curvature(eps, fz, np.conj(eps), np.conj(fz), point=point))
-    a, b = imm.periods
-    form = flat_twisted_form((a, b), (hol.phi, hol.theta), n,
-                             convention="dxdy")
+    form = flat_twisted_form(imm.periods, (hol.phi, hol.theta), n)
     # |dbar c|^2 is a quarter of the covariant Dirichlet density mode by
     # mode, so the assembled Laplacian form is scaled down before the
     # curvature potential (which is already in dbar normalization) enters.
-    form.Q = (0.25 * form.Q - rterm * form.M).tocsr()
-    form.meta["symbol"] = 0.25 * form.meta["symbol"] - rterm
-    form.meta["rterm"] = rterm
-    form.meta["line"] = hol
-    return form
+    return DiscreteForm(0.25 * form.Q - rterm * form.M, form.M, "dxdy",
+                        form.shape, meta={
+                            **form.meta, "rterm": rterm, "line": hol,
+                            "symbol": 0.25 * form.meta["symbol"] - rterm})
 
 
 def dbar_energy_chart(sec: SectionGrid, imm: Immersion) -> float:
     """sum |nabla_zbar c|^2 dxdy for a scalar section in the chart of imm."""
-    from .sections import dbar
     d = dbar(sec)
     w = imm.scale ** 2 * imm.lattice.tau2 * sec.hx * sec.hy
     return float(np.sum(np.abs(d.values / imm.scale) ** 2) * w)
@@ -377,11 +378,10 @@ def reduced_pic_gap(s: SectionGrid, kappa: float, imm: Immersion,
     self_pairing = s.meta.get("self_pairing")
     if self_pairing is None or abs(self_pairing) > isotropy_tol:
         raise IsotropyViolationError("section is not registered isotropic")
+    if not imm.flat:
+        raise WrongFormError("reduced gap implemented for flat scenarios")
     energy = dbar_energy_chart(s, imm)
     w = imm.scale ** 2 * imm.lattice.tau2 * s.hx * s.hy
-    lam2 = 1.0 if imm.flat else None
-    if lam2 is None:
-        raise WrongFormError("reduced gap implemented for flat scenarios")
     mass_da = float(np.sum(np.abs(s.values) ** 2) * w)
     return 2.0 * energy - kappa * mass_da
 

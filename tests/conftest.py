@@ -8,6 +8,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +92,40 @@ def discrete_fourier_lambda_min(periods, twist, n, potential=0.0, mmax=8):
             sy = (2 - 2 * np.cos((2 * np.pi * k - theta) * h)) / h ** 2
             best = min(best, sx / a ** 2 + sy / b ** 2)
     return best + potential
+
+
+def kron_twisted_form_q(periods, twist, n, potential=0.0, shear=0.0):
+    """Q of the flat twisted form built from sparse Kronecker products.
+
+    Forward covariant differences F = (e^{-i a} S - 1) / h carry the
+    diagonal metric terms and central ones C = (e^{-i a} S - e^{i a} S^T) / 2h
+    the shear term, with a the connection phase of one step and S the
+    periodic shift to the next node; every product is formed explicitly.
+    """
+    a, b = periods
+    phi, theta = twist
+    h = 1.0 / n
+    G = np.array([[a * a, a * shear], [a * shear, shear * shear + b * b]])
+    ginv = np.linalg.inv(G)
+    w = a * b * h * h
+    S = sp.csr_matrix((np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)),
+                      shape=(n, n))
+    eye = sp.identity(n, format="csr")
+
+    def forward(step):
+        return (S * np.exp(-1j * step) - eye) / h
+
+    def central(step):
+        return (S * np.exp(-1j * step) - S.T * np.exp(1j * step)) / (2 * h)
+
+    Fx = sp.kron(forward(phi * h), eye, format="csr")
+    Fy = sp.kron(eye, forward(theta * h), format="csr")
+    Cx = sp.kron(central(phi * h), eye, format="csr")
+    Cy = sp.kron(eye, central(theta * h), format="csr")
+    Q = w * (ginv[0, 0] * (Fx.getH() @ Fx) + ginv[1, 1] * (Fy.getH() @ Fy)
+             + ginv[0, 1] * (Cx.getH() @ Cy + Cy.getH() @ Cx))
+    V = np.broadcast_to(np.asarray(potential, dtype=float), (n, n))
+    return (Q + sp.diags(w * V.reshape(-1))).tocsr()
 
 
 @pytest.fixture

@@ -10,22 +10,23 @@ from hypothesis import given, settings, strategies as st
 
 from stabletori.errors import (ConvergenceError, DomainError,
                                IsotropyViolationError, ResolutionError,
-                               WrongFormError)
+                               ShapeError, WrongFormError)
 from stabletori.lattice import CoverSpec, Lattice, normalize_lattice
 from stabletori.bundles import LineHolonomy
 from stabletori.geometry import product_geodesic_torus
 from stabletori.scenarios import (EllipticScenario, FlatTorusScenario,
                                   LensScenario, flat_chart_immersion)
-from stabletori.stability import (covering_sweep, cutoff_inequality_audit,
-                                  dbar_energy_chart, euclidean_index_form,
-                                  flat_twisted_form, lattice_twisted_form,
-                                  log_cutoff, min_eigenvalue, pic_index_form,
+from stabletori.stability import (DiscreteForm, covering_sweep,
+                                  cutoff_inequality_audit, dbar_energy_chart,
+                                  euclidean_index_form, flat_twisted_form,
+                                  lattice_twisted_form, log_cutoff,
+                                  min_eigenvalue, pic_index_form,
                                   real_second_variation, reduced_pic_gap,
                                   second_ff_energy, stability_threshold)
 from stabletori.systole import (axis_truncated_distances, induced_systole,
                                 phase_trial_section)
 
-from conftest import fourier_lambda_min
+from conftest import fourier_lambda_min, kron_twisted_form_q
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +154,82 @@ def test_min_eigenvalue_rejects_non_constant_potential():
     assert "symbol" not in form.meta
     with pytest.raises(WrongFormError):
         min_eigenvalue(form)
+
+
+# ---------------------------------------------------------------------------
+# stencil assembly against the Kronecker-product oracle
+
+
+@given(st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(-3 * np.pi, 3 * np.pi),
+       st.floats(-3 * np.pi, 3 * np.pi),
+       st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+       st.one_of(st.floats(-5.0, 5.0), st.integers(0, 2 ** 32 - 1)),
+       st.integers(2, 12))
+@settings(max_examples=80, deadline=None)
+def test_stencil_matches_kron_oracle(a, b, phi, theta, shear, pot, n):
+    if isinstance(pot, int):        # a seed for a non-constant potential
+        pot = np.random.default_rng(pot).uniform(-5.0, 5.0, (n, n))
+    got = flat_twisted_form((a, b), (phi, theta), n, potential=pot,
+                            shear=shear).Q
+    want = kron_twisted_form_q((a, b), (phi, theta), n, potential=pot,
+                               shear=shear)
+    assert got.nnz == want.nnz
+    assert abs(got - want).max() <= 1e-13 * abs(want).max()
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+@pytest.mark.parametrize("shear, points", [(0.0, 5), (0.4, 9)])
+def test_stencil_stores_five_or_nine_points(n, shear, points):
+    form = flat_twisted_form((1.0, 1.3), (0.7, -1.9), n, shear=shear)
+    assert form.Q.nnz == points * n * n
+
+
+def test_hermitian_guard_rejects_one_changed_entry():
+    form = flat_twisted_form((1.0, 1.3), (1.7, -0.6), 8, shear=0.3)
+    Q = form.Q.tolil()
+    Q[0, 1] = -Q[0, 1]
+    with pytest.raises(DomainError, match="Hermitian"):
+        DiscreteForm(Q.tocsr(), form.M, "da", form.shape)
+
+
+def test_pic_index_form_checks_the_swapped_matrix():
+    class NanCurvature:
+        def curvature(self, *args, **kwargs):
+            return complex("nan")
+
+    imm = product_geodesic_torus(2.0, 1.0, 3, (3, 1), 8)
+    with pytest.raises(DomainError, match="Hermitian"):
+        pic_index_form(imm, NanCurvature(), 8)
+
+
+def test_min_eigenvalue_rejects_nan_symbol():
+    form = flat_twisted_form((1.0, 1.0), (0.0, 0.0), 8)
+    form.meta["symbol"] = form.meta["symbol"].copy()
+    form.meta["symbol"][2, 3] = np.nan
+    with pytest.raises(ConvergenceError):
+        min_eigenvalue(form)
+
+
+def test_flat_twisted_form_rejects_potential_of_wrong_shape():
+    with pytest.raises(ShapeError):
+        flat_twisted_form((1.0, 1.0), (0.0, 0.0), 8, potential=np.zeros((3, 8)))
+
+
+def test_flat_twisted_form_rejects_zero_period():
+    with pytest.raises(DomainError):
+        flat_twisted_form((0.0, 1.0), (0.0, 0.0), 8)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"periods": (np.nan, 1.0)}, {"periods": (1.0, np.inf)},
+    {"twist": (np.nan, 0.0)}, {"twist": (0.0, -np.inf)},
+    {"shear": np.inf}, {"shear": np.nan},
+    {"potential": np.nan}, {"potential": np.where(np.eye(8), np.nan, 0.0)},
+])
+def test_flat_twisted_form_rejects_non_finite_input(kwargs):
+    args = {"periods": (1.0, 1.0), "twist": (0.0, 0.0), "n": 8, **kwargs}
+    with pytest.raises(DomainError):
+        flat_twisted_form(**args)
 
 
 # ---------------------------------------------------------------------------
