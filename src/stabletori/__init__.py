@@ -14,6 +14,6 @@ from .bundles import (AtiyahData, DecompositionReport, FlatBundle,
                       nilpotent_log, pairing_orthogonality, principal_angle,
                       pullback_bundle, stabilization_scan,
                       two_torsion_classify)
-from .sections import SectionGrid, dbar, dbar_spectral, gram_matrix, tensor_sections
+from .sections import SectionGrid, dbar, gram_matrix, tensor_sections
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bundles import LineHolonomy
 from .errors import DomainError
-from .lattice import Lattice, wirtinger_factors
+from .lattice import Lattice
 from .weierstrass import eisenstein_invariants, wp
 
 
@@ -275,7 +275,9 @@ class Immersion:
     """Sampled conformal immersion of a torus chart into a model ambient.
 
     The chart is z = scale * (xi + eta * tau) over (xi, eta) in [0,1)^2;
-    lam2 is the conformal factor with da = lam2 * dxdy.
+    lam2 is the conformal factor with da = lam2 * dxdy.  Fzz = d_z F_z is
+    stored exactly for Euclidean immersions with a second fundamental form;
+    without it (and without `second_ff_zero`) second_ff_norm2 is None.
     """
 
     lattice: Lattice
@@ -291,6 +293,7 @@ class Immersion:
     second_ff_zero: bool = False
     periods: tuple[float, float] | None = None
     puncture_radius: float | None = None
+    Fzz: np.ndarray | None = None     # (n, n, dim) complex
 
     @property
     def n(self) -> int:
@@ -317,8 +320,9 @@ def elliptic_curve_immersion(lat: Lattice, puncture_radius: float,
                              n: int) -> Immersion:
     """The elliptic curve (wp, wp') in R^4, punctured at the lattice point.
 
-    Holomorphic, hence conformal and minimal; the tangent frame is stored
-    analytically, so the conformality residual is exact.
+    Holomorphic, hence conformal and minimal.  F_z and F_zz are stored
+    analytically from wp'' = 6 wp^2 - g2/2 and wp''' = 12 wp wp', so the
+    conformality residual is exact and no derivative crosses the puncture.
     """
     if not (0 < puncture_radius < 0.3):
         raise DomainError("puncture radius must lie in (0, 0.3)")
@@ -338,14 +342,16 @@ def elliptic_curve_immersion(lat: Lattice, puncture_radius: float,
     p, pp = wp(Zs, lat)
     g2, _ = eisenstein_invariants(lat)
     ppp = 6.0 * p ** 2 - g2 / 2.0
+    pppp = 12.0 * p * pp
 
     F = np.stack([p.real, p.imag, pp.real, pp.imag], axis=-1)
     Fz = np.stack([pp / 2, -1j * pp / 2, ppp / 2, -1j * ppp / 2], axis=-1)
+    Fzz = np.stack([ppp / 2, -1j * ppp / 2, pppp / 2, -1j * pppp / 2], axis=-1)
     lam2 = np.abs(pp) ** 2 + np.abs(ppp) ** 2
     amb = AmbientSpace(kind="euclidean", dim=4)
     return Immersion(
         lattice=lat, scale=1.0, ambient=amb, F=F, Fz=Fz, lam2=lam2,
-        mask=mask, flat=False, puncture_radius=puncture_radius,
+        mask=mask, flat=False, puncture_radius=puncture_radius, Fzz=Fzz,
     )
 
 
@@ -438,14 +444,8 @@ def surface_quantities(imm: Immersion) -> SurfaceQuantities:
     second = None
     if imm.second_ff_zero:
         second = np.zeros((n, n))
-    elif imm.ambient.kind == "euclidean":
-        # (d_z F_z)^perp by periodic central differences in the chart.
-        h = 1.0 / n
-        fxi, feta = wirtinger_factors(imm.lattice)
-        dz_xi = (np.roll(imm.Fz, -1, axis=0) - np.roll(imm.Fz, 1, axis=0)) / (2 * h)
-        dz_eta = (np.roll(imm.Fz, -1, axis=1) - np.roll(imm.Fz, 1, axis=1)) / (2 * h)
-        dzFz = (np.conj(fxi) * dz_xi + np.conj(feta) * dz_eta) / imm.scale
-        perp = np.einsum("xyij,xyj->xyi", PN, dzFz)
+    elif imm.Fzz is not None:
+        perp = np.einsum("xyij,xyj->xyi", PN, imm.Fzz)
         second = np.sum(np.abs(perp) ** 2, axis=2)
     return SurfaceQuantities(
         lam2=imm.lam2, tangent_proj=PT, normal_proj=PN,

@@ -90,64 +90,43 @@ class SectionGrid:
         return out
 
 
-def _shift(vals: np.ndarray, axis: int, steps: int) -> np.ndarray:
-    """values at (index + steps) with periodic wrap."""
-    return np.roll(vals, -steps, axis=axis)
+def wirtinger_diff(v: np.ndarray, factors, steps: tuple[float, float],
+                   twist: tuple[float, float] = (0.0, 0.0),
+                   bmat: np.ndarray | None = None) -> np.ndarray:
+    """f_xi D_xi v + f_eta D_eta v for a periodic grid field v, (nx, ny, ...).
 
-
-def covariant_diff(sec: SectionGrid, axis: int, scheme: str = "central") -> np.ndarray:
-    """Covariant derivative of the section values along xi (axis 0) or eta.
-
-    Uses the constant potential of the periodic gauge; the phase factors
-    make the stencil exact on covariantly-constant sections.
+    D is the central covariant difference
+    (v[+1] e^{-i a} - v[-1] e^{i a}) / 2h along each axis, with the step h
+    from `steps` and the phase a = twist * h; the phases make it exact on
+    covariantly constant fields.  `bmat` adds -bmat v to D_eta (the
+    nilpotent part of the potential, acting on the last axis).  Pass the
+    Wirtinger factors for d/dzbar and their conjugates for d/dz.
     """
-    h = sec.hx if axis == 0 else sec.hy
-    angle = (sec.phi if axis == 0 else sec.theta) * h
-    fwd = _shift(sec.values, axis, 1) * np.exp(-1j * angle)
-    bwd = _shift(sec.values, axis, -1) * np.exp(1j * angle)
-    if scheme == "central":
-        d = (fwd - bwd) / (2 * h)
-    elif scheme == "forward":
-        d = (fwd - sec.values) / h
-    else:
-        raise ValueError("scheme must be 'central' or 'forward'")
-    if axis == 1 and sec.bmat is not None and np.any(sec.bmat):
-        d = d - np.einsum("ij,xyj->xyi", sec.bmat, sec.values)
-    return d
+    def diff(axis):
+        a = twist[axis] * steps[axis]
+        return (np.roll(v, -1, axis=axis) * np.exp(-1j * a)
+                - np.roll(v, 1, axis=axis) * np.exp(1j * a)) / (2 * steps[axis])
+
+    d_eta = diff(1)
+    if bmat is not None and np.any(bmat):
+        d_eta = d_eta - np.einsum("ij,xyj->xyi", bmat, v)
+    return factors[0] * diff(0) + factors[1] * d_eta
 
 
-def dbar(sec: SectionGrid, scheme: str = "central") -> SectionGrid:
+def _section_diff(sec: SectionGrid, factors) -> SectionGrid:
+    d = wirtinger_diff(sec.values, factors, (sec.hx, sec.hy),
+                       (sec.phi, sec.theta), sec.bmat)
+    return replace(sec, values=d, seam_residual=0.0)
+
+
+def dbar(sec: SectionGrid) -> SectionGrid:
     """Discrete nabla_zbar of a section, as a section of the same bundle."""
-    fxi, feta = wirtinger_factors(sec.lattice)
-    d = fxi * covariant_diff(sec, 0, scheme) + feta * covariant_diff(sec, 1, scheme)
-    return replace(sec, values=d, seam_residual=0.0)
+    return _section_diff(sec, wirtinger_factors(sec.lattice))
 
 
-def ddz(sec: SectionGrid, scheme: str = "central") -> SectionGrid:
+def ddz(sec: SectionGrid) -> SectionGrid:
     """Discrete nabla_z, the conjugate-coordinate companion of dbar."""
-    fxi, feta = wirtinger_factors(sec.lattice)
-    d = (np.conj(fxi) * covariant_diff(sec, 0, scheme)
-         + np.conj(feta) * covariant_diff(sec, 1, scheme))
-    return replace(sec, values=d, seam_residual=0.0)
-
-
-def dbar_spectral(sec: SectionGrid) -> SectionGrid:
-    """Fourier-differentiation variant of dbar.
-
-    Exact for band-limited data; only valid with a scalar potential
-    (bmat absent or zero), which covers all line-bundle cases.
-    """
-    if sec.bmat is not None and np.any(sec.bmat):
-        raise ShapeError("spectral dbar requires a scalar connection")
-    fxi, feta = wirtinger_factors(sec.lattice)
-    kx = 2j * np.pi * np.fft.fftfreq(sec.nx, d=sec.hx)
-    ky = 2j * np.pi * np.fft.fftfreq(sec.ny, d=sec.hy)
-    vhat = np.fft.fft2(sec.values, axes=(0, 1))
-    dx = np.fft.ifft2(vhat * kx[:, None, None], axes=(0, 1))
-    dy = np.fft.ifft2(vhat * ky[None, :, None], axes=(0, 1))
-    d = (fxi * (dx - 1j * sec.phi * sec.values)
-         + feta * (dy - 1j * sec.theta * sec.values))
-    return replace(sec, values=d, seam_residual=0.0)
+    return _section_diff(sec, np.conj(wirtinger_factors(sec.lattice)))
 
 
 def gram_matrix(sections: list[SectionGrid],

@@ -19,7 +19,7 @@ from .errors import (ConvergenceError, DomainError, IsotropyViolationError,
 from .geometry import (AmbientSpace, Immersion, SurfaceQuantities,
                        surface_quantities)
 from .lattice import Lattice, wirtinger_factors
-from .sections import SectionGrid, dbar
+from .sections import SectionGrid, dbar, wirtinger_diff
 
 SYMBOL_TOL = 1e-9   # relative residual and probe bound of min_eigenvalue
 
@@ -202,7 +202,7 @@ def min_eigenvalue(form: DiscreteForm) -> SpectrumResult:
 
 
 # ---------------------------------------------------------------------------
-# ambient-valued derivative fields (shared by the index forms and audits)
+# ambient-valued sections (shared by the index forms and audits)
 
 
 def _chart_factors(imm: Immersion) -> tuple[complex, complex]:
@@ -213,27 +213,6 @@ def _chart_factors(imm: Immersion) -> tuple[complex, complex]:
 def _tile(fld: np.ndarray, extent: int) -> np.ndarray:
     """Repeat a per-node field periodically over the [0, extent)^2 cover."""
     return np.tile(fld, (extent, extent) + (1,) * (fld.ndim - 2))
-
-
-def ambient_derivative_fields(imm: Immersion, values: np.ndarray,
-                              twist: tuple[float, float] = (0.0, 0.0),
-                              extent: int = 1):
-    """(d_z s, d_zbar s) of an ambient-valued grid by central differences.
-
-    `values` has shape (extent*n, extent*n, dim) over the cover domain
-    [0, extent)^2 in (xi, eta) units.
-    """
-    fxi, feta = _chart_factors(imm)
-    nx = values.shape[0]
-    h = extent / nx
-    phi, theta = twist
-    px = np.exp(-1j * phi * h)
-    py = np.exp(-1j * theta * h)
-    dx = (np.roll(values, -1, axis=0) * px - np.roll(values, 1, axis=0) / px) / (2 * h)
-    dy = (np.roll(values, -1, axis=1) * py - np.roll(values, 1, axis=1) / py) / (2 * h)
-    dzb = fxi * dx + feta * dy
-    dz = np.conj(fxi) * dx + np.conj(feta) * dy
-    return dz, dzb
 
 
 def euclidean_index_form(imm: Immersion,
@@ -360,11 +339,19 @@ def pic_index_form(imm: Immersion, N: AmbientSpace, n: int) -> DiscreteForm:
                             "symbol": 0.25 * form.meta["symbol"] - rterm})
 
 
+def chart_norm2(sec: SectionGrid, imm: Immersion, values: np.ndarray) -> float:
+    """sum |values|^2 dxdy over the grid of sec in the flat chart of imm.
+
+    With the section's own values this is its da mass (lam2 = 1 on a flat
+    chart).
+    """
+    w = imm.scale ** 2 * imm.lattice.tau2 * sec.hx * sec.hy
+    return float(np.sum(np.abs(values) ** 2) * w)
+
+
 def dbar_energy_chart(sec: SectionGrid, imm: Immersion) -> float:
     """sum |nabla_zbar c|^2 dxdy for a scalar section in the chart of imm."""
-    d = dbar(sec)
-    w = imm.scale ** 2 * imm.lattice.tau2 * sec.hx * sec.hy
-    return float(np.sum(np.abs(d.values / imm.scale) ** 2) * w)
+    return chart_norm2(sec, imm, dbar(sec).values / imm.scale)
 
 
 def reduced_pic_gap(s: SectionGrid, kappa: float, imm: Immersion,
@@ -380,10 +367,7 @@ def reduced_pic_gap(s: SectionGrid, kappa: float, imm: Immersion,
         raise IsotropyViolationError("section is not registered isotropic")
     if not imm.flat:
         raise WrongFormError("reduced gap implemented for flat scenarios")
-    energy = dbar_energy_chart(s, imm)
-    w = imm.scale ** 2 * imm.lattice.tau2 * s.hx * s.hy
-    mass_da = float(np.sum(np.abs(s.values) ** 2) * w)
-    return 2.0 * energy - kappa * mass_da
+    return 2.0 * dbar_energy_chart(s, imm) - kappa * chart_norm2(s, imm, s.values)
 
 
 # ---------------------------------------------------------------------------
@@ -492,22 +476,24 @@ def cutoff_inequality_audit(values: np.ndarray, phi: np.ndarray,
     def integ(density):
         return float(np.sum(density * w))
 
+    fac = _chart_factors(imm)
+    steps = (extent / values.shape[0],) * 2
+
+    def dzb(fld):
+        return wirtinger_diff(fld, fac, steps, twist)
+
+    def dz(fld):
+        return wirtinger_diff(fld, np.conj(fac), steps, twist)
+
     phis = phi[:, :, None] * values
-    dz_ps, dzb_ps = ambient_derivative_fields(imm, phis, twist, extent)
-    dz_s, dzb_s = ambient_derivative_fields(imm, values, twist, extent)
-    nx = values.shape[0]
-    h = extent / nx
-    fxi, feta = _chart_factors(imm)
-    gx = (np.roll(phi, -1, axis=0) - np.roll(phi, 1, axis=0)) / (2 * h)
-    gy = (np.roll(phi, -1, axis=1) - np.roll(phi, 1, axis=1)) / (2 * h)
     # |grad phi|^2 = 4 |d_zbar phi|^2 for a real function.
-    grad2 = 4.0 * np.abs(fxi * gx + feta * gy) ** 2
+    grad2 = 4.0 * np.abs(wirtinger_diff(phi, fac, steps)) ** 2
 
     ns2 = np.sum(np.abs(values) ** 2, axis=2)
-    perp_dzb_s2 = np.sum(np.abs(perp(dzb_s)) ** 2, axis=2)
+    perp_dzb_s2 = np.sum(np.abs(perp(dzb(values))) ** 2, axis=2)
 
-    lhs_top = integ(np.sum(np.abs(top(dz_ps)) ** 2, axis=2))
-    rhs_perp = integ(np.sum(np.abs(perp(dzb_ps)) ** 2, axis=2))
+    lhs_top = integ(np.sum(np.abs(top(dz(phis))) ** 2, axis=2))
+    rhs_perp = integ(np.sum(np.abs(perp(dzb(phis))) ** 2, axis=2))
     t_phi2 = integ(phi ** 2 * perp_dzb_s2)
     t_grad = integ(grad2 * ns2)
     t_cross = 2.0 * np.sqrt(integ(grad2)) * np.sqrt(integ(ns2 * perp_dzb_s2))
@@ -559,10 +545,9 @@ def covering_sweep(scenario, covers) -> list[SweepRow]:
 def second_ff_energy(values: np.ndarray, imm: Immersion,
                      extent: int = 1) -> float:
     """int |(d_z s)^top|^2 da for an ambient-valued section over a cover."""
-    quants = surface_quantities(imm)
-
-    PT = _tile(quants.tangent_proj, extent)
+    PT = _tile(surface_quantities(imm).tangent_proj, extent)
     da = _tile(imm.da_field(), extent)
-    dz, _ = ambient_derivative_fields(imm, values, extent=extent)
+    steps = (extent / values.shape[0],) * 2
+    dz = wirtinger_diff(values, np.conj(_chart_factors(imm)), steps)
     top = np.einsum("xyij,xyj->xyi", PT, dz)
     return float(np.sum(np.sum(np.abs(top) ** 2, axis=2) * da))

@@ -23,7 +23,7 @@ from .bundles import LineHolonomy
 from .errors import DomainError, ResolutionError, UnreachableError
 from .geometry import Immersion
 from .lattice import wirtinger_factors
-from .sections import SectionGrid
+from .sections import SectionGrid, wirtinger_diff
 
 EIGHT_NEIGHBOR_ANISOTROPY = 0.0824
 
@@ -280,12 +280,11 @@ def rayleigh_bound_check(s: SectionGrid, imm: Immersion, kappa: float,
     records whether the computed chain itself holds; it is reported and not
     judged, because its first inequality needs stability.
     """
-    from .stability import dbar_energy_chart
+    from .stability import chart_norm2, dbar_energy_chart
     R = s.meta.get("R")
     if R is None:
         raise DomainError("section does not carry its systole")
-    w = imm.scale ** 2 * imm.lattice.tau2 * s.hx * s.hy
-    mass_da = float(np.sum(np.abs(s.values) ** 2) * w)  # flat: lam2 = 1
+    mass_da = chart_norm2(s, imm, s.values)  # flat: lam2 = 1
     energy = 2.0 * dbar_energy_chart(s, imm)
     lhs = kappa * mass_da
     ebound = (2 * np.pi / (np.sqrt(3.0) * R)) ** 2 * mass_da
@@ -378,19 +377,12 @@ def exceptional_cutoffs(imm: Immersion, R: float, n: int,
                             meta={"self_pairing": 0.0, "R": R})
 
     fxi, feta = wirtinger_factors(imm.lattice)
-    fxi, feta = fxi / imm.scale, feta / imm.scale
-
-    def zbar_grad(f):
-        hx = 1.0 / n
-        hy = 1.0 / ny
-        gx = (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2 * hx)
-        gy = (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2 * hy)
-        return np.abs(fxi * gx + feta * gy)
+    fac = (fxi / imm.scale, feta / imm.scale)
 
     # Interior gradient magnitudes (kink cells excluded up to one stencil).
     lam = 1.0
-    g_I = zbar_grad(phi_I)
-    g_V = zbar_grad(phi_V)
+    g_I, g_V = (np.abs(wirtinger_diff(f, fac, (1.0 / n, 1.0 / ny)))
+                for f in (phi_I, phi_V))
     bound_I = (6.0 / R) * np.sqrt(3.0) * lam
     bound_V = (3.0 / R) * np.sqrt(3.0) * lam
 
@@ -409,8 +401,7 @@ def exceptional_cutoffs(imm: Immersion, R: float, n: int,
 
     # Rayleigh quotient of the localized section against the proof's chain.
     from .stability import dbar_energy_chart
-    sec_loc = localized
-    energy = 2.0 * dbar_energy_chart(sec_loc, imm)
+    energy = 2.0 * dbar_energy_chart(localized, imm)
     mass_sel = I[selected]
     ray = energy / mass_sel if mass_sel > 0 else np.inf
     chain = (EXCEPTIONAL_CONSTANT / R) ** 2

@@ -257,6 +257,16 @@ def test_abelian_pass(tmp_path):
     assert (out / "abelian.csv").exists()
 
 
+def test_abelian_output_is_deterministic(tmp_path):
+    outs = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        assert main(["abelian", "--out", str(out)]) == 0
+        outs.append(((out / "abelian.csv").read_bytes(),
+                     (out / "abelian.json").read_bytes()))
+    assert outs[0] == outs[1]
+
+
 def test_missing_config_is_a_config_error(tmp_path):
     rc = main(["abelian", "--config", str(tmp_path / "absent.json"),
                "--out", str(tmp_path)])

@@ -13,6 +13,8 @@ from stabletori.geometry import (AmbientSpace, IsotropicPlane, KappaReport,
                                  random_isotropic_plane, surface_quantities)
 from stabletori.weierstrass import eisenstein_invariants, wp, wp_second
 
+from conftest import elliptic_second_ff_oracle
+
 
 def _product_ambient(rho=1.0):
     return AmbientSpace(kind="product_circle_sphere", circle_radius=2.0,
@@ -263,3 +265,16 @@ def test_elliptic_second_fundamental_form_is_nonzero_but_finite():
     vals = q.second_ff_norm2[imm.mask]
     assert np.all(np.isfinite(vals))
     assert np.max(vals) > 0.0
+
+
+@pytest.mark.parametrize("tau, n", [(1j, 48), (0.3 + 1.1j, 64)])
+def test_elliptic_second_ff_matches_oracle_on_every_active_node(tau, n):
+    # the ring of active nodes next to the puncture is included; the
+    # oracle reads the curve only at off-grid points near active nodes
+    lat = Lattice(tau.real, tau.imag)
+    imm = elliptic_curve_immersion(lat, 0.1, n)
+    i, j = np.nonzero(imm.mask)
+    want = elliptic_second_ff_oracle(lat, (i + j * lat.tau) / n)
+    got = surface_quantities(imm).second_ff_norm2[i, j]
+    # on the square grid the form vanishes at the 3-torsion points
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-12 * want.max())

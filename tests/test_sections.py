@@ -6,9 +6,8 @@ import pytest
 from stabletori.errors import ShapeError
 from stabletori.lattice import Lattice, wirtinger_factors
 from stabletori.bundles import AtiyahData, LineHolonomy, atiyah_sections, line_section
-from stabletori.sections import (SectionGrid, covariant_diff, dbar,
-                                 dbar_spectral, ddz, gram_matrix, mass,
-                                 tensor_sections)
+from stabletori.sections import (SectionGrid, dbar, ddz, gram_matrix, mass,
+                                 tensor_sections, wirtinger_diff)
 
 
 LAT = Lattice(0.0, 1.0)
@@ -22,40 +21,40 @@ def _wave_section(omega_x, omega_y, phi, theta, n=64):
                        phi=phi, theta=theta)
 
 
-def test_covariant_diff_central_symbol():
+def test_wirtinger_diff_central_symbol():
     """Central difference of a plane wave has the exact sine symbol."""
     n = 64
     m = 3
     omega = 2 * np.pi * m
     phi = 0.7
     sec = _wave_section(omega, 0.0, phi, 0.0, n)
-    d = covariant_diff(sec, axis=0, scheme="central")
     h = 1.0 / n
+    d = wirtinger_diff(sec.values, (1.0, 0.0), (h, h), (phi, 0.0))
     symbol = 1j * np.sin((omega - phi) * h) / h
     assert np.allclose(d, symbol * sec.values, atol=1e-10)
 
 
-def test_covariant_diff_forward_symbol_magnitude():
-    n = 64
-    omega = 2 * np.pi * 2
-    theta = -1.1
-    sec = _wave_section(0.0, omega, 0.0, theta, n)
-    d = covariant_diff(sec, axis=1, scheme="forward")
-    h = 1.0 / n
-    mag2 = (2 - 2 * np.cos((omega - theta) * h)) / h ** 2
-    assert np.max(np.abs(np.abs(d) ** 2 - mag2)) < 1e-8 * mag2
+def test_wirtinger_diff_eta_symbol_with_its_own_step():
+    # eta has its own step: 48 nodes over [0, 2), against 64 over [0, 1)
+    nx, ny, b = 64, 48, 2.0
+    omega, phi, theta = 2 * np.pi * 5 / b, 0.4, -1.1
+    hx, hy = 1.0 / nx, b / ny
+    eta = np.arange(ny) * hy
+    vals = np.tile(np.exp(1j * omega * eta), (nx, 1))[:, :, None]
+    g, f = 0.5 + 0.2j, 0.3 - 0.8j
+    d = wirtinger_diff(vals, (g, f), (hx, hy), (phi, theta))
+    sx = 1j * np.sin(-phi * hx) / hx            # the wave is constant in xi
+    sy = 1j * np.sin((omega - theta) * hy) / hy
+    assert np.allclose(d, (g * sx + f * sy) * vals, atol=1e-10)
 
 
-def test_dbar_spectral_is_exact_on_line_sections():
+def test_dbar_is_close_on_line_sections():
     L = LineHolonomy(0.5, 1.3)
     sec = line_section(L, 1, LAT, 32)
-    ds = dbar_spectral(sec)
     fxi, feta = wirtinger_factors(LAT)
-    target = -1j * (L.phi * fxi + L.theta * feta) * sec.values
     # the periodic-gauge wave has omega = 0, so the connection term is all of it
-    assert np.max(np.abs(ds.values - target)) < 1e-12
-    dc = dbar(sec)
-    assert np.max(np.abs(dc.values - target)) < 1e-3
+    target = -1j * (L.phi * fxi + L.theta * feta) * sec.values
+    assert np.max(np.abs(dbar(sec).values - target)) < 1e-3
 
 
 def test_ddz_dbar_sum_to_plain_derivative():

@@ -463,6 +463,20 @@ def test_cutoff_inequality_audit_chain_holds():
     assert rep.rhs_perp >= 0.0 and rep.lhs_top >= 0.0
 
 
+def test_index_form_matrix_matches_the_array_stencil():
+    # Q(s) = int |(d_zbar s)^perp|^2 - |(d_z s)^top|^2, once from the sparse
+    # matrix and once from the array stencil of the cutoff audit (phi = 1)
+    sc = EllipticScenario(n=48)
+    form = sc.form()
+    imm = form.meta["immersion"]
+    for seed in range(3):
+        vals = next(sc.random_normal_sections(1, seed=seed, imm=imm))
+        assert not np.any(vals[~imm.mask])    # packing drops nothing
+        rep = cutoff_inequality_audit(vals, np.ones((48, 48)), form)
+        assert form.q_value(vals) == pytest.approx(rep.rhs_perp - rep.lhs_top,
+                                                   rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
