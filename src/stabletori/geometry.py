@@ -277,7 +277,7 @@ class Immersion:
     The chart is z = scale * (xi + eta * tau) over (xi, eta) in [0,1)^2;
     lam2 is the conformal factor with da = lam2 * dxdy.  Fzz = d_z F_z is
     stored exactly for Euclidean immersions with a second fundamental form;
-    without it (and without `second_ff_zero`) second_ff_norm2 is None.
+    without it (and without `second_ff_zero`) `second_ff_norm2` is None.
     """
 
     lattice: Lattice
@@ -289,10 +289,8 @@ class Immersion:
     mask: np.ndarray                  # (n, n) bool, True where active
     flat: bool
     normal_lines: list[tuple[LineHolonomy, np.ndarray]] = field(default_factory=list)
-    normal_pairing: np.ndarray | None = None
     second_ff_zero: bool = False
     periods: tuple[float, float] | None = None
-    puncture_radius: float | None = None
     Fzz: np.ndarray | None = None     # (n, n, dim) complex
 
     @property
@@ -351,7 +349,7 @@ def elliptic_curve_immersion(lat: Lattice, puncture_radius: float,
     amb = AmbientSpace(kind="euclidean", dim=4)
     return Immersion(
         lattice=lat, scale=1.0, ambient=amb, F=F, Fz=Fz, lam2=lam2,
-        mask=mask, flat=False, puncture_radius=puncture_radius, Fzz=Fzz,
+        mask=mask, flat=False, Fzz=Fzz,
     )
 
 
@@ -402,11 +400,9 @@ def product_geodesic_torus(L: float, rho: float, n_sphere: int,
         (LineHolonomy(0.0, alpha), eps_minus),
         (LineHolonomy(0.0, -alpha), eps_plus),
     ]
-    pairing = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     return Immersion(
         lattice=lat, scale=a_len, ambient=amb, F=F, Fz=Fz, lam2=lam2,
-        mask=mask, flat=True, normal_lines=normal_lines,
-        normal_pairing=pairing, second_ff_zero=True,
+        mask=mask, flat=True, normal_lines=normal_lines, second_ff_zero=True,
         periods=(a_len, b_len),
     )
 
@@ -417,17 +413,13 @@ def product_geodesic_torus(L: float, rho: float, n_sphere: int,
 
 @dataclass
 class SurfaceQuantities:
-    lam2: np.ndarray
     tangent_proj: np.ndarray       # (n, n, dim, dim)
     normal_proj: np.ndarray
-    da: np.ndarray
-    second_ff_norm2: np.ndarray | None
     branch_mask: np.ndarray
 
 
 def surface_quantities(imm: Immersion) -> SurfaceQuantities:
-    """Pointwise projections, area weights, and second-fundamental-form data."""
-    n, dim = imm.n, imm.dim
+    """Pointwise tangent and normal projections, and the branch points."""
     Fx = 2 * np.real(imm.Fz)
     Fy = -2 * np.imag(imm.Fz)
     nrm_x = np.linalg.norm(Fx, axis=2)
@@ -439,15 +431,18 @@ def surface_quantities(imm: Immersion) -> SurfaceQuantities:
     t2 = Fy / safe_y[:, :, None]
     PT = (np.einsum("xyi,xyj->xyij", t1, t1)
           + np.einsum("xyi,xyj->xyij", t2, t2))
-    PN = np.eye(dim)[None, None] - PT
+    PN = np.eye(imm.dim)[None, None] - PT
+    return SurfaceQuantities(tangent_proj=PT, normal_proj=PN,
+                             branch_mask=branch)
 
-    second = None
+
+def second_ff_norm2(imm: Immersion) -> np.ndarray | None:
+    """|(F_zz)^perp|^2 per node: zero where `second_ff_zero`, else from the
+    stored exact `Fzz`, and None without it."""
     if imm.second_ff_zero:
-        second = np.zeros((n, n))
-    elif imm.Fzz is not None:
-        perp = np.einsum("xyij,xyj->xyi", PN, imm.Fzz)
-        second = np.sum(np.abs(perp) ** 2, axis=2)
-    return SurfaceQuantities(
-        lam2=imm.lam2, tangent_proj=PT, normal_proj=PN,
-        da=imm.da_field(), second_ff_norm2=second, branch_mask=branch,
-    )
+        return np.zeros((imm.n, imm.n))
+    if imm.Fzz is None:
+        return None
+    perp = np.einsum("xyij,xyj->xyi", surface_quantities(imm).normal_proj,
+                     imm.Fzz)
+    return np.sum(np.abs(perp) ** 2, axis=2)

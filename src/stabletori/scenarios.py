@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import LineHolonomy, principal_angle
-from .errors import DomainError, ResolutionError
+from .errors import DomainError
 from .geometry import (AmbientSpace, Immersion, SurfaceQuantities,
                        elliptic_curve_immersion, product_geodesic_torus,
                        surface_quantities)
@@ -75,27 +75,19 @@ class LensScenario:
         a, b = self.periods
         hol = self.line_holonomies()[line]
         twist = (principal_angle(kx * hol.phi), principal_angle(ky * hol.theta))
-        pot = -1.0 / self.rho ** 2
-        form = flat_twisted_form((kx * a, ky * b), twist, n, potential=pot)
-        form.meta["cover"] = (kx, ky)
-        return form
+        return flat_twisted_form((kx * a, ky * b), twist, n,
+                                 potential=-1.0 / self.rho ** 2)
 
     def cover_immersion(self, kx: int, ky: int, n: int) -> Immersion:
         a, b = self.periods
         return flat_chart_immersion(kx * a, ky * b, n)
 
     def level(self, spec: CoverSpec):
-        if self.n < 4:
-            raise ResolutionError(
-                f"lens grid {self.n} is too coarse: each level also solves its "
-                f"half-grid companion at {self.n // 2}, so the grid must be at least 4")
         kx, ky = _diagonal_cover(spec)
         a, b = self.periods
         R = flat_systole(Lattice(0.0, ky * b / (kx * a)), kx * a)
-        lam_fine = min_eigenvalue(self.cover_form(kx, ky, self.n)).lambda_min
-        lam_coarse = min_eigenvalue(self.cover_form(kx, ky, self.n // 2)).lambda_min
-        disc_err = abs(lam_fine - lam_coarse)
-        return spec.degree, R, lam_fine, disc_err
+        res = min_eigenvalue(self.cover_form(kx, ky, self.n))
+        return spec.degree, R, res.lambda_min, res.continuum
 
 
 @dataclass
@@ -173,7 +165,8 @@ class FlatTorusScenario:
         a, b = kx * self.a_len, ky * self.b_len
         form = flat_twisted_form((a, b), (0.0, 0.0), self.n, potential=0.0)
         R = flat_systole(Lattice(0.0, b / a), a)
-        return spec.degree, R, min_eigenvalue(form).lambda_min, 0.0
+        res = min_eigenvalue(form)
+        return spec.degree, R, res.lambda_min, res.continuum
 
 
 def sublattice_growth_table(tau: complex, kmax: int = 10):

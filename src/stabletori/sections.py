@@ -41,7 +41,6 @@ class SectionGrid:
     phi: float = 0.0              # connection phase per unit xi-period
     theta: float = 0.0            # connection phase per unit eta-period
     bmat: np.ndarray | None = None  # (r, r), nilpotent part of the potential
-    pairing: np.ndarray | None = None  # constant symmetric pairing in frame
     seam_residual: float = 0.0
     meta: dict = field(default_factory=dict)
 

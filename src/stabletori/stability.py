@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .bundles import principal_angle
 from .errors import (ConvergenceError, DomainError, IsotropyViolationError,
                      ResolutionError, ShapeError, WrongFormError)
 from .geometry import (AmbientSpace, Immersion, SurfaceQuantities,
@@ -22,6 +23,7 @@ from .lattice import Lattice, wirtinger_factors
 from .sections import SectionGrid, dbar, wirtinger_diff
 
 SYMBOL_TOL = 1e-9   # relative residual and probe bound of min_eigenvalue
+STABLE_TOL = 1e-12  # stable means a continuum bottom >= -STABLE_TOL (rounding)
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +36,9 @@ class DiscreteForm:
 
     meta["symbol"], when present, is the n x n array of the generalized
     eigenvalues of (Q, M), indexed by the FFT mode (mx, my) whose grid plane
-    wave is the eigenvector; min_eigenvalue needs it.
+    wave is the eigenvector; min_eigenvalue needs it.  meta["continuum"] is
+    (c, gap, size): the exact continuum bottom, how far below it the discrete
+    bottom may lie, and the size of c's terms, which sets its rounding.
     """
 
     Q: sp.spmatrix
@@ -75,6 +79,7 @@ class SpectrumResult:
     eigensection: np.ndarray
     residual: float     # relative to max(1, max|symbol|) |M v|
     iterations: int     # 0: read off the closed-form symbol
+    continuum: float | None = None  # meta["continuum"] bottom, when recorded
 
 
 def _cov_diff_1d(n: int, h: float, step_angle: float) -> sp.spmatrix:
@@ -106,7 +111,8 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
     entering as constant connection potentials in the difference stencils.
     The mass form is the flat area measure, so generalized eigenvalues are
     physical frequencies squared plus the potential.  A constant potential
-    makes the form diagonal in grid plane waves; its symbol is recorded.
+    makes the form diagonal in grid plane waves; its symbol is recorded,
+    and without shear also the continuum bottom with its bracket.
     """
     if n < 2:
         raise ResolutionError("twisted form needs a grid of at least 2 x 2")
@@ -140,7 +146,7 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
     Q = sp.csr_matrix((data.reshape(-1), cols.reshape(-1),
                        np.arange(0, data.size + 1, len(ox))), shape=(n * n, n * n))
     M = sp.diags(np.full(n * n, w))
-    meta = {"periods": periods, "twist": twist, "shear": shear}
+    meta = {}
     if V.min() == V.max():
         # The grid plane wave of mode m has step phase theta = (2 pi m - phi) h
         # under the connection; F has symbol (e^{i theta} - 1) / h and C has
@@ -151,6 +157,15 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
                           + ginv[1, 1] * (4 * np.sin(ty / 2) ** 2)[None, :]
                           + 2 * ginv[0, 1] * np.outer(np.sin(tx), np.sin(ty))
                           ) / h ** 2 + V[0, 0]
+        if shear == 0:
+            # Each axis's continuum bottom is the mode nearest its twist, at
+            # distance d; the grid scales its term by 4 sin^2(x/2) / x^2 in
+            # [1 - x^2/12, 1] (x = d h) and puts no other mode lower.
+            d = [abs(principal_angle(t)) for t in twist]
+            terms = [(di / ai) ** 2 for di, ai in zip(d, periods)]
+            gap = sum(t * (di * h) ** 2 / 12 for t, di in zip(terms, d))
+            meta["continuum"] = (sum(terms) + float(V[0, 0]), gap,
+                                 max(sum(terms), abs(float(V[0, 0]))))
     return DiscreteForm(Q, M, convention, (n, n), meta=meta)
 
 
@@ -171,8 +186,11 @@ def min_eigenvalue(form: DiscreteForm) -> SpectrumResult:
     eigenpair residual, and one seeded probe Q z = M ifft2(symbol fft2(z)),
     which shows that the whole spectrum, so the minimality, matches Q.  Both
     are relative to max(1, max|symbol|) |M x|; either above SYMBOL_TOL, or
-    not finite, raises ConvergenceError.  A form without a symbol (a masked
-    form or a non-constant potential) raises WrongFormError.
+    not finite, raises ConvergenceError.  A form that records its continuum
+    bottom c must have its discrete bottom in [c - gap, c], up to a rounding
+    slack of 1e-12 times the size of c's terms, else ConvergenceError; c is
+    returned as `continuum`.  A form without a symbol (a masked form or a
+    non-constant potential) raises WrongFormError.
     """
     symbol = form.meta.get("symbol")
     if symbol is None:
@@ -198,7 +216,12 @@ def min_eigenvalue(form: DiscreteForm) -> SpectrumResult:
         raise ConvergenceError(
             f"symbol does not match the assembled form: residual {res:.1e}, "
             f"probe {probe:.1e}", best=lam)
-    return SpectrumResult(lam, v.reshape(form.shape), res, 0)
+    c, gap, size = form.meta.get("continuum", (None, 0.0, 0.0))
+    slack = 1e-12 * max(1.0, size)
+    if c is not None and not c - gap - slack <= lam <= c + slack:
+        raise ConvergenceError(f"bottom {lam!r} lies outside its continuum "
+                               f"bracket [{c - gap!r}, {c!r}]", best=lam)
+    return SpectrumResult(lam, v.reshape(form.shape), res, 0, c)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +334,6 @@ def real_second_variation(imm: Immersion, N: AmbientSpace, n: int) -> DiscreteFo
                                        potential=pot))
     # The two lines are complex conjugate; their spectra coincide.
     out = forms[0]
-    out.meta["lines"] = [hol for hol, _ in imm.normal_lines]
     out.meta["all_forms"] = forms
     return out
 
@@ -333,10 +355,13 @@ def pic_index_form(imm: Immersion, N: AmbientSpace, n: int) -> DiscreteForm:
     # |dbar c|^2 is a quarter of the covariant Dirichlet density mode by
     # mode, so the assembled Laplacian form is scaled down before the
     # curvature potential (which is already in dbar normalization) enters.
+    c, gap, size = form.meta["continuum"]
     return DiscreteForm(0.25 * form.Q - rterm * form.M, form.M, "dxdy",
                         form.shape, meta={
-                            **form.meta, "rterm": rterm, "line": hol,
-                            "symbol": 0.25 * form.meta["symbol"] - rterm})
+                            "rterm": rterm,
+                            "symbol": 0.25 * form.meta["symbol"] - rterm,
+                            "continuum": (0.25 * c - rterm, 0.25 * gap,
+                                          max(0.25 * size, abs(rterm)))})
 
 
 def chart_norm2(sec: SectionGrid, imm: Immersion, values: np.ndarray) -> float:
@@ -516,29 +541,25 @@ class SweepRow:
     stable: bool
 
 
-def stability_threshold(disc_error: float = 0.0) -> float:
-    """Stable means lambda_min >= -threshold; zero modes sit at zero."""
-    return max(1e-6, 5.0 * disc_error)
-
-
 def covering_sweep(scenario, covers) -> list[SweepRow]:
     """Systole / bottom-eigenvalue table over a tower of covers.
 
     `scenario` provides level(spec) -> (degree, systole, lambda_min,
-    disc_error).  An eigenfunction on a cover lifts to every cover of it, so
-    lambda_min may not increase from a cover to any later cover it contains;
+    continuum), the discrete and the exact continuum bottom of the level's
+    form; the level is stable when continuum >= -STABLE_TOL.  An
+    eigenfunction on a cover lifts to every cover of it, so the continuum
+    bottom may not increase from a cover to any later cover it contains;
     covers that are not nested are not compared.
     """
     rows = []
     seen = []
     for spec in covers:
-        degree, systole, lam, disc_err = scenario.level(spec)
-        for prev_spec, prev_lam in seen:
-            if prev_spec.contains(spec) and lam > prev_lam + 1e-8:
-                raise DomainError("lambda_min increased along the tower")
-        seen.append((spec, lam))
-        stable = lam >= -stability_threshold(disc_err)
-        rows.append(SweepRow(degree, systole, lam, stable))
+        degree, systole, lam, cont = scenario.level(spec)
+        for prev_spec, prev in seen:
+            if prev_spec.contains(spec) and cont > prev + STABLE_TOL:
+                raise DomainError("continuum bottom increased along the tower")
+        seen.append((spec, cont))
+        rows.append(SweepRow(degree, systole, lam, cont >= -STABLE_TOL))
     return rows
 
 

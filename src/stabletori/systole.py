@@ -6,7 +6,7 @@ Non-flat immersions, and the flat cross-checks, use distances on a patch of
 the universal cover: an 8-neighbor weighted grid graph (Dijkstra), with
 first-order fast marching on rectangular conformal charts as a second check.
 The 8-neighbor metric overestimates lengths by at most ~8.24% in the worst
-direction; verdicts on graph systoles carry that margin.
+direction.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import DomainError, ResolutionError, UnreachableError
 from .geometry import Immersion
 from .lattice import wirtinger_factors
 from .sections import SectionGrid, wirtinger_diff
+from .stability import STABLE_TOL, chart_norm2, dbar_energy_chart
 
 EIGHT_NEIGHBOR_ANISOTROPY = 0.0824
 
@@ -266,21 +267,18 @@ class RayleighReport:
     lhs: float
     rhs: float
     energy_bound: float
-    bound_R: float
-    verdict: bool
     chain_holds: bool
 
 
-def rayleigh_bound_check(s: SectionGrid, imm: Immersion, kappa: float,
-                         stable: bool = True) -> RayleighReport:
-    """Check kappa * Mass(s) <= dbar energy <= (2 pi / (sqrt3 R))^2 Mass(s).
+def rayleigh_bound_check(s: SectionGrid, imm: Immersion,
+                         kappa: float) -> RayleighReport:
+    """Report kappa * Mass(s) <= dbar energy <= (2 pi / (sqrt3 R))^2 Mass(s).
 
-    When the scenario is stable this chain forces R <= (2 pi / sqrt3) /
-    sqrt(kappa); the verdict records that comparison.  `chain_holds`
+    On a stable scenario this chain forces R <= (2 pi / sqrt3) /
+    sqrt(kappa), which `systole_bound_verdict` decides.  `chain_holds`
     records whether the computed chain itself holds; it is reported and not
     judged, because its first inequality needs stability.
     """
-    from .stability import chart_norm2, dbar_energy_chart
     R = s.meta.get("R")
     if R is None:
         raise DomainError("section does not carry its systole")
@@ -288,11 +286,7 @@ def rayleigh_bound_check(s: SectionGrid, imm: Immersion, kappa: float,
     energy = 2.0 * dbar_energy_chart(s, imm)
     lhs = kappa * mass_da
     ebound = (2 * np.pi / (np.sqrt(3.0) * R)) ** 2 * mass_da
-    bound_R = GENERAL_CONSTANT / np.sqrt(kappa) if kappa > 0 else np.inf
-    verdict = (not stable) or kappa <= 0 or R <= bound_R * 1.0001
-    chain = lhs <= energy <= ebound
-    return RayleighReport(lhs, energy, ebound, float(bound_R), bool(verdict),
-                          bool(chain))
+    return RayleighReport(lhs, energy, ebound, bool(lhs <= energy <= ebound))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +394,6 @@ def exceptional_cutoffs(imm: Immersion, R: float, n: int,
                 viol += 1
 
     # Rayleigh quotient of the localized section against the proof's chain.
-    from .stability import dbar_energy_chart
     energy = 2.0 * dbar_energy_chart(localized, imm)
     mass_sel = I[selected]
     ray = energy / mass_sel if mass_sel > 0 else np.inf
@@ -428,23 +421,23 @@ class VerdictReport:
 
 
 def systole_bound_verdict(lambda_min: float, R: float, kappa_hat: float,
-                          case: str = "general",
-                          tol: float = 1e-6,
-                          grid_margin: float = EIGHT_NEIGHBOR_ANISOTROPY) -> VerdictReport:
+                          case: str = "general") -> VerdictReport:
     """Assert R <= C / sqrt(kappa) whenever the scenario is stable.
 
-    C is 2 pi / sqrt 3 in the general case and 2 (18 + pi) / sqrt 3 in the
-    exceptional one; the grid distance error margin widens the bound.
+    `lambda_min` is the exact continuum bottom of the second-variation form
+    (`SpectrumResult.continuum`); the scenario is stable when it is at least
+    -STABLE_TOL.  C is 2 pi / sqrt 3 in the general case and
+    2 (18 + pi) / sqrt 3 in the exceptional one.  R is taken as exact.
     """
     if case not in ("general", "exceptional"):
         raise DomainError("case must be 'general' or 'exceptional'")
     C = GENERAL_CONSTANT if case == "general" else EXCEPTIONAL_CONSTANT
-    applicable = lambda_min >= -tol
+    applicable = lambda_min >= -STABLE_TOL
     if kappa_hat <= 0:
         bound = np.inf
     else:
         bound = C / np.sqrt(kappa_hat)
-    passed = (not applicable) or R <= bound * (1 + grid_margin)
+    passed = (not applicable) or R <= bound
     margin = bound - R if np.isfinite(bound) else np.inf
     return VerdictReport(bool(applicable), bool(passed), R, kappa_hat, C,
                          float(bound), float(margin))

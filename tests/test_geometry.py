@@ -10,7 +10,8 @@ from stabletori.geometry import (AmbientSpace, IsotropicPlane, KappaReport,
                                  complex_sectional_curvatures,
                                  elliptic_curve_immersion, kappa_pic_estimate,
                                  plane_from_frame, product_geodesic_torus,
-                                 random_isotropic_plane, surface_quantities)
+                                 random_isotropic_plane, second_ff_norm2,
+                                 surface_quantities)
 from stabletori.weierstrass import eisenstein_invariants, wp, wp_second
 
 from conftest import elliptic_second_ff_oracle
@@ -255,14 +256,13 @@ def test_surface_quantities_projections():
     assert np.allclose(np.einsum("xyij,xyjk->xyik", PT, PT), PT, atol=1e-12)
     tr = np.einsum("xyii->xy", PT)
     assert np.allclose(tr, 2.0, atol=1e-12)
-    assert q.second_ff_norm2 is not None and np.max(q.second_ff_norm2) == 0.0
+    assert np.max(second_ff_norm2(imm)) == 0.0
     assert not q.branch_mask.any()
 
 
 def test_elliptic_second_fundamental_form_is_nonzero_but_finite():
     imm = elliptic_curve_immersion(Lattice(0.0, 1.0), 0.1, 48)
-    q = surface_quantities(imm)
-    vals = q.second_ff_norm2[imm.mask]
+    vals = second_ff_norm2(imm)[imm.mask]
     assert np.all(np.isfinite(vals))
     assert np.max(vals) > 0.0
 
@@ -275,6 +275,6 @@ def test_elliptic_second_ff_matches_oracle_on_every_active_node(tau, n):
     imm = elliptic_curve_immersion(lat, 0.1, n)
     i, j = np.nonzero(imm.mask)
     want = elliptic_second_ff_oracle(lat, (i + j * lat.tau) / n)
-    got = surface_quantities(imm).second_ff_norm2[i, j]
+    got = second_ff_norm2(imm)[i, j]
     # on the square grid the form vanishes at the 3-torsion points
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-12 * want.max())

@@ -22,7 +22,7 @@ from stabletori.stability import (DiscreteForm, covering_sweep,
                                   lattice_twisted_form, log_cutoff,
                                   min_eigenvalue, pic_index_form,
                                   real_second_variation, reduced_pic_gap,
-                                  second_ff_energy, stability_threshold)
+                                  second_ff_energy)
 from stabletori.systole import (axis_truncated_distances, induced_systole,
                                 phase_trial_section)
 
@@ -92,6 +92,38 @@ def test_dense_and_sparse_paths_agree():
 def test_min_eigenvalue_rejects_form_without_lower_bound():
     with pytest.raises(WrongFormError):
         min_eigenvalue(EllipticScenario(n=16).form())
+
+
+@given(st.floats(0.3, 3.0), st.floats(0.3, 3.0),
+       st.floats(-3 * np.pi, 3 * np.pi), st.floats(-3 * np.pi, 3 * np.pi),
+       st.floats(-5.0, 5.0), st.integers(2, 64))
+@settings(max_examples=60, deadline=None)
+def test_continuum_bottom_brackets_the_discrete_bottom(a, b, phi, theta, pot,
+                                                       n):
+    form = flat_twisted_form((a, b), (phi, theta), n, potential=pot)
+    res = min_eigenvalue(form)
+    c, gap, _ = form.meta["continuum"]
+    assert res.continuum == c
+    # brute force over the continuum symbol's modes
+    m = range(-6, 7)
+    brute = pot + min(((2 * np.pi * i - phi) / a) ** 2
+                      + ((2 * np.pi * j - theta) / b) ** 2
+                      for i in m for j in m)
+    assert c == pytest.approx(brute, rel=1e-12, abs=1e-12)
+    assert c - gap - 1e-12 <= res.lambda_min <= c + 1e-12
+
+
+def test_min_eigenvalue_rejects_a_shifted_continuum_bottom():
+    form = flat_twisted_form((1.0, 1.3), (1.7, -0.6), 16, potential=-1.0)
+    c, gap, size = form.meta["continuum"]
+    lam = min_eigenvalue(form).lambda_min
+    assert c - gap < lam < c
+    # the discrete bottom above the bracket, then below it
+    for shifted in (lam - 1e-6, lam + gap + 1e-6):
+        form.meta["continuum"] = (shifted, gap, size)
+        with pytest.raises(ConvergenceError) as info:
+            min_eigenvalue(form)
+        assert info.value.best == lam
 
 
 def _dense_bottom(form):
@@ -275,7 +307,10 @@ def test_pic_index_form_untwisted_bottom_is_minus_rterm():
     # exactly -rterm = -1/4; the symbol must carry the same rescaling as Q
     imm = product_geodesic_torus(2.0, 1.0, 3, (1, 0), 48)
     form = pic_index_form(imm, imm.ambient, 48)
-    assert min_eigenvalue(form).lambda_min == pytest.approx(-0.25, abs=1e-9)
+    res = min_eigenvalue(form)
+    assert res.lambda_min == pytest.approx(-0.25, abs=1e-9)
+    # the continuum bottom carries the same rescaling, exactly
+    assert res.continuum == -form.meta["rterm"]
 
 
 def test_reduced_pic_gap_saturated_by_lens_zero_mode():
@@ -481,11 +516,6 @@ def test_index_form_matrix_matches_the_array_stencil():
 # sweeps
 
 
-def test_stability_threshold_floor_and_scaling():
-    assert stability_threshold(0.0) == pytest.approx(1e-6)
-    assert stability_threshold(1e-3) == pytest.approx(5e-3)
-
-
 def test_covering_sweep_lens_onset():
     sc = LensScenario(n=64)
     covers = [CoverSpec.scaling(k) for k in (1, 2, 3)]
@@ -494,6 +524,18 @@ def test_covering_sweep_lens_onset():
     assert not rows[1].stable and not rows[2].stable
     assert rows[0].systole == pytest.approx(2 * np.pi / 3, rel=1e-6)
     assert rows[1].lambda_min == pytest.approx(-0.75, abs=5e-3)
+
+
+def test_lens_sweep_builds_one_form_per_level(monkeypatch):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[2])
+        return flat_twisted_form(*args, **kwargs)
+
+    monkeypatch.setattr("stabletori.scenarios.flat_twisted_form", counting)
+    covering_sweep(LensScenario(n=16), [CoverSpec.scaling(k) for k in (1, 2, 3)])
+    assert built == [16, 16, 16]
 
 
 def test_covering_sweep_flat_tower_stays_stable():
@@ -510,8 +552,8 @@ def test_covering_sweep_rejects_increasing_lambda():
 
         def level(self, spec):
             self.calls += 1
-            lam = 0.0 if self.calls == 1 else 1.0   # lambda goes up: invalid
-            return 1, 1.0, lam, 0.0
+            cont = 0.0 if self.calls == 1 else 1.0   # bottom goes up: invalid
+            return 1, 1.0, 0.0, cont
 
     with pytest.raises(DomainError):
         covering_sweep(Fake(), [CoverSpec.scaling(1), CoverSpec.scaling(2)])

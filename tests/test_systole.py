@@ -161,10 +161,6 @@ def test_rayleigh_chain_on_lens_trial_section():
     # kappa Mass <= Energy <= (2 pi / sqrt3 R)^2 Mass, up to discretization
     assert rep.rhs <= rep.energy_bound * (1 + 1e-6)
     assert rep.rhs == pytest.approx(rep.lhs, rel=5e-3)
-    assert rep.bound_R == pytest.approx(GENERAL_CONSTANT / np.sqrt(0.5))
-    assert rep.verdict
-    # an unstable scenario never flags, whatever the numbers are
-    assert rayleigh_bound_check(s, imm, kappa=0.5, stable=False).verdict
 
 
 def test_rayleigh_chain_holds_reports_each_inequality():
@@ -177,7 +173,6 @@ def test_rayleigh_chain_holds_reports_each_inequality():
     # at kappa = 1/2 the discrete energy sits 1.6e-4 below kappa * Mass
     rep = rayleigh_bound_check(s, imm, kappa=0.5)
     assert rep.lhs > rep.rhs and not rep.chain_holds
-    assert rep.verdict
     assert rayleigh_bound_check(s, imm, kappa=0.49).chain_holds
     # the upper inequality (2 pi / sqrt3 R)^2 Mass fails once R is read 4x
     s.meta["R"] = 4 * R
