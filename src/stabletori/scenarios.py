@@ -7,13 +7,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import LineHolonomy, principal_angle
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .geometry import (AmbientSpace, Immersion, SurfaceQuantities,
                        elliptic_curve_immersion, product_geodesic_torus,
                        surface_quantities)
 from .lattice import CoverSpec, Lattice, cover_lattice, flat_systole
-from .stability import (DiscreteForm, euclidean_index_form, flat_twisted_form,
-                        min_eigenvalue)
+from .stability import (DiscreteForm, _index_densities, _node_norm2,
+                        euclidean_index_form, flat_twisted_form, min_eigenvalue)
+
+# Sections per batch of the elliptic audit: one (N, N, 4, batch) array is
+# about 2.6 MB at N = 64, so a batch costs little memory while its numpy
+# calls still cover many sections each.
+AUDIT_BATCH = 10
 
 
 def flat_chart_immersion(a_len: float, b_len: float, n: int,
@@ -110,46 +115,84 @@ class EllipticScenario:
                                quants: SurfaceQuantities | None = None):
         """Band-limited normal-projected sections supported off the puncture.
 
-        `imm` and its `surface_quantities` are built here unless given.
+        Each of the `count` sections, (N, N, 4) with N = extent * imm.n, is
+        `modes` plane waves e^{2 pi i (kx xi + ky eta) / extent}, |kx|, |ky|
+        <= 3, with complex Gaussian amplitudes in R^4, times a bump that
+        vanishes within 1.3 puncture radii of each lattice point, so on every
+        masked node, then projected onto the normal plane node by node.  The
+        stream depends on `seed` alone; `stability_audit` reads the same
+        sections in batches.  `imm` and its `surface_quantities` are built
+        here unless given.
         """
+        for batch in self._section_batches(count, extent, seed, modes,
+                                           imm, quants):
+            yield from np.moveaxis(batch, -1, 0)
+
+    def _section_batches(self, count, extent, seed, modes=4, imm=None,
+                         quants=None):
+        """random_normal_sections as (N, N, 4, S) batches of AUDIT_BATCH."""
         imm = imm or self.immersion()
         quants = quants or surface_quantities(imm)
-        n = imm.n
-        N = extent * n
+        N = extent * imm.n
         PN = np.tile(quants.normal_proj, (extent, extent, 1, 1))
-        h = 1.0 / n
-        xi = np.arange(N) * h
+        xi = np.arange(N) * (1.0 / imm.n)
         X, Y = np.meshgrid(xi, xi, indexing="ij")
         red = (X - np.round(X)) + (Y - np.round(Y)) * imm.lattice.tau
-        dist = np.abs(red)
-        t = np.clip((dist - 1.3 * self.puncture) / (0.7 * self.puncture), 0, 1)
-        bump = t * t * (3 - 2 * t)
+        t = np.clip((np.abs(red) - 1.3 * self.puncture) / (0.7 * self.puncture),
+                    0, 1)
+        bump = (t * t * (3 - 2 * t))[:, :, None, None]
+        # the 1D waves e_k(xi) for k = -3..3; a 2D wave is e_kx(xi) e_ky(eta)
+        waves = np.exp(2j * np.pi * np.arange(-3, 4)[:, None] * xi / extent)
         rng = np.random.default_rng(seed)
-        for _ in range(count):
-            vals = np.zeros((N, N, 4), dtype=complex)
-            for _m in range(modes):
-                kx = rng.integers(-3, 4)
-                ky = rng.integers(-3, 4)
-                amp = (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-                wave = np.exp(2j * np.pi * (kx * X + ky * Y) / extent)
-                vals += wave[:, :, None] * amp[None, None, :]
-            vals *= bump[:, :, None]
-            yield np.einsum("xyij,xyj->xyi", PN, vals)
+        for start in range(0, count, AUDIT_BATCH):
+            S = min(AUDIT_BATCH, count - start)
+            k = np.empty((S, modes, 2), dtype=int)
+            amp = np.zeros((S, modes, 4, S), dtype=complex)
+            for s in range(S):
+                for m in range(modes):
+                    k[s, m] = rng.integers(-3, 4), rng.integers(-3, 4)
+                    amp[s, m, :, s] = (rng.standard_normal(4)
+                                       + 1j * rng.standard_normal(4))
+            plane = waves[k[..., 0] + 3, :, None] * waves[k[..., 1] + 3, None, :]
+            # section s sums its modes: one matmul against the block-diagonal
+            # amplitudes, which lands in the (N, N, 4, S) layout
+            vals = (plane.reshape(S * modes, N * N).T
+                    @ amp.reshape(S * modes, 4 * S)).reshape(N, N, 4, S)
+            vals *= bump
+            yield (PN @ vals.view(float)).view(complex)
 
     def stability_audit(self, count: int = 200, extent: int = 1,
                         seed: int = 0) -> tuple[float, bool]:
-        """Worst Q(s)/Mass(s) over random sections; True when stable."""
+        """Worst Q(s)/Mass(s) over random normal sections; True when stable.
+
+        The sections are `random_normal_sections(count, extent, seed)` on the
+        [0, extent)^2 cover, and Q(s) is the index form of
+        `euclidean_index_form`, evaluated on the grid (the array form that
+        `cutoff_inequality_audit` also uses) AUDIT_BATCH sections at a time,
+        with the mass sum lam2 |s|^2 over the unmasked cells.  Stable means
+        the worst quotient is >= -1e-6 over the sections of mass above 1e-14.
+        count < 1 or extent < 1 raises ConfigError; a run with no section of
+        mass above 1e-14 raises DomainError, as it has nothing to decide on.
+        """
+        if count < 1 or extent < 1:
+            raise ConfigError("the audit needs count >= 1 and extent >= 1")
         imm = self.immersion()
         quants = surface_quantities(imm)
-        form = euclidean_index_form(imm, extent=extent, quants=quants)
+        densities = _index_densities(imm, quants, extent)
+        w = np.tile(np.where(imm.mask, imm.dxdy_weight(), 0.0), (extent, extent))
+        da = np.tile(imm.da_field(), (extent, extent))
         worst = np.inf
-        for vals in self.random_normal_sections(count, extent, seed,
-                                                imm=imm, quants=quants):
-            q = form.q_value(vals)
-            m = form.m_value(vals)
-            if m > 1e-14:
-                worst = min(worst, q / m)
-        return float(worst), bool(worst >= -1e-6)
+        for batch in self._section_batches(count, extent, seed, imm=imm,
+                                           quants=quants):
+            plus, minus = densities(batch)
+            q = np.tensordot(w, plus - minus, 2)
+            m = np.tensordot(da, _node_norm2(batch), 2)
+            massive = m > 1e-14
+            if massive.any():
+                worst = min(worst, float(np.min(q[massive] / m[massive])))
+        if worst == np.inf:
+            raise DomainError("no audit section has mass above 1e-14")
+        return worst, bool(worst >= -1e-6)
 
 
 @dataclass

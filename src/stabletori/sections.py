@@ -98,17 +98,37 @@ def wirtinger_diff(v: np.ndarray, factors, steps: tuple[float, float],
     (v[+1] e^{-i a} - v[-1] e^{i a}) / 2h along each axis, with the step h
     from `steps` and the phase a = twist * h; the phases make it exact on
     covariantly constant fields.  `bmat` adds -bmat v to D_eta (the
-    nilpotent part of the potential, acting on the last axis).  Pass the
-    Wirtinger factors for d/dzbar and their conjugates for d/dz.
+    nilpotent part of the potential, acting on axis 2, the fibre axis; a
+    trailing axis may stack sections).  Pass the Wirtinger factors for
+    d/dzbar and their conjugates for d/dz.
     """
     def diff(axis):
+        n = v.shape[axis]
         a = twist[axis] * steps[axis]
-        return (np.roll(v, -1, axis=axis) * np.exp(-1j * a)
-                - np.roll(v, 1, axis=axis) * np.exp(1j * a)) / (2 * steps[axis])
+        out = np.empty(v.shape, dtype=np.result_type(v, 1j))
+        # (row, next, previous): the interior, then the two rows whose
+        # neighbour wraps; on one or two nodes both neighbours coincide
+        for rows in ((slice(1, -1), slice(2, None), slice(None, -2)),
+                     (0, 1 % n, n - 1), (n - 1, 0, (n - 2) % n)):
+            o, nxt, prv = ((slice(None),) * axis + (r,) for r in rows)
+            if a:
+                np.multiply(v[nxt], np.exp(-1j * a), out=out[o])
+                np.subtract(out[o], v[prv] * np.exp(1j * a), out=out[o])
+            else:
+                np.subtract(v[nxt], v[prv], out=out[o])
+        # numpy divides a complex by a real d as a product with 1 / d, so
+        # scaling both float parts by it gives the same bits, several times
+        # faster
+        flt = out.view(float)
+        np.multiply(flt, 1.0 / (2 * steps[axis]), out=flt)
+        return out
 
     d_eta = diff(1)
     if bmat is not None and np.any(bmat):
-        d_eta = d_eta - np.einsum("ij,xyj->xyi", bmat, v)
+        d_eta -= np.einsum("ij,xyj...->xyi...", bmat, v)
+    # One expression, as written: numpy reuses the unnamed diff(0) in place
+    # when it is large, which swaps the operands of its complex product and
+    # so its rounding; rewriting this line changes the last bits.
     return factors[0] * diff(0) + factors[1] * d_eta
 
 

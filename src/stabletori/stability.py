@@ -238,6 +238,39 @@ def _tile(fld: np.ndarray, extent: int) -> np.ndarray:
     return np.tile(fld, (extent, extent) + (1,) * (fld.ndim - 2))
 
 
+def _node_norm2(v: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
+    """sum_i |(P v)_i|^2 per node and section of a batch v, (N, N, dim, S).
+
+    The real node projections P, (N, N, dim, dim), act on the float view of
+    v, real and imaginary parts side by side, which is one real matmul and
+    gives the same numbers as the complex P @ v.
+    """
+    f = v.view(float) if P is None else P @ v.view(float)
+    sq = np.einsum("xyij,xyij->xyj", f, f)
+    return sq[..., 0::2] + sq[..., 1::2]
+
+
+def _index_densities(imm: Immersion, quants: SurfaceQuantities,
+                     extent: int = 1, twist: tuple[float, float] = (0.0, 0.0)):
+    """The array form of the Euclidean index form on the [0, extent)^2 cover.
+
+    Returns a function of a batch of ambient-valued fields v, (N, N, dim, S),
+    that gives |(d_zbar v)^perp|^2 and |(d_z v)^top|^2 per node and section;
+    Q(v) is the sum of their difference against the masked cell measure.
+    Both derivatives are `wirtinger_diff`, the stencil `euclidean_index_form`
+    writes as a matrix.
+    """
+    PT = _tile(quants.tangent_proj, extent)
+    PN = _tile(quants.normal_proj, extent)
+    fac = _chart_factors(imm)
+    steps = (1.0 / imm.n,) * 2
+
+    def densities(v):
+        return (_node_norm2(wirtinger_diff(v, fac, steps, twist), PN),
+                _node_norm2(wirtinger_diff(v, np.conj(fac), steps, twist), PT))
+    return densities
+
+
 def euclidean_index_form(imm: Immersion,
                          twist: tuple[float, float] = (0.0, 0.0),
                          extent: int = 1,
@@ -484,41 +517,23 @@ def cutoff_inequality_audit(values: np.ndarray, phi: np.ndarray,
     imm: Immersion = form.meta["immersion"]
     extent = form.meta.get("extent", 1)
     twist = form.meta.get("twist", (0.0, 0.0))
-    quants = surface_quantities(imm)
-
-    PT = _tile(quants.tangent_proj, extent)
-    PN = _tile(quants.normal_proj, extent)
-    mask = _tile(imm.mask, extent)
-    w0 = imm.dxdy_weight()
-    w = np.where(mask, w0, 0.0)
-
-    def top(fld):
-        return np.einsum("xyij,xyj->xyi", PT, fld)
-
-    def perp(fld):
-        return np.einsum("xyij,xyj->xyi", PN, fld)
+    densities = _index_densities(imm, surface_quantities(imm), extent, twist)
+    w = np.where(_tile(imm.mask, extent), imm.dxdy_weight(), 0.0)
 
     def integ(density):
         return float(np.sum(density * w))
 
-    fac = _chart_factors(imm)
-    steps = (extent / values.shape[0],) * 2
-
-    def dzb(fld):
-        return wirtinger_diff(fld, fac, steps, twist)
-
-    def dz(fld):
-        return wirtinger_diff(fld, np.conj(fac), steps, twist)
-
-    phis = phi[:, :, None] * values
     # |grad phi|^2 = 4 |d_zbar phi|^2 for a real function.
-    grad2 = 4.0 * np.abs(wirtinger_diff(phi, fac, steps)) ** 2
+    grad2 = 4.0 * np.abs(wirtinger_diff(phi, _chart_factors(imm),
+                                        (1.0 / imm.n,) * 2)) ** 2
 
+    # the section and phi * section as one batch of two
+    perp2, top2 = densities(np.stack([values, phi[:, :, None] * values], -1))
     ns2 = np.sum(np.abs(values) ** 2, axis=2)
-    perp_dzb_s2 = np.sum(np.abs(perp(dzb(values))) ** 2, axis=2)
+    perp_dzb_s2 = perp2[..., 0]
 
-    lhs_top = integ(np.sum(np.abs(top(dz(phis))) ** 2, axis=2))
-    rhs_perp = integ(np.sum(np.abs(perp(dzb(phis))) ** 2, axis=2))
+    lhs_top = integ(top2[..., 1])
+    rhs_perp = integ(perp2[..., 1])
     t_phi2 = integ(phi ** 2 * perp_dzb_s2)
     t_grad = integ(grad2 * ns2)
     t_cross = 2.0 * np.sqrt(integ(grad2)) * np.sqrt(integ(ns2 * perp_dzb_s2))
@@ -566,9 +581,6 @@ def covering_sweep(scenario, covers) -> list[SweepRow]:
 def second_ff_energy(values: np.ndarray, imm: Immersion,
                      extent: int = 1) -> float:
     """int |(d_z s)^top|^2 da for an ambient-valued section over a cover."""
-    PT = _tile(surface_quantities(imm).tangent_proj, extent)
-    da = _tile(imm.da_field(), extent)
-    steps = (extent / values.shape[0],) * 2
-    dz = wirtinger_diff(values, np.conj(_chart_factors(imm)), steps)
-    top = np.einsum("xyij,xyj->xyi", PT, dz)
-    return float(np.sum(np.sum(np.abs(top) ** 2, axis=2) * da))
+    densities = _index_densities(imm, surface_quantities(imm), extent)
+    _, top2 = densities(values[..., None])
+    return float(np.sum(top2[..., 0] * _tile(imm.da_field(), extent)))

@@ -48,6 +48,40 @@ def test_wirtinger_diff_eta_symbol_with_its_own_step():
     assert np.allclose(d, (g * sx + f * sy) * vals, atol=1e-10)
 
 
+def _roll_wirtinger(v, factors, steps, twist, bmat):
+    """The periodic central covariant difference written with np.roll."""
+    def diff(axis):
+        a = twist[axis] * steps[axis]
+        return (np.roll(v, -1, axis=axis) * np.exp(-1j * a)
+                - np.roll(v, 1, axis=axis) * np.exp(1j * a)) / (2 * steps[axis])
+
+    d_eta = diff(1)
+    if bmat is not None:
+        d_eta = d_eta - np.einsum("ij,xyj...->xyi...", bmat, v)
+    return factors[0] * diff(0) + factors[1] * d_eta
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("tail, nilpotent", [((), False), ((3,), False),
+                                             ((3,), True), ((3, 10), False),
+                                             ((3, 10), True)])
+@pytest.mark.parametrize("twist", [(0.0, 0.0), (0.7, -2.3)])
+def test_wirtinger_diff_equals_the_roll_formula(n, tail, nilpotent, twist):
+    # bit for bit: n = 1 and 2 fold the two neighbours into one node, and
+    # n = 64 with 10 sections is large enough for numpy to reuse temporaries;
+    # bmat acts on the fibre axis, so only fields with one take it
+    rng = np.random.default_rng(n + len(tail))
+    shape = (n, n) + tail
+    v = rng.standard_normal(shape)
+    if tail:                   # a real scalar field, like a cutoff, otherwise
+        v = v + 1j * rng.standard_normal(shape)
+    bmat = np.diag([1.5, -0.5], 1) if nilpotent else None
+    factors = wirtinger_factors(Lattice(0.3, 1.2))
+    steps = (1.0 / n, 2.0 / n)
+    got = wirtinger_diff(v, factors, steps, twist, bmat)
+    assert np.array_equal(got, _roll_wirtinger(v, factors, steps, twist, bmat))
+
+
 def test_dbar_is_close_on_line_sections():
     L = LineHolonomy(0.5, 1.3)
     sec = line_section(L, 1, LAT, 32)

@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from stabletori.errors import (ConvergenceError, DomainError,
+from stabletori.errors import (ConfigError, ConvergenceError, DomainError,
                                IsotropyViolationError, ResolutionError,
                                ShapeError, WrongFormError)
 from stabletori.lattice import CoverSpec, Lattice, normalize_lattice
@@ -374,7 +374,47 @@ def test_elliptic_audit_builds_its_immersion_once(monkeypatch):
         monkeypatch.setattr(mod, name, counting(getattr(mod, name)))
     worst, _ = sc.stability_audit(count=5, seed=7)
     assert sorted(builds) == ["elliptic_curve_immersion", "surface_quantities"]
-    assert worst == want
+    assert worst == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 48])
+@pytest.mark.parametrize("extent", [1, 2])
+def test_elliptic_audit_matches_the_sparse_form(n, extent):
+    # the audit evaluates Q on the grid in batches; the sparse form of the
+    # same stencil must give the same worst quotient over the same sections
+    sc = EllipticScenario(n=n)
+    form = sc.form(extent)
+    for seed in range(3):
+        want = min(form.q_value(v) / form.m_value(v)
+                   for v in sc.random_normal_sections(13, extent, seed))
+        worst, stable = sc.stability_audit(count=13, extent=extent, seed=seed)
+        assert worst == pytest.approx(want, rel=1e-12)
+        assert stable == (want >= -1e-6)
+
+
+def test_elliptic_audit_builds_no_sparse_form(monkeypatch):
+    import stabletori.scenarios as scenarios
+    import stabletori.stability as stability
+    calls = []
+    for mod in (scenarios, stability):
+        monkeypatch.setattr(mod, "euclidean_index_form",
+                            lambda *a, **k: calls.append(a))
+    EllipticScenario(n=16).stability_audit(count=3, extent=2)
+    assert len(calls) == 0
+
+
+def test_elliptic_audit_needs_evidence(monkeypatch):
+    sc = EllipticScenario(n=16)
+    for kwargs in ({"count": 0}, {"count": -1}, {"extent": 0}):
+        with pytest.raises(ConfigError):
+            sc.stability_audit(**kwargs)
+
+    def massless(self, count, extent, seed, *args, **kwargs):
+        yield np.zeros((16 * extent, 16 * extent, 4, count), dtype=complex)
+
+    monkeypatch.setattr(EllipticScenario, "_section_batches", massless)
+    with pytest.raises(DomainError, match="mass"):
+        sc.stability_audit(count=3)
 
 
 def test_euclidean_index_form_split_parts_have_signs():
