@@ -33,7 +33,7 @@ from .sections import dbar
 from .stability import covering_sweep, log_cutoff, min_eigenvalue
 from .systole import (axis_truncated_distances, phase_trial_section,
                       rayleigh_bound_check, systole_bound_verdict)
-from .geometry import kappa_pic_estimate, AmbientSpace
+from .geometry import kappa_pic_estimate
 
 EXIT_PASS = 0
 EXIT_ASSERT = 2
@@ -248,15 +248,12 @@ def cmd_systole(cfg, out: Path, svg: bool):
     scen = _lens_scenario(cfg)
     n = cfg["grid"]
     res = min_eigenvalue(scen.cover_form(1, 1, n))
-    imm = scen.cover_immersion(1, 1, n)
+    imm = scen.torus
     R = flat_systole(imm.lattice, imm.scale)
-    amb = AmbientSpace(kind="product_circle_sphere", circle_radius=scen.L,
-                       sphere_radius=scen.rho, n_sphere=scen.n_sphere,
-                       lens=(scen.p, scen.q))
-    kappa = amb.kappa_pic
-    audit = kappa_pic_estimate(amb, samples=samples, seed=seed)
+    kappa = imm.ambient.kappa_pic
+    audit = kappa_pic_estimate(imm.ambient, samples=samples, seed=seed)
     deltas = axis_truncated_distances(imm, R, n)
-    hol = scen.line_holonomies()[0]
+    hol = imm.normal_lines[0][0]
     trial = phase_trial_section(hol, R, deltas, imm, n)
     ray = rayleigh_bound_check(trial, imm, kappa)
     verdict = systole_bound_verdict(res.continuum, R, kappa, case="general")

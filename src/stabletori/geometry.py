@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundles import LineHolonomy
-from .errors import DomainError
+from .bundles import FlatBundle, LineHolonomy, decompose_commuting_pair
+from .errors import DomainError, ResolutionError
 from .lattice import Lattice
 from .weierstrass import eisenstein_invariants, wp
 
@@ -358,52 +358,60 @@ def product_geodesic_torus(L: float, rho: float, n_sphere: int,
     """Totally geodesic flat torus in S^1(L) x (S^{n_sphere}(rho)/lens).
 
     The image is the circle factor times the short closed geodesic of the
-    lens quotient; periods are (2 pi L, 2 pi rho / p).  The normal bundle
-    carries the lens rotation by 2 pi q / p per vertical period, recorded as
-    holonomy twist data on the complexified normal lines.
+    lens quotient; periods are (2 pi L, 2 pi rho / p).  Parallel transport
+    of the normal plane (e3, e4) is trivial around the circle period and
+    the lens rotation by 2 pi q / p around the geodesic one.
+    `decompose_commuting_pair` splits that pair into the complexified
+    normal lines.  Each line vector is scaled so that its e3 component (its
+    e4 component on the line e4) is real and positive, and N^{1,0} comes
+    first: the line on which the quarter turn e3 -> e4 acts by +i.  For
+    p >= 3 the two lines are isotropic and dual; for p <= 2 the transport
+    is +-1 and the decomposition returns e3 and e4.
     """
     p, q = lens
     amb = AmbientSpace(kind="product_circle_sphere", circle_radius=L,
                        sphere_radius=rho, n_sphere=n_sphere, lens=(p, q))
     if p > 1 and n_sphere != 3:
         raise DomainError("twisted lens quotients are supported on S^3 only")
+    if n < 2:
+        raise ResolutionError("a torus grid needs at least 2 x 2 nodes")
     a_len = 2 * np.pi * L
     b_len = 2 * np.pi * rho / p
     lat = Lattice(0.0, b_len / a_len)
     dim = amb.dim
-    h = 1.0 / n
-    xi = np.arange(n) * h
-    eta = np.arange(n) * h
-    X, Y = np.meshgrid(xi, eta, indexing="ij")
-    t = a_len * X
-    s = b_len * Y
+    xi = np.arange(n) * (1.0 / n)
+    # Node (i, j) sits at arc length a_len xi_i on S^1 and s_j = b_len xi_j
+    # along the geodesic; the sphere coordinates depend on j alone.
+    s = b_len * xi
+    cos_s, sin_s = np.cos(s / rho), np.sin(s / rho)
     F = np.zeros((n, n, dim))
-    F[:, :, 0] = t
-    F[:, :, 1] = rho * np.cos(s / rho)
-    F[:, :, 2] = rho * np.sin(s / rho)
+    F[:, :, 0] = a_len * xi[:, None]
+    F[:, :, 1] = rho * cos_s
+    F[:, :, 2] = rho * sin_s
     # Tangents in arc-length chart coordinates (z = x + i y, x along S^1).
     Fz = np.zeros((n, n, dim), dtype=complex)
     Fz[:, :, 0] = 0.5
-    Fz[:, :, 1] = -0.5j * (-np.sin(s / rho))
-    Fz[:, :, 2] = -0.5j * (np.cos(s / rho))
+    Fz[:, :, 1] = -0.5j * (-sin_s)
+    Fz[:, :, 2] = -0.5j * cos_s
     lam2 = np.ones((n, n))
     mask = np.ones((n, n), dtype=bool)
 
-    e3 = np.zeros(dim)
-    e4 = np.zeros(dim)
-    e3[3] = 1.0
-    e4[4] = 1.0
     alpha = 2 * np.pi * q / p if p > 1 else 0.0
-    eps_minus = (e3 - 1j * e4) / np.sqrt(2)   # vertical holonomy e^{+i alpha}
-    eps_plus = (e3 + 1j * e4) / np.sqrt(2)    # vertical holonomy e^{-i alpha}
-    normal_lines = [
-        (LineHolonomy(0.0, alpha), eps_minus),
-        (LineHolonomy(0.0, -alpha), eps_plus),
-    ]
+    rotation = np.array([[np.cos(alpha), -np.sin(alpha)],
+                         [np.sin(alpha), np.cos(alpha)]])
+    report, _, basis = decompose_commuting_pair(
+        FlatBundle(np.eye(2), rotation, lat))
+    lines = []
+    for summand, v in zip(report.summands, basis.T):
+        j = int(abs(v[0]) < 0.5)    # a unit vector has a component >= 1/sqrt2
+        lines.append((summand.line_class, v * np.conj(v[j]) / abs(v[j])))
+    # conj(v3) v4 is -i/2 on N^{1,0}, +i/2 on its dual and 0 on e3 and e4
+    lines.sort(key=lambda line: np.imag(np.conj(line[1][0]) * line[1][1]))
+    plane = np.eye(dim)[:, 3:5]
     return Immersion(
         lattice=lat, scale=a_len, ambient=amb, F=F, Fz=Fz, lam2=lam2,
-        mask=mask, flat=True, normal_lines=normal_lines, second_ff_zero=True,
-        periods=(a_len, b_len),
+        mask=mask, flat=True, second_ff_zero=True, periods=(a_len, b_len),
+        normal_lines=[(hol, plane @ v) for hol, v in lines],
     )
 
 

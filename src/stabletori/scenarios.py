@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import LineHolonomy, principal_angle
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ResolutionError, WrongFormError
 from .geometry import (AmbientSpace, Immersion, SurfaceQuantities,
                        elliptic_curve_immersion, product_geodesic_torus,
                        surface_quantities)
@@ -25,9 +25,12 @@ def flat_chart_immersion(a_len: float, b_len: float, n: int,
                          ambient: AmbientSpace | None = None) -> Immersion:
     """Flat isometric chart torus with unit conformal factor.
 
-    Used as the chart of trial sections and graph-distance cross-checks,
-    and as the totally geodesic torus inside a flat 4-torus.
+    The totally geodesic torus of `FlatTorusScenario` inside a flat 4-torus,
+    with no normal lines, and the chart of the graph-distance cross-checks.
+    Trial sections do not use it: the lens ones live on the lens torus.
     """
+    if n < 2:
+        raise ResolutionError("a torus grid needs at least 2 x 2 nodes")
     if ambient is None:
         ambient = AmbientSpace(kind="flat_torus", dim=4)
     lat = Lattice(0.0, b_len / a_len)
@@ -45,6 +48,36 @@ def flat_chart_immersion(a_len: float, b_len: float, n: int,
                      flat=True, second_ff_zero=True, periods=(a_len, b_len))
 
 
+def second_variation_form(imm: Immersion, kx: int, ky: int,
+                          n: int) -> DiscreteForm:
+    """Second variation of a flat totally geodesic torus on its (kx, ky) cover.
+
+    The complexified normal bundle splits into the flat lines of
+    `imm.normal_lines`; on the first of them the form is the scalar twisted
+    Laplacian over the periods scaled by (kx, ky), with the line's holonomy
+    lifted to the cover, plus the constant potential -sum_i R(t_i, e, t_i, e)
+    at node 0, for the real tangent frame t_i and the real unit normal e
+    along the line.  The lines of a lens torus are dual, so their spectra
+    coincide.  A torus with no normal lines in a flat ambient gets the
+    untwisted form with no potential.
+    """
+    if not imm.flat:
+        raise WrongFormError("the second variation form needs a flat torus")
+    hol, e = LineHolonomy(0.0, 0.0), np.zeros(imm.dim)
+    if imm.normal_lines:
+        hol, eps = imm.normal_lines[0]
+        e = eps.real / np.linalg.norm(eps.real)
+    elif not imm.ambient.is_flat:
+        raise WrongFormError("a torus in a curved ambient needs normal lines")
+    frame = np.stack([2 * imm.Fz[0, 0].real, -2 * imm.Fz[0, 0].imag])
+    frame /= np.linalg.norm(frame, axis=1, keepdims=True)
+    curv = imm.ambient.curvature(frame, e, frame, e, point=imm.F[0, 0])
+    a, b = imm.periods
+    twist = (principal_angle(kx * hol.phi), principal_angle(ky * hol.theta))
+    return flat_twisted_form((kx * a, ky * b), twist, n,
+                             potential=-float(np.sum(curv.real)))
+
+
 def _diagonal_cover(spec: CoverSpec) -> tuple[int, int]:
     (a, b), (c, d) = spec.basis
     if b != 0 or c != 0:
@@ -54,7 +87,11 @@ def _diagonal_cover(spec: CoverSpec) -> tuple[int, int]:
 
 @dataclass
 class LensScenario:
-    """S^1(L) x lens(p, q) on S^3(rho), with the short geodesic torus."""
+    """S^1(L) x lens(p, q) on S^3(rho), with the short geodesic torus.
+
+    `torus` is the `product_geodesic_torus` on an n x n grid, built once;
+    every form of the sweep is its `second_variation_form`.
+    """
 
     L: float = 2.0
     rho: float = 1.0
@@ -63,33 +100,16 @@ class LensScenario:
     n: int = 96
     n_sphere: int = 3
 
-    def base_immersion(self, n: int | None = None) -> Immersion:
-        return product_geodesic_torus(self.L, self.rho, self.n_sphere,
-                                      (self.p, self.q), n or self.n)
+    def __post_init__(self):
+        self.torus = product_geodesic_torus(self.L, self.rho, self.n_sphere,
+                                            (self.p, self.q), self.n)
 
-    @property
-    def periods(self) -> tuple[float, float]:
-        return (2 * np.pi * self.L, 2 * np.pi * self.rho / self.p)
-
-    def line_holonomies(self) -> list[LineHolonomy]:
-        alpha = 2 * np.pi * self.q / self.p if self.p > 1 else 0.0
-        return [LineHolonomy(0.0, alpha), LineHolonomy(0.0, -alpha)]
-
-    def cover_form(self, kx: int, ky: int, n: int,
-                   line: int = 0) -> DiscreteForm:
-        a, b = self.periods
-        hol = self.line_holonomies()[line]
-        twist = (principal_angle(kx * hol.phi), principal_angle(ky * hol.theta))
-        return flat_twisted_form((kx * a, ky * b), twist, n,
-                                 potential=-1.0 / self.rho ** 2)
-
-    def cover_immersion(self, kx: int, ky: int, n: int) -> Immersion:
-        a, b = self.periods
-        return flat_chart_immersion(kx * a, ky * b, n)
+    def cover_form(self, kx: int, ky: int, n: int) -> DiscreteForm:
+        return second_variation_form(self.torus, kx, ky, n)
 
     def level(self, spec: CoverSpec):
         kx, ky = _diagonal_cover(spec)
-        a, b = self.periods
+        a, b = self.torus.periods
         R = flat_systole(Lattice(0.0, ky * b / (kx * a)), kx * a)
         res = min_eigenvalue(self.cover_form(kx, ky, self.n))
         return spec.degree, R, res.lambda_min, res.continuum
@@ -197,19 +217,18 @@ class EllipticScenario:
 
 @dataclass
 class FlatTorusScenario:
-    """Totally geodesic flat torus inside a flat 4-torus."""
+    """Totally geodesic flat torus inside a flat 4-torus: the lens sweep
+    read off `flat_chart_immersion`."""
 
     a_len: float = 1.0
     b_len: float = 1.0
     n: int = 64
 
-    def level(self, spec: CoverSpec):
-        kx, ky = _diagonal_cover(spec)
-        a, b = kx * self.a_len, ky * self.b_len
-        form = flat_twisted_form((a, b), (0.0, 0.0), self.n, potential=0.0)
-        R = flat_systole(Lattice(0.0, b / a), a)
-        res = min_eigenvalue(form)
-        return spec.degree, R, res.lambda_min, res.continuum
+    def __post_init__(self):
+        self.torus = flat_chart_immersion(self.a_len, self.b_len, self.n)
+
+    cover_form = LensScenario.cover_form
+    level = LensScenario.level
 
 
 def sublattice_growth_table(tau: complex, kmax: int = 10):

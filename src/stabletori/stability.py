@@ -1,9 +1,12 @@
 """Discrete second-variation forms, twisted eigenproblems, and cutoffs.
 
-All quadratic forms are assembled as sparse Hermitian matrices over grid
+Every `DiscreteForm` is assembled as a sparse Hermitian matrix over grid
 degrees of freedom.  Each form records its measure convention ("dxdy" or
 "da") because the two appear side by side in the inequalities being
 verified; mixing them silently is the classic error this tag prevents.
+The elliptic stability audit builds no matrix: like the cutoff audit, it
+evaluates the Euclidean index form matrix-free, as grid densities
+(`_index_densities`) summed against the cell measure.
 """
 
 from __future__ import annotations
@@ -169,15 +172,6 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
     return DiscreteForm(Q, M, convention, (n, n), meta=meta)
 
 
-def lattice_twisted_form(lat: Lattice, scale: float, twist: tuple[float, float],
-                         n: int, potential=0.0) -> DiscreteForm:
-    """flat_twisted_form for the torus scale*(Z + Z tau)."""
-    a = scale
-    shear = scale * lat.tau1
-    b = scale * lat.tau2
-    return flat_twisted_form((a, b), twist, n, potential=potential, shear=shear)
-
-
 def min_eigenvalue(form: DiscreteForm) -> SpectrumResult:
     """Smallest generalized eigenvalue of (Q, M), read off the form's symbol.
 
@@ -341,42 +335,13 @@ def euclidean_index_form(imm: Immersion,
     })
 
 
-def real_second_variation(imm: Immersion, N: AmbientSpace, n: int) -> DiscreteForm:
-    """Second-variation form of a flat totally geodesic torus.
-
-    For the product ambient the complexified normal bundle splits into
-    holonomy lines; the real form's spectrum equals that of the scalar
-    twisted Laplacian with the constant curvature potential on each line
-    (real rotation pairs correspond to the complex scalar).  The returned
-    form is the line with the smaller predicted bottom; both lines are in
-    the metadata.
-    """
-    if not imm.flat:
-        raise WrongFormError("real second variation implemented for flat tori")
-    if N is None:
-        N = imm.ambient
-    periods = imm.periods
-    if N.is_flat:
-        return flat_twisted_form(periods, (0.0, 0.0), n, potential=0.0)
-    if N.kind != "product_circle_sphere":
-        raise WrongFormError("unsupported ambient")
-    pot = -1.0 / N.sphere_radius ** 2
-    forms = []
-    for hol, _eps in imm.normal_lines:
-        forms.append(flat_twisted_form(periods, (hol.phi, hol.theta), n,
-                                       potential=pot))
-    # The two lines are complex conjugate; their spectra coincide.
-    out = forms[0]
-    out.meta["all_forms"] = forms
-    return out
-
-
 def pic_index_form(imm: Immersion, N: AmbientSpace, n: int) -> DiscreteForm:
     """Form of the isotropic-section inequality on a flat normal line.
 
     Q(c) = sum |nabla_zbar c|^2 dxdy - sum R(eps, f_z, conj eps, conj f_z)
-    |c|^2 dxdy for the first isotropic normal line; the tangential term
-    vanishes for totally geodesic immersions.  Mass form carries da.
+    |c|^2 dxdy for the first normal line eps, isotropic unless its holonomy
+    is real; the tangential term vanishes for totally geodesic immersions.
+    Mass form carries da.
     """
     if not imm.flat or not imm.normal_lines:
         raise WrongFormError("pic index form needs a flat twisted scenario")

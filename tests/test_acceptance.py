@@ -214,8 +214,8 @@ def test_criterion_6_holomorphic_curve_stability():
 def test_criterion_7_lens_scenario_end_to_end():
     t0 = time.perf_counter()
     sc = LensScenario(n=96)
-    oracle = fourier_lambda_min(sc.periods, (0.0, 2 * np.pi / 3),
-                                potential=-1.0)
+    a, b = sc.torus.periods
+    oracle = fourier_lambda_min((a, b), (0.0, 2 * np.pi / 3), potential=-1.0)
     lam1 = min_eigenvalue(sc.cover_form(1, 1, 96)).lambda_min
     # the oracle value is exactly zero; 2% is read against the potential
     # scale 1 / rho^2 = 1
@@ -225,8 +225,7 @@ def test_criterion_7_lens_scenario_end_to_end():
     oracle_onset = None
     for k in (1, 2, 3):
         twist = (0.0, principal_angle(k * 2 * np.pi / 3))
-        if fourier_lambda_min((k * sc.periods[0], k * sc.periods[1]), twist,
-                              potential=-1.0) < -1e-9:
+        if fourier_lambda_min((k * a, k * b), twist, potential=-1.0) < -1e-9:
             oracle_onset = k
             break
     onset_ok = onset is not None and abs(onset - oracle_onset) <= 1
@@ -245,12 +244,11 @@ def test_criterion_7_lens_scenario_end_to_end():
 
 def test_criterion_8_trial_section_bounds():
     t0 = time.perf_counter()
-    sc = LensScenario()
     n = 96
-    imm = sc.cover_immersion(1, 1, n)
+    imm = LensScenario(n=n).torus
     R = induced_systole(imm, window=1, stride=n // 4)
     deltas = axis_truncated_distances(imm, R, n)
-    s = phase_trial_section(sc.line_holonomies()[0], R, deltas, imm, n)
+    s = phase_trial_section(imm.normal_lines[0][0], R, deltas, imm, n)
     seam_ok = s.seam_residual <= 1e-9
     # pointwise dbar bound in the physical chart, up to one grid step
     grad = np.abs(dbar(s).values[:, :, 0]) / imm.scale

@@ -1,0 +1,36 @@
+"""The benchmark tracer's targets exist in the package.
+
+`bench/tracing.py` wraps package functions by name; a renamed or deleted
+target would break `bench/run.py --trace 1` only when it runs.  The module
+is loaded from its path, as the benchmark loads it, and left unchanged.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load_tracing()
+
+
+@pytest.mark.parametrize("name, mod_name, attr, count", tracing.TRACED,
+                         ids=[f"{t[1]}.{t[2]}" for t in tracing.TRACED])
+def test_traced_target_resolves(name, mod_name, attr, count):
+    mod = importlib.import_module(f"{tracing.PACKAGE}.{mod_name}")
+    if "." in attr:
+        # methods are wrapped in their class's own namespace, not inherited
+        cls_name, meth = attr.split(".")
+        assert callable(vars(getattr(mod, cls_name)).get(meth))
+    else:
+        assert callable(getattr(mod, attr, None))

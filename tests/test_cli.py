@@ -177,10 +177,14 @@ def test_stability_tower_with_unnested_covers_passes(tmp_path):
     assert lams[3] <= lams[1] <= lams[0]
 
 
-@pytest.mark.parametrize("grid", ["1"])
+@pytest.mark.parametrize("grid", ["0", "1"])
 def test_stability_tiny_grid_trips_resource_guard(tmp_path, grid):
-    rc = main(["stability", "--grid", grid, "--out", str(tmp_path)])
-    assert rc == 4
+    # the lens torus, the flat torus and the systole run each refuse a grid
+    # below 2 x 2 as a resolution guard, not with a raw exception
+    flat = _cfg(tmp_path, "flat.json", {"scenario": "flat"})
+    for argv in (["stability"], ["stability", "--config", flat], ["systole"]):
+        rc = main([*argv, "--grid", grid, "--out", str(tmp_path / "out")])
+        assert rc == 4
 
 
 @pytest.mark.parametrize("grid", ["2", "3"])

@@ -12,17 +12,16 @@ from stabletori.errors import (ConfigError, ConvergenceError, DomainError,
                                IsotropyViolationError, ResolutionError,
                                ShapeError, WrongFormError)
 from stabletori.lattice import CoverSpec, Lattice, normalize_lattice
-from stabletori.bundles import LineHolonomy
+from stabletori.bundles import LineHolonomy, principal_angle
 from stabletori.geometry import product_geodesic_torus
 from stabletori.scenarios import (EllipticScenario, FlatTorusScenario,
-                                  LensScenario, flat_chart_immersion)
+                                  LensScenario, flat_chart_immersion,
+                                  second_variation_form)
 from stabletori.stability import (DiscreteForm, covering_sweep,
                                   cutoff_inequality_audit, dbar_energy_chart,
                                   euclidean_index_form, flat_twisted_form,
-                                  lattice_twisted_form, log_cutoff,
-                                  min_eigenvalue, pic_index_form,
-                                  real_second_variation, reduced_pic_gap,
-                                  second_ff_energy)
+                                  log_cutoff, min_eigenvalue, pic_index_form,
+                                  reduced_pic_gap, second_ff_energy)
 from stabletori.systole import (axis_truncated_distances, induced_systole,
                                 phase_trial_section)
 
@@ -54,7 +53,8 @@ def test_twisted_spectrum_with_shear(rng):
     lat, _ = normalize_lattice(0.3 + 1.1j)
     scale = 1.7
     twist = (1.1, -0.8)
-    form = lattice_twisted_form(lat, scale, twist, 64)
+    form = flat_twisted_form((scale, scale * lat.tau2), twist, 64,
+                             shear=scale * lat.tau1)
     got = min_eigenvalue(form).lambda_min
     want = fourier_lambda_min((scale, scale * lat.tau2), twist,
                               shear=scale * lat.tau1)
@@ -276,24 +276,43 @@ def test_lens_eigenvalue_ladder():
         assert got == pytest.approx(want, abs=2e-3)
 
 
-def test_real_second_variation_uses_both_lines():
-    sc = LensScenario()
-    form = real_second_variation(sc.base_immersion(32), None, 32)
-    assert len(form.meta["all_forms"]) == 2
-    lams = [min_eigenvalue(f).lambda_min for f in form.meta["all_forms"]]
-    assert lams[0] == pytest.approx(lams[1], abs=1e-9)
+@pytest.mark.parametrize("p, q", [(5, 2), (7, 3)])
+def test_lens_lines_and_bottoms_come_from_the_decomposition(p, q):
+    # the normal lines are the decomposition's, N^{1,0} first, and every
+    # sweep level's continuum bottom is (d_k / b_k)^2 - 1 / rho^2 with d_k the
+    # distance of the lifted twist k 2 pi q / p from 2 pi Z
+    sc = LensScenario(rho=1.3, p=p, q=q, n=16)
+    alpha = principal_angle(2 * np.pi * q / p)
+    (L1, e1), (L2, e2) = sc.torus.normal_lines
+    assert (L1.phi, L2.phi) == pytest.approx((0.0, 0.0), abs=1e-12)
+    assert (L1.theta, L2.theta) == pytest.approx((alpha, -alpha), abs=1e-12)
+    assert e1[4] == pytest.approx(-1j * e1[3], abs=1e-12)
+    assert abs(np.dot(e1, e1)) < 1e-12 and abs(np.dot(e1, e2) - 1) < 1e-12
+    b = 2 * np.pi * 1.3 / p
+    for k in (1, 2, 3):
+        d = abs(principal_angle(k * 2 * np.pi * q / p))
+        cont = sc.level(CoverSpec.scaling(k))[3]
+        assert cont == pytest.approx((d / (k * b)) ** 2 - 1 / 1.3 ** 2,
+                                     rel=1e-12, abs=1e-12)
 
 
-def test_real_second_variation_rejects_curved_base():
+def test_direct_lens_scenario_rejects_non_coprime_lens():
+    # the CLI refuses (4, 2) as a config error; built directly, the torus
+    # refuses it instead of sweeping a twist of pi
+    with pytest.raises(DomainError):
+        LensScenario(p=4, q=2)
+
+
+def test_second_variation_form_rejects_curved_base():
     imm = EllipticScenario(n=32).immersion()
     with pytest.raises(WrongFormError):
-        real_second_variation(imm, None, 32)
+        second_variation_form(imm, 1, 1, 32)
 
 
 def test_pic_index_form_curvature_term():
     # R(eps, f_z, conj eps, conj f_z) = 1/(4 rho^2): the dbar-energy version
     # of the curvature potential, half of kappa = 1/(2 rho^2)
-    imm = LensScenario().base_immersion(32)
+    imm = LensScenario(n=32).torus
     form = pic_index_form(imm, imm.ambient, 32)
     assert form.meta["rterm"] == pytest.approx(0.25, rel=1e-12)
     assert form.convention == "dxdy"
@@ -314,10 +333,9 @@ def test_pic_index_form_untwisted_bottom_is_minus_rterm():
 
 
 def test_reduced_pic_gap_saturated_by_lens_zero_mode():
-    sc = LensScenario()
-    imm = sc.cover_immersion(1, 1, 64)
+    imm = LensScenario(n=64).torus
     R = induced_systole(imm, window=1, stride=16)
-    hol = sc.line_holonomies()[0]
+    hol = imm.normal_lines[0][0]
     deltas = axis_truncated_distances(imm, R, 64)
     s = phase_trial_section(hol, R, deltas, imm, 64)
     gap = reduced_pic_gap(s, 0.5, imm)
@@ -326,14 +344,10 @@ def test_reduced_pic_gap_saturated_by_lens_zero_mode():
 
 
 def test_reduced_pic_gap_requires_isotropy_certificate():
-    sc = LensScenario()
-    imm = sc.cover_immersion(1, 1, 32)
-    sec = phase_trial_section(sc.line_holonomies()[0], 2.0,
-                              axis_truncated_distances(imm, 2.0943951023931953, 32),
-                              imm, 32) if False else None
-    # simplest: strip the certificate from a valid section
+    imm = LensScenario(n=32).torus
+    # strip the certificate from a valid section
     deltas = axis_truncated_distances(imm, 2.0943951023931953, 32)
-    s = phase_trial_section(sc.line_holonomies()[0], 2.0943951023931953,
+    s = phase_trial_section(imm.normal_lines[0][0], 2.0943951023931953,
                             deltas, imm, 32)
     s.meta.pop("self_pairing")
     with pytest.raises(IsotropyViolationError):

@@ -84,7 +84,7 @@ def test_induced_systole_flat_values():
 
 
 def test_induced_systole_lens_torus():
-    imm = LensScenario().cover_immersion(1, 1, 64)
+    imm = LensScenario(n=64).torus
     R = induced_systole(imm, window=1, stride=16)
     assert R == pytest.approx(2 * np.pi / 3, rel=1e-6)
 
@@ -102,7 +102,8 @@ def test_exact_level_systole_within_dijkstra_bracket(scenario, k, chart):
     # 1e-12 covers the rounding of the graph's summed edge lengths
     _, R, _, _ = scenario.level(CoverSpec.scaling(k))
     if chart is None:
-        imm = scenario.cover_immersion(k, k, 64)
+        a, b = scenario.torus.periods
+        imm = flat_chart_immersion(k * a, k * b, 64)
     else:
         imm = flat_chart_immersion(*chart, 32)
     R_graph = induced_systole(imm, window=1, stride=imm.n // 4)
@@ -115,7 +116,7 @@ def test_exact_level_systole_within_dijkstra_bracket(scenario, k, chart):
 
 
 def test_axis_truncated_distances_shape_and_lipschitz():
-    imm = LensScenario().cover_immersion(1, 1, 64)
+    imm = LensScenario(n=64).torus
     R = 2 * np.pi / 3
     td = axis_truncated_distances(imm, R, 64)
     a_len, b_len = imm.periods
@@ -138,12 +139,11 @@ def test_axis_truncated_distances_rejects_oversized_radius():
 
 
 def test_phase_trial_section_is_periodic_and_unimodular():
-    sc = LensScenario()
     n = 64
-    imm = sc.cover_immersion(1, 1, n)
+    imm = LensScenario(n=n).torus
     R = 2 * np.pi / 3
     td = axis_truncated_distances(imm, R, n)
-    s = phase_trial_section(sc.line_holonomies()[0], R, td, imm, n)
+    s = phase_trial_section(imm.normal_lines[0][0], R, td, imm, n)
     assert s.seam_residual <= 1e-9
     assert np.allclose(np.abs(s.values), 1.0, atol=1e-12)
     assert s.meta["self_pairing"] == 0.0
@@ -151,12 +151,11 @@ def test_phase_trial_section_is_periodic_and_unimodular():
 
 
 def test_rayleigh_chain_on_lens_trial_section():
-    sc = LensScenario()
     n = 96
-    imm = sc.cover_immersion(1, 1, n)
+    imm = LensScenario(n=n).torus
     R = 2 * np.pi / 3
     td = axis_truncated_distances(imm, R, n)
-    s = phase_trial_section(sc.line_holonomies()[0], R, td, imm, n)
+    s = phase_trial_section(imm.normal_lines[0][0], R, td, imm, n)
     rep = rayleigh_bound_check(s, imm, kappa=0.5)
     # kappa Mass <= Energy <= (2 pi / sqrt3 R)^2 Mass, up to discretization
     assert rep.rhs <= rep.energy_bound * (1 + 1e-6)
@@ -164,12 +163,11 @@ def test_rayleigh_chain_on_lens_trial_section():
 
 
 def test_rayleigh_chain_holds_reports_each_inequality():
-    sc = LensScenario()
     n = 96
-    imm = sc.cover_immersion(1, 1, n)
+    imm = LensScenario(n=n).torus
     R = 2 * np.pi / 3
     td = axis_truncated_distances(imm, R, n)
-    s = phase_trial_section(sc.line_holonomies()[0], R, td, imm, n)
+    s = phase_trial_section(imm.normal_lines[0][0], R, td, imm, n)
     # at kappa = 1/2 the discrete energy sits 1.6e-4 below kappa * Mass
     rep = rayleigh_bound_check(s, imm, kappa=0.5)
     assert rep.lhs > rep.rhs and not rep.chain_holds
@@ -180,10 +178,9 @@ def test_rayleigh_chain_holds_reports_each_inequality():
 
 
 def test_rayleigh_check_requires_systole_tag():
-    sc = LensScenario()
-    imm = sc.cover_immersion(1, 1, 32)
+    imm = LensScenario(n=32).torus
     td = axis_truncated_distances(imm, 2.0943951023931953, 32)
-    s = phase_trial_section(sc.line_holonomies()[0], 2.0943951023931953,
+    s = phase_trial_section(imm.normal_lines[0][0], 2.0943951023931953,
                             td, imm, 32)
     s.meta.pop("R")
     with pytest.raises(DomainError):
