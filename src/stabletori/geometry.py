@@ -149,13 +149,16 @@ def _plane_checks(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """|X wedge Y|^2 of stacked (..., dim) pairs, each checked.
 
     Raises DomainError unless every pair spans an isotropic plane (all three
-    residuals <= 1e-10) and is nondegenerate (|X wedge Y|^2 > 1e-12).
+    residuals <= 1e-10) and is nondegenerate (|X wedge Y|^2 > 1e-12); a
+    non-finite pair fails both.
     """
-    residuals, nx, ny = _isotropy_residuals(X, Y)
-    if any(np.any(r > 1e-10) for r in residuals):
+    # a non-finite entry makes a NaN (inf / inf), which fails both tests
+    with np.errstate(invalid="ignore"):
+        residuals, nx, ny = _isotropy_residuals(X, Y)
+        den = nx * ny - np.abs(_dot(np.conj(X), Y)) ** 2
+    if not all(np.all(r <= 1e-10) for r in residuals):
         raise DomainError("plane is not isotropic")
-    den = nx * ny - np.abs(_dot(np.conj(X), Y)) ** 2
-    if np.any(den <= 1e-12):
+    if not np.all(den > 1e-12):
         raise DomainError("plane is degenerate")
     return den
 
@@ -173,7 +176,7 @@ def complex_sectional_curvatures(N: AmbientSpace, X, Y,
     Y = np.asarray(Y, dtype=complex)
     den = _plane_checks(X, Y)
     num = N.curvature(X, Y, np.conj(X), np.conj(Y), point=at)
-    if np.any(np.abs(num.imag) > 1e-10 * np.maximum(np.abs(num), 1.0)):
+    if not np.all(np.abs(num.imag) <= 1e-10 * np.maximum(np.abs(num), 1.0)):
         raise DomainError("curvature value is not numerically real")
     return num.real / den
 
@@ -195,9 +198,24 @@ class IsotropicPlane:
 
 
 def _orthonormal_frames(A: np.ndarray) -> np.ndarray:
-    """Orthonormalize stacked raw (..., n, 4) frames by QR, diag R > 0."""
-    Q, R = np.linalg.qr(A)
-    return Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
+    """Q of A = QR with diag R > 0, for stacked raw (..., n, 4) frames A.
+
+    Classical Gram-Schmidt with one reorthogonalization pass, which gives
+    this Q to working precision ("twice is enough"), vectorized over the
+    stack: component i of column j is one contiguous array over the stack.
+    A column whose distance from the span of the earlier ones is at most
+    1e-12 of its norm (a zero or repeated column) comes out NaN, which
+    `_plane_checks` rejects.  The result is a (..., n, 4) view.
+    """
+    cols = np.moveaxis(np.asarray(A, dtype=float), (-1, -2), (0, 1)).copy()
+    for j, v in enumerate(cols):
+        size = np.sqrt(np.einsum("i...,i...->...", v, v))
+        for _ in range(2):
+            v -= np.einsum("ki...,k...->i...", cols[:j],
+                           np.einsum("ki...,i...->k...", cols[:j], v))
+        r = np.sqrt(np.einsum("i...,i...->...", v, v))
+        v /= np.where(r > 1e-12 * size, r, np.nan)
+    return np.moveaxis(cols, (0, 1), (-1, -2))
 
 
 def _frame_pair(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +229,8 @@ def plane_from_frame(E: np.ndarray) -> IsotropicPlane:
 
 
 def random_isotropic_plane(n: int, rng) -> IsotropicPlane:
-    """Random isotropic plane in C^n from a Haar-ish orthonormal 4-frame."""
+    """Random isotropic plane in C^n from a Haar-distributed orthonormal
+    4-frame (the Q of a Gaussian frame with diag R > 0)."""
     if n < 4:
         raise DomainError("no isotropic 2-planes below real dimension 4")
     if isinstance(rng, (int, np.integer)):
@@ -253,7 +272,9 @@ def kappa_pic_estimate(N: AmbientSpace, samples: int = 2000,
     best_plane = None
     for start in range(0, samples, KAPPA_BLOCK):
         A = rng.standard_normal((min(KAPPA_BLOCK, samples - start), nt, 4))
-        X, Y = _frame_pair(basis @ _orthonormal_frames(A))
+        # one product maps the whole block to ambient coordinates
+        E = np.tensordot(basis, _orthonormal_frames(A), (1, 1))
+        X, Y = _frame_pair(E.transpose(1, 0, 2))
         vals = complex_sectional_curvatures(N, X, Y, point)
         i = int(np.argmin(vals))
         if vals[i] < best_val:

@@ -1,8 +1,10 @@
-"""The benchmark tracer's targets exist in the package.
+"""The benchmark tracer's targets exist in the package, and its counters
+read them.
 
 `bench/tracing.py` wraps package functions by name; a renamed or deleted
-target would break `bench/run.py --trace 1` only when it runs.  The module
-is loaded from its path, as the benchmark loads it, and left unchanged.
+target would break `bench/run.py --trace 1` only when it runs, and a
+renamed argument would silently zero a per-layer counter.  The module is
+loaded from its path, as the benchmark loads it, and left unchanged.
 """
 
 import importlib
@@ -10,6 +12,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from stabletori import geometry
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -34,3 +38,16 @@ def test_traced_target_resolves(name, mod_name, attr, count):
         assert callable(vars(getattr(mod, cls_name)).get(meth))
     else:
         assert callable(getattr(mod, attr, None))
+
+
+def test_kappa_counter_reads_the_samples():
+    tracer = tracing.Tracer()
+    tracer.begin_pass(0)
+    amb = geometry.AmbientSpace(kind="product_circle_sphere", n_sphere=4)
+    with tracer.installed():
+        geometry.kappa_pic_estimate(amb, samples=3000)
+    out = tracer.pass_summary(0, wall=1.0)
+    assert out["geometry.kappa_pic_estimate.samples"] == 3000
+    assert out["geometry.kappa_pic_estimate.samples_per_s"] > 0
+    # the wrapper is gone once the block exits
+    assert "__wrapped__" not in vars(geometry.kappa_pic_estimate)

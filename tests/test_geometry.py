@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from stabletori.errors import DomainError
 from stabletori.lattice import Lattice
-from stabletori.geometry import (AmbientSpace, IsotropicPlane, KappaReport,
+from stabletori.geometry import (KAPPA_BLOCK, AmbientSpace, IsotropicPlane,
+                                 KappaReport, _orthonormal_frames,
                                  complex_sectional_curvatures,
                                  elliptic_curve_immersion, kappa_pic_estimate,
                                  plane_from_frame, product_geodesic_torus,
@@ -62,7 +63,38 @@ def test_isotropic_plane_validation(rng):
     with pytest.raises(DomainError):
         IsotropicPlane(np.array([1.0, 0, 0, 0]), np.array([0, 1.0, 0, 0]))
     with pytest.raises(DomainError):
+        IsotropicPlane(np.full(4, np.nan), np.full(4, np.nan))
+    with pytest.raises(DomainError):
         random_isotropic_plane(3, rng)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_orthonormal_frames_match_the_qr_oracle(rng, n):
+    """Gram-Schmidt twice gives the Q of A = QR with diag R > 0, stacked or
+    not, to working precision."""
+    stack = rng.standard_normal((KAPPA_BLOCK, n, 4))
+    for A in (stack, stack[0]):
+        Q = _orthonormal_frames(A)
+        assert Q.shape == A.shape
+        Qt = np.swapaxes(Q, -1, -2)
+        assert np.abs(Qt @ Q - np.eye(4)).max() <= 1e-15
+        R = Qt @ A
+        assert np.abs(np.tril(R, -1)).max() <= 1e-13
+        assert np.all(np.diagonal(R, axis1=-2, axis2=-1) > 0)
+        oracle = np.array([_qr_frame(a) for a in A.reshape(-1, n, 4)])
+        assert np.abs(Q - oracle.reshape(A.shape)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("col, fill", [
+    (2, lambda A: 0.0),
+    (1, lambda A: A[:, 0]),
+    (3, lambda A: -2.5 * A[:, 1]),
+])
+def test_dependent_raw_frame_yields_no_plane(rng, col, fill):
+    A = rng.standard_normal((6, 4))
+    A[:, col] = fill(A)
+    with pytest.raises(DomainError):
+        plane_from_frame(_orthonormal_frames(A))
 
 
 def test_kappa_estimate_known_value_and_scaling():
@@ -136,12 +168,16 @@ def _oracle_planes(raw, n_sphere):
     tangent = [0] + list(range(2, n_sphere + 2))
     pairs = []
     for A in raw:
-        Q, R = np.linalg.qr(A)
-        Q = Q * np.sign(np.diag(R))
         E = np.zeros((n_sphere + 2, 4))
-        E[tangent] = Q
+        E[tangent] = _qr_frame(A)
         pairs.append((E[:, 0] + 1j * E[:, 1], E[:, 2] + 1j * E[:, 3]))
     return pairs
+
+
+def _qr_frame(A):
+    """Orthonormal frame of one raw (n, 4) frame by LAPACK QR, diag R > 0."""
+    Q, R = np.linalg.qr(A)
+    return Q * np.sign(np.diag(R))
 
 
 def _oracle_curvature(X, Y, rho):
@@ -187,6 +223,19 @@ def test_kappa_sampling_matches_oracle_across_blocks():
     assert np.allclose(rep.plane.Y, pairs[best][1], atol=1e-14)
 
 
+def test_every_isotropic_plane_of_s1_x_s3_reads_kappa(rng):
+    """On S^1 x S^3 an isotropic plane meets the sphere directions in an
+    isotropic line, which forces K = 1 / (2 rho^2): the sampled minimum,
+    and the plane reported with it, are decided by rounding."""
+    amb = _product_ambient(1.0)
+    pairs = _oracle_planes(rng.standard_normal((KAPPA_BLOCK, 4, 4)), 3)
+    K = complex_sectional_curvatures(amb, np.array([x for x, _ in pairs]),
+                                     np.array([y for _, y in pairs]))
+    assert np.allclose(K, amb.kappa_pic, rtol=1e-14, atol=0.0)
+    rep = kappa_pic_estimate(amb, samples=KAPPA_BLOCK, seed=3)
+    assert rep.kappa_hat == pytest.approx(amb.kappa_pic, rel=1e-14)
+
+
 @pytest.mark.parametrize("bad, message", [
     (lambda X, Y: (X.real, Y), "not isotropic"),
     (lambda X, Y: (X, 1j * X), "degenerate"),
@@ -200,6 +249,19 @@ def test_batched_curvature_checks_every_plane(rng, bad, message):
     X[5], Y[5] = bad(X[5], Y[5])
     with pytest.raises(DomainError, match=message):
         complex_sectional_curvatures(amb, X, Y)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", [0, 1])
+def test_batched_curvature_rejects_non_finite_planes(rng, value, which):
+    """NaN fails every comparison, so each check is written to pass only
+    finite planes; one non-finite entry in a batch raises."""
+    amb = _product_ambient(1.0)
+    pairs = _oracle_planes(rng.standard_normal((8, 4, 4)), 3)
+    XY = [np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])]
+    XY[which][3, 2] = value
+    with pytest.raises(DomainError):
+        complex_sectional_curvatures(amb, *XY)
 
 
 # ---------------------------------------------------------------------------
