@@ -235,39 +235,27 @@ def _joint_bases(T: np.ndarray, Z: np.ndarray,
     return bases
 
 
-def _nilpotency_ranks(N: np.ndarray, tol: float) -> list[int]:
-    """Numerical ranks of N^p for p = 0, 1, ... until rank 0."""
-    d = N.shape[0]
-    ranks = [d]
-    P = np.eye(d, dtype=complex)
-    scale = max(np.linalg.norm(N), 1e-30)
-    for _ in range(d):
-        P = P @ N
-        sv = scipy.linalg.svdvals(P)
-        rk = int(np.sum(sv > tol * max(scale, 1.0)))
-        ranks.append(rk)
-        if rk == 0:
-            break
-    return ranks
-
-
 def _jordan_chains(N: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Chain bases [N^{p-1}v, ..., Nv, v] of a numerically nilpotent N."""
+    """Chain bases [N^{p-1}v, ..., Nv, v] of a numerically nilpotent N.
+
+    One SVD of each power N^p, p = 1, 2, ... until its rank is 0 (at most
+    p = d), gives both its numerical rank, counting singular values above
+    tol * max(||N||_F, 1), and its kernel, spanned by the right singular
+    vectors past those above tol * max(s_0, 1).
+    """
     d = N.shape[0]
     if d == 1:
         return [np.eye(1, dtype=complex)]
-    ranks = _nilpotency_ranks(N, tol)
-    pmax = len(ranks) - 1  # nilpotency index
+    cut = tol * max(np.linalg.norm(N), 1.0)
     powers = [np.eye(d, dtype=complex)]
-    for _ in range(pmax):
+    ranks = [d]
+    kernels = [np.zeros((d, 0), dtype=complex)]
+    while ranks[-1] and len(powers) <= d:
         powers.append(powers[-1] @ N)
-
-    def kernel(P):
-        u, s, vh = scipy.linalg.svd(P)
-        rk = int(np.sum(s > tol * max(s[0] if s.size else 1.0, 1.0)))
-        return vh[rk:].conj().T  # (d, d-rk)
-
-    kernels = [kernel(powers[p]) for p in range(pmax + 1)]
+        _, s, vh = np.linalg.svd(powers[-1])
+        ranks.append(int(np.sum(s > cut)))
+        kernels.append(vh[int(np.sum(s > tol * max(s[0], 1.0))):].conj().T)
+    pmax = len(ranks) - 1  # nilpotency index
     chains: list[list[np.ndarray]] = []
     tops: list[tuple[int, np.ndarray]] = []  # (length, top vector)
     for p in range(pmax, 0, -1):

@@ -108,16 +108,21 @@ class AmbientSpace:
         """
         if self.is_flat:
             return np.zeros(np.shape(X)[:-1], dtype=complex)[()]
-        if point is None:
-            point = self.base_point()
-        u = point[1:]
+        sph = self._sphere_projection(point)
+        return self._sphere_curvature(sph(X), sph(Y), sph(Z), sph(W))
+
+    def _sphere_projection(self, point: np.ndarray | None):
+        """v -> its projection onto the sphere's tangent space at point."""
+        u = (self.base_point() if point is None else point)[1:]
         uhat = u / np.linalg.norm(u)
 
         def sph(v):
             vs = np.asarray(v, dtype=complex)[..., 1:]
             return vs - (vs @ uhat)[..., None] * uhat
+        return sph
 
-        xs, ys, zs, ws = sph(X), sph(Y), sph(Z), sph(W)
+    def _sphere_curvature(self, xs, ys, zs, ws):
+        """The curvature tensor of the round sphere on projected vectors."""
         k = 1.0 / self.sphere_radius ** 2
         return k * (_dot(xs, zs) * _dot(ys, ws) - _dot(xs, ws) * _dot(ys, zs))
 
@@ -175,7 +180,14 @@ def complex_sectional_curvatures(N: AmbientSpace, X, Y,
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
     den = _plane_checks(X, Y)
-    num = N.curvature(X, Y, np.conj(X), np.conj(Y), point=at)
+    if N.is_flat:
+        num = np.zeros(X.shape[:-1], dtype=complex)[()]
+    else:
+        # The projection is real-linear with a real normal, so it commutes
+        # with conjugation to the bit: X and Y are projected once.
+        sph = N._sphere_projection(at)
+        xs, ys = sph(X), sph(Y)
+        num = N._sphere_curvature(xs, ys, np.conj(xs), np.conj(ys))
     if not np.all(np.abs(num.imag) <= 1e-10 * np.maximum(np.abs(num), 1.0)):
         raise DomainError("curvature value is not numerically real")
     return num.real / den

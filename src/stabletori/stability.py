@@ -1,7 +1,10 @@
 """Discrete second-variation forms, twisted eigenproblems, and cutoffs.
 
 Every `DiscreteForm` is assembled as a sparse Hermitian matrix over grid
-degrees of freedom.  Each form records its measure convention ("dxdy" or
+degrees of freedom.  Its Hermitian symmetry is checked where that is
+cheapest: `flat_twisted_form` checks its stencil coefficients, and every
+other form, including one a caller builds directly, is checked on the
+assembled matrix.  Each form records its measure convention ("dxdy" or
 "da") because the two appear side by side in the inequalities being
 verified; mixing them silently is the classic error this tag prevents.
 The elliptic stability audit builds no matrix: like the cutoff audit, it
@@ -11,7 +14,7 @@ evaluates the Euclidean index form matrix-free, as grid densities
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +45,10 @@ class DiscreteForm:
     wave is the eigenvector; min_eigenvalue needs it.  meta["continuum"] is
     (c, gap, size): the exact continuum bottom, how far below it the discrete
     bottom may lie, and the size of c's terms, which sets its rounding.
+
+    Q must be Hermitian: ||Q - Q^H||_F <= 1e-12 max(||Q||_F, 1), else
+    DomainError.  Both norms come from the matrix, unless the builder passes
+    them as `_norms`, computed from the stencil it assembled Q from.
     """
 
     Q: sp.spmatrix
@@ -49,13 +56,13 @@ class DiscreteForm:
     convention: str                 # measure convention of Q ("dxdy" or "da")
     shape: tuple                    # logical dof layout, e.g. (n, n) or (n, n, dim)
     meta: dict = field(default_factory=dict)
+    _norms: InitVar[tuple[float, float] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _norms):
         self.Q = self.Q.tocsr()
         self.M = self.M.tocsr()
-        herm = spla.norm(self.Q - self.Q.getH())
-        scale = max(spla.norm(self.Q), 1.0)
-        if not herm <= 1e-12 * scale:     # also rejects NaN entries
+        herm, norm = _hermitian_norms(self.Q) if _norms is None else _norms
+        if not herm <= 1e-12 * max(norm, 1.0):     # also rejects NaN entries
             raise DomainError("form is not Hermitian")
 
     @property
@@ -74,6 +81,11 @@ class DiscreteForm:
     def m_value(self, values: np.ndarray) -> float:
         v = self.pack(values)
         return float(np.real(np.vdot(v, self.M @ v)))
+
+
+def _hermitian_norms(Q: sp.csr_matrix) -> tuple[float, float]:
+    """||Q - Q^H||_F and ||Q||_F of an assembled matrix."""
+    return spla.norm(Q - Q.getH()), spla.norm(Q)
 
 
 @dataclass
@@ -97,11 +109,39 @@ def chart_metric(periods: tuple[float, float], shear: float = 0.0):
     """Inverse metric entries and area element of the (xi, eta) chart.
 
     Period vectors are p1 = (a, 0) and p2 = (shear, b) in the flat plane.
+    A metric with no finite inverse raises DomainError.
     """
     a, b = periods
     G = np.array([[a * a, a * shear], [a * shear, shear * shear + b * b]])
-    ginv = np.linalg.inv(G)
+    try:
+        ginv = np.linalg.inv(G)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"periods {periods} give a singular metric") from exc
+    if not np.isfinite(ginv).all():
+        raise DomainError(f"periods {periods} give no finite inverse metric")
     return ginv, a * b
+
+
+def _stencil_hermitian_norms(gen: np.ndarray,
+                             diag: np.ndarray) -> tuple[float, float]:
+    """||Q - Q^H||_F and ||Q||_F of the n x n grid operator Q with diagonal
+    `diag` and the coefficient gen[o] at every other offset o.
+
+    Off the diagonal Q = sum_{o != 0} gen[o] S_o, with S_o the shift of the
+    grid by o (mod n): S_o^H = S_{-o}, and each coefficient fills n^2
+    entries.  The diagonal enters entry by entry, so an inf there still
+    makes a NaN.
+    """
+    n = gen.shape[0]
+    off = gen.copy()
+    off[0, 0] = 0.0
+    flip = -np.arange(n) % n
+    skew = off - np.conj(off[np.ix_(flip, flip)])
+    with np.errstate(invalid="ignore"):     # inf - inf is the NaN wanted
+        dskew = diag - np.conj(diag)
+    herm = n * n * np.vdot(skew, skew).real + np.vdot(dskew, dskew).real
+    norm = n * n * np.vdot(off, off).real + np.vdot(diag, diag).real
+    return float(np.sqrt(herm)), float(np.sqrt(norm))
 
 
 def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
@@ -146,8 +186,11 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
     cols = (np.arange(n)[:, None, None] + ox) % n * n + (np.arange(n)[:, None] + oy) % n
     data = gen[ox, oy] + np.zeros((n, n, 1))
     data[..., 0] += w * V
+    # before Q takes data: sorting Q's indices reorders data in place
+    norms = _stencil_hermitian_norms(gen, data[..., 0])
     Q = sp.csr_matrix((data.reshape(-1), cols.reshape(-1),
                        np.arange(0, data.size + 1, len(ox))), shape=(n * n, n * n))
+    Q.sort_indices()    # canonical CSR, which the matvecs run fastest on
     M = sp.diags(np.full(n * n, w))
     meta = {}
     if V.min() == V.max():
@@ -169,7 +212,7 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
             gap = sum(t * (di * h) ** 2 / 12 for t, di in zip(terms, d))
             meta["continuum"] = (sum(terms) + float(V[0, 0]), gap,
                                  max(sum(terms), abs(float(V[0, 0]))))
-    return DiscreteForm(Q, M, convention, (n, n), meta=meta)
+    return DiscreteForm(Q, M, convention, (n, n), meta=meta, _norms=norms)
 
 
 def min_eigenvalue(form: DiscreteForm) -> SpectrumResult:

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from stabletori.errors import ConvergenceError, DomainError, ShapeError
 from stabletori.lattice import CoverSpec, Lattice, wirtinger_factors
 from stabletori.bundles import (AtiyahData, FlatBundle, LineHolonomy,
-                                TWO_TORSION_LABELS, atiyah_sections,
+                                TWO_TORSION_LABELS, _jordan_chains,
+                                atiyah_sections,
                                 decompose_commuting_pair,
                                 global_generation_hypothesis,
                                 h0_indecomposable, lift_degree,
@@ -188,6 +189,28 @@ def test_decomposition_same_line_class_jordan_pair(rng):
     rep, _, _ = decompose_commuting_pair(bundle)
     assert rep.rank_multiset() == (2, 2)
     assert rep.residual <= 1e-8
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (2,), (3, 1, 2), (2, 2, 1), (4,)])
+def test_jordan_chains_of_a_conjugated_nilpotent(rng, sizes):
+    """Each chain [N^{p-1}v, ..., Nv, v] ends in the kernel, and the chain
+    lengths are the Jordan block sizes."""
+    d = sum(sizes)
+    J = np.zeros((d, d), dtype=complex)
+    off = 0
+    for b in sizes:
+        J[off:off + b, off:off + b] = np.diag(np.ones(b - 1), 1)
+        off += b
+    S = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    N = S @ J @ np.linalg.inv(S)
+    chains = _jordan_chains(N, 1e-8)
+    assert sorted(c.shape[1] for c in chains) == sorted(sizes)
+    basis = np.hstack(chains)
+    assert np.linalg.matrix_rank(basis) == d
+    scale = np.linalg.norm(N) * np.linalg.norm(basis)
+    for c in chains:
+        assert np.linalg.norm(N @ c[:, 0]) <= 1e-10 * scale
+        assert np.linalg.norm(N @ c[:, 1:] - c[:, :-1]) <= 1e-10 * scale
 
 
 def test_decomposition_filtration_is_nested(rng):

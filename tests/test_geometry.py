@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from stabletori.errors import DomainError
 from stabletori.lattice import Lattice
 from stabletori.geometry import (KAPPA_BLOCK, AmbientSpace, IsotropicPlane,
-                                 KappaReport, _orthonormal_frames,
+                                 KappaReport, _orthonormal_frames, _plane_checks,
                                  complex_sectional_curvatures,
                                  elliptic_curve_immersion, kappa_pic_estimate,
                                  plane_from_frame, product_geodesic_torus,
@@ -205,6 +205,27 @@ def test_batched_curvature_matches_oracle(rho, n_sphere, count, seed):
     want = [_oracle_curvature(x, y, rho) for x, y in pairs]
     assert got.shape == (count,)
     assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_sphere", [3, 5])
+@pytest.mark.parametrize("at_base", [True, False])
+def test_conjugate_pair_curvature_is_the_four_argument_tensor(n_sphere,
+                                                             at_base):
+    """Projecting X and Y once and conjugating the projections gives
+    R(X, Y, conj X, conj Y) to the bit."""
+    rng = np.random.default_rng(4242)
+    amb = AmbientSpace(kind="product_circle_sphere", circle_radius=1.5,
+                       sphere_radius=0.8, n_sphere=n_sphere)
+    point = None
+    if not at_base:
+        u = rng.standard_normal(n_sphere + 1)
+        point = np.concatenate([[0.3], 0.8 * u / np.linalg.norm(u)])
+    pairs = _oracle_planes(rng.standard_normal((300, n_sphere + 1, 4)), n_sphere)
+    X = np.array([x for x, _ in pairs])
+    Y = np.array([y for _, y in pairs])
+    got = complex_sectional_curvatures(amb, X, Y, point)
+    num = amb.curvature(X, Y, np.conj(X), np.conj(Y), point=point)
+    assert np.array_equal(got, num.real / _plane_checks(X, Y))
 
 
 def test_kappa_sampling_matches_oracle_across_blocks():

@@ -1,11 +1,13 @@
 """Twisted spectra, index forms, cutoffs, and covering sweeps."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from stabletori.errors import (ConfigError, ConvergenceError, DomainError,
@@ -14,6 +16,7 @@ from stabletori.errors import (ConfigError, ConvergenceError, DomainError,
 from stabletori.lattice import CoverSpec, Lattice, normalize_lattice
 from stabletori.bundles import LineHolonomy, principal_angle
 from stabletori.geometry import product_geodesic_torus
+from stabletori import stability
 from stabletori.scenarios import (EllipticScenario, FlatTorusScenario,
                                   LensScenario, flat_chart_immersion,
                                   second_variation_form)
@@ -21,7 +24,8 @@ from stabletori.stability import (DiscreteForm, covering_sweep,
                                   cutoff_inequality_audit, dbar_energy_chart,
                                   euclidean_index_form, flat_twisted_form,
                                   log_cutoff, min_eigenvalue, pic_index_form,
-                                  reduced_pic_gap, second_ff_energy)
+                                  reduced_pic_gap, second_ff_energy,
+                                  _stencil_hermitian_norms)
 from stabletori.systole import (axis_truncated_distances, induced_systole,
                                 phase_trial_section)
 
@@ -216,6 +220,70 @@ def test_stencil_stores_five_or_nine_points(n, shear, points):
     assert form.Q.nnz == points * n * n
 
 
+@given(st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(-3 * np.pi, 3 * np.pi),
+       st.floats(-3 * np.pi, 3 * np.pi),
+       st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+       st.one_of(st.floats(-5.0, 5.0), st.integers(0, 2 ** 32 - 1)),
+       st.integers(2, 12))
+@settings(max_examples=80, deadline=None)
+def test_stencil_hermitian_norms_match_the_matrix(a, b, phi, theta, shear,
+                                                  pot, n):
+    if isinstance(pot, int):        # a seed for a non-constant potential
+        pot = np.random.default_rng(pot).uniform(-5.0, 5.0, (n, n))
+    seen = []
+
+    def spy(gen, diag):
+        seen.append(_stencil_hermitian_norms(gen, diag))
+        return seen[-1]
+
+    with mock.patch.object(stability, "_stencil_hermitian_norms", spy):
+        Q = flat_twisted_form((a, b), (phi, theta), n, potential=pot,
+                              shear=shear).Q
+    (herm, norm), = seen
+    want = spla.norm(Q)
+    assert abs(herm - spla.norm(Q - Q.getH())) <= 1e-13 * want
+    assert abs(norm - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_stencil_hermitian_norms_of_a_non_hermitian_stencil(rng, n):
+    """The stencil sums against the dense matrix sum_o gen[o] S_o + diag."""
+    gen = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    diag = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    shift = [np.roll(np.eye(n), o, axis=1) for o in range(n)]
+    Q = np.diag(diag.reshape(-1)).astype(complex)
+    for ox in range(n):
+        for oy in range(n):
+            if ox or oy:
+                Q += gen[ox, oy] * np.kron(shift[ox], shift[oy])
+    herm, norm = _stencil_hermitian_norms(gen, diag)
+    assert herm == pytest.approx(np.linalg.norm(Q - Q.conj().T), rel=1e-13)
+    assert norm == pytest.approx(np.linalg.norm(Q), rel=1e-13)
+    diag[1, 0] = np.inf
+    assert np.isnan(_stencil_hermitian_norms(gen, diag)[0])
+
+
+def test_flat_twisted_form_checks_its_stencil_not_its_matrix(monkeypatch):
+    def transpose_check(Q):
+        raise AssertionError("the assembled matrix was checked")
+
+    monkeypatch.setattr(stability, "_hermitian_norms", transpose_check)
+    pot = np.random.default_rng(3).uniform(-5.0, 5.0, (8, 8))
+    for shear, potential in [(0.0, 0.0), (0.4, 0.0), (0.4, pot)]:
+        form = flat_twisted_form((1.0, 1.3), (1.7, -0.6), 8,
+                                 potential=potential, shear=shear)
+        assert form.Q.has_canonical_format
+    # a form built directly still goes through the matrix check
+    with pytest.raises(AssertionError, match="assembled matrix"):
+        DiscreteForm(form.Q, form.M, "da", form.shape)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+def test_flat_twisted_form_rejects_an_overflowing_diagonal():
+    with pytest.raises(DomainError, match="Hermitian"):
+        flat_twisted_form((1e10, 1e10), (0.3, 0.2), 4, potential=1e300)
+
+
 def test_hermitian_guard_rejects_one_changed_entry():
     form = flat_twisted_form((1.0, 1.3), (1.7, -0.6), 8, shear=0.3)
     Q = form.Q.tolil()
@@ -250,6 +318,13 @@ def test_flat_twisted_form_rejects_potential_of_wrong_shape():
 def test_flat_twisted_form_rejects_zero_period():
     with pytest.raises(DomainError):
         flat_twisted_form((0.0, 1.0), (0.0, 0.0), 8)
+
+
+@pytest.mark.parametrize("periods", [(1.0, 1e-170), (1e-160, 1.0)])
+def test_flat_twisted_form_rejects_degenerate_periods(periods):
+    """A metric that is singular, or whose inverse overflows, in floats."""
+    with pytest.raises(DomainError, match="metric"):
+        flat_twisted_form(periods, (0.3, 0.2), 8)
 
 
 @pytest.mark.parametrize("kwargs", [
