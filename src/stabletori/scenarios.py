@@ -12,8 +12,9 @@ from .geometry import (AmbientSpace, Immersion, SurfaceQuantities,
                        elliptic_curve_immersion, product_geodesic_torus,
                        surface_quantities)
 from .lattice import CoverSpec, Lattice, cover_lattice, flat_systole
-from .stability import (DiscreteForm, _index_densities, _node_norm2,
-                        euclidean_index_form, flat_twisted_form, min_eigenvalue)
+from .stability import (DiscreteForm, StencilForm, _index_densities,
+                        _node_norm2, euclidean_index_form, flat_twisted_form,
+                        min_eigenvalue)
 
 # Sections per batch of the elliptic audit: one (N, N, 4, batch) array is
 # about 2.6 MB at N = 64, so a batch costs little memory while its numpy
@@ -49,7 +50,7 @@ def flat_chart_immersion(a_len: float, b_len: float, n: int,
 
 
 def second_variation_form(imm: Immersion, kx: int, ky: int,
-                          n: int) -> DiscreteForm:
+                          n: int) -> StencilForm:
     """Second variation of a flat totally geodesic torus on its (kx, ky) cover.
 
     The complexified normal bundle splits into the flat lines of
@@ -104,7 +105,7 @@ class LensScenario:
         self.torus = product_geodesic_torus(self.L, self.rho, self.n_sphere,
                                             (self.p, self.q), self.n)
 
-    def cover_form(self, kx: int, ky: int, n: int) -> DiscreteForm:
+    def cover_form(self, kx: int, ky: int, n: int) -> StencilForm:
         return second_variation_form(self.torus, kx, ky, n)
 
     def level(self, spec: CoverSpec):

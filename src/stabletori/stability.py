@@ -1,20 +1,23 @@
 """Discrete second-variation forms, twisted eigenproblems, and cutoffs.
 
-Every `DiscreteForm` is assembled as a sparse Hermitian matrix over grid
-degrees of freedom.  Its Hermitian symmetry is checked where that is
-cheapest: `flat_twisted_form` checks its stencil coefficients, and every
-other form, including one a caller builds directly, is checked on the
-assembled matrix.  Each form records its measure convention ("dxdy" or
-"da") because the two appear side by side in the inequalities being
-verified; mixing them silently is the classic error this tag prevents.
-The elliptic stability audit builds no matrix: like the cutoff audit, it
-evaluates the Euclidean index form matrix-free, as grid densities
-(`_index_densities`) summed against the cell measure.
+A flat twisted form is a `StencilForm`: a constant-coefficient periodic
+stencil on the n x n grid, held as its offset coefficients, its diagonal
+field and its node mass.  It applies itself by periodic shifts of the grid,
+its Hermitian symmetry is checked on the coefficients, and `min_eigenvalue`
+reads only the stencil, whose DFT is its spectrum.  Its sparse matrices are
+assembled on request, for test oracles and tracing.  The masked Euclidean
+index form is a `DiscreteForm`, an assembled sparse matrix checked as one.
+Each form records its measure convention ("dxdy" or "da") because the two
+appear side by side in the inequalities being verified; mixing them
+silently is the classic error this tag prevents.  The elliptic stability
+audit builds no matrix: like the cutoff audit, it evaluates the Euclidean
+index form matrix-free, as grid densities (`_index_densities`) summed
+against the cell measure.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +31,7 @@ from .geometry import (AmbientSpace, Immersion, SurfaceQuantities,
 from .lattice import Lattice, wirtinger_factors
 from .sections import SectionGrid, dbar, wirtinger_diff
 
-SYMBOL_TOL = 1e-9   # relative residual and probe bound of min_eigenvalue
+SYMBOL_TOL = 1e-9   # relative residual and spectrum bound of min_eigenvalue
 STABLE_TOL = 1e-12  # stable means a continuum bottom >= -STABLE_TOL (rounding)
 
 
@@ -36,34 +39,107 @@ STABLE_TOL = 1e-12  # stable means a continuum bottom >= -STABLE_TOL (rounding)
 # forms
 
 
+def _check_hermitian(herm: float, norm: float):
+    """||Q - Q^H||_F <= 1e-12 max(||Q||_F, 1), else DomainError."""
+    if not herm <= 1e-12 * max(norm, 1.0):     # also rejects NaN entries
+        raise DomainError("form is not Hermitian")
+
+
+@dataclass
+class StencilForm:
+    """Periodic stencil form Q with mass form M = w I on an n x n grid.
+
+    Q couples each node to the node o = (ox, oy) on, mod n, with the
+    coefficient gen[o] and has the field `diag` on its diagonal; gen[0, 0]
+    is not read.  meta["symbol"], when present, is the n x n array of the
+    generalized eigenvalues of (Q, M), indexed by the FFT mode (mx, my)
+    whose grid plane wave is the eigenvector; min_eigenvalue needs it.
+    meta["continuum"] is (c, gap, size): the exact continuum bottom, how far
+    below it the discrete bottom may lie, and the size of c's terms, which
+    sets its rounding.
+
+    Q must be Hermitian (`_check_hermitian`), which the constructor checks
+    on the stencil (`_stencil_hermitian_norms`).  `Q` and `M` assemble the
+    sparse matrices from the current stencil on every access.
+    """
+
+    gen: np.ndarray
+    diag: np.ndarray
+    w: float
+    convention: str                 # measure convention of Q ("dxdy" or "da")
+    shape: tuple                    # logical dof layout, (n, n)
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        _check_hermitian(*_stencil_hermitian_norms(self.gen, self.diag))
+
+    @property
+    def dof(self) -> int:
+        return self.diag.size
+
+    def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The offsets (ox, oy) that Q stores, (0, 0) first."""
+        stored = self.gen != 0
+        stored[0, 0] = True
+        return np.nonzero(stored)
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Q v for a field v on the grid, as a sum of periodic shifts."""
+        v = np.asarray(values, dtype=complex).reshape(self.diag.shape)
+        out = self.diag * v
+        for ox, oy in zip(*self._offsets()):
+            if ox or oy:
+                out += self.gen[ox, oy] * np.roll(v, (-ox, -oy), axis=(0, 1))
+        return out
+
+    def q_value(self, values: np.ndarray) -> float:
+        v = np.asarray(values, dtype=complex).reshape(self.diag.shape)
+        return float(np.real(np.vdot(v, self.apply(v))))
+
+    def m_value(self, values: np.ndarray) -> float:
+        v = np.asarray(values, dtype=complex).reshape(-1)
+        return float(self.w * np.real(np.vdot(v, v)))
+
+    @property
+    def Q(self) -> sp.csr_matrix:
+        """Q as a canonical CSR matrix, one row of stored offsets per node."""
+        n = self.diag.shape[0]
+        ox, oy = self._offsets()
+        cols = ((np.arange(n)[:, None, None] + ox) % n * n
+                + (np.arange(n)[:, None] + oy) % n)
+        data = self.gen[ox, oy] + np.zeros((n, n, 1))
+        data[..., 0] = self.diag
+        Q = sp.csr_matrix((data.reshape(-1), cols.reshape(-1),
+                           np.arange(0, data.size + 1, len(ox))),
+                          shape=(n * n, n * n))
+        Q.sort_indices()    # canonical CSR, which the matvecs run fastest on
+        return Q
+
+    @property
+    def M(self) -> sp.csr_matrix:
+        return sp.diags(np.full(self.dof, self.w), format="csr")
+
+
 @dataclass
 class DiscreteForm:
-    """Hermitian quadratic form Q and mass form M over section dofs.
+    """Assembled Hermitian form Q and mass form M over section dofs.
 
-    meta["symbol"], when present, is the n x n array of the generalized
-    eigenvalues of (Q, M), indexed by the FFT mode (mx, my) whose grid plane
-    wave is the eigenvector; min_eigenvalue needs it.  meta["continuum"] is
-    (c, gap, size): the exact continuum bottom, how far below it the discrete
-    bottom may lie, and the size of c's terms, which sets its rounding.
+    The masked Euclidean index form: meta["active"] lists the grid dofs
+    that Q and M act on, and `pack` selects them from a grid field.
 
-    Q must be Hermitian: ||Q - Q^H||_F <= 1e-12 max(||Q||_F, 1), else
-    DomainError.  Both norms come from the matrix, unless the builder passes
-    them as `_norms`, computed from the stencil it assembled Q from.
+    Q must be Hermitian (`_check_hermitian`), checked on the matrix.
     """
 
     Q: sp.spmatrix
     M: sp.spmatrix
     convention: str                 # measure convention of Q ("dxdy" or "da")
-    shape: tuple                    # logical dof layout, e.g. (n, n) or (n, n, dim)
+    shape: tuple                    # logical dof layout, e.g. (n, n, dim)
     meta: dict = field(default_factory=dict)
-    _norms: InitVar[tuple[float, float] | None] = None
 
-    def __post_init__(self, _norms):
+    def __post_init__(self):
         self.Q = self.Q.tocsr()
         self.M = self.M.tocsr()
-        herm, norm = _hermitian_norms(self.Q) if _norms is None else _norms
-        if not herm <= 1e-12 * max(norm, 1.0):     # also rejects NaN entries
-            raise DomainError("form is not Hermitian")
+        _check_hermitian(*_hermitian_norms(self.Q))
 
     @property
     def dof(self) -> int:
@@ -146,16 +222,17 @@ def _stencil_hermitian_norms(gen: np.ndarray,
 
 def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
                       n: int, potential=0.0, shear: float = 0.0,
-                      convention: str = "da") -> DiscreteForm:
+                      convention: str = "da") -> StencilForm:
     """Covariant Dirichlet form + potential on a flat torus chart.
 
     Q(c) = sum g^{ab} (D_a c)* (D_b c) sqrt(g) h^2 + sum V |c|^2 sqrt(g) h^2
     over the unit (xi, eta) cell, with the holonomy phases (phi, theta)
     entering as constant connection potentials in the difference stencils.
     The mass form is the flat area measure, so generalized eigenvalues are
-    physical frequencies squared plus the potential.  A constant potential
-    makes the form diagonal in grid plane waves; its symbol is recorded,
-    and without shear also the continuum bottom with its bracket.
+    physical frequencies squared plus the potential.  The form is its
+    stencil: 5 points per node, 9 with shear.  A constant potential makes it
+    diagonal in grid plane waves; its symbol is recorded, and without shear
+    also the continuum bottom with its bracket.
     """
     if n < 2:
         raise ResolutionError("twisted form needs a grid of at least 2 x 2")
@@ -182,16 +259,6 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
     gen = w / h ** 2 * (ginv[0, 0] * np.outer(lx, one)
                         + ginv[1, 1] * np.outer(one, ly)
                         - 0.5 * ginv[0, 1] * np.outer(cx, cy))
-    ox, oy = np.nonzero(gen)      # (0, 0) first
-    cols = (np.arange(n)[:, None, None] + ox) % n * n + (np.arange(n)[:, None] + oy) % n
-    data = gen[ox, oy] + np.zeros((n, n, 1))
-    data[..., 0] += w * V
-    # before Q takes data: sorting Q's indices reorders data in place
-    norms = _stencil_hermitian_norms(gen, data[..., 0])
-    Q = sp.csr_matrix((data.reshape(-1), cols.reshape(-1),
-                       np.arange(0, data.size + 1, len(ox))), shape=(n * n, n * n))
-    Q.sort_indices()    # canonical CSR, which the matvecs run fastest on
-    M = sp.diags(np.full(n * n, w))
     meta = {}
     if V.min() == V.max():
         # The grid plane wave of mode m has step phase theta = (2 pi m - phi) h
@@ -212,53 +279,60 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
             gap = sum(t * (di * h) ** 2 / 12 for t, di in zip(terms, d))
             meta["continuum"] = (sum(terms) + float(V[0, 0]), gap,
                                  max(sum(terms), abs(float(V[0, 0]))))
-    return DiscreteForm(Q, M, convention, (n, n), meta=meta, _norms=norms)
+    return StencilForm(gen, gen[0, 0] + w * V, w, convention, (n, n), meta)
 
 
-def min_eigenvalue(form: DiscreteForm) -> SpectrumResult:
+def min_eigenvalue(form: StencilForm) -> SpectrumResult:
     """Smallest generalized eigenvalue of (Q, M), read off the form's symbol.
 
     The bottom of meta["symbol"] (first FFT index on ties) and its grid plane
-    wave are the answer.  Two checks tie them to the assembled matrices: the
-    eigenpair residual, and one seeded probe Q z = M ifft2(symbol fft2(z)),
-    which shows that the whole spectrum, so the minimality, matches Q.  Both
-    are relative to max(1, max|symbol|) |M x|; either above SYMBOL_TOL, or
-    not finite, raises ConvergenceError.  A form that records its continuum
-    bottom c must have its discrete bottom in [c - gap, c], up to a rounding
-    slack of 1e-12 times the size of c's terms, else ConvergenceError; c is
-    returned as `continuum`.  A form without a symbol (a masked form or a
-    non-constant potential) raises WrongFormError.
+    wave are the answer.  Only the stencil is read, and two checks tie the
+    symbol to it.  A circulant operator's spectrum is the DFT of its
+    stencil, so with a constant diagonal the plane wave of mode m has the
+    eigenvalue n^2 ifft2(stencil)[m] under Q, and every mode must match
+    w symbol[m]; this bounds the residual of every probe, so the minimality
+    holds.  The bottom's plane wave, an outer product of two 1-D waves, has
+    its eigenpair residual checked through `apply`.  Both are relative to
+    max(1, max|symbol|) |M x|; either above SYMBOL_TOL, a diagonal that is
+    not constant, or a bottom that is not finite raises ConvergenceError.
+    A form that records its continuum bottom c must have its discrete bottom
+    in [c - gap, c], up to a rounding slack of 1e-12 times the size of c's
+    terms, else ConvergenceError; c is returned as `continuum`.  A form
+    without a symbol (the masked Euclidean form or a non-constant
+    potential) raises WrongFormError.
     """
     symbol = form.meta.get("symbol")
-    if symbol is None:
-        raise WrongFormError("form records no Fourier symbol")
-    Q, M = form.Q, form.M
-    if np.any(M.diagonal() <= 0):
+    if symbol is None or not isinstance(form, StencilForm):
+        raise WrongFormError("form is no stencil with a Fourier symbol")
+    w = form.w
+    if not w > 0:
         raise DomainError("mass form must be positive definite")
     n = symbol.shape[0]
     mx, my = np.unravel_index(np.argmin(symbol), symbol.shape)
     lam = float(symbol[mx, my])
-    j = np.arange(n)
-    wave = np.exp(2j * np.pi * ((mx * j[:, None] + my * j) % n) / n).reshape(-1)
-    v = wave / np.sqrt(np.real(np.vdot(wave, M @ wave)))
     scale = max(1.0, float(np.abs(symbol).max()))
-    Mv = M @ v
-    res = float(np.linalg.norm(Q @ v - lam * Mv) / (scale * np.linalg.norm(Mv)))
-    rng = np.random.default_rng(0)
-    z = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
-    lifted = np.fft.ifft2(symbol * np.fft.fft2(z.reshape(n, n))).reshape(-1)
-    probe = float(np.linalg.norm(Q @ z - M @ lifted)
-                  / (scale * np.linalg.norm(M @ z)))
-    if not (np.isfinite(lam) and res <= SYMBOL_TOL and probe <= SYMBOL_TOL):
+    stencil = form.gen.copy()
+    stencil[0, 0] = form.diag[0, 0]
+    spectrum = float(np.abs(n * n * np.fft.ifft2(stencil) - w * symbol).max()
+                     / (w * scale))
+    constant = bool(np.all(form.diag == form.diag[0, 0]))
+    j = np.arange(n)
+    v = np.outer(*(np.exp(2j * np.pi * (m * j % n) / n) for m in (mx, my)))
+    v /= np.sqrt(w * n * n)
+    res = float(np.linalg.norm(form.apply(v) - lam * w * v)
+                / (scale * w * np.linalg.norm(v)))
+    if not (np.isfinite(lam) and constant and res <= SYMBOL_TOL
+            and spectrum <= SYMBOL_TOL):
         raise ConvergenceError(
-            f"symbol does not match the assembled form: residual {res:.1e}, "
-            f"probe {probe:.1e}", best=lam)
+            f"symbol does not match the stencil: residual {res:.1e}, "
+            f"spectrum {spectrum:.1e}, constant diagonal {constant}",
+            best=lam)
     c, gap, size = form.meta.get("continuum", (None, 0.0, 0.0))
     slack = 1e-12 * max(1.0, size)
     if c is not None and not c - gap - slack <= lam <= c + slack:
         raise ConvergenceError(f"bottom {lam!r} lies outside its continuum "
                                f"bracket [{c - gap!r}, {c!r}]", best=lam)
-    return SpectrumResult(lam, v.reshape(form.shape), res, 0, c)
+    return SpectrumResult(lam, v, res, 0, c)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +452,7 @@ def euclidean_index_form(imm: Immersion,
     })
 
 
-def pic_index_form(imm: Immersion, N: AmbientSpace, n: int) -> DiscreteForm:
+def pic_index_form(imm: Immersion, N: AmbientSpace, n: int) -> StencilForm:
     """Form of the isotropic-section inequality on a flat normal line.
 
     Q(c) = sum |nabla_zbar c|^2 dxdy - sum R(eps, f_z, conj eps, conj f_z)
@@ -394,15 +468,15 @@ def pic_index_form(imm: Immersion, N: AmbientSpace, n: int) -> DiscreteForm:
     rterm = np.real(N.curvature(eps, fz, np.conj(eps), np.conj(fz), point=point))
     form = flat_twisted_form(imm.periods, (hol.phi, hol.theta), n)
     # |dbar c|^2 is a quarter of the covariant Dirichlet density mode by
-    # mode, so the assembled Laplacian form is scaled down before the
-    # curvature potential (which is already in dbar normalization) enters.
+    # mode, so the Laplacian stencil is scaled down before the curvature
+    # potential (which is already in dbar normalization) enters.
     c, gap, size = form.meta["continuum"]
-    return DiscreteForm(0.25 * form.Q - rterm * form.M, form.M, "dxdy",
-                        form.shape, meta={
-                            "rterm": rterm,
-                            "symbol": 0.25 * form.meta["symbol"] - rterm,
-                            "continuum": (0.25 * c - rterm, 0.25 * gap,
-                                          max(0.25 * size, abs(rterm)))})
+    return StencilForm(0.25 * form.gen, 0.25 * form.diag - rterm * form.w,
+                       form.w, "dxdy", form.shape, meta={
+                           "rterm": rterm,
+                           "symbol": 0.25 * form.meta["symbol"] - rterm,
+                           "continuum": (0.25 * c - rterm, 0.25 * gap,
+                                         max(0.25 * size, abs(rterm)))})
 
 
 def chart_norm2(sec: SectionGrid, imm: Immersion, values: np.ndarray) -> float:
@@ -572,12 +646,15 @@ def covering_sweep(scenario, covers) -> list[SweepRow]:
     form; the level is stable when continuum >= -STABLE_TOL.  An
     eigenfunction on a cover lifts to every cover of it, so the continuum
     bottom may not increase from a cover to any later cover it contains;
-    covers that are not nested are not compared.
+    covers that are not nested are not compared.  A level that records no
+    continuum bottom (a sheared form) raises WrongFormError.
     """
     rows = []
     seen = []
     for spec in covers:
         degree, systole, lam, cont = scenario.level(spec)
+        if cont is None:
+            raise WrongFormError("level records no continuum bottom")
         for prev_spec, prev in seen:
             if prev_spec.contains(spec) and cont > prev + STABLE_TOL:
                 raise DomainError("continuum bottom increased along the tower")

@@ -20,7 +20,8 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .bundles import LineHolonomy
-from .errors import DomainError, ResolutionError, UnreachableError
+from .errors import (DomainError, ResolutionError, UnreachableError,
+                     WrongFormError)
 from .geometry import Immersion
 from .lattice import wirtinger_factors
 from .sections import SectionGrid, wirtinger_diff
@@ -427,10 +428,13 @@ def systole_bound_verdict(lambda_min: float, R: float, kappa_hat: float,
     `lambda_min` is the exact continuum bottom of the second-variation form
     (`SpectrumResult.continuum`); the scenario is stable when it is at least
     -STABLE_TOL.  C is 2 pi / sqrt 3 in the general case and
-    2 (18 + pi) / sqrt 3 in the exceptional one.  R is taken as exact.
+    2 (18 + pi) / sqrt 3 in the exceptional one.  R is taken as exact.  A
+    missing bottom (None, as a sheared form records) raises WrongFormError.
     """
     if case not in ("general", "exceptional"):
         raise DomainError("case must be 'general' or 'exceptional'")
+    if lambda_min is None:
+        raise WrongFormError("the verdict needs a continuum bottom")
     C = GENERAL_CONSTANT if case == "general" else EXCEPTIONAL_CONSTANT
     applicable = lambda_min >= -STABLE_TOL
     if kappa_hat <= 0:

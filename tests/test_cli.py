@@ -11,6 +11,7 @@ import stabletori.cli
 from stabletori.bundles import DecompositionReport, LineHolonomy, Summand
 from stabletori.cli import main
 from stabletori.errors import ConvergenceError
+from stabletori.stability import StencilForm
 
 
 def _cfg(tmp_path, name, payload):
@@ -359,3 +360,15 @@ def test_importing_the_cli_does_not_load_scipy_optimize(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["False", "0 False"]
     assert (tmp_path / "systole.json").exists()
+
+
+def test_stability_and_systole_assemble_no_matrix(tmp_path, monkeypatch):
+    # every level is solved on its stencil; Q and M are for oracles only
+    def no_matrix(form):
+        raise AssertionError("a stencil form assembled its matrix")
+
+    monkeypatch.setattr(StencilForm, "Q", property(no_matrix))
+    monkeypatch.setattr(StencilForm, "M", property(no_matrix))
+    for i, argv in enumerate([["stability"], ["stability", "--grid", "64"],
+                              ["systole"]]):
+        assert main([*argv, "--out", str(tmp_path / str(i))]) == 0

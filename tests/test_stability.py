@@ -6,7 +6,6 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +19,7 @@ from stabletori import stability
 from stabletori.scenarios import (EllipticScenario, FlatTorusScenario,
                                   LensScenario, flat_chart_immersion,
                                   second_variation_form)
-from stabletori.stability import (DiscreteForm, covering_sweep,
+from stabletori.stability import (DiscreteForm, StencilForm, covering_sweep,
                                   cutoff_inequality_audit, dbar_energy_chart,
                                   euclidean_index_form, flat_twisted_form,
                                   log_cutoff, min_eigenvalue, pic_index_form,
@@ -159,28 +158,41 @@ def test_pic_symbol_bottom_matches_dense_eigh(L, rho, lens, n):
 
 def _node_dip(form):
     # a dip of the potential at one node
-    return sp.csr_matrix(([3.0 * form.M[5, 5]], ([5], [5])),
-                         shape=form.Q.shape)
+    form.diag[0, 5] -= 3.0 * form.w
 
 
 def _mode_dip(form):
-    # lowers the plane wave of mode (2, 3) below the bottom of the symbol;
-    # the symbol's minimizer stays an exact eigenvector, so only the probe
-    # can see the change
+    # lowers the plane wave of mode (2, 3) below the bottom of the symbol by
+    # a circulant change of the stencil, 1e3 M u u^H M / (u^H M u); every
+    # other plane wave, the symbol's minimizer too, stays an exact
+    # eigenvector with its eigenvalue, so only the spectrum check can see it
     j = np.arange(16)
-    u = np.exp(2j * np.pi * (2 * j[:, None] + 3 * j) / 16).reshape(-1)
-    mu = form.M @ u / np.sqrt(np.real(np.vdot(u, form.M @ u)))
-    return sp.csr_matrix(1e3 * np.outer(mu, mu.conj()))
+    u = np.exp(2j * np.pi * (2 * j[:, None] + 3 * j) / 16)
+    dip = 1e3 * form.w / 16 ** 2 * np.conj(u)
+    form.gen -= dip
+    form.diag -= dip[0, 0]
 
 
 @pytest.mark.parametrize("dip", [_node_dip, _mode_dip])
 def test_min_eigenvalue_rejects_form_altered_after_assembly(dip):
     form = flat_twisted_form((1.0, 1.3), (1.7, -0.6), 16, potential=-1.0)
-    form.Q = (form.Q - dip(form)).tocsr()
+    dip(form)
     with pytest.raises(ConvergenceError) as info:
         min_eigenvalue(form)
     # the true bottom lies below the one the symbol claims
     assert info.value.best > _dense_bottom(form)
+
+
+@pytest.mark.parametrize("part, node", [("gen", (1, 0)), ("diag", (0, 5))],
+                         ids=["gen", "diag"])
+def test_min_eigenvalue_rejects_one_coefficient_changed_by_1e_8(part, node):
+    # the diagonal change shifts the bottom's residual by only 3e-10, under
+    # SYMBOL_TOL, so the constant-diagonal check is what rejects it
+    form = flat_twisted_form((1.0, 1.3), (1.7, -0.6), 16, potential=-1.0)
+    min_eigenvalue(form)
+    getattr(form, part)[node] *= 1 + 1e-8
+    with pytest.raises(ConvergenceError):
+        min_eigenvalue(form)
 
 
 def test_min_eigenvalue_rejects_non_constant_potential():
@@ -276,6 +288,29 @@ def test_flat_twisted_form_checks_its_stencil_not_its_matrix(monkeypatch):
     # a form built directly still goes through the matrix check
     with pytest.raises(AssertionError, match="assembled matrix"):
         DiscreteForm(form.Q, form.M, "da", form.shape)
+
+
+def test_stencil_form_built_directly_is_checked_on_its_stencil():
+    form = flat_twisted_form((1.0, 1.3), (1.7, -0.6), 8, shear=0.3)
+    gen = form.gen.copy()
+    gen[1, 1] = -gen[1, 1]
+    with pytest.raises(DomainError, match="Hermitian"):
+        StencilForm(gen, form.diag, form.w, "da", form.shape)
+
+
+@pytest.mark.parametrize("shear", [0.0, 0.4])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_stencil_form_applies_its_matrix(rng, shear, n):
+    pot = rng.uniform(-5.0, 5.0, (n, n))
+    form = flat_twisted_form((1.0, 1.3), (1.7, -0.6), n, potential=pot,
+                             shear=shear)
+    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Qv = form.Q @ v.reshape(-1)
+    assert np.abs(form.apply(v).reshape(-1) - Qv).max() <= (
+        1e-13 * np.abs(Qv).max())
+    assert form.q_value(v) == pytest.approx(np.vdot(v, Qv).real, rel=1e-12)
+    assert form.m_value(v) == pytest.approx(
+        np.vdot(v, form.M @ v.reshape(-1)).real, rel=1e-14)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
@@ -686,3 +721,14 @@ def test_covering_sweep_rejects_increasing_lambda():
 
     with pytest.raises(DomainError):
         covering_sweep(Fake(), [CoverSpec.scaling(1), CoverSpec.scaling(2)])
+
+
+def test_covering_sweep_rejects_a_level_without_continuum_bottom():
+    class Sheared:
+        def level(self, spec):
+            form = flat_twisted_form((1.0, 1.3), (0.7, -1.9), 16, shear=0.4)
+            res = min_eigenvalue(form)
+            return spec.degree, 1.0, res.lambda_min, res.continuum
+
+    with pytest.raises(WrongFormError):
+        covering_sweep(Sheared(), [CoverSpec.scaling(1)])

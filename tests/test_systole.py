@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from stabletori.bundles import LineHolonomy
-from stabletori.errors import DomainError, ResolutionError
+from stabletori.errors import DomainError, ResolutionError, WrongFormError
 from stabletori.geometry import AmbientSpace, Immersion
 from stabletori.lattice import CoverSpec, Lattice
 from stabletori.scenarios import (FlatTorusScenario, LensScenario,
                                   flat_chart_immersion)
+from stabletori.stability import flat_twisted_form, min_eigenvalue
 from stabletori.systole import (EIGHT_NEIGHBOR_ANISOTROPY,
                                 EXCEPTIONAL_CONSTANT, GENERAL_CONSTANT,
                                 axis_truncated_distances, exceptional_cutoffs,
@@ -266,3 +267,12 @@ def test_verdict_edge_cases():
     assert rep0.passed and not np.isfinite(rep0.bound)
     with pytest.raises(DomainError):
         systole_bound_verdict(0.0, 1.0, 1.0, case="bogus")
+
+
+def test_verdict_needs_a_continuum_bottom():
+    # a sheared form records no continuum bottom to decide stability from
+    form = flat_twisted_form((1.0, 1.3), (0.7, -1.9), 16, shear=0.4)
+    cont = min_eigenvalue(form).continuum
+    assert cont is None
+    with pytest.raises(WrongFormError):
+        systole_bound_verdict(cont, 1.0, 0.5)
