@@ -1,9 +1,8 @@
 """Numerics for flat bundles over tori, stability forms, and systole bounds."""
 
 from .errors import (ConvergenceError, DomainError, InvalidCoverError,
-                     InvalidLatticeError, IsotropyViolationError, PoleError,
-                     ResolutionError, ShapeError, StableToriError,
-                     UnreachableError, WrongFormError)
+                     InvalidLatticeError, PoleError, ResolutionError,
+                     ShapeError, StableToriError, WrongFormError)
 from .lattice import (CoverSpec, Lattice, ObliqueCoords, cover_lattice,
                       flat_systole, from_oblique, normalize_lattice,
                       oblique_coords, wirtinger_factors)

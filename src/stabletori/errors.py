@@ -41,14 +41,6 @@ class WrongFormError(StableToriError):
     """Operation applied to a form or ambient of the wrong kind."""
 
 
-class IsotropyViolationError(StableToriError):
-    """Section fed to an isotropic-only evaluation is not isotropic."""
-
-
-class UnreachableError(StableToriError):
-    """Distance target not reachable inside the computational mask."""
-
-
 class ConvergenceError(StableToriError):
     """Iterative solver did not converge; carries the best estimate."""
 

@@ -230,26 +230,6 @@ def _orthonormal_frames(A: np.ndarray) -> np.ndarray:
     return np.moveaxis(cols, (0, 1), (-1, -2))
 
 
-def _frame_pair(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X = e1 + i e2, Y = e3 + i e4 from stacked (..., dim, 4) frames."""
-    return E[..., 0] + 1j * E[..., 1], E[..., 2] + 1j * E[..., 3]
-
-
-def plane_from_frame(E: np.ndarray) -> IsotropicPlane:
-    """Isotropic plane X = e1 + i e2, Y = e3 + i e4 from an orthonormal 4-frame."""
-    return IsotropicPlane(*_frame_pair(E))
-
-
-def random_isotropic_plane(n: int, rng) -> IsotropicPlane:
-    """Random isotropic plane in C^n from a Haar-distributed orthonormal
-    4-frame (the Q of a Gaussian frame with diag R > 0)."""
-    if n < 4:
-        raise DomainError("no isotropic 2-planes below real dimension 4")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    return plane_from_frame(_orthonormal_frames(rng.standard_normal((n, 4))))
-
-
 @dataclass
 class KappaReport:
     kappa_hat: float
@@ -286,7 +266,8 @@ def kappa_pic_estimate(N: AmbientSpace, samples: int = 2000,
         A = rng.standard_normal((min(KAPPA_BLOCK, samples - start), nt, 4))
         # one product maps the whole block to ambient coordinates
         E = np.tensordot(basis, _orthonormal_frames(A), (1, 1))
-        X, Y = _frame_pair(E.transpose(1, 0, 2))
+        E = E.transpose(1, 0, 2)
+        X, Y = E[..., 0] + 1j * E[..., 1], E[..., 2] + 1j * E[..., 3]
         vals = complex_sectional_curvatures(N, X, Y, point)
         i = int(np.argmin(vals))
         if vals[i] < best_val:

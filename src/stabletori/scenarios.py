@@ -27,8 +27,9 @@ def flat_chart_immersion(a_len: float, b_len: float, n: int,
     """Flat isometric chart torus with unit conformal factor.
 
     The totally geodesic torus of `FlatTorusScenario` inside a flat 4-torus,
-    with no normal lines, and the chart of the graph-distance cross-checks.
-    Trial sections do not use it: the lens ones live on the lens torus.
+    with no normal lines, and the chart on which the exceptional cutoffs and
+    the `induced_systole` check of the exact flat systole are tested.  Trial
+    sections do not use it: the lens ones live on the lens torus.
     """
     if n < 2:
         raise ResolutionError("a torus grid needs at least 2 x 2 nodes")

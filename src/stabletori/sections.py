@@ -132,20 +132,11 @@ def wirtinger_diff(v: np.ndarray, factors, steps: tuple[float, float],
     return factors[0] * diff(0) + factors[1] * d_eta
 
 
-def _section_diff(sec: SectionGrid, factors) -> SectionGrid:
-    d = wirtinger_diff(sec.values, factors, (sec.hx, sec.hy),
-                       (sec.phi, sec.theta), sec.bmat)
-    return replace(sec, values=d, seam_residual=0.0)
-
-
 def dbar(sec: SectionGrid) -> SectionGrid:
     """Discrete nabla_zbar of a section, as a section of the same bundle."""
-    return _section_diff(sec, wirtinger_factors(sec.lattice))
-
-
-def ddz(sec: SectionGrid) -> SectionGrid:
-    """Discrete nabla_z, the conjugate-coordinate companion of dbar."""
-    return _section_diff(sec, np.conj(wirtinger_factors(sec.lattice)))
+    d = wirtinger_diff(sec.values, wirtinger_factors(sec.lattice),
+                       (sec.hx, sec.hy), (sec.phi, sec.theta), sec.bmat)
+    return replace(sec, values=d, seam_residual=0.0)
 
 
 def gram_matrix(sections: list[SectionGrid],

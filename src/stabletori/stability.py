@@ -24,10 +24,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .bundles import principal_angle
-from .errors import (ConvergenceError, DomainError, IsotropyViolationError,
-                     ResolutionError, ShapeError, WrongFormError)
-from .geometry import (AmbientSpace, Immersion, SurfaceQuantities,
-                       surface_quantities)
+from .errors import (ConvergenceError, DomainError, ResolutionError,
+                     ShapeError, WrongFormError)
+from .geometry import Immersion, SurfaceQuantities, surface_quantities
 from .lattice import Lattice, wirtinger_factors
 from .sections import SectionGrid, dbar, wirtinger_diff
 
@@ -452,33 +451,6 @@ def euclidean_index_form(imm: Immersion,
     })
 
 
-def pic_index_form(imm: Immersion, N: AmbientSpace, n: int) -> StencilForm:
-    """Form of the isotropic-section inequality on a flat normal line.
-
-    Q(c) = sum |nabla_zbar c|^2 dxdy - sum R(eps, f_z, conj eps, conj f_z)
-    |c|^2 dxdy for the first normal line eps, isotropic unless its holonomy
-    is real; the tangential term vanishes for totally geodesic immersions.
-    Mass form carries da.
-    """
-    if not imm.flat or not imm.normal_lines:
-        raise WrongFormError("pic index form needs a flat twisted scenario")
-    hol, eps = imm.normal_lines[0]
-    point = imm.F[0, 0]
-    fz = imm.Fz[0, 0]
-    rterm = np.real(N.curvature(eps, fz, np.conj(eps), np.conj(fz), point=point))
-    form = flat_twisted_form(imm.periods, (hol.phi, hol.theta), n)
-    # |dbar c|^2 is a quarter of the covariant Dirichlet density mode by
-    # mode, so the Laplacian stencil is scaled down before the curvature
-    # potential (which is already in dbar normalization) enters.
-    c, gap, size = form.meta["continuum"]
-    return StencilForm(0.25 * form.gen, 0.25 * form.diag - rterm * form.w,
-                       form.w, "dxdy", form.shape, meta={
-                           "rterm": rterm,
-                           "symbol": 0.25 * form.meta["symbol"] - rterm,
-                           "continuum": (0.25 * c - rterm, 0.25 * gap,
-                                         max(0.25 * size, abs(rterm)))})
-
-
 def chart_norm2(sec: SectionGrid, imm: Immersion, values: np.ndarray) -> float:
     """sum |values|^2 dxdy over the grid of sec in the flat chart of imm.
 
@@ -492,22 +464,6 @@ def chart_norm2(sec: SectionGrid, imm: Immersion, values: np.ndarray) -> float:
 def dbar_energy_chart(sec: SectionGrid, imm: Immersion) -> float:
     """sum |nabla_zbar c|^2 dxdy for a scalar section in the chart of imm."""
     return chart_norm2(sec, imm, dbar(sec).values / imm.scale)
-
-
-def reduced_pic_gap(s: SectionGrid, kappa: float, imm: Immersion,
-                    isotropy_tol: float = 1e-8) -> float:
-    """Slack of the reduced isotropic inequality,
-    2 * int |nabla_zbar s|^2 dxdy - kappa * int |s|^2 da.
-
-    The leading 2 converts the dxdy energy to the da normalization of the
-    right-hand side; the lens zero mode saturates the inequality exactly.
-    """
-    self_pairing = s.meta.get("self_pairing")
-    if self_pairing is None or abs(self_pairing) > isotropy_tol:
-        raise IsotropyViolationError("section is not registered isotropic")
-    if not imm.flat:
-        raise WrongFormError("reduced gap implemented for flat scenarios")
-    return 2.0 * dbar_energy_chart(s, imm) - kappa * chart_norm2(s, imm, s.values)
 
 
 # ---------------------------------------------------------------------------
@@ -662,10 +618,3 @@ def covering_sweep(scenario, covers) -> list[SweepRow]:
         rows.append(SweepRow(degree, systole, lam, cont >= -STABLE_TOL))
     return rows
 
-
-def second_ff_energy(values: np.ndarray, imm: Immersion,
-                     extent: int = 1) -> float:
-    """int |(d_z s)^top|^2 da for an ambient-valued section over a cover."""
-    densities = _index_densities(imm, surface_quantities(imm), extent)
-    _, top2 = densities(values[..., None])
-    return float(np.sum(top2[..., 0] * _tile(imm.da_field(), extent)))

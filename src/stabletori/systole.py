@@ -1,18 +1,17 @@
-"""Induced distances and systoles, phase trial sections, and the
-systole-bound verdict R <= C / sqrt(kappa).
+"""Systoles, phase trial sections, and the systole-bound verdict
+R <= C / sqrt(kappa).
 
-Flat charts take the exact lattice systole (`lattice.flat_systole`).
-Non-flat immersions, and the flat cross-checks, use distances on a patch of
-the universal cover: an 8-neighbor weighted grid graph (Dijkstra), with
-first-order fast marching on rectangular conformal charts as a second check.
-The 8-neighbor metric overestimates lengths by at most ~8.24% in the worst
-direction.
+Every systole the package computes is a flat one, exact from the period
+lattice (`lattice.flat_systole`), and the truncated distances of the trial
+sections are read off the flat chart; a non-flat immersion raises
+`WrongFormError`.  `induced_systole` is a graph distance on a patch of the
+universal cover, an 8-neighbor weighted grid graph (Dijkstra), kept as the
+tests' independent check of the exact flat systole.  The 8-neighbor metric
+overestimates lengths by at most ~8.24% in the worst direction.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .bundles import LineHolonomy
-from .errors import (DomainError, ResolutionError, UnreachableError,
-                     WrongFormError)
+from .errors import DomainError, ResolutionError, WrongFormError
 from .geometry import Immersion
 from .lattice import wirtinger_factors
 from .sections import SectionGrid, wirtinger_diff
@@ -34,19 +32,7 @@ EXCEPTIONAL_CONSTANT = 2 * (18 + np.pi) / np.sqrt(3.0)
 
 
 # ---------------------------------------------------------------------------
-# distance fields
-
-
-@dataclass
-class DistanceField:
-    """Distances from source nodes on a (2w+1) x (2w+1) cover patch."""
-
-    dist: np.ndarray          # (nsrc, W, W)
-    window: int
-    n: int                    # grid points per fundamental domain side
-
-    def center_offset(self) -> int:
-        return self.window * self.n
+# graph systole
 
 
 def _patch_edges(imm: Immersion, window: int):
@@ -80,87 +66,6 @@ def _patch_edges(imm: Immersion, window: int):
     data = np.concatenate(data)
     G = sp.csr_matrix((data, (rows, cols)), shape=(W * W, W * W))
     return G + G.T
-
-
-def geodesic_distance(imm: Immersion, sources, window: int = 1) -> DistanceField:
-    """Dijkstra distance field from source nodes of the center copy.
-
-    `sources` is a list of (i, j) grid indices in [0, n)^2; they are placed
-    in the center fundamental domain of the patch.
-    """
-    n = imm.n
-    W = (2 * window + 1) * n
-    G = _patch_edges(imm, window)
-    off = window * n
-    src_idx = [ (off + i) * W + (off + j) for (i, j) in sources ]
-    d = _csgraph_dijkstra(G, indices=src_idx, directed=False)
-    if np.any(~np.isfinite(d)):
-        raise UnreachableError("patch graph is disconnected")
-    return DistanceField(d.reshape(len(src_idx), W, W), window, n)
-
-
-def fmm_distance(imm: Immersion, source: tuple[int, int],
-                 window: int = 1) -> np.ndarray:
-    """First-order fast-marching eikonal distance on a rectangular chart.
-
-    Requires tau1 = 0 (axis-aligned metric).  Used as the dual-method
-    cross-check for the graph distances.
-    """
-    if abs(imm.lattice.tau1) > 1e-12:
-        raise DomainError("fast marching implemented for rectangular charts")
-    n = imm.n
-    W = (2 * window + 1) * n
-    lam = np.sqrt(np.tile(imm.lam2, (2 * window + 1, 2 * window + 1)))
-    hx = imm.scale / n
-    hy = imm.scale * imm.lattice.tau2 / n
-    dist = np.full((W, W), np.inf)
-    state = np.zeros((W, W), dtype=np.int8)  # 0 far, 1 trial, 2 known
-    off = window * n
-    i0, j0 = off + source[0], off + source[1]
-    dist[i0, j0] = 0.0
-    heap = [(0.0, i0, j0)]
-    while heap:
-        d0, i, j = heapq.heappop(heap)
-        if state[i, j] == 2:
-            continue
-        state[i, j] = 2
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            a, b = i + di, j + dj
-            if not (0 <= a < W and 0 <= b < W) or state[a, b] == 2:
-                continue
-            dxm = np.inf
-            if a - 1 >= 0:
-                dxm = min(dxm, dist[a - 1, b])
-            if a + 1 < W:
-                dxm = min(dxm, dist[a + 1, b])
-            dym = np.inf
-            if b - 1 >= 0:
-                dym = min(dym, dist[a, b - 1])
-            if b + 1 < W:
-                dym = min(dym, dist[a, b + 1])
-            f = lam[a, b]
-            cand = _eikonal_update(dxm, dym, hx, hy, f)
-            if cand < dist[a, b]:
-                dist[a, b] = cand
-                heapq.heappush(heap, (cand, a, b))
-    return dist
-
-
-def _eikonal_update(dx: float, dy: float, hx: float, hy: float, f: float) -> float:
-    """Solve max-quadratic upwind update ((d-dx)/hx)^2 + ((d-dy)/hy)^2 = f^2."""
-    if not np.isfinite(dx) and not np.isfinite(dy):
-        return np.inf
-    if not np.isfinite(dy) or (np.isfinite(dx) and dx + f * hx <= dy):
-        return dx + f * hx
-    if not np.isfinite(dx) or dy + f * hy <= dx:
-        return dy + f * hy
-    a = 1.0 / hx ** 2 + 1.0 / hy ** 2
-    b = -2.0 * (dx / hx ** 2 + dy / hy ** 2)
-    c = dx ** 2 / hx ** 2 + dy ** 2 / hy ** 2 - f ** 2
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return min(dx + f * hx, dy + f * hy)
-    return (-b + math.sqrt(disc)) / (2 * a)
 
 
 def induced_systole(imm: Immersion, window: int = 2, stride: int = 8) -> float:
@@ -198,8 +103,8 @@ def induced_systole(imm: Immersion, window: int = 2, stride: int = 8) -> float:
 class TruncatedDistance:
     """Axis truncated distances delta((0,0),(xi,0)) and delta((0,0),(0,eta)).
 
-    Measured in the universal cover of the induced metric and capped at the
-    systole R, so delta reaches exactly R after one full period.
+    Straight-line lengths in the flat chart, capped at the systole R, so
+    delta reaches exactly R after one full period.
     """
 
     delta_xi: np.ndarray     # values at xi = i/n, i = 0..n
@@ -210,18 +115,12 @@ class TruncatedDistance:
 def axis_truncated_distances(imm: Immersion, R: float, n: int) -> TruncatedDistance:
     if not (R > 0):
         raise DomainError("systole must be positive")
+    if not imm.flat:
+        raise WrongFormError("truncated distances need a flat chart")
     ts = np.linspace(0.0, 1.0, n + 1)
-    if imm.flat:
-        a_len, b_len = imm.periods
-        dxi = np.minimum(R, a_len * ts)
-        deta = np.minimum(R, b_len * ts)
-    else:
-        fld = geodesic_distance(imm, [(0, 0)], window=1)
-        off = fld.center_offset()
-        row = fld.dist[0, off:off + n, off]
-        col = fld.dist[0, off, off:off + n]
-        dxi = np.minimum(R, np.append(row, fld.dist[0, off + n, off]))
-        deta = np.minimum(R, np.append(col, fld.dist[0, off, off + n]))
+    a_len, b_len = imm.periods
+    dxi = np.minimum(R, a_len * ts)
+    deta = np.minimum(R, b_len * ts)
     if abs(dxi[-1] - R) > 1e-9 * max(R, 1.0) or abs(deta[-1] - R) > 1e-9 * max(R, 1.0):
         raise DomainError("truncated distance does not reach R at the period")
     return TruncatedDistance(dxi, deta, R)

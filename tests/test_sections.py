@@ -6,7 +6,7 @@ import pytest
 from stabletori.errors import ShapeError
 from stabletori.lattice import Lattice, wirtinger_factors
 from stabletori.bundles import AtiyahData, LineHolonomy, atiyah_sections, line_section
-from stabletori.sections import (SectionGrid, dbar, ddz, gram_matrix, mass,
+from stabletori.sections import (SectionGrid, dbar, gram_matrix, mass,
                                  tensor_sections, wirtinger_diff)
 
 
@@ -89,19 +89,6 @@ def test_dbar_is_close_on_line_sections():
     # the periodic-gauge wave has omega = 0, so the connection term is all of it
     target = -1j * (L.phi * fxi + L.theta * feta) * sec.values
     assert np.max(np.abs(dbar(sec).values - target)) < 1e-3
-
-
-def test_ddz_dbar_sum_to_plain_derivative():
-    # for a holonomy-free smooth scalar, d/dz + d/dzbar = d/dxi on tau = i
-    n = 64
-    xi = np.arange(n) / n
-    X, Y = np.meshgrid(xi, xi, indexing="ij")
-    f = np.sin(2 * np.pi * X) * np.cos(4 * np.pi * Y)
-    sec = SectionGrid(lattice=LAT, a=1.0, b=1.0, values=f[:, :, None].astype(complex),
-                      phi=0.0, theta=0.0)
-    both = ddz(sec).values + dbar(sec).values
-    fx = 2 * np.pi * np.cos(2 * np.pi * X) * np.cos(4 * np.pi * Y)
-    assert np.max(np.abs(both[:, :, 0] - fx)) < 2e-2
 
 
 def test_gram_matrix_constant_and_field_metrics():

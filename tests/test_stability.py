@@ -10,8 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from stabletori.errors import (ConfigError, ConvergenceError, DomainError,
-                               IsotropyViolationError, ResolutionError,
-                               ShapeError, WrongFormError)
+                               ResolutionError, ShapeError, WrongFormError)
 from stabletori.lattice import CoverSpec, Lattice, normalize_lattice
 from stabletori.bundles import LineHolonomy, principal_angle
 from stabletori.geometry import product_geodesic_torus
@@ -22,11 +21,8 @@ from stabletori.scenarios import (EllipticScenario, FlatTorusScenario,
 from stabletori.stability import (DiscreteForm, StencilForm, covering_sweep,
                                   cutoff_inequality_audit, dbar_energy_chart,
                                   euclidean_index_form, flat_twisted_form,
-                                  log_cutoff, min_eigenvalue, pic_index_form,
-                                  reduced_pic_gap, second_ff_energy,
+                                  log_cutoff, min_eigenvalue,
                                   _stencil_hermitian_norms)
-from stabletori.systole import (axis_truncated_distances, induced_systole,
-                                phase_trial_section)
 
 from conftest import fourier_lambda_min, kron_twisted_form_q
 
@@ -150,8 +146,10 @@ def test_symbol_bottom_matches_dense_eigh(a, b, phi, theta, shear, pot, n):
        st.integers(2, 10))
 @settings(max_examples=40, deadline=None)
 def test_pic_symbol_bottom_matches_dense_eigh(L, rho, lens, n):
+    # the second variation of a product torus in the PIC ambient S^1 x S^3
+    # or its lens quotient: the curvature potential comes from the ambient
     imm = product_geodesic_torus(L, rho, 3, lens, n)
-    form = pic_index_form(imm, imm.ambient, n)
+    form = second_variation_form(imm, 1, 1, n)
     got = min_eigenvalue(form).lambda_min
     assert got == pytest.approx(_dense_bottom(form), abs=1e-9)
 
@@ -294,8 +292,12 @@ def test_stencil_form_built_directly_is_checked_on_its_stencil():
     form = flat_twisted_form((1.0, 1.3), (1.7, -0.6), 8, shear=0.3)
     gen = form.gen.copy()
     gen[1, 1] = -gen[1, 1]
-    with pytest.raises(DomainError, match="Hermitian"):
-        StencilForm(gen, form.diag, form.w, "da", form.shape)
+    diag = form.diag.copy()
+    diag[2, 3] = np.nan
+    # an offset coefficient with the wrong sign, then a NaN on the diagonal
+    for g, d in ((gen, form.diag), (form.gen, diag)):
+        with pytest.raises(DomainError, match="Hermitian"):
+            StencilForm(g, d, form.w, "da", form.shape)
 
 
 @pytest.mark.parametrize("shear", [0.0, 0.4])
@@ -325,16 +327,6 @@ def test_hermitian_guard_rejects_one_changed_entry():
     Q[0, 1] = -Q[0, 1]
     with pytest.raises(DomainError, match="Hermitian"):
         DiscreteForm(Q.tocsr(), form.M, "da", form.shape)
-
-
-def test_pic_index_form_checks_the_swapped_matrix():
-    class NanCurvature:
-        def curvature(self, *args, **kwargs):
-            return complex("nan")
-
-    imm = product_geodesic_torus(2.0, 1.0, 3, (3, 1), 8)
-    with pytest.raises(DomainError, match="Hermitian"):
-        pic_index_form(imm, NanCurvature(), 8)
 
 
 def test_min_eigenvalue_rejects_nan_symbol():
@@ -417,51 +409,6 @@ def test_second_variation_form_rejects_curved_base():
     imm = EllipticScenario(n=32).immersion()
     with pytest.raises(WrongFormError):
         second_variation_form(imm, 1, 1, 32)
-
-
-def test_pic_index_form_curvature_term():
-    # R(eps, f_z, conj eps, conj f_z) = 1/(4 rho^2): the dbar-energy version
-    # of the curvature potential, half of kappa = 1/(2 rho^2)
-    imm = LensScenario(n=32).torus
-    form = pic_index_form(imm, imm.ambient, 32)
-    assert form.meta["rterm"] == pytest.approx(0.25, rel=1e-12)
-    assert form.convention == "dxdy"
-    # the zero mode of the dbar form sits at zero: lambda_min(dbar) = 0
-    lam = min_eigenvalue(form).lambda_min
-    assert abs(lam) < 5e-4
-
-
-def test_pic_index_form_untwisted_bottom_is_minus_rterm():
-    # zero twist: the constant section has no dbar energy, so the bottom is
-    # exactly -rterm = -1/4; the symbol must carry the same rescaling as Q
-    imm = product_geodesic_torus(2.0, 1.0, 3, (1, 0), 48)
-    form = pic_index_form(imm, imm.ambient, 48)
-    res = min_eigenvalue(form)
-    assert res.lambda_min == pytest.approx(-0.25, abs=1e-9)
-    # the continuum bottom carries the same rescaling, exactly
-    assert res.continuum == -form.meta["rterm"]
-
-
-def test_reduced_pic_gap_saturated_by_lens_zero_mode():
-    imm = LensScenario(n=64).torus
-    R = induced_systole(imm, window=1, stride=16)
-    hol = imm.normal_lines[0][0]
-    deltas = axis_truncated_distances(imm, R, 64)
-    s = phase_trial_section(hol, R, deltas, imm, 64)
-    gap = reduced_pic_gap(s, 0.5, imm)
-    scale = 0.5 * imm.area()
-    assert abs(gap) < 2e-3 * scale
-
-
-def test_reduced_pic_gap_requires_isotropy_certificate():
-    imm = LensScenario(n=32).torus
-    # strip the certificate from a valid section
-    deltas = axis_truncated_distances(imm, 2.0943951023931953, 32)
-    s = phase_trial_section(imm.normal_lines[0][0], 2.0943951023931953,
-                            deltas, imm, 32)
-    s.meta.pop("self_pairing")
-    with pytest.raises(IsotropyViolationError):
-        reduced_pic_gap(s, 0.5, imm)
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +498,6 @@ def test_euclidean_index_form_split_parts_have_signs():
         minus = np.real(np.vdot(v, form.meta["Qminus"] @ v))
         assert plus >= -1e-10
         assert minus >= -1e-10
-
-
-def test_second_ff_energy_vanishes_for_flat_immersion():
-    imm = flat_chart_immersion(1.0, 1.0, 32)
-    vals = np.zeros((32, 32, 4), dtype=complex)
-    vals[:, :, 2] = 1.0   # constant normal field
-    assert second_ff_energy(vals, imm) == pytest.approx(0.0, abs=1e-20)
 
 
 # ---------------------------------------------------------------------------

@@ -1,79 +1,19 @@
-"""Distance fields, systoles, trial sections, and the bound verdict."""
+"""Systoles, trial sections, and the bound verdict."""
 
 import numpy as np
 import pytest
 
 from stabletori.bundles import LineHolonomy
 from stabletori.errors import DomainError, ResolutionError, WrongFormError
-from stabletori.geometry import AmbientSpace, Immersion
-from stabletori.lattice import CoverSpec, Lattice
-from stabletori.scenarios import (FlatTorusScenario, LensScenario,
-                                  flat_chart_immersion)
+from stabletori.lattice import CoverSpec
+from stabletori.scenarios import (EllipticScenario, FlatTorusScenario,
+                                  LensScenario, flat_chart_immersion)
 from stabletori.stability import flat_twisted_form, min_eigenvalue
 from stabletori.systole import (EIGHT_NEIGHBOR_ANISOTROPY,
                                 EXCEPTIONAL_CONSTANT, GENERAL_CONSTANT,
                                 axis_truncated_distances, exceptional_cutoffs,
-                                fmm_distance, geodesic_distance,
                                 induced_systole, phase_trial_section,
                                 rayleigh_bound_check, systole_bound_verdict)
-
-
-def _exact_flat_patch(n, window, a_len, b_len):
-    """Euclidean distance from the patch center corner on the cover."""
-    W = (2 * window + 1) * n
-    i = np.arange(W) - window * n
-    x = a_len * i / n
-    y = b_len * i / n
-    return np.sqrt(x[:, None] ** 2 + y[None, :] ** 2)
-
-
-def test_dijkstra_brackets_exact_flat_distance():
-    n, window = 32, 1
-    imm = flat_chart_immersion(1.0, 1.0, n)
-    fld = geodesic_distance(imm, [(0, 0)], window=window)
-    exact = _exact_flat_patch(n, window, 1.0, 1.0)
-    d = fld.dist[0]
-    # graph paths are honest curves: never below the metric distance
-    assert np.all(d >= exact - 1e-12)
-    # and the 8-neighbor metric overestimate stays within the constant
-    mask = exact > 0
-    ratio = d[mask] / exact[mask]
-    assert np.max(ratio) <= 1.0 + EIGHT_NEIGHBOR_ANISOTROPY + 1e-9
-
-
-def test_dijkstra_exact_on_axis_directions():
-    n = 40
-    imm = flat_chart_immersion(2.0, 1.5, n)
-    fld = geodesic_distance(imm, [(0, 0)], window=1)
-    off = fld.center_offset()
-    row = fld.dist[0, off:off + n, off]
-    col = fld.dist[0, off, off:off + n]
-    assert np.allclose(row, 2.0 * np.arange(n) / n, atol=1e-12)
-    assert np.allclose(col, 1.5 * np.arange(n) / n, atol=1e-12)
-
-
-def test_fmm_agrees_with_dijkstra_on_square_chart():
-    n = 32
-    imm = flat_chart_immersion(1.0, 1.0, n)
-    d_graph = geodesic_distance(imm, [(0, 0)], window=1).dist[0]
-    d_fmm = fmm_distance(imm, (0, 0), window=1)
-    exact = _exact_flat_patch(n, 1, 1.0, 1.0)
-    mask = exact > 0.2
-    # first-order fast marching smears the source singularity along the
-    # diagonal; a ~10% agreement is what the scheme delivers at this grid
-    assert np.max(np.abs(d_fmm[mask] - exact[mask]) / exact[mask]) < 0.12
-    assert np.max(np.abs(d_graph[mask] - d_fmm[mask]) / exact[mask]) < 0.15
-
-
-def test_fmm_rejects_sheared_lattice():
-    n = 8
-    amb = AmbientSpace(kind="flat_torus", dim=4)
-    imm = Immersion(lattice=Lattice(0.3, 1.0), scale=1.0, ambient=amb,
-                    F=np.zeros((n, n, 4)), Fz=np.zeros((n, n, 4), dtype=complex),
-                    lam2=np.ones((n, n)), mask=np.ones((n, n), dtype=bool),
-                    flat=True, periods=(1.0, 1.0))
-    with pytest.raises(DomainError):
-        fmm_distance(imm, (0, 0))
 
 
 def test_induced_systole_flat_values():
@@ -137,6 +77,12 @@ def test_axis_truncated_distances_rejects_oversized_radius():
         axis_truncated_distances(imm, 10.0, 32)
     with pytest.raises(DomainError):
         axis_truncated_distances(imm, -1.0, 32)
+
+
+def test_axis_truncated_distances_need_a_flat_chart():
+    imm = EllipticScenario(n=16).immersion()
+    with pytest.raises(WrongFormError):
+        axis_truncated_distances(imm, 1.0, 16)
 
 
 def test_phase_trial_section_is_periodic_and_unimodular():
