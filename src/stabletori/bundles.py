@@ -68,11 +68,10 @@ def line_section(L: LineHolonomy, k: int, lat: Lattice, n: int) -> SectionGrid:
     lifted = lift_line_holonomy(L, k)
     omega_x = L.phi - lifted.phi / k   # = 2*pi*(integer)/k
     omega_y = L.theta - lifted.theta / k
-    h = k / n
-    xi = np.arange(n) * h
-    eta = np.arange(n) * h
-    X, Y = np.meshgrid(xi, eta, indexing="ij")
-    vals = np.exp(1j * (omega_x * X + omega_y * Y))[:, :, None]
+    t = np.arange(n) * (k / n)
+    # the phase wave is a product of two 1D waves: 2n exps, not n^2
+    vals = (np.exp(1j * omega_x * t)[:, None]
+            * np.exp(1j * omega_y * t)[None, :])[:, :, None]
     # Seam audit in the flat trivialization: over a full horizontal period
     # the representative must come back through the lifted holonomy.
     left = np.exp(1j * omega_x * k) * vals[0, :, 0]

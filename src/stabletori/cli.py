@@ -30,7 +30,7 @@ from .errors import (ConfigError, ConvergenceError, ResolutionError,
 from .lattice import CoverSpec, Lattice, flat_systole
 from .scenarios import FlatTorusScenario, LensScenario, sublattice_growth_table
 from .sections import dbar
-from .stability import covering_sweep, log_cutoff, min_eigenvalue
+from .stability import _cutoff_window, covering_sweep, min_eigenvalue
 from .systole import (axis_truncated_distances, phase_trial_section,
                       rayleigh_bound_check, systole_bound_verdict)
 from .geometry import kappa_pic_estimate
@@ -194,7 +194,7 @@ def cmd_cutoff(cfg, out: Path, svg: bool):
     failures = []
     for eps in epsilons:
         try:
-            phi, energy = log_cutoff(eps, center, lat, n)
+            ix, iy, win, energy = _cutoff_window(eps, center, lat, n)
         except ResolutionError as exc:
             failures.append(f"eps={eps}: {exc}")
             continue
@@ -204,6 +204,8 @@ def cmd_cutoff(cfg, out: Path, svg: bool):
         if abs(energy / exact - 1) > 0.03:
             failures.append(f"eps={eps}: energy off by {abs(energy/exact-1):.2%}")
         if svg:
+            phi = np.ones((n, n))
+            phi[np.ix_(ix, iy)] = win
             serialize.svg_heatmap(out / f"cutoff_{eps}.svg", phi[::8, ::8],
                                   title="log cutoff")
     serialize.write_csv(out / "cutoff.csv",

@@ -89,39 +89,46 @@ class SectionGrid:
         return out
 
 
+def _axis_diff(v: np.ndarray, axis: int, step: float,
+               angle: float) -> np.ndarray:
+    """Central covariant difference of a periodic grid field along one axis.
+
+    (v[+1] e^{-i angle} - v[-1] e^{i angle}) / 2 step, with the connection
+    phase `angle` = twist * step; exact on covariantly constant fields.
+    """
+    n = v.shape[axis]
+    out = np.empty(v.shape, dtype=np.result_type(v, 1j))
+    # (row, next, previous): the interior, then the two rows whose
+    # neighbour wraps; on one or two nodes both neighbours coincide
+    for rows in ((slice(1, -1), slice(2, None), slice(None, -2)),
+                 (0, 1 % n, n - 1), (n - 1, 0, (n - 2) % n)):
+        o, nxt, prv = ((slice(None),) * axis + (r,) for r in rows)
+        if angle:
+            np.multiply(v[nxt], np.exp(-1j * angle), out=out[o])
+            np.subtract(out[o], v[prv] * np.exp(1j * angle), out=out[o])
+        else:
+            np.subtract(v[nxt], v[prv], out=out[o])
+    # numpy divides a complex by a real d as a product with 1 / d, so
+    # scaling both float parts by it gives the same bits, several times
+    # faster
+    flt = out.view(float)
+    np.multiply(flt, 1.0 / (2 * step), out=flt)
+    return out
+
+
 def wirtinger_diff(v: np.ndarray, factors, steps: tuple[float, float],
                    twist: tuple[float, float] = (0.0, 0.0),
                    bmat: np.ndarray | None = None) -> np.ndarray:
     """f_xi D_xi v + f_eta D_eta v for a periodic grid field v, (nx, ny, ...).
 
-    D is the central covariant difference
-    (v[+1] e^{-i a} - v[-1] e^{i a}) / 2h along each axis, with the step h
-    from `steps` and the phase a = twist * h; the phases make it exact on
-    covariantly constant fields.  `bmat` adds -bmat v to D_eta (the
-    nilpotent part of the potential, acting on axis 2, the fibre axis; a
-    trailing axis may stack sections).  Pass the Wirtinger factors for
-    d/dzbar and their conjugates for d/dz.
+    D is the central covariant difference `_axis_diff` along each axis,
+    with the step h from `steps` and the phase twist * h.  `bmat` adds
+    -bmat v to D_eta (the nilpotent part of the potential, acting on axis 2,
+    the fibre axis; a trailing axis may stack sections).  Pass the
+    Wirtinger factors for d/dzbar and their conjugates for d/dz.
     """
     def diff(axis):
-        n = v.shape[axis]
-        a = twist[axis] * steps[axis]
-        out = np.empty(v.shape, dtype=np.result_type(v, 1j))
-        # (row, next, previous): the interior, then the two rows whose
-        # neighbour wraps; on one or two nodes both neighbours coincide
-        for rows in ((slice(1, -1), slice(2, None), slice(None, -2)),
-                     (0, 1 % n, n - 1), (n - 1, 0, (n - 2) % n)):
-            o, nxt, prv = ((slice(None),) * axis + (r,) for r in rows)
-            if a:
-                np.multiply(v[nxt], np.exp(-1j * a), out=out[o])
-                np.subtract(out[o], v[prv] * np.exp(1j * a), out=out[o])
-            else:
-                np.subtract(v[nxt], v[prv], out=out[o])
-        # numpy divides a complex by a real d as a product with 1 / d, so
-        # scaling both float parts by it gives the same bits, several times
-        # faster
-        flt = out.view(float)
-        np.multiply(flt, 1.0 / (2 * steps[axis]), out=flt)
-        return out
+        return _axis_diff(v, axis, steps[axis], twist[axis] * steps[axis])
 
     d_eta = diff(1)
     if bmat is not None and np.any(bmat):

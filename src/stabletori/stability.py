@@ -28,7 +28,7 @@ from .errors import (ConvergenceError, DomainError, ResolutionError,
                      ShapeError, WrongFormError)
 from .geometry import Immersion, SurfaceQuantities, surface_quantities
 from .lattice import Lattice, wirtinger_factors
-from .sections import SectionGrid, dbar, wirtinger_diff
+from .sections import SectionGrid, _axis_diff, dbar, wirtinger_diff
 
 SYMBOL_TOL = 1e-9   # relative residual and spectrum bound of min_eigenvalue
 STABLE_TOL = 1e-12  # stable means a continuum bottom >= -STABLE_TOL (rounding)
@@ -368,16 +368,24 @@ def _index_densities(imm: Immersion, quants: SurfaceQuantities,
     that gives |(d_zbar v)^perp|^2 and |(d_z v)^top|^2 per node and section;
     Q(v) is the sum of their difference against the masked cell measure.
     Both derivatives are `wirtinger_diff`, the stencil `euclidean_index_form`
-    writes as a matrix.
+    writes as a matrix, combined from one pair of axis differences.
     """
     PT = _tile(quants.tangent_proj, extent)
     PN = _tile(quants.normal_proj, extent)
-    fac = _chart_factors(imm)
-    steps = (1.0 / imm.n,) * 2
+    fx, fy = _chart_factors(imm)
+    cx, cy = np.conj((fx, fy))
+    h = 1.0 / imm.n
 
     def densities(v):
-        return (_node_norm2(wirtinger_diff(v, fac, steps, twist), PN),
-                _node_norm2(wirtinger_diff(v, np.conj(fac), steps, twist), PT))
+        dx = _axis_diff(v, 0, h, twist[0] * h)
+        dy = _axis_diff(v, 1, h, twist[1] * h)
+        # the operand orders of wirtinger_diff's products, so that both
+        # derivatives keep its bits; d_z overwrites the axis differences
+        dzb = np.multiply(dx, fx)
+        dzb += np.multiply(fy, dy)
+        dz = np.multiply(cx, dx, out=dx)
+        dz += np.multiply(cy, dy, out=dy)
+        return _node_norm2(dzb, PN), _node_norm2(dz, PT)
     return densities
 
 
@@ -495,7 +503,21 @@ def log_cutoff(epsilon: float, center: tuple[float, float], lattice: Lattice,
     the flat metric it converges to 2 pi / |log eps|.
 
     phi is exactly 1 outside the disc r < eps, so phi and its forward
-    differences are evaluated only on the disc's bounding index window.
+    differences are evaluated only on the disc's bounding index window
+    (`_cutoff_window`).
+    """
+    ix, iy, win, energy = _cutoff_window(epsilon, center, lattice, n, scale)
+    phi = np.ones((n, n))
+    phi[np.ix_(ix, iy)] = win
+    return phi, energy
+
+
+def _cutoff_window(epsilon: float, center: tuple[float, float],
+                   lattice: Lattice, n: int, scale: float = 1.0):
+    """`log_cutoff` on the disc's index window: (ix, iy, phi there, energy).
+
+    The full grid's phi is 1 off the window, so callers that need only the
+    energy build no n x n array.
     """
     if not (0 < epsilon < 1):
         raise DomainError("epsilon must be in (0, 1)")
@@ -527,10 +549,7 @@ def log_cutoff(epsilon: float, center: tuple[float, float], lattice: Lattice,
     py = (win[:-1, 1:] - win[:-1, :-1]) / hx
     dens = (ginv[0, 0] * px ** 2 + ginv[1, 1] * py ** 2
             + 2 * ginv[0, 1] * px * py)
-    energy = float(np.sum(dens) * sqrtg * hx * hx)
-    phi = np.ones((n, n))
-    phi[np.ix_(ix, iy)] = win
-    return phi, energy
+    return ix, iy, win, float(np.sum(dens) * sqrtg * hx * hx)
 
 
 @dataclass

@@ -157,7 +157,7 @@ def phase_trial_section(L: LineHolonomy, R: float, deltas: TruncatedDistance,
         lattice=imm.lattice, a=1.0, b=1.0, values=vals,
         phi=L.phi, theta=L.theta,
         seam_residual=float(max(close_x, close_y)),
-        meta={"self_pairing": 0.0, "R": R, "holonomy": L,
+        meta={"R": R, "holonomy": L,
               "grad_bound": 2 * np.pi / (np.sqrt(3.0) * R)},
     )
 
@@ -256,7 +256,7 @@ def exceptional_cutoffs(imm: Immersion, R: float, n: int,
     c1 = w * np.exp(1j * (np.pi * X - delta_xi * np.pi / R))
     s1 = SectionGrid(lattice=imm.lattice, a=1.0, b=2.0, values=c1[:, :, None],
                      phi=np.pi, theta=np.pi,
-                     meta={"self_pairing": 0.0, "R": R})
+                     meta={"R": R})
 
     cell = a_len * b_len / (n * ny)
     dens = np.abs(c1) ** 2 * cell
@@ -268,7 +268,7 @@ def exceptional_cutoffs(imm: Immersion, R: float, n: int,
     loc_vals = phi[:, :, None] * s1.values
     localized = SectionGrid(lattice=imm.lattice, a=1.0, b=2.0, values=loc_vals,
                             phi=np.pi, theta=np.pi,
-                            meta={"self_pairing": 0.0, "R": R})
+                            meta={"R": R})
 
     fxi, feta = wirtinger_factors(imm.lattice)
     fac = (fxi / imm.scale, feta / imm.scale)

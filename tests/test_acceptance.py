@@ -7,7 +7,6 @@ hook in conftest.py, with the measured numbers and runtime attached.
 import time
 
 import numpy as np
-import pytest
 
 from stabletori.bundles import (AtiyahData, FlatBundle, LineHolonomy,
                                 TWO_TORSION_LABELS, atiyah_sections,
@@ -16,8 +15,7 @@ from stabletori.bundles import (AtiyahData, FlatBundle, LineHolonomy,
                                 two_torsion_classify)
 from stabletori.geometry import AmbientSpace, kappa_pic_estimate
 from stabletori.lattice import (CoverSpec, Lattice, cover_lattice,
-                                flat_systole, normalize_lattice,
-                                wirtinger_factors)
+                                flat_systole, normalize_lattice)
 from stabletori.scenarios import (EllipticScenario, FlatTorusScenario,
                                   LensScenario, flat_chart_immersion)
 from stabletori.sections import dbar, gram_matrix

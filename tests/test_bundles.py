@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from stabletori.errors import ConvergenceError, DomainError, ShapeError
+from stabletori.errors import ConvergenceError, DomainError
 from stabletori.lattice import CoverSpec, Lattice, wirtinger_factors
 from stabletori.bundles import (AtiyahData, FlatBundle, LineHolonomy,
                                 TWO_TORSION_LABELS, _jordan_chains,
@@ -71,6 +71,25 @@ def test_line_section_measured_sup_matches_closed_form():
         measured = float(np.max(np.abs(dbar(sec).values)))
         assert measured == pytest.approx(expected, rel=1e-3)
         assert sec.seam_residual <= 1e-12
+
+
+@pytest.mark.parametrize("L", [LineHolonomy(math.pi, math.pi),
+                               LineHolonomy(0.9, -2.0)])
+def test_line_section_is_the_meshgrid_phase_wave(L):
+    # the section is a product of two 1D waves; the oracle evaluates the
+    # phase on the whole meshgrid, over the covers `sections` builds.
+    # (pi, pi) lifts to the trivial class on every even k, (0.9, -2.0) never
+    # for k <= 16
+    n = 256
+    for k in range(1, 17):
+        lifted = lift_line_holonomy(L, k)
+        t = np.arange(n) * (k / n)
+        X, Y = np.meshgrid(t, t, indexing="ij")
+        want = np.exp(1j * ((L.phi - lifted.phi / k) * X
+                            + (L.theta - lifted.theta / k) * Y))
+        sec = line_section(L, k, LAT, n)
+        assert sec.values.shape == (n, n, 1)
+        assert np.max(np.abs(sec.values[:, :, 0] - want)) <= 1e-14
 
 
 def test_line_section_trivial_lift_is_exactly_flat():

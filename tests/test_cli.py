@@ -11,7 +11,8 @@ import stabletori.cli
 from stabletori.bundles import DecompositionReport, LineHolonomy, Summand
 from stabletori.cli import main
 from stabletori.errors import ConvergenceError
-from stabletori.stability import StencilForm
+from stabletori.lattice import Lattice
+from stabletori.stability import StencilForm, log_cutoff
 
 
 def _cfg(tmp_path, name, payload):
@@ -103,6 +104,30 @@ def test_cutoff_pass(tmp_path):
     out = tmp_path / "out"
     assert main(["cutoff", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "cutoff.csv").exists()
+
+
+def test_cutoff_svg_renders_log_cutoff_per_epsilon(tmp_path, monkeypatch):
+    # --svg is the only branch that builds the full n x n cutoff: it writes
+    # one heatmap per epsilon, of log_cutoff's phi bit for bit
+    rendered = []
+    svg_heatmap = stabletori.cli.serialize.svg_heatmap
+
+    def recording(path, field, **kwargs):
+        rendered.append((path.name, field.copy()))
+        svg_heatmap(path, field, **kwargs)
+
+    monkeypatch.setattr(stabletori.cli.serialize, "svg_heatmap", recording)
+    n, epsilons = 512, [0.085, 0.1]
+    cfg = _cfg(tmp_path, "c.json", {"epsilons": epsilons, "grid": n})
+    out = tmp_path / "out"
+    assert main(["cutoff", "--config", cfg, "--out", str(out), "--svg"]) == 0
+    names = [f"cutoff_{eps}.svg" for eps in epsilons]
+    assert sorted(p.name for p in out.glob("*.svg")) == names
+    assert [name for name, _ in rendered] == names
+    center = (0.5 + 0.5 / n, 0.5 + 0.5 / n)
+    for (_, field), eps in zip(rendered, epsilons):
+        phi, _ = log_cutoff(eps, center, Lattice(0.0, 1.0), n)
+        assert np.array_equal(field, phi[::8, ::8])
 
 
 def test_cutoff_unresolved_grid_fails(tmp_path):

@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 from stabletori.errors import DomainError
 from stabletori.lattice import Lattice
 from stabletori.geometry import (KAPPA_BLOCK, AmbientSpace, IsotropicPlane,
-                                 KappaReport, _orthonormal_frames, _plane_checks,
+                                 _orthonormal_frames, _plane_checks,
                                  complex_sectional_curvatures,
                                  elliptic_curve_immersion, kappa_pic_estimate,
                                  product_geodesic_torus, second_ff_norm2,
                                  surface_quantities)
-from stabletori.weierstrass import eisenstein_invariants, wp, wp_second
 
 from conftest import elliptic_second_ff_oracle
 

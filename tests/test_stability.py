@@ -11,18 +11,19 @@ from hypothesis import given, settings, strategies as st
 
 from stabletori.errors import (ConfigError, ConvergenceError, DomainError,
                                ResolutionError, ShapeError, WrongFormError)
-from stabletori.lattice import CoverSpec, Lattice, normalize_lattice
-from stabletori.bundles import LineHolonomy, principal_angle
-from stabletori.geometry import product_geodesic_torus
+from stabletori.lattice import (CoverSpec, Lattice, normalize_lattice,
+                                wirtinger_factors)
+from stabletori.bundles import principal_angle
+from stabletori.geometry import product_geodesic_torus, surface_quantities
 from stabletori import stability
 from stabletori.scenarios import (EllipticScenario, FlatTorusScenario,
                                   LensScenario, flat_chart_immersion,
                                   second_variation_form)
 from stabletori.stability import (DiscreteForm, StencilForm, covering_sweep,
-                                  cutoff_inequality_audit, dbar_energy_chart,
-                                  euclidean_index_form, flat_twisted_form,
+                                  cutoff_inequality_audit, flat_twisted_form,
                                   log_cutoff, min_eigenvalue,
                                   _stencil_hermitian_norms)
+from stabletori.sections import wirtinger_diff
 
 from conftest import fourier_lambda_min, kron_twisted_form_q
 
@@ -461,6 +462,34 @@ def test_elliptic_audit_matches_the_sparse_form(n, extent):
         worst, stable = sc.stability_audit(count=13, extent=extent, seed=seed)
         assert worst == pytest.approx(want, rel=1e-12)
         assert stable == (want >= -1e-6)
+
+
+@pytest.mark.parametrize("extent, twist", [(1, (0.4, -1.1)), (2, (0.0, 0.0)),
+                                           (2, (0.3, 0.2))])
+def test_audit_densities_match_two_wirtinger_diffs(extent, twist):
+    # the audit combines d_zbar and d_z from one pair of axis differences;
+    # the oracle runs wirtinger_diff once with the chart factors and once
+    # with their conjugates, and projects node by node
+    sc = EllipticScenario(n=24)
+    imm = sc.immersion()
+    quants = surface_quantities(imm)
+    v = np.stack(list(sc.random_normal_sections(7, extent, 5, imm=imm,
+                                                quants=quants)), -1)
+    fac = tuple(f / imm.scale for f in wirtinger_factors(imm.lattice))
+    steps = (1.0 / imm.n,) * 2
+
+    def norm2(w, P):
+        P = np.tile(P, (extent, extent, 1, 1))
+        return np.sum(np.abs(np.einsum("xyij,xyjs->xyis", P, w)) ** 2, axis=2)
+
+    want = (norm2(wirtinger_diff(v, fac, steps, twist), quants.normal_proj),
+            norm2(wirtinger_diff(v, np.conj(fac), steps, twist),
+                  quants.tangent_proj))
+    got = stability._index_densities(imm, quants, extent, twist)(v)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (24 * extent, 24 * extent, 7)
+        np.testing.assert_allclose(g, w, rtol=1e-13,
+                                   atol=1e-13 * np.abs(w).max())
 
 
 def test_elliptic_audit_builds_no_sparse_form(monkeypatch):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from stabletori.bundles import LineHolonomy
 from stabletori.errors import DomainError, ResolutionError, WrongFormError
 from stabletori.lattice import CoverSpec
 from stabletori.scenarios import (EllipticScenario, FlatTorusScenario,
@@ -93,7 +92,6 @@ def test_phase_trial_section_is_periodic_and_unimodular():
     s = phase_trial_section(imm.normal_lines[0][0], R, td, imm, n)
     assert s.seam_residual <= 1e-9
     assert np.allclose(np.abs(s.values), 1.0, atol=1e-12)
-    assert s.meta["self_pairing"] == 0.0
     assert s.meta["grad_bound"] == pytest.approx(2 * np.pi / (np.sqrt(3) * R))
 
 
