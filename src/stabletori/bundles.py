@@ -16,8 +16,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import ztrsen
 
-from .errors import (ConvergenceError, DomainError, InvalidCoverError,
-                     ShapeError)
+from .errors import ConvergenceError, DomainError, ShapeError
 from .lattice import CoverSpec, Lattice, cover_lattice, wirtinger_factors
 from .sections import SectionGrid
 
@@ -335,6 +334,15 @@ def decompose_commuting_pair(bundle: FlatBundle, tol: float = 1e-8):
         f"(best residual {best.residual:.2e})", best=best)
 
 
+def _angle(lam: complex, tol: float) -> float:
+    """Angle of an eigenvalue, exactly 0 or pi when within tol of either:
+    a trivial or sign factor must not read as a rounding angle."""
+    a = float(np.angle(lam))
+    if abs(a) <= tol:
+        return 0.0
+    return math.pi if math.pi - abs(a) <= tol else a
+
+
 def _decompose_attempt(A: np.ndarray, C: np.ndarray,
                        blocks: list[np.ndarray], tol: float):
     warnings: list[str] = []
@@ -357,7 +365,7 @@ def _decompose_attempt(A: np.ndarray, C: np.ndarray,
             N = NC
         else:
             N = NA
-        line = LineHolonomy(float(np.angle(lamA)), float(np.angle(lamC)))
+        line = LineHolonomy(_angle(lamA, tol), _angle(lamC, tol))
         for ch in _jordan_chains(N, tol):
             # An orthonormal basis of the chain's flag keeps the change of
             # basis well conditioned; the chain vectors can differ in length
@@ -402,25 +410,6 @@ def pullback_bundle(bundle: FlatBundle, spec: CoverSpec) -> FlatBundle:
     return FlatBundle(r1, r2, new_lat)
 
 
-def stabilization_scan(bundle: FlatBundle, tower: list[CoverSpec]) -> int:
-    """First level after which summand rank multisets stop changing.
-
-    Level 1 is the base torus; level j+1 is tower[j-1].  Returns the
-    smallest K such that the multiset is constant from level K onward.
-    """
-    multisets = [decompose_commuting_pair(bundle)[0].rank_multiset()]
-    for spec in tower:
-        lifted = pullback_bundle(bundle, spec)
-        multisets.append(decompose_commuting_pair(lifted)[0].rank_multiset())
-    K = len(multisets)
-    for i in range(len(multisets) - 1, -1, -1):
-        if multisets[i] == multisets[-1]:
-            K = i + 1
-        else:
-            break
-    return K
-
-
 TWO_TORSION_LABELS = ("0", "1/2", "tau/2", "(1+tau)/2")
 
 
@@ -436,82 +425,3 @@ def two_torsion_classify(L: LineHolonomy, tol: float = 1e-9) -> str | None:
     su, sv = sign_of(L.phi), sign_of(L.theta)
     table = {(1, 1): "0", (-1, 1): "1/2", (1, -1): "tau/2", (-1, -1): "(1+tau)/2"}
     return table.get((su, sv))
-
-
-@dataclass
-class PairingReport:
-    forced_zero: list[tuple[int, int]]
-    unconstrained: list[tuple[int, int]]
-    max_violation: float
-    notes: list[str]
-
-
-def pairing_orthogonality(lines: list[LineHolonomy],
-                          pairing: np.ndarray,
-                          tol: float = 1e-9) -> PairingReport:
-    """Check which pairing entries the holonomy invariance forces to zero.
-
-    The pairing is a constant complex symmetric matrix in the flat
-    trivialization of the direct sum of the given line bundles; invariance
-    under both holonomy generators multiplies entry (i, j) by
-    e^{i(phi_i + phi_j)} and e^{i(theta_i + theta_j)}.  Entries with a
-    nontrivial multiplier must vanish; diagonal self-dual entries are free.
-    """
-    S = np.asarray(pairing, dtype=complex)
-    m = len(lines)
-    if S.shape != (m, m):
-        raise ShapeError("pairing size mismatch")
-    if np.linalg.norm(S - S.T) > tol * max(np.linalg.norm(S), 1.0):
-        raise DomainError("pairing must be symmetric")
-    D1 = np.diag([np.exp(1j * L.phi) for L in lines])
-    D2 = np.diag([np.exp(1j * L.theta) for L in lines])
-    scale = max(np.linalg.norm(S), 1.0)
-    for D in (D1, D2):
-        if np.linalg.norm(D.T @ S @ D - S) > tol * scale:
-            raise DomainError("pairing is not invariant under the holonomy")
-
-    forced, free = [], []
-    violation = 0.0
-    notes = []
-    for i in range(m):
-        for j in range(i, m):
-            dual = (abs(principal_angle(lines[i].phi + lines[j].phi)) <= tol
-                    and abs(principal_angle(lines[i].theta + lines[j].theta)) <= tol)
-            if dual:
-                free.append((i, j))
-                if i == j:
-                    notes.append(f"entry ({i},{i}): self-dual, nondegenerate allowed")
-            else:
-                forced.append((i, j))
-                violation = max(violation, float(abs(S[i, j])))
-    return PairingReport(forced_zero=forced, unconstrained=free,
-                         max_violation=violation, notes=notes)
-
-
-def lift_degree(d: int, covering_degree: int) -> int:
-    """First Chern number of the pullback under a covering of given degree."""
-    if covering_degree < 1:
-        raise InvalidCoverError("covering degree must be >= 1")
-    return covering_degree * d
-
-
-def h0_indecomposable(d: int, r: int):
-    """Dimension of the space of holomorphic sections over a genus-1 base.
-
-    Positive degree gives d; degree zero gives 0 or 1 depending on the
-    (unspecified here) line class, so both possibilities are reported.
-    """
-    if r < 1:
-        raise DomainError("rank must be >= 1")
-    if d > 0:
-        return d
-    if d == 0:
-        return (0, 1)
-    return 0
-
-
-def global_generation_hypothesis(d: int, r: int) -> bool:
-    """Degree threshold under which global generation is guaranteed."""
-    if r < 1:
-        raise DomainError("rank must be >= 1")
-    return d > r + 2

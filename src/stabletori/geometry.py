@@ -289,9 +289,7 @@ class Immersion:
     """Sampled conformal immersion of a torus chart into a model ambient.
 
     The chart is z = scale * (xi + eta * tau) over (xi, eta) in [0,1)^2;
-    lam2 is the conformal factor with da = lam2 * dxdy.  Fzz = d_z F_z is
-    stored exactly for Euclidean immersions with a second fundamental form;
-    without it (and without `second_ff_zero`) `second_ff_norm2` is None.
+    lam2 is the conformal factor with da = lam2 * dxdy.
     """
 
     lattice: Lattice
@@ -303,9 +301,7 @@ class Immersion:
     mask: np.ndarray                  # (n, n) bool, True where active
     flat: bool
     normal_lines: list[tuple[LineHolonomy, np.ndarray]] = field(default_factory=list)
-    second_ff_zero: bool = False
     periods: tuple[float, float] | None = None
-    Fzz: np.ndarray | None = None     # (n, n, dim) complex
 
     @property
     def n(self) -> int:
@@ -324,17 +320,14 @@ class Immersion:
         out = self.lam2 * self.dxdy_weight()
         return np.where(self.mask, out, 0.0)
 
-    def area(self) -> float:
-        return float(np.sum(self.da_field()))
-
 
 def elliptic_curve_immersion(lat: Lattice, puncture_radius: float,
                              n: int) -> Immersion:
     """The elliptic curve (wp, wp') in R^4, punctured at the lattice point.
 
-    Holomorphic, hence conformal and minimal.  F_z and F_zz are stored
-    analytically from wp'' = 6 wp^2 - g2/2 and wp''' = 12 wp wp', so the
-    conformality residual is exact and no derivative crosses the puncture.
+    Holomorphic, hence conformal and minimal.  F_z is stored analytically
+    from wp'' = 6 wp^2 - g2/2, so the conformality residual is exact and no
+    derivative crosses the puncture.
     """
     if not (0 < puncture_radius < 0.3):
         raise DomainError("puncture radius must lie in (0, 0.3)")
@@ -354,16 +347,14 @@ def elliptic_curve_immersion(lat: Lattice, puncture_radius: float,
     p, pp = wp(Zs, lat)
     g2, _ = eisenstein_invariants(lat)
     ppp = 6.0 * p ** 2 - g2 / 2.0
-    pppp = 12.0 * p * pp
 
     F = np.stack([p.real, p.imag, pp.real, pp.imag], axis=-1)
     Fz = np.stack([pp / 2, -1j * pp / 2, ppp / 2, -1j * ppp / 2], axis=-1)
-    Fzz = np.stack([ppp / 2, -1j * ppp / 2, pppp / 2, -1j * pppp / 2], axis=-1)
     lam2 = np.abs(pp) ** 2 + np.abs(ppp) ** 2
     amb = AmbientSpace(kind="euclidean", dim=4)
     return Immersion(
         lattice=lat, scale=1.0, ambient=amb, F=F, Fz=Fz, lam2=lam2,
-        mask=mask, flat=False, Fzz=Fzz,
+        mask=mask, flat=False,
     )
 
 
@@ -424,7 +415,7 @@ def product_geodesic_torus(L: float, rho: float, n_sphere: int,
     plane = np.eye(dim)[:, 3:5]
     return Immersion(
         lattice=lat, scale=a_len, ambient=amb, F=F, Fz=Fz, lam2=lam2,
-        mask=mask, flat=True, second_ff_zero=True, periods=(a_len, b_len),
+        mask=mask, flat=True, periods=(a_len, b_len),
         normal_lines=[(hol, plane @ v) for hol, v in lines],
     )
 
@@ -437,11 +428,11 @@ def product_geodesic_torus(L: float, rho: float, n_sphere: int,
 class SurfaceQuantities:
     tangent_proj: np.ndarray       # (n, n, dim, dim)
     normal_proj: np.ndarray
-    branch_mask: np.ndarray
 
 
 def surface_quantities(imm: Immersion) -> SurfaceQuantities:
-    """Pointwise tangent and normal projections, and the branch points."""
+    """Pointwise tangent and normal projections (unnormalized at branch
+    points, where |F_x| or |F_y| < 1e-8)."""
     Fx = 2 * np.real(imm.Fz)
     Fy = -2 * np.imag(imm.Fz)
     nrm_x = np.linalg.norm(Fx, axis=2)
@@ -454,17 +445,4 @@ def surface_quantities(imm: Immersion) -> SurfaceQuantities:
     PT = (np.einsum("xyi,xyj->xyij", t1, t1)
           + np.einsum("xyi,xyj->xyij", t2, t2))
     PN = np.eye(imm.dim)[None, None] - PT
-    return SurfaceQuantities(tangent_proj=PT, normal_proj=PN,
-                             branch_mask=branch)
-
-
-def second_ff_norm2(imm: Immersion) -> np.ndarray | None:
-    """|(F_zz)^perp|^2 per node: zero where `second_ff_zero`, else from the
-    stored exact `Fzz`, and None without it."""
-    if imm.second_ff_zero:
-        return np.zeros((imm.n, imm.n))
-    if imm.Fzz is None:
-        return None
-    perp = np.einsum("xyij,xyj->xyi", surface_quantities(imm).normal_proj,
-                     imm.Fzz)
-    return np.sum(np.abs(perp) ** 2, axis=2)
+    return SurfaceQuantities(tangent_proj=PT, normal_proj=PN)

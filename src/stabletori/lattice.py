@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import InvalidCoverError, InvalidLatticeError
 
-DEFAULT_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class Lattice:
@@ -31,17 +29,6 @@ class Lattice:
     @property
     def tau(self) -> complex:
         return complex(self.tau1, self.tau2)
-
-    def is_reduced(self, tol: float = 1e-12) -> bool:
-        return abs(self.tau) >= 1 - tol and abs(self.tau1) <= 0.5 + tol
-
-
-@dataclass(frozen=True)
-class ObliqueCoords:
-    """Coordinates (xi, eta) with z = xi + eta*tau."""
-
-    xi: float
-    eta: float
 
 
 def normalize_lattice(tau: complex) -> tuple[Lattice, np.ndarray]:
@@ -84,17 +71,6 @@ def normalize_lattice(tau: complex) -> tuple[Lattice, np.ndarray]:
     U = np.array([[d, c], [b, a]], dtype=int)
     assert int(round(np.linalg.det(U))) == 1
     return Lattice(tau.real, tau.imag), U
-
-
-def oblique_coords(z: complex, lat: Lattice) -> ObliqueCoords:
-    """Solve z = xi + eta*tau for real (xi, eta)."""
-    eta = z.imag / lat.tau2
-    xi = z.real - z.imag * lat.tau1 / lat.tau2
-    return ObliqueCoords(xi, eta)
-
-
-def from_oblique(coords: ObliqueCoords, lat: Lattice) -> complex:
-    return coords.xi + coords.eta * lat.tau
 
 
 def wirtinger_factors(lat: Lattice) -> tuple[complex, complex]:
@@ -143,11 +119,6 @@ class CoverSpec:
         if k < 1:
             raise InvalidCoverError("k must be >= 1")
         return CoverSpec(((k, 0), (0, k)))
-
-    @staticmethod
-    def vertical_double() -> "CoverSpec":
-        """The sublattice spanned by 1 and 2*tau, degree 2."""
-        return CoverSpec(((1, 0), (0, 2)))
 
     @staticmethod
     def double_double() -> "CoverSpec":

@@ -13,8 +13,8 @@ from .geometry import (AmbientSpace, Immersion, SurfaceQuantities,
                        surface_quantities)
 from .lattice import CoverSpec, Lattice, cover_lattice, flat_systole
 from .stability import (DiscreteForm, StencilForm, _index_densities,
-                        _node_norm2, euclidean_index_form, flat_twisted_form,
-                        min_eigenvalue)
+                        _node_norm2, _tile, euclidean_index_form,
+                        flat_twisted_form, min_eigenvalue)
 
 # Sections per batch of the elliptic audit: one (N, N, 4, batch) array is
 # about 2.6 MB at N = 64, so a batch costs little memory while its numpy
@@ -47,7 +47,7 @@ def flat_chart_immersion(a_len: float, b_len: float, n: int,
     Fz[:, :, 1] = -0.5j
     return Immersion(lattice=lat, scale=a_len, ambient=ambient, F=F, Fz=Fz,
                      lam2=np.ones((n, n)), mask=np.ones((n, n), dtype=bool),
-                     flat=True, second_ff_zero=True, periods=(a_len, b_len))
+                     flat=True, periods=(a_len, b_len))
 
 
 def second_variation_form(imm: Immersion, kx: int, ky: int,
@@ -156,7 +156,7 @@ class EllipticScenario:
         imm = imm or self.immersion()
         quants = quants or surface_quantities(imm)
         N = extent * imm.n
-        PN = np.tile(quants.normal_proj, (extent, extent, 1, 1))
+        PN = _tile(quants.normal_proj, extent)
         xi = np.arange(N) * (1.0 / imm.n)
         X, Y = np.meshgrid(xi, xi, indexing="ij")
         red = (X - np.round(X)) + (Y - np.round(Y)) * imm.lattice.tau
@@ -201,8 +201,8 @@ class EllipticScenario:
         imm = self.immersion()
         quants = surface_quantities(imm)
         densities = _index_densities(imm, quants, extent)
-        w = np.tile(np.where(imm.mask, imm.dxdy_weight(), 0.0), (extent, extent))
-        da = np.tile(imm.da_field(), (extent, extent))
+        w = _tile(np.where(imm.mask, imm.dxdy_weight(), 0.0), extent)
+        da = _tile(imm.da_field(), extent)
         worst = np.inf
         for batch in self._section_batches(count, extent, seed, imm=imm,
                                            quants=quants):

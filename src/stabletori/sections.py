@@ -71,23 +71,6 @@ class SectionGrid:
     def hy(self) -> float:
         return self.b / self.ny
 
-    def grids(self) -> tuple[np.ndarray, np.ndarray]:
-        xi = np.arange(self.nx) * self.hx
-        eta = np.arange(self.ny) * self.hy
-        return np.meshgrid(xi, eta, indexing="ij")
-
-    def flat_frame_values(self) -> np.ndarray:
-        """Representative in the flat trivialization, T(xi,eta) * c."""
-        xi, eta = self.grids()
-        phase = np.exp(1j * (self.phi * xi + self.theta * eta))
-        out = self.values * phase[:, :, None]
-        if self.bmat is not None and np.any(self.bmat):
-            from scipy.linalg import expm
-            eta1 = np.arange(self.ny) * self.hy
-            for j, e in enumerate(eta1):
-                out[:, j, :] = out[:, j, :] @ expm(e * self.bmat).T
-        return out
-
 
 def _axis_diff(v: np.ndarray, axis: int, step: float,
                angle: float) -> np.ndarray:
@@ -173,44 +156,3 @@ def gram_matrix(sections: list[SectionGrid],
     gram = np.einsum("xyrm,xyrl->xyml", np.conj(stack), gstack)
     evals = np.linalg.eigvalsh(gram)
     return gram, (float(evals.min()), float(evals.max()))
-
-
-def tensor_sections(s: SectionGrid, w: SectionGrid) -> SectionGrid:
-    """Tensor a rank-1 section over a cover with a base section, s (x) w.
-
-    w lives on the base torus [0, w.a) x [0, w.b); its values are tiled
-    periodically over the domain of s.  The grids must have equal per-unit
-    resolution and integer extent ratios.
-    """
-    if s.rank != 1:
-        raise ShapeError("first factor must have rank 1")
-    if s.lattice != w.lattice:
-        raise ShapeError("lattice mismatch")
-    ratio_x = s.a / w.a
-    ratio_y = s.b / w.b
-    if abs(ratio_x - round(ratio_x)) > 1e-12 or abs(ratio_y - round(ratio_y)) > 1e-12:
-        raise ShapeError("cover extents must be integer multiples of the base")
-    if abs(s.nx / s.a - w.nx / w.a) > 1e-9 or abs(s.ny / s.b - w.ny / w.b) > 1e-9:
-        raise ShapeError("per-unit grid resolutions must match")
-    tiled = np.tile(w.values, (int(round(ratio_x)), int(round(ratio_y)), 1))
-    vals = s.values[:, :, 0:1] * tiled
-    return SectionGrid(
-        lattice=s.lattice, a=s.a, b=s.b, values=vals,
-        phi=s.phi + w.phi, theta=s.theta + w.theta,
-        bmat=w.bmat,
-        seam_residual=max(s.seam_residual, w.seam_residual),
-    )
-
-
-def mass(sec: SectionGrid, weight: np.ndarray | None = None) -> float:
-    """Squared L2 mass of a section.
-
-    Without a weight this is the chart integral of |c|^2 in dxi deta units.
-    When a weight field is supplied it is taken to be the complete per-cell
-    measure (for instance Immersion.da_field()), so no extra cell factor is
-    applied.
-    """
-    w = np.sum(np.abs(sec.values) ** 2, axis=2)
-    if weight is None:
-        return float(np.sum(w) * sec.hx * sec.hy)
-    return float(np.sum(w * weight))

@@ -564,16 +564,17 @@ class CutoffAuditReport:
 
 
 def cutoff_inequality_audit(values: np.ndarray, phi: np.ndarray,
-                            form: DiscreteForm,
-                            tol: float = 1e-9) -> CutoffAuditReport:
+                            imm: Immersion, extent: int = 1,
+                            twist: tuple[float, float] = (0.0, 0.0)
+                            ) -> CutoffAuditReport:
     """Evaluate the three-term cutoff inequality chain for phi * s.
 
-    `values` is the ambient-valued section on the full grid of the form's
-    immersion; `phi` a scalar cutoff on the same grid.
+    `values` is an ambient-valued section on the grid of the [0, extent)^2
+    cover of `imm`, and `phi` a scalar cutoff on the same grid; `twist` is
+    the connection phase, as in `euclidean_index_form`.  Both inequalities
+    are checked to 1e-9 relative to max(1, rhs_perp).
     """
-    imm: Immersion = form.meta["immersion"]
-    extent = form.meta.get("extent", 1)
-    twist = form.meta.get("twist", (0.0, 0.0))
+    tol = 1e-9
     densities = _index_densities(imm, surface_quantities(imm), extent, twist)
     w = np.where(_tile(imm.mask, extent), imm.dxdy_weight(), 0.0)
 

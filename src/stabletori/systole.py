@@ -21,9 +21,9 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from .bundles import LineHolonomy
 from .errors import DomainError, ResolutionError, WrongFormError
 from .geometry import Immersion
-from .lattice import wirtinger_factors
 from .sections import SectionGrid, wirtinger_diff
-from .stability import STABLE_TOL, chart_norm2, dbar_energy_chart
+from .stability import (STABLE_TOL, _chart_factors, chart_norm2,
+                        dbar_energy_chart)
 
 EIGHT_NEIGHBOR_ANISOTROPY = 0.0824
 
@@ -270,8 +270,7 @@ def exceptional_cutoffs(imm: Immersion, R: float, n: int,
                             phi=np.pi, theta=np.pi,
                             meta={"R": R})
 
-    fxi, feta = wirtinger_factors(imm.lattice)
-    fac = (fxi / imm.scale, feta / imm.scale)
+    fac = _chart_factors(imm)
 
     # Interior gradient magnitudes (kink cells excluded up to one stencil).
     lam = 1.0

@@ -101,17 +101,3 @@ def eisenstein_invariants(lat: Lattice) -> tuple[complex, complex]:
     g2 = (4.0 * np.pi ** 4 / 3.0) * E4
     g3 = (8.0 * np.pi ** 6 / 27.0) * E6
     return complex(g2), complex(g3)
-
-
-def wp_second(z, lat: Lattice):
-    """wp''(z) = 6 wp^2 - g2/2, via the differential equation."""
-    g2, _ = eisenstein_invariants(lat)
-    p, _ = wp(z, lat)
-    return 6.0 * p ** 2 - g2 / 2.0
-
-
-def half_period_values(lat: Lattice) -> np.ndarray:
-    """wp at the three half periods, sorted by real part."""
-    pts = np.array([0.5, lat.tau / 2.0, (1.0 + lat.tau) / 2.0])
-    vals, _ = wp(pts, lat)
-    return vals[np.argsort(vals.real)]

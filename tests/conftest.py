@@ -128,28 +128,6 @@ def kron_twisted_form_q(periods, twist, n, potential=0.0, shear=0.0):
     return (Q + sp.diags(w * V.reshape(-1))).tocsr()
 
 
-def elliptic_second_ff_oracle(lat, z, delta=1e-5):
-    """|(F_zz)^perp|^2 of the curve (wp, wp') in R^4 at the points z.
-
-    F_z = (wp', -i wp', wp'', -i wp'') / 2 is differentiated numerically,
-    by the 4-point central stencil at the off-grid points z +- delta and
-    z +- 2 delta, and projected off the real span of Re F_z and Im F_z.
-    """
-    from stabletori.weierstrass import wp, wp_second
-
-    def fz(w):
-        pp = wp(w, lat)[1]
-        ppp = wp_second(w, lat)
-        return np.stack([pp, -1j * pp, ppp, -1j * ppp], axis=-1) / 2
-
-    fzz = (8 * (fz(z + delta) - fz(z - delta))
-           - (fz(z + 2 * delta) - fz(z - 2 * delta))) / (12 * delta)
-    t = fz(z)
-    E, _ = np.linalg.qr(np.stack([t.real, t.imag], axis=-1))
-    perp = fzz - np.einsum("...ia,...ja,...j->...i", E, E, fzz)
-    return np.sum(np.abs(perp) ** 2, axis=-1)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

@@ -1,4 +1,4 @@
-"""Flat bundles: holonomies, sections, decomposition, covers, pairings."""
+"""Flat bundles: holonomies, sections, decomposition, covers."""
 
 import math
 
@@ -13,12 +13,9 @@ from stabletori.bundles import (AtiyahData, FlatBundle, LineHolonomy,
                                 TWO_TORSION_LABELS, _jordan_chains,
                                 atiyah_sections,
                                 decompose_commuting_pair,
-                                global_generation_hypothesis,
-                                h0_indecomposable, lift_degree,
                                 lift_line_holonomy, line_section,
-                                nilpotent_log, pairing_orthogonality,
-                                principal_angle, pullback_bundle,
-                                stabilization_scan, two_torsion_classify)
+                                nilpotent_log, principal_angle,
+                                pullback_bundle, two_torsion_classify)
 from stabletori.sections import dbar, gram_matrix
 
 
@@ -358,42 +355,3 @@ def test_two_torsion_classes_and_trivialization():
         assert np.allclose(pb.rhotau, 1.0, atol=1e-12)
     assert labels == set(TWO_TORSION_LABELS)
     assert two_torsion_classify(LineHolonomy(0.3, 0.0)) is None
-
-
-def test_stabilization_scan_atiyah_rank_two():
-    data = AtiyahData(r=2, delta=0.2)
-    b = FlatBundle(data.A, np.exp(0.4j) * np.eye(2, dtype=complex), LAT)
-    tower = [CoverSpec.scaling(2), CoverSpec.scaling(4)]
-    assert stabilization_scan(b, tower) == 1
-
-
-# ---------------------------------------------------------------------------
-# pairing and numerics of line-bundle cohomology
-
-
-def test_pairing_orthogonality_forced_zeros():
-    L = LineHolonomy(0.4, -1.1)
-    lines = [L, L.dual()]
-    S = np.array([[0.0, 2.0], [2.0, 0.0]], dtype=complex)
-    rep = pairing_orthogonality(lines, S)
-    assert rep.forced_zero == [(0, 0), (1, 1)]
-    assert rep.unconstrained == [(0, 1)]
-    assert rep.max_violation == 0.0
-
-
-def test_pairing_orthogonality_rejects_non_invariant():
-    L = LineHolonomy(0.4, -1.1)
-    S = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-    with pytest.raises(DomainError):
-        pairing_orthogonality([L, L.dual()], S)
-
-
-def test_degree_and_sections_counting():
-    assert lift_degree(1, 4) == 4
-    assert lift_degree(0, 2) == 0
-    assert h0_indecomposable(3, 1) == 3
-    # degree zero is ambiguous: 0 generically, 1 exactly on the trivial class
-    assert h0_indecomposable(0, 2) == (0, 1)
-    assert h0_indecomposable(-2, 1) == 0
-    assert global_generation_hypothesis(5, 2)
-    assert not global_generation_hypothesis(4, 2)

@@ -1,13 +1,12 @@
-"""Section grids, covariant differences, metrics, tensor products."""
+"""Section grids, covariant differences, metrics."""
 
 import numpy as np
 import pytest
 
-from stabletori.errors import ShapeError
 from stabletori.lattice import Lattice, wirtinger_factors
 from stabletori.bundles import AtiyahData, LineHolonomy, atiyah_sections, line_section
-from stabletori.sections import (SectionGrid, dbar, gram_matrix, mass,
-                                 tensor_sections, wirtinger_diff)
+from stabletori.sections import (SectionGrid, dbar, gram_matrix,
+                                 wirtinger_diff)
 
 
 LAT = Lattice(0.0, 1.0)
@@ -99,44 +98,3 @@ def test_gram_matrix_constant_and_field_metrics():
     H = 2.0 * np.eye(2)
     G2, rng2 = gram_matrix(secs, metric=H)
     assert rng2[0] == pytest.approx(2.0, abs=1e-12)
-
-
-def test_tensor_sections_multiplies_values_and_adds_phases():
-    L = LineHolonomy(0.3, 0.7)
-    s = line_section(L, 2, LAT, 64)                 # cover domain [0,2)^2
-    w = atiyah_sections(AtiyahData(r=2, delta=0.05), LAT, 32)[0]
-    ts = tensor_sections(s, w)
-    assert ts.values.shape == (64, 64, 2)
-    assert ts.bmat is not None
-    # values at a base-cell point: product of the two factors
-    assert ts.values[5, 7, 0] == pytest.approx(
-        s.values[5, 7, 0] * w.values[5, 7, 0], abs=1e-12)
-    # second tile repeats the base factor
-    assert ts.values[37, 7, 0] == pytest.approx(
-        s.values[37, 7, 0] * w.values[5, 7, 0], abs=1e-12)
-
-
-def test_tensor_sections_rejects_rank_two_first_factor():
-    w = atiyah_sections(AtiyahData(r=2, delta=0.05), LAT, 32)[0]
-    with pytest.raises(ShapeError):
-        tensor_sections(w, w)
-
-
-def test_mass_conventions():
-    n = 16
-    vals = np.full((n, n, 1), 2.0, dtype=complex)
-    sec = SectionGrid(lattice=LAT, a=1.0, b=1.0, values=vals, phi=0.0, theta=0.0)
-    assert mass(sec) == pytest.approx(4.0)
-    weight = np.full((n, n), 3.0 / n ** 2)   # complete per-cell measure
-    assert mass(sec, weight) == pytest.approx(12.0)
-
-
-def test_flat_frame_values_seam_jump_is_the_holonomy():
-    L = LineHolonomy(1.1, -0.4)
-    sec = line_section(L, 1, LAT, 32)
-    rep = sec.flat_frame_values()
-    # continuing one period in xi multiplies the flat representative by e^{i phi}
-    xi = np.arange(32) / 32.0
-    manual = np.exp(1j * (L.phi * xi))[:, None, None] * np.exp(
-        1j * L.theta * (np.arange(32) / 32.0))[None, :, None] * sec.values
-    assert np.max(np.abs(rep - manual)) < 1e-12

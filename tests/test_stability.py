@@ -620,12 +620,11 @@ def test_log_cutoff_allocates_little_beyond_phi():
 def test_cutoff_inequality_audit_chain_holds():
     sc = EllipticScenario(n=128)
     imm = sc.immersion()
-    form = sc.form()
     n = 128
     phi, _ = log_cutoff(0.18, (0.5 + 0.5 / n, 0.5 + 0.5 / n),
                         imm.lattice, n, imm.scale)
-    vals = next(sc.random_normal_sections(1, seed=3))
-    rep = cutoff_inequality_audit(vals, phi, form)
+    vals = next(sc.random_normal_sections(1, seed=3, imm=imm))
+    rep = cutoff_inequality_audit(vals, phi, imm)
     assert rep.chain_holds
     assert rep.stability_holds
     assert rep.rhs_perp >= 0.0 and rep.lhs_top >= 0.0
@@ -640,9 +639,18 @@ def test_index_form_matrix_matches_the_array_stencil():
     for seed in range(3):
         vals = next(sc.random_normal_sections(1, seed=seed, imm=imm))
         assert not np.any(vals[~imm.mask])    # packing drops nothing
-        rep = cutoff_inequality_audit(vals, np.ones((48, 48)), form)
+        rep = cutoff_inequality_audit(vals, np.ones((48, 48)), imm)
         assert form.q_value(vals) == pytest.approx(rep.rhs_perp - rep.lhs_top,
                                                    rel=1e-12)
+    # on a twisted cover, with the audit given the form's extent and twist
+    sc = EllipticScenario(n=16)
+    imm = sc.immersion()
+    twist = (0.7, -1.3)
+    form = stability.euclidean_index_form(imm, twist=twist, extent=2)
+    vals = next(sc.random_normal_sections(1, extent=2, seed=5, imm=imm))
+    rep = cutoff_inequality_audit(vals, np.ones((32, 32)), imm, 2, twist)
+    assert form.q_value(vals) == pytest.approx(rep.rhs_perp - rep.lhs_top,
+                                               rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

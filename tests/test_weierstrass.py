@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from stabletori.errors import PoleError
+from stabletori.geometry import elliptic_curve_immersion
 from stabletori.lattice import normalize_lattice
-from stabletori.weierstrass import (eisenstein_invariants, half_period_values,
-                                    wp, wp_lattice_sum, wp_second)
+from stabletori.weierstrass import (eisenstein_invariants, wp, wp_lattice_sum)
 
 
 LATTICES = [normalize_lattice(t)[0] for t in (1.0j, 0.3 + 1.1j, -0.4 + 0.8j)]
@@ -48,10 +48,10 @@ def test_parity_and_periodicity(lat):
 @pytest.mark.parametrize("lat", LATTICES)
 def test_half_periods_are_critical_points(lat):
     pts = np.array([0.5, lat.tau / 2.0, (1.0 + lat.tau) / 2.0])
-    _, pp = wp(pts, lat)
+    e, pp = wp(pts, lat)
     scale = np.max(np.abs(wp(np.array([0.3 + 0.1j]), lat)[1]))
     assert np.max(np.abs(pp)) < 1e-9 * max(scale, 1.0)
-    e = half_period_values(lat)
+    # the three half-period values e1 + e2 + e3 sum to zero
     assert abs(np.sum(e)) < 1e-10 * max(1.0, np.max(np.abs(e)))
 
 
@@ -66,13 +66,18 @@ def test_special_lattice_invariants():
 
 
 def test_wp_second_is_the_derivative_of_wp_prime():
+    # the elliptic immersion stores F_z[2] = wp''/2 from wp'' = 6 wp^2 - g2/2
     lat = LATTICES[1]
-    z = np.array([0.31 + 0.12j, 0.18 - 0.2j])
+    n = 16
+    imm = elliptic_curve_immersion(lat, 0.1, n)
+    i, j = np.array([5, 3, 11]), np.array([2, 8, 13])
+    assert imm.mask[i, j].all()
+    z = (i + j * lat.tau) / n
     h = 1e-5
     _, pa = wp(z + h, lat)
     _, pb = wp(z - h, lat)
     fd = (pa - pb) / (2 * h)
-    got = wp_second(z, lat)
+    got = 2 * imm.Fz[i, j, 2]
     assert np.max(np.abs(got - fd) / np.abs(got)) < 1e-6
 
 
