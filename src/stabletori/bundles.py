@@ -16,7 +16,8 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import ztrsen
 
-from .errors import ConvergenceError, DomainError, ShapeError
+from .errors import (ConvergenceError, DomainError, ResolutionError,
+                     ShapeError)
 from .lattice import CoverSpec, Lattice, cover_lattice, wirtinger_factors
 from .sections import SectionGrid
 
@@ -63,7 +64,7 @@ def line_section(L: LineHolonomy, k: int, lat: Lattice, n: int) -> SectionGrid:
     if k < 1:
         raise DomainError("k must be >= 1")
     if n < 8:
-        raise DomainError("grid must be at least 8")
+        raise ResolutionError("grid must be at least 8")
     lifted = lift_line_holonomy(L, k)
     omega_x = L.phi - lifted.phi / k   # = 2*pi*(integer)/k
     omega_y = L.theta - lifted.theta / k
@@ -166,7 +167,7 @@ def atiyah_sections(data: AtiyahData, lat: Lattice, n: int) -> list[SectionGrid]
     a pointwise algebraic identity.
     """
     if n < 8:
-        raise DomainError("grid must be at least 8")
+        raise ResolutionError("grid must be at least 8")
     B = data.B
     out = []
     for j in range(data.r):

@@ -64,10 +64,18 @@ def _config_int(cfg, key: str, low: int | None = None) -> int:
     return value
 
 
+def _finite_number(x) -> bool:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:       # an integer beyond the float range
+        return False
+
+
 def _config_number(cfg, key: str, positive: bool = False) -> float:
     value = cfg[key]
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or (positive and value <= 0)):
+    if not _finite_number(value) or (positive and value <= 0):
         what = "a positive" if positive else "a finite"
         raise ConfigError(f"{key} must be {what} number, got {value!r}")
     return value
@@ -77,10 +85,10 @@ def _config_numbers(cfg, key: str, length: int = 0) -> list:
     value = cfg[key]
     if (not isinstance(value, list) or not value
             or (length and len(value) != length)
-            or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                   for x in value)):
+            or not all(map(_finite_number, value))):
         what = f"a list of {length}" if length else "a non-empty list of"
-        raise ConfigError(f"{key} must be {what} numbers, got {value!r}")
+        raise ConfigError(f"{key} must be {what} finite numbers, "
+                          f"got {value!r}")
     return value
 
 
@@ -100,6 +108,8 @@ def load_config(sub: str, args) -> dict:
             user = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}")
+        if not isinstance(user, dict):
+            raise ConfigError(f"config must be a JSON object, got {user!r}")
         unknown = set(user) - set(cfg)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")

@@ -7,12 +7,9 @@ its Hermitian symmetry is checked on the coefficients, and `min_eigenvalue`
 reads only the stencil, whose DFT is its spectrum.  Its sparse matrices are
 assembled on request, for test oracles and tracing.  The masked Euclidean
 index form is a `DiscreteForm`, an assembled sparse matrix checked as one.
-Each form records its measure convention ("dxdy" or "da") because the two
-appear side by side in the inequalities being verified; mixing them
-silently is the classic error this tag prevents.  The elliptic stability
-audit builds no matrix: like the cutoff audit, it evaluates the Euclidean
-index form matrix-free, as grid densities (`_index_densities`) summed
-against the cell measure.
+The elliptic stability audit builds no matrix: like the cutoff audit, it
+evaluates the Euclidean index form matrix-free, as grid densities
+(`_index_densities`) summed against the cell measure.
 """
 
 from __future__ import annotations
@@ -50,12 +47,11 @@ class StencilForm:
 
     Q couples each node to the node o = (ox, oy) on, mod n, with the
     coefficient gen[o] and has the field `diag` on its diagonal; gen[0, 0]
-    is not read.  meta["symbol"], when present, is the n x n array of the
-    generalized eigenvalues of (Q, M), indexed by the FFT mode (mx, my)
-    whose grid plane wave is the eigenvector; min_eigenvalue needs it.
-    meta["continuum"] is (c, gap, size): the exact continuum bottom, how far
-    below it the discrete bottom may lie, and the size of c's terms, which
-    sets its rounding.
+    is not read.  meta["symbol"] is the n x n array of the generalized
+    eigenvalues of (Q, M), indexed by the FFT mode (mx, my) whose grid plane
+    wave is the eigenvector.  meta["continuum"] is (c, gap, size): the exact
+    continuum bottom, how far below it the discrete bottom may lie, and the
+    size of c's terms, which sets its rounding.
 
     Q must be Hermitian (`_check_hermitian`), which the constructor checks
     on the stencil (`_stencil_hermitian_norms`).  `Q` and `M` assemble the
@@ -65,9 +61,7 @@ class StencilForm:
     gen: np.ndarray
     diag: np.ndarray
     w: float
-    convention: str                 # measure convention of Q ("dxdy" or "da")
-    shape: tuple                    # logical dof layout, (n, n)
-    meta: dict = field(default_factory=dict)
+    meta: dict                      # "symbol" and "continuum"
 
     def __post_init__(self):
         _check_hermitian(*_stencil_hermitian_norms(self.gen, self.diag))
@@ -131,8 +125,6 @@ class DiscreteForm:
 
     Q: sp.spmatrix
     M: sp.spmatrix
-    convention: str                 # measure convention of Q ("dxdy" or "da")
-    shape: tuple                    # logical dof layout, e.g. (n, n, dim)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -169,7 +161,7 @@ class SpectrumResult:
     eigensection: np.ndarray
     residual: float     # relative to max(1, max|symbol|) |M v|
     iterations: int     # 0: read off the closed-form symbol
-    continuum: float | None = None  # meta["continuum"] bottom, when recorded
+    continuum: float    # the exact continuum bottom, meta["continuum"]
 
 
 def _cov_diff_1d(n: int, h: float, step_angle: float) -> sp.spmatrix:
@@ -220,65 +212,55 @@ def _stencil_hermitian_norms(gen: np.ndarray,
 
 
 def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
-                      n: int, potential=0.0, shear: float = 0.0,
-                      convention: str = "da") -> StencilForm:
-    """Covariant Dirichlet form + potential on a flat torus chart.
+                      n: int, potential: float = 0.0) -> StencilForm:
+    """Covariant Dirichlet form + constant potential on a flat torus chart.
 
     Q(c) = sum g^{ab} (D_a c)* (D_b c) sqrt(g) h^2 + sum V |c|^2 sqrt(g) h^2
-    over the unit (xi, eta) cell, with the holonomy phases (phi, theta)
-    entering as constant connection potentials in the difference stencils.
-    The mass form is the flat area measure, so generalized eigenvalues are
-    physical frequencies squared plus the potential.  The form is its
-    stencil: 5 points per node, 9 with shear.  A constant potential makes it
-    diagonal in grid plane waves; its symbol is recorded, and without shear
-    also the continuum bottom with its bracket.
+    over the unit (xi, eta) cell of the rectangle with sides `periods`, with
+    the holonomy phases (phi, theta) entering as constant connection
+    potentials in the difference stencils.  The mass form is the flat area
+    measure, so generalized eigenvalues are physical frequencies squared plus
+    the potential.  The form is its 5-point stencil, diagonal in grid plane
+    waves; it records its symbol and the continuum bottom with its bracket.
+    A potential that is not a scalar raises ShapeError.
     """
     if n < 2:
         raise ResolutionError("twisted form needs a grid of at least 2 x 2")
+    if np.ndim(potential):
+        raise ShapeError(f"potential must be a scalar, got shape "
+                         f"{np.shape(potential)}")
+    V = float(potential)
     phi, theta = twist
-    try:
-        V = np.broadcast_to(np.asarray(potential, dtype=float), (n, n))
-    except ValueError as exc:
-        raise ShapeError(f"potential does not broadcast to {n} x {n}") from exc
-    if not (np.isfinite([*periods, *twist, shear]).all() and np.isfinite(V).all()
-            and np.prod(periods)):
+    if not (np.isfinite([*periods, *twist, V]).all() and np.prod(periods)):
         raise DomainError("form inputs must be finite, the periods nonzero")
     h = 1.0 / n
-    ginv, sqrtg = chart_metric(periods, shear)
+    ginv, sqrtg = chart_metric(periods)
     w = sqrtg * h * h
 
-    # Q / w = g^00 Fx^H Fx + g^11 Fy^H Fy + g^01 (Cx^H Cy + Cy^H Cx) + V for
-    # F = (e^{-i a} S - 1) / h and C = (e^{-i a} S - e^{i a} S^T) / 2h = -C^H,
+    # Q / w = g^00 Fx^H Fx + g^11 Fy^H Fy + V for F = (e^{-i a} S - 1) / h,
     # a the step phase and S the shift to the next node.  gen[ox, oy] couples
     # a node to the one (ox, oy) on, mod n; n = 2 folds the two neighbours.
     ex, ey = np.exp(-1j * phi * h), np.exp(-1j * theta * h)
     one, fwd, bwd = np.eye(n)[[0, 1, -1]]   # 1D stencils of 1, S and S^T
     lx, ly = (2 * one - e * fwd - np.conj(e) * bwd for e in (ex, ey))
-    cx, cy = (e * fwd - np.conj(e) * bwd for e in (ex, ey))
     gen = w / h ** 2 * (ginv[0, 0] * np.outer(lx, one)
-                        + ginv[1, 1] * np.outer(one, ly)
-                        - 0.5 * ginv[0, 1] * np.outer(cx, cy))
-    meta = {}
-    if V.min() == V.max():
-        # The grid plane wave of mode m has step phase theta = (2 pi m - phi) h
-        # under the connection; F has symbol (e^{i theta} - 1) / h and C has
-        # i sin(theta) / h.  Signed modes keep theta small.
-        m = (np.arange(n) + n // 2) % n - n // 2
-        tx, ty = ((2 * np.pi * m - t) * h for t in (phi, theta))
-        meta["symbol"] = (ginv[0, 0] * (4 * np.sin(tx / 2) ** 2)[:, None]
-                          + ginv[1, 1] * (4 * np.sin(ty / 2) ** 2)[None, :]
-                          + 2 * ginv[0, 1] * np.outer(np.sin(tx), np.sin(ty))
-                          ) / h ** 2 + V[0, 0]
-        if shear == 0:
-            # Each axis's continuum bottom is the mode nearest its twist, at
-            # distance d; the grid scales its term by 4 sin^2(x/2) / x^2 in
-            # [1 - x^2/12, 1] (x = d h) and puts no other mode lower.
-            d = [abs(principal_angle(t)) for t in twist]
-            terms = [(di / ai) ** 2 for di, ai in zip(d, periods)]
-            gap = sum(t * (di * h) ** 2 / 12 for t, di in zip(terms, d))
-            meta["continuum"] = (sum(terms) + float(V[0, 0]), gap,
-                                 max(sum(terms), abs(float(V[0, 0]))))
-    return StencilForm(gen, gen[0, 0] + w * V, w, convention, (n, n), meta)
+                        + ginv[1, 1] * np.outer(one, ly))
+    # The grid plane wave of mode m has step phase theta = (2 pi m - phi) h
+    # under the connection, and F has symbol (e^{i theta} - 1) / h.  Signed
+    # modes keep theta small.
+    m = (np.arange(n) + n // 2) % n - n // 2
+    tx, ty = ((2 * np.pi * m - t) * h for t in (phi, theta))
+    symbol = (ginv[0, 0] * (4 * np.sin(tx / 2) ** 2)[:, None]
+              + ginv[1, 1] * (4 * np.sin(ty / 2) ** 2)[None, :]) / h ** 2 + V
+    # Each axis's continuum bottom is the mode nearest its twist, at
+    # distance d; the grid scales its term by 4 sin^2(x/2) / x^2 in
+    # [1 - x^2/12, 1] (x = d h) and puts no other mode lower.
+    d = [abs(principal_angle(t)) for t in twist]
+    terms = [(di / ai) ** 2 for di, ai in zip(d, periods)]
+    gap = sum(t * (di * h) ** 2 / 12 for t, di in zip(terms, d))
+    continuum = (sum(terms) + V, gap, max(sum(terms), abs(V)))
+    return StencilForm(gen, np.full((n, n), gen[0, 0] + w * V), w,
+                       {"symbol": symbol, "continuum": continuum})
 
 
 def min_eigenvalue(form: StencilForm) -> SpectrumResult:
@@ -294,15 +276,15 @@ def min_eigenvalue(form: StencilForm) -> SpectrumResult:
     its eigenpair residual checked through `apply`.  Both are relative to
     max(1, max|symbol|) |M x|; either above SYMBOL_TOL, a diagonal that is
     not constant, or a bottom that is not finite raises ConvergenceError.
-    A form that records its continuum bottom c must have its discrete bottom
-    in [c - gap, c], up to a rounding slack of 1e-12 times the size of c's
-    terms, else ConvergenceError; c is returned as `continuum`.  A form
-    without a symbol (the masked Euclidean form or a non-constant
-    potential) raises WrongFormError.
+    The discrete bottom must lie in the bracket [c - gap, c] of the form's
+    continuum bottom c, up to a rounding slack of 1e-12 times the size of
+    c's terms, else ConvergenceError; c is returned as `continuum`.  A form
+    that is no `StencilForm` (the masked Euclidean form) raises
+    WrongFormError.
     """
-    symbol = form.meta.get("symbol")
-    if symbol is None or not isinstance(form, StencilForm):
+    if not isinstance(form, StencilForm):
         raise WrongFormError("form is no stencil with a Fourier symbol")
+    symbol = form.meta["symbol"]
     w = form.w
     if not w > 0:
         raise DomainError("mass form must be positive definite")
@@ -326,9 +308,9 @@ def min_eigenvalue(form: StencilForm) -> SpectrumResult:
             f"symbol does not match the stencil: residual {res:.1e}, "
             f"spectrum {spectrum:.1e}, constant diagonal {constant}",
             best=lam)
-    c, gap, size = form.meta.get("continuum", (None, 0.0, 0.0))
+    c, gap, size = form.meta["continuum"]
     slack = 1e-12 * max(1.0, size)
-    if c is not None and not c - gap - slack <= lam <= c + slack:
+    if not c - gap - slack <= lam <= c + slack:
         raise ConvergenceError(f"bottom {lam!r} lies outside its continuum "
                                f"bracket [{c - gap!r}, {c!r}]", best=lam)
     return SpectrumResult(lam, v, res, 0, c)
@@ -453,7 +435,7 @@ def euclidean_index_form(imm: Immersion,
     Qplus = Qplus[idx][:, idx]
     Qminus = Qminus[idx][:, idx]
     M = M.tocsr()[idx][:, idx]
-    return DiscreteForm(Q, M, "dxdy", (N, N, dim), meta={
+    return DiscreteForm(Q, M, meta={
         "active": idx, "immersion": imm, "extent": extent,
         "Qplus": Qplus, "Qminus": Qminus, "twist": twist,
     })
@@ -622,15 +604,12 @@ def covering_sweep(scenario, covers) -> list[SweepRow]:
     form; the level is stable when continuum >= -STABLE_TOL.  An
     eigenfunction on a cover lifts to every cover of it, so the continuum
     bottom may not increase from a cover to any later cover it contains;
-    covers that are not nested are not compared.  A level that records no
-    continuum bottom (a sheared form) raises WrongFormError.
+    covers that are not nested are not compared.
     """
     rows = []
     seen = []
     for spec in covers:
         degree, systole, lam, cont = scenario.level(spec)
-        if cont is None:
-            raise WrongFormError("level records no continuum bottom")
         for prev_spec, prev in seen:
             if prev_spec.contains(spec) and cont > prev + STABLE_TOL:
                 raise DomainError("continuum bottom increased along the tower")

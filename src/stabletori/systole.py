@@ -326,13 +326,10 @@ def systole_bound_verdict(lambda_min: float, R: float, kappa_hat: float,
     `lambda_min` is the exact continuum bottom of the second-variation form
     (`SpectrumResult.continuum`); the scenario is stable when it is at least
     -STABLE_TOL.  C is 2 pi / sqrt 3 in the general case and
-    2 (18 + pi) / sqrt 3 in the exceptional one.  R is taken as exact.  A
-    missing bottom (None, as a sheared form records) raises WrongFormError.
+    2 (18 + pi) / sqrt 3 in the exceptional one.  R is taken as exact.
     """
     if case not in ("general", "exceptional"):
         raise DomainError("case must be 'general' or 'exceptional'")
-    if lambda_min is None:
-        raise WrongFormError("the verdict needs a continuum bottom")
     C = GENERAL_CONSTANT if case == "general" else EXCEPTIONAL_CONSTANT
     applicable = lambda_min >= -STABLE_TOL
     if kappa_hat <= 0:

@@ -304,6 +304,22 @@ def test_missing_config_is_a_config_error(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("payload", [5, [["grid", 5]], "grid"])
+def test_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys,
+                                                        payload):
+    cfg = _cfg(tmp_path, "c.json", payload)
+    rc = main(["abelian", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 3
+    assert "config error: config must be a JSON object" in (
+        capsys.readouterr().err)
+
+
+def test_sections_grid_below_eight_trips_resolution_guard(tmp_path, capsys):
+    rc = main(["sections", "--grid", "4", "--out", str(tmp_path)])
+    assert rc == 4
+    assert "resolution guard" in capsys.readouterr().err
+
+
 def test_unknown_config_key_is_a_config_error(tmp_path):
     cfg = _cfg(tmp_path, "c.json", {"bogus_key": 1})
     rc = main(["sections", "--config", cfg, "--out", str(tmp_path)])
@@ -338,6 +354,13 @@ def test_subprocess_entry_point(tmp_path):
     ("decompose", {"count": "x"}),
     ("abelian", {"tau": "x"}),
     ("sections", {"tau": [0, 1, 2]}),
+    # non-finite entries: sections would check nothing, abelian would crash
+    ("sections", {"tau": [np.nan, 1.0]}),
+    ("sections", {"tau": [0.0, np.inf]}),
+    ("abelian", {"tau": [np.nan, 1.0]}),
+    ("abelian", {"tau": [np.inf, 1.0]}),
+    ("abelian", {"tau": [10 ** 400, 1.0]}),     # no float holds it
+    ("cutoff", {"epsilons": [0.05, np.nan]}),
 ])
 def test_bad_lens_decompose_or_tau_config_is_a_config_error(tmp_path, capsys,
                                                             sub, payload):
@@ -354,6 +377,7 @@ def test_bad_lens_decompose_or_tau_config_is_a_config_error(tmp_path, capsys,
     ("sections", {"theta": "x"}, "theta"),
     ("stability", {"rho": 0}, "rho"),
     ("stability", {"L": -1}, "L"),
+    ("sections", {"phi": 10 ** 400}, "phi"),
 ])
 def test_bad_lens_or_line_value_is_a_config_error_naming_its_key(
         tmp_path, capsys, sub, payload, key):

@@ -57,6 +57,14 @@ def test_normalize_is_reduced_and_im_does_not_drop(t1, t2):
     assert lat.tau2 >= t2 - 1e-12
 
 
+def test_normalize_huge_real_part_reduces_to_i():
+    # floor(x + 0.5) rounds x = 2^52 + 1 up, so the first translation lands
+    # at Re tau = -1 and a second pass of the loop must translate again
+    lat, U = normalize_lattice(2 ** 52 + 1 + 1j)
+    assert (lat.tau1, lat.tau2) == (0.0, 1.0)
+    assert round(np.linalg.det(U)) == 1
+
+
 def test_degenerate_lattice_rejected():
     with pytest.raises(InvalidLatticeError):
         normalize_lattice(0.5 + 0.0j)

@@ -7,7 +7,6 @@ from stabletori.errors import DomainError, ResolutionError, WrongFormError
 from stabletori.lattice import CoverSpec
 from stabletori.scenarios import (EllipticScenario, FlatTorusScenario,
                                   LensScenario, flat_chart_immersion)
-from stabletori.stability import flat_twisted_form, min_eigenvalue
 from stabletori.systole import (EIGHT_NEIGHBOR_ANISOTROPY,
                                 EXCEPTIONAL_CONSTANT, GENERAL_CONSTANT,
                                 axis_truncated_distances, exceptional_cutoffs,
@@ -211,12 +210,3 @@ def test_verdict_edge_cases():
     assert rep0.passed and not np.isfinite(rep0.bound)
     with pytest.raises(DomainError):
         systole_bound_verdict(0.0, 1.0, 1.0, case="bogus")
-
-
-def test_verdict_needs_a_continuum_bottom():
-    # a sheared form records no continuum bottom to decide stability from
-    form = flat_twisted_form((1.0, 1.3), (0.7, -1.9), 16, shear=0.4)
-    cont = min_eigenvalue(form).continuum
-    assert cont is None
-    with pytest.raises(WrongFormError):
-        systole_bound_verdict(cont, 1.0, 0.5)
