@@ -25,15 +25,15 @@ import numpy as np
 from . import serialize
 from .bundles import (FlatBundle, LineHolonomy, decompose_commuting_pair,
                       line_section)
-from .errors import (ConfigError, ConvergenceError, ResolutionError,
-                     ResourceGuard, StableToriError)
+from .errors import (ConfigError, ConvergenceError, DomainError,
+                     ResolutionError, ResourceGuard, StableToriError)
 from .lattice import CoverSpec, Lattice, flat_systole
 from .scenarios import FlatTorusScenario, LensScenario, sublattice_growth_table
 from .sections import dbar
 from .stability import _cutoff_window, covering_sweep, min_eigenvalue
 from .systole import (axis_truncated_distances, phase_trial_section,
                       rayleigh_bound_check, systole_bound_verdict)
-from .geometry import kappa_pic_estimate
+from .geometry import pic_kappa
 
 EXIT_PASS = 0
 EXIT_ASSERT = 2
@@ -49,8 +49,7 @@ DEFAULTS = {
     "cutoff": {"epsilons": [0.05, 0.06, 0.07, 0.085, 0.1], "grid": 1024},
     "stability": {"scenario": "lens", "L": 2.0, "rho": 1.0, "p": 3, "q": 1,
                   "k_max": 3, "grid": 96},
-    "systole": {"L": 2.0, "rho": 1.0, "p": 3, "q": 1, "grid": 96,
-                "samples": 20000, "seed": 0},
+    "systole": {"L": 2.0, "rho": 1.0, "p": 3, "q": 1, "grid": 96},
     "abelian": {"tau": [0.0, 1.0], "k_max": 10},
 }
 
@@ -254,8 +253,6 @@ def cmd_stability(cfg, out: Path, svg: bool):
 
 
 def cmd_systole(cfg, out: Path, svg: bool):
-    samples = _config_int(cfg, "samples", 1000)
-    seed = _config_int(cfg, "seed", 0)
     failures = []
     scen = _lens_scenario(cfg)
     n = cfg["grid"]
@@ -263,14 +260,18 @@ def cmd_systole(cfg, out: Path, svg: bool):
     imm = scen.torus
     R = flat_systole(imm.lattice, imm.scale)
     kappa = imm.ambient.kappa_pic
-    audit = kappa_pic_estimate(imm.ambient, samples=samples, seed=seed)
+    # the curvature operator certifies the closed form from both sides
+    kappa_hat = pic_kappa(imm.ambient.curvature_operator())
+    if not abs(kappa_hat - kappa) <= 1e-12 * kappa:
+        raise DomainError(f"certified kappa {kappa_hat!r} does not match the "
+                          f"closed-form kappa {kappa!r}")
     deltas = axis_truncated_distances(imm, R, n)
     hol = imm.normal_lines[0][0]
     trial = phase_trial_section(hol, R, deltas, imm, n)
     ray = rayleigh_bound_check(trial, imm, kappa)
     verdict = systole_bound_verdict(res.continuum, R, kappa, case="general")
     summary = {
-        "R": R, "kappa": kappa, "kappa_hat": audit.kappa_hat,
+        "R": R, "kappa": kappa, "kappa_hat": kappa_hat,
         "C": verdict.constant, "bound": verdict.bound,
         "lambda_min": res.lambda_min,
         "seam_residual": trial.seam_residual,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundles import FlatBundle, LineHolonomy, decompose_commuting_pair
-from .errors import DomainError, ResolutionError
+from .errors import DomainError, ResolutionError, ShapeError, WrongFormError
 from .lattice import Lattice
 from .weierstrass import eisenstein_invariants, wp
 
@@ -98,6 +98,28 @@ class AmbientSpace:
         basis[1:, 1:] = comp
         return basis
 
+    def curvature_operator(self, point: np.ndarray | None = None
+                           ) -> np.ndarray:
+        """The curvature operator <R(e_i ^ e_j), e_k ^ e_l> on Lambda^2 of the
+        4-dimensional tangent space at point (the base point if None).
+
+        Rows and columns run over e_01, e_02, e_03, e_12, e_13, e_23 for the
+        `tangent_basis` columns e_0..e_3, so the diagonal holds the
+        sectional curvatures K_ij = R(e_i, e_j, e_i, e_j).  The 36 entries
+        come from one stacked `curvature` call.  Raises WrongFormError
+        unless tangent_dim == 4.
+        """
+        if self.tangent_dim != 4:
+            raise WrongFormError("the curvature operator needs a "
+                                 "4-dimensional tangent space, got "
+                                 f"{self.tangent_dim}")
+        E = self.tangent_basis(point).T
+        i, j = np.array(_WEDGE_PAIRS).T
+        shape = (len(i), len(i), self.dim)
+        X, Y = (np.broadcast_to(E[a][:, None], shape) for a in (i, j))
+        Z, W = (np.broadcast_to(E[a][None], shape) for a in (i, j))
+        return self.curvature(X, Y, Z, W, point).real
+
     def curvature(self, X, Y, Z, W, point: np.ndarray | None = None):
         """(0,4) curvature tensor, extended complex multilinearly.
 
@@ -130,6 +152,57 @@ class AmbientSpace:
 def _dot(a, b):
     """Complex bilinear pairing of stacked (..., d) vectors."""
     return np.einsum("...i,...i->...", a, b)
+
+
+# ---------------------------------------------------------------------------
+# kappa-PIC from the curvature operator
+
+# Index pairs (i, j) of the basis e_i ^ e_j of Lambda^2 R^4.
+_WEDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+# Orthogonal basis of Lambda^2 R^4 in the coordinates of _WEDGE_PAIRS, each
+# row of norm sqrt 2: rows 0-2 span the self-dual forms Lambda^+ for the
+# volume form e_0123, rows 3-5 the anti-self-dual forms Lambda^-.  Integer
+# entries and one exact halving keep an exact operator's blocks exact.
+_SELF_DUAL_BASIS = np.array([
+    [1, 0, 0, 0, 0, 1], [0, 1, 0, 0, -1, 0], [0, 0, 1, 1, 0, 0],
+    [1, 0, 0, 0, 0, -1], [0, 1, 0, 0, 1, 0], [0, 0, 1, -1, 0, 0],
+], dtype=float)
+
+
+def pic_kappa(operator) -> float:
+    """kappa = min K(Pi) over isotropic planes, read off a curvature
+    operator on Lambda^2 R^4 (as `AmbientSpace.curvature_operator` gives).
+
+    With A and C its Lambda^+ and Lambda^- diagonal blocks in the
+    orthonormal basis `_SELF_DUAL_BASIS / sqrt 2`, and a_1 <= a_2,
+    c_1 <= c_2 their two lowest eigenvalues, kappa = min(a_1 + a_2,
+    c_1 + c_2) / 2: Hamilton's PIC criterion (Comm. Anal. Geom. 5, 1997) in
+    the normalization K(Pi) = R(X, Y, conj X, conj Y) / |X ^ Y|^2 of
+    Micallef-Moore (Ann. Math. 127, 1988).
+
+    Proof: every isotropic plane is spanned by X = e_0 + i e_1 and
+    Y = e_2 + i e_3 for an orthonormal frame e, and X ^ Y = u + i v with
+    u = e_02 - e_13 and v = e_03 + e_12, orthogonal of equal norm, in
+    Lambda^+ for a positive frame and in Lambda^- for a negative one.  SO(4)
+    moves (u, v) to every orthogonal pair of equal norm in its factor, and
+    K = (<Au, u> + <Av, v>) / (|u|^2 + |v|^2) is half the trace of A on
+    span(u, v), whose minimum is (a_1 + a_2) / 2; the block between
+    Lambda^+ and Lambda^- never enters.
+
+    Raises ShapeError unless the operator is 6 x 6, and DomainError unless
+    it is finite and symmetric to 1e-12 of its largest entry (a non-finite
+    entry fails the comparison).
+    """
+    op = np.asarray(operator, dtype=float)
+    if op.shape != (6, 6):
+        raise ShapeError(f"curvature operator must be 6 x 6, got {op.shape}")
+    if not np.abs(op - op.T).max() <= 1e-12 * np.abs(op).max():
+        raise DomainError("curvature operator is not finite and symmetric")
+    T = _SELF_DUAL_BASIS @ op @ _SELF_DUAL_BASIS.T / 2
+    a = np.linalg.eigvalsh(T[:3, :3])
+    c = np.linalg.eigvalsh(T[3:, 3:])
+    return float(min(a[0] + a[1], c[0] + c[1]) / 2)
 
 
 # ---------------------------------------------------------------------------

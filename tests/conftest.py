@@ -128,6 +128,21 @@ def kron_twisted_form_q(periods, twist, n, potential=0.0, shear=0.0):
     return (Q + sp.diags(w * V.reshape(-1))).tocsr()
 
 
+def isotropic_curvature(operator, X, Y):
+    """R(X, Y, conj X, conj Y) / |X wedge Y|^2 for a curvature operator.
+
+    operator is a 6 x 6 matrix on the 2-vectors e_i ^ e_j, i < j, of R^4 in
+    lexicographic order; X and Y are stacked (..., 4) complex vectors.  The
+    wedge coordinates w_ij = X_i Y_j - X_j Y_i are contracted with the
+    operator directly, and |X wedge Y|^2 is the sum of |w_ij|^2.
+    """
+    pairs = list(itertools.combinations(range(4), 2))
+    w = np.stack([X[..., i] * Y[..., j] - X[..., j] * Y[..., i]
+                  for i, j in pairs], axis=-1)
+    num = np.einsum("...a,ab,...b->...", w, operator, np.conj(w))
+    return num.real / np.sum(np.abs(w) ** 2, axis=-1)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

@@ -13,7 +13,7 @@ from stabletori.bundles import (AtiyahData, FlatBundle, LineHolonomy,
                                 decompose_commuting_pair, line_section,
                                 principal_angle, pullback_bundle,
                                 two_torsion_classify)
-from stabletori.geometry import AmbientSpace, kappa_pic_estimate
+from stabletori.geometry import AmbientSpace, pic_kappa
 from stabletori.lattice import (CoverSpec, Lattice, cover_lattice,
                                 flat_systole, normalize_lattice)
 from stabletori.scenarios import (EllipticScenario, FlatTorusScenario,
@@ -229,7 +229,7 @@ def test_criterion_7_lens_scenario_end_to_end():
     onset_ok = onset is not None and abs(onset - oracle_onset) <= 1
     amb = AmbientSpace(kind="product_circle_sphere", circle_radius=2.0,
                        sphere_radius=1.0, n_sphere=3, lens=(3, 1))
-    kap = kappa_pic_estimate(amb, samples=20000, seed=0).kappa_hat
+    kap = pic_kappa(amb.curvature_operator())
     bound = GENERAL_CONSTANT / np.sqrt(kap)
     counterexamples = sum(1 for r in rows if r.stable and r.systole > bound)
     dt = time.perf_counter() - t0

@@ -11,6 +11,7 @@ import stabletori.cli
 from stabletori.bundles import DecompositionReport, LineHolonomy, Summand
 from stabletori.cli import main
 from stabletori.errors import ConvergenceError
+from stabletori.geometry import AmbientSpace
 from stabletori.lattice import Lattice
 from stabletori.stability import StencilForm, log_cutoff
 
@@ -223,7 +224,7 @@ def test_stability_tiny_grid_decides_from_the_continuum(tmp_path, grid):
 
 
 def test_systole_pass(tmp_path):
-    cfg = _cfg(tmp_path, "c.json", {"grid": 64, "samples": 1500})
+    cfg = _cfg(tmp_path, "c.json", {"grid": 64})
     out = tmp_path / "out"
     assert main(["systole", "--config", cfg, "--out", str(out)]) == 0
     data = json.loads((out / "systole.json").read_text())
@@ -245,7 +246,7 @@ def test_systole_default_reports_rayleigh_chain_and_is_deterministic(tmp_path):
     assert data["rayleigh_chain_holds"] is False
     assert data["rayleigh_lhs"] > data["rayleigh_energy"]
     assert data["lambda_min"] < -1e-6
-    # the bound uses the closed-form kappa; the sampled audit sits on it
+    # the bound uses the closed-form kappa; the certificate matches it
     assert data["kappa"] == 0.5
     assert data["kappa_hat"] == pytest.approx(0.5, rel=1e-12)
     assert data["bound"] == data["C"] / np.sqrt(0.5)
@@ -263,23 +264,44 @@ def test_systole_kappa_follows_the_sphere_radius_and_is_deterministic(
     assert outs[0] == outs[1]
     data = json.loads(outs[0])
     assert data["kappa"] == 1 / (2 * 1.02 ** 2)
-    assert data["kappa_hat"] >= data["kappa"] * (1 - 1e-12)
+    assert data["kappa_hat"] == pytest.approx(data["kappa"], rel=1e-12)
 
 
 @pytest.mark.parametrize("payload, args", [
-    ({"samples": 20000.5}, []),
+    ({"samples": 20000}, []),
+    ({"seed": 0}, []),
+    ({"samples": 20000, "seed": 0}, []),
     ({"samples": "many"}, []),
-    ({"seed": True}, []),
-    ({"samples": 999}, []),
     ({"seed": -1}, []),
-    ({}, ["--seed", "-1"]),
+    ({"seed": 0}, ["--seed", "7"]),
 ])
 def test_systole_bad_samples_or_seed_is_a_config_error(tmp_path, capsys,
                                                        payload, args):
+    # kappa is certified, not sampled: the sampler's keys are unknown,
+    # whatever their values and whatever --seed says
     cfg = _cfg(tmp_path, "c.json", payload)
     rc = main(["systole", "--config", cfg, "--out", str(tmp_path), *args])
     assert rc == 3
-    assert "config error" in capsys.readouterr().err
+    assert (f"unknown config keys: {sorted(payload)}"
+            in capsys.readouterr().err)
+
+
+def test_systole_ignores_the_seed_flag(tmp_path):
+    outs = []
+    for seed in ("0", "7"):
+        out = tmp_path / seed
+        assert main(["systole", "--seed", seed, "--out", str(out)]) == 0
+        outs.append((out / "systole.json").read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("closed_form", [0.6, 0.4])
+def test_systole_rejects_a_closed_form_kappa_off_the_certificate(
+        tmp_path, capsys, monkeypatch, closed_form):
+    monkeypatch.setattr(AmbientSpace, "kappa_pic",
+                        property(lambda self: closed_form))
+    assert main(["systole", "--out", str(tmp_path)]) == 2
+    assert "does not match the closed-form kappa" in capsys.readouterr().err
 
 
 def test_abelian_pass(tmp_path):

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stabletori.errors import DomainError
+from stabletori.errors import DomainError, ShapeError, WrongFormError
 from stabletori.lattice import Lattice
 from stabletori.geometry import (KAPPA_BLOCK, AmbientSpace, IsotropicPlane,
                                  _orthonormal_frames, _plane_checks,
                                  complex_sectional_curvatures,
                                  elliptic_curve_immersion, kappa_pic_estimate,
-                                 product_geodesic_torus, surface_quantities)
+                                 pic_kappa, product_geodesic_torus,
+                                 surface_quantities)
+
+from conftest import isotropic_curvature
 
 
 def _product_ambient(rho=1.0):
@@ -81,6 +84,16 @@ def test_orthonormal_frames_match_the_qr_oracle(rng, n):
         assert np.all(np.diagonal(R, axis1=-2, axis2=-1) > 0)
         oracle = np.array([_qr_frame(a) for a in A.reshape(-1, n, 4)])
         assert np.abs(Q - oracle.reshape(A.shape)).max() <= 1e-12
+
+
+def test_orthonormal_frames_keep_the_orientation_of_the_raw_frame(rng):
+    """diag R > 0 makes det Q carry the sign of det A, so the sampler's
+    frames reach isotropic planes of both orientations."""
+    A = rng.standard_normal((KAPPA_BLOCK, 4, 4))
+    signs = np.sign(np.linalg.det(A))
+    assert np.array_equal(np.sign(np.linalg.det(_orthonormal_frames(A))),
+                          signs)
+    assert set(signs) == {-1.0, 1.0}
 
 
 @pytest.mark.parametrize("col, fill", [
@@ -155,6 +168,107 @@ def test_kappa_estimate_rejects_a_closed_form_above_the_samples(monkeypatch):
     monkeypatch.setattr(AmbientSpace, "kappa_pic", property(lambda self: 0.6))
     with pytest.raises(DomainError, match="below the closed-form kappa"):
         kappa_pic_estimate(_product_ambient(1.0), samples=1000, seed=0)
+
+
+# Orthonormal basis of Lambda^2 R^4 over e_ij in lexicographic order: rows
+# 0-2 self-dual, rows 3-5 anti-self-dual for the volume form e_0123.
+_LAMBDA_PM = np.array([
+    [1, 0, 0, 0, 0, 1], [0, 1, 0, 0, -1, 0], [0, 0, 1, 1, 0, 0],
+    [1, 0, 0, 0, 0, -1], [0, 1, 0, 0, 1, 0], [0, 0, 1, -1, 0, 0],
+]) / np.sqrt(2)
+
+
+def _blocks(op):
+    """The A, B, C blocks of a curvature operator on Lambda^+ + Lambda^-."""
+    T = _LAMBDA_PM @ op @ _LAMBDA_PM.T
+    return T[:3, :3], T[:3, 3:], T[3:, 3:]
+
+
+def _bianchi_operator(rng):
+    """A random symmetric 6 x 6 operator made to satisfy first Bianchi,
+    R_0123 + R_0231 + R_0312 = M[01,23] - M[02,13] + M[03,12] = 0."""
+    M = rng.standard_normal((6, 6))
+    M = M + M.T
+    defect = (M[0, 5] - M[1, 4] + M[2, 3]) / 3
+    for (a, b), sign in zip(((0, 5), (1, 4), (2, 3)), (1, -1, 1)):
+        M[a, b] -= sign * defect
+        M[b, a] -= sign * defect
+    return M
+
+
+def _sampled_isotropic_curvature(op, rng, orientation, count=20_000):
+    """The oracle curvature of the planes e_0 + i e_1, e_2 + i e_3 of
+    `count` Haar-random orthonormal frames of the given orientation."""
+    Q, R = np.linalg.qr(rng.standard_normal((count, 4, 4)))
+    Q = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+    Q[..., 3] *= orientation * np.sign(np.linalg.det(Q))[:, None]
+    return isotropic_curvature(op, Q[..., 0] + 1j * Q[..., 1],
+                               Q[..., 2] + 1j * Q[..., 3])
+
+
+def test_pic_kappa_is_the_sampled_minimum_of_bianchi_operators(rng):
+    """On random algebraic curvature operators with B != 0 the sampled
+    minimum over positive frames approaches (a_1 + a_2) / 2, over negative
+    frames (c_1 + c_2) / 2, from above, and the certificate is the smaller.
+    Each operator comes with its mirror image under e_3 -> -e_3, which swaps
+    A and C, so either block can decide the certificate."""
+    mirror = np.diag([1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
+    for _ in range(4):
+        M = _bianchi_operator(rng)
+        for op in (M, mirror @ M @ mirror):
+            A, B, C = _blocks(op)
+            assert np.trace(A) == pytest.approx(np.trace(C), abs=1e-12)
+            assert np.abs(B).max() > 0.1
+            lows = []
+            for orientation, block in ((1, A), (-1, C)):
+                K = _sampled_isotropic_curvature(op, rng, orientation)
+                assert K.max() - K.min() > 0.1
+                want = np.sum(np.linalg.eigvalsh(block)[:2]) / 2
+                assert want - 1e-12 <= K.min() <= want + 5e-3
+                lows.append(K.min())
+            kappa = pic_kappa(op)
+            assert kappa - 1e-12 <= min(lows) <= kappa + 5e-3
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, 1.02])
+@pytest.mark.parametrize("at_base", [True, False])
+def test_curvature_operator_of_s1_x_s3(rho, at_base):
+    """A = C = I / (2 rho^2) at every point, so the certificate is the
+    closed form.  B = -I / (2 rho^2) is the traceless Ricci part, which is
+    not zero: S^1 x S^3 is not Einstein (Ric = 0 on the circle factor)."""
+    amb = _product_ambient(rho)
+    point = None
+    if not at_base:
+        u = np.random.default_rng(7).standard_normal(4)
+        point = np.concatenate([[0.3], rho * u / np.linalg.norm(u)])
+    op = amb.curvature_operator(point)
+    A, B, C = _blocks(op)
+    for block, sign in ((A, 1), (B, -1), (C, 1)):
+        assert np.allclose(block, sign * np.eye(3) / (2 * rho ** 2),
+                           rtol=0.0, atol=1e-14)
+    assert pic_kappa(op) == pytest.approx(amb.kappa_pic, rel=1e-14)
+
+
+def test_curvature_operator_needs_four_dimensions_and_is_zero_when_flat():
+    for amb in (AmbientSpace(kind="product_circle_sphere", n_sphere=4),
+                AmbientSpace(kind="euclidean", dim=5)):
+        with pytest.raises(WrongFormError):
+            amb.curvature_operator()
+    for kind in ("euclidean", "flat_torus"):
+        op = AmbientSpace(kind=kind, dim=4).curvature_operator()
+        assert op.shape == (6, 6) and not op.any()
+        assert pic_kappa(op) == 0.0
+
+
+def test_pic_kappa_guards():
+    with pytest.raises(ShapeError):
+        pic_kappa(np.eye(5))
+    skew = np.eye(6)
+    skew[0, 1] = 1e-6
+    with pytest.raises(DomainError):
+        pic_kappa(skew)
+    with pytest.raises(DomainError):
+        pic_kappa(np.full((6, 6), np.nan))
 
 
 def _oracle_planes(raw, n_sphere):
