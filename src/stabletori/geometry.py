@@ -98,10 +98,10 @@ class AmbientSpace:
         basis[1:, 1:] = comp
         return basis
 
-    def curvature_operator(self, point: np.ndarray | None = None
-                           ) -> np.ndarray:
+    def curvature_operator(self) -> np.ndarray:
         """The curvature operator <R(e_i ^ e_j), e_k ^ e_l> on Lambda^2 of the
-        4-dimensional tangent space at point (the base point if None).
+        4-dimensional tangent space at the base point (the model geometries
+        are homogeneous, so one point stands for all).
 
         Rows and columns run over e_01, e_02, e_03, e_12, e_13, e_23 for the
         `tangent_basis` columns e_0..e_3, so the diagonal holds the
@@ -113,12 +113,12 @@ class AmbientSpace:
             raise WrongFormError("the curvature operator needs a "
                                  "4-dimensional tangent space, got "
                                  f"{self.tangent_dim}")
-        E = self.tangent_basis(point).T
+        E = self.tangent_basis().T
         i, j = np.array(_WEDGE_PAIRS).T
         shape = (len(i), len(i), self.dim)
         X, Y = (np.broadcast_to(E[a][:, None], shape) for a in (i, j))
         Z, W = (np.broadcast_to(E[a][None], shape) for a in (i, j))
-        return self.curvature(X, Y, Z, W, point).real
+        return self.curvature(X, Y, Z, W).real
 
     def curvature(self, X, Y, Z, W, point: np.ndarray | None = None):
         """(0,4) curvature tensor, extended complex multilinearly.

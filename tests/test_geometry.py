@@ -86,16 +86,6 @@ def test_orthonormal_frames_match_the_qr_oracle(rng, n):
         assert np.abs(Q - oracle.reshape(A.shape)).max() <= 1e-12
 
 
-def test_orthonormal_frames_keep_the_orientation_of_the_raw_frame(rng):
-    """diag R > 0 makes det Q carry the sign of det A, so the sampler's
-    frames reach isotropic planes of both orientations."""
-    A = rng.standard_normal((KAPPA_BLOCK, 4, 4))
-    signs = np.sign(np.linalg.det(A))
-    assert np.array_equal(np.sign(np.linalg.det(_orthonormal_frames(A))),
-                          signs)
-    assert set(signs) == {-1.0, 1.0}
-
-
 @pytest.mark.parametrize("col, fill", [
     (2, lambda A: 0.0),
     (1, lambda A: A[:, 0]),
@@ -231,17 +221,12 @@ def test_pic_kappa_is_the_sampled_minimum_of_bianchi_operators(rng):
 
 
 @pytest.mark.parametrize("rho", [0.5, 1.0, 1.02])
-@pytest.mark.parametrize("at_base", [True, False])
-def test_curvature_operator_of_s1_x_s3(rho, at_base):
-    """A = C = I / (2 rho^2) at every point, so the certificate is the
-    closed form.  B = -I / (2 rho^2) is the traceless Ricci part, which is
-    not zero: S^1 x S^3 is not Einstein (Ric = 0 on the circle factor)."""
+def test_curvature_operator_of_s1_x_s3(rho):
+    """A = C = I / (2 rho^2), so the certificate is the closed form.
+    B = -I / (2 rho^2) is the traceless Ricci part, which is not zero:
+    S^1 x S^3 is not Einstein (Ric = 0 on the circle factor)."""
     amb = _product_ambient(rho)
-    point = None
-    if not at_base:
-        u = np.random.default_rng(7).standard_normal(4)
-        point = np.concatenate([[0.3], rho * u / np.linalg.norm(u)])
-    op = amb.curvature_operator(point)
+    op = amb.curvature_operator()
     A, B, C = _blocks(op)
     for block, sign in ((A, 1), (B, -1), (C, 1)):
         assert np.allclose(block, sign * np.eye(3) / (2 * rho ** 2),
