@@ -113,7 +113,7 @@ def load_config(sub: str, args) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(user)
-    if args.grid is not None:
+    if args.grid is not None and "grid" in cfg:
         cfg["grid"] = args.grid
     if args.seed is not None and "seed" in cfg:
         cfg["seed"] = args.seed

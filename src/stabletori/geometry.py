@@ -81,13 +81,12 @@ class AmbientSpace:
             p[1] = self.sphere_radius
         return p
 
-    def tangent_basis(self, point: np.ndarray | None = None) -> np.ndarray:
-        """Columns: orthonormal tangent vectors in ambient coordinates."""
-        if point is None:
-            point = self.base_point()
+    def tangent_basis(self) -> np.ndarray:
+        """Columns: orthonormal tangent vectors at the base point, in ambient
+        coordinates."""
         if self.kind != "product_circle_sphere":
             return np.eye(self.dim)
-        u = point[1:]
+        u = self.base_point()[1:]
         uhat = u / np.linalg.norm(u)
         # Orthonormal complement of uhat inside the sphere coordinates.
         A = np.eye(len(u)) - np.outer(uhat, uhat)
@@ -120,8 +119,10 @@ class AmbientSpace:
         Z, W = (np.broadcast_to(E[a][None], shape) for a in (i, j))
         return self.curvature(X, Y, Z, W).real
 
-    def curvature(self, X, Y, Z, W, point: np.ndarray | None = None):
-        """(0,4) curvature tensor, extended complex multilinearly.
+    def curvature(self, X, Y, Z, W):
+        """(0,4) curvature tensor at the base point, extended complex
+        multilinearly (the model geometries are homogeneous, so one point
+        stands for all).
 
         Vectors are in ambient coordinates, stacked alike as (..., dim)
         arrays; the result has the stacked shape (...).  For the
@@ -130,12 +131,13 @@ class AmbientSpace:
         """
         if self.is_flat:
             return np.zeros(np.shape(X)[:-1], dtype=complex)[()]
-        sph = self._sphere_projection(point)
+        sph = self._sphere_projection()
         return self._sphere_curvature(sph(X), sph(Y), sph(Z), sph(W))
 
-    def _sphere_projection(self, point: np.ndarray | None):
-        """v -> its projection onto the sphere's tangent space at point."""
-        u = (self.base_point() if point is None else point)[1:]
+    def _sphere_projection(self):
+        """v -> its projection onto the sphere's tangent space at the base
+        point."""
+        u = self.base_point()[1:]
         uhat = u / np.linalg.norm(u)
 
         def sph(v):
@@ -241,9 +243,9 @@ def _plane_checks(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return den
 
 
-def complex_sectional_curvatures(N: AmbientSpace, X, Y,
-                                 at: np.ndarray | None = None) -> np.ndarray:
-    """K(Pi) = R(X, Y, conj X, conj Y) / |X wedge Y|^2 for stacked planes.
+def complex_sectional_curvatures(N: AmbientSpace, X, Y) -> np.ndarray:
+    """K(Pi) = R(X, Y, conj X, conj Y) / |X wedge Y|^2 for stacked planes at
+    the base point.
 
     X and Y are (..., dim) arrays, one plane per stacked index; every plane
     passes the isotropy and degeneracy checks of `_plane_checks`, and every
@@ -258,7 +260,7 @@ def complex_sectional_curvatures(N: AmbientSpace, X, Y,
     else:
         # The projection is real-linear with a real normal, so it commutes
         # with conjugation to the bit: X and Y are projected once.
-        sph = N._sphere_projection(at)
+        sph = N._sphere_projection()
         xs, ys = sph(X), sph(Y)
         num = N._sphere_curvature(xs, ys, np.conj(xs), np.conj(ys))
     if not np.all(np.abs(num.imag) <= 1e-10 * np.maximum(np.abs(num), 1.0)):
@@ -330,7 +332,6 @@ def kappa_pic_estimate(N: AmbientSpace, samples: int = 2000,
     if N.is_flat:
         return KappaReport(0.0, None, False, samples)
     basis = N.tangent_basis()
-    point = N.base_point()
     rng = np.random.default_rng(seed)
 
     best_val = np.inf
@@ -341,7 +342,7 @@ def kappa_pic_estimate(N: AmbientSpace, samples: int = 2000,
         E = np.tensordot(basis, _orthonormal_frames(A), (1, 1))
         E = E.transpose(1, 0, 2)
         X, Y = E[..., 0] + 1j * E[..., 1], E[..., 2] + 1j * E[..., 3]
-        vals = complex_sectional_curvatures(N, X, Y, point)
+        vals = complex_sectional_curvatures(N, X, Y)
         i = int(np.argmin(vals))
         if vals[i] < best_val:
             best_val, best_plane = float(vals[i]), (X[i], Y[i])

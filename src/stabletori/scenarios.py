@@ -58,10 +58,11 @@ def second_variation_form(imm: Immersion, kx: int, ky: int,
     `imm.normal_lines`; on the first of them the form is the scalar twisted
     Laplacian over the periods scaled by (kx, ky), with the line's holonomy
     lifted to the cover, plus the constant potential -sum_i R(t_i, e, t_i, e)
-    at node 0, for the real tangent frame t_i and the real unit normal e
-    along the line.  The lines of a lens torus are dual, so their spectra
-    coincide.  A torus with no normal lines in a flat ambient gets the
-    untwisted form with no potential.
+    at the ambient's base point, for the real tangent frame t_i and the real
+    unit normal e along the line (the model geometries are homogeneous).
+    The lines of a lens torus are dual, so their spectra coincide.  A torus
+    with no normal lines in a flat ambient gets the untwisted form with no
+    potential.
     """
     if not imm.flat:
         raise WrongFormError("the second variation form needs a flat torus")
@@ -73,7 +74,7 @@ def second_variation_form(imm: Immersion, kx: int, ky: int,
         raise WrongFormError("a torus in a curved ambient needs normal lines")
     frame = np.stack([2 * imm.Fz[0, 0].real, -2 * imm.Fz[0, 0].imag])
     frame /= np.linalg.norm(frame, axis=1, keepdims=True)
-    curv = imm.ambient.curvature(frame, e, frame, e, point=imm.F[0, 0])
+    curv = imm.ambient.curvature(frame, e, frame, e)
     a, b = imm.periods
     twist = (principal_angle(kx * hol.phi), principal_angle(ky * hol.theta))
     return flat_twisted_form((kx * a, ky * b), twist, n,
@@ -189,8 +190,8 @@ class EllipticScenario:
 
         The sections are `random_normal_sections(count, extent, seed)` on the
         [0, extent)^2 cover, and Q(s) is the index form of
-        `euclidean_index_form`, evaluated on the grid (the array form that
-        `cutoff_inequality_audit` also uses) AUDIT_BATCH sections at a time,
+        `euclidean_index_form`, evaluated on the grid by its array form
+        `_index_densities`, AUDIT_BATCH sections at a time,
         with the mass sum lam2 |s|^2 over the unmasked cells.  Stable means
         the worst quotient is >= -1e-6 over the sections of mass above 1e-14.
         count < 1 or extent < 1 raises ConfigError; a run with no section of

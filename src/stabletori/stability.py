@@ -1,15 +1,15 @@
 """Discrete second-variation forms, twisted eigenproblems, and cutoffs.
 
-A flat twisted form is a `StencilForm`: a constant-coefficient periodic
-stencil on the n x n grid, held as its offset coefficients, its diagonal
-field and its node mass.  It applies itself by periodic shifts of the grid,
-its Hermitian symmetry is checked on the coefficients, and `min_eigenvalue`
-reads only the stencil, whose DFT is its spectrum.  Its sparse matrices are
-assembled on request, for test oracles and tracing.  The masked Euclidean
-index form is a `DiscreteForm`, an assembled sparse matrix checked as one.
-The elliptic stability audit builds no matrix: like the cutoff audit, it
-evaluates the Euclidean index form matrix-free, as grid densities
-(`_index_densities`) summed against the cell measure.
+A flat twisted form is a `StencilForm`: the separable 5-point stencil
+Q = A_xi (x) I + I (x) A_eta + w V I on the n x n grid, held as its two
+length-n axis stencils, the scalar diagonal shift w V and the node mass w.
+Its Hermitian symmetry is checked on each axis stencil, and
+`min_eigenvalue` reads only the stencils, whose 1-D DFTs sum to its
+spectrum.  Its sparse matrices are assembled on request, for test oracles
+and tracing.  The masked Euclidean index form is a `DiscreteForm`, an
+assembled sparse matrix checked as one.  The elliptic stability audit
+builds no matrix: it evaluates the Euclidean index form matrix-free, as
+grid densities (`_index_densities`) summed against the cell measure.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from .errors import (ConvergenceError, DomainError, ResolutionError,
                      ShapeError, WrongFormError)
 from .geometry import Immersion, SurfaceQuantities, surface_quantities
 from .lattice import Lattice, wirtinger_factors
-from .sections import SectionGrid, _axis_diff, dbar, wirtinger_diff
+from .sections import SectionGrid, _axis_diff, dbar
 
-SYMBOL_TOL = 1e-9   # relative residual and spectrum bound of min_eigenvalue
+SYMBOL_TOL = 1e-9   # relative spectrum bound of min_eigenvalue
 STABLE_TOL = 1e-12  # stable means a continuum bottom >= -STABLE_TOL (rounding)
 
 
@@ -36,74 +36,64 @@ STABLE_TOL = 1e-12  # stable means a continuum bottom >= -STABLE_TOL (rounding)
 
 
 def _check_hermitian(herm: float, norm: float):
-    """||Q - Q^H||_F <= 1e-12 max(||Q||_F, 1), else DomainError."""
-    if not herm <= 1e-12 * max(norm, 1.0):     # also rejects NaN entries
+    """||Q - Q^H||_F <= 1e-12 max(||Q||_F, 1) with ||Q||_F finite, else
+    DomainError."""
+    # a NaN fails the first comparison, an inf entry the second
+    if not herm <= 1e-12 * max(norm, 1.0) < np.inf:
         raise DomainError("form is not Hermitian")
 
 
 @dataclass
 class StencilForm:
-    """Periodic stencil form Q with mass form M = w I on an n x n grid.
+    """Separable periodic stencil form Q with mass form M = w I on an n x n
+    grid: Q = A_xi (x) I + I (x) A_eta + shift I.
 
-    Q couples each node to the node o = (ox, oy) on, mod n, with the
-    coefficient gen[o] and has the field `diag` on its diagonal; gen[0, 0]
-    is not read.  meta["symbol"] is the n x n array of the generalized
-    eigenvalues of (Q, M), indexed by the FFT mode (mx, my) whose grid plane
-    wave is the eigenvector.  meta["continuum"] is (c, gap, size): the exact
-    continuum bottom, how far below it the discrete bottom may lie, and the
-    size of c's terms, which sets its rounding.
+    `stencils` holds the two length-n axis stencils: A couples a node to the
+    node o on along its axis, mod n, with the coefficient s[o].  `shift` is
+    the constant w V on the diagonal.  meta["symbol"] is the n x n array of
+    the generalized eigenvalues of (Q, M), indexed by the FFT mode (mx, my)
+    whose grid plane wave is the eigenvector.  meta["continuum"] is
+    (c, gap, size): the exact continuum bottom, how far below it the
+    discrete bottom may lie, and the size of c's terms, which sets its
+    rounding.
 
-    Q must be Hermitian (`_check_hermitian`), which the constructor checks
-    on the stencil (`_stencil_hermitian_norms`).  `Q` and `M` assemble the
-    sparse matrices from the current stencil on every access.
+    Q must be Hermitian: the constructor checks each axis stencil against
+    s[o] = conj(s[-o]) (`_stencil_hermitian_norms`) and that the shift is
+    finite.  `Q` and `M` assemble the sparse matrices from the current
+    stencils on every access.
     """
 
-    gen: np.ndarray
-    diag: np.ndarray
+    stencils: tuple[np.ndarray, np.ndarray]
+    shift: float
     w: float
     meta: dict                      # "symbol" and "continuum"
 
     def __post_init__(self):
-        _check_hermitian(*_stencil_hermitian_norms(self.gen, self.diag))
+        for s in self.stencils:
+            _check_hermitian(*_stencil_hermitian_norms(s))
+        if not np.isfinite(self.shift):
+            raise DomainError("form is not Hermitian: its diagonal shift "
+                              f"{self.shift!r} is not finite")
 
     @property
     def dof(self) -> int:
-        return self.diag.size
-
-    def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        """The offsets (ox, oy) that Q stores, (0, 0) first."""
-        stored = self.gen != 0
-        stored[0, 0] = True
-        return np.nonzero(stored)
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Q v for a field v on the grid, as a sum of periodic shifts."""
-        v = np.asarray(values, dtype=complex).reshape(self.diag.shape)
-        out = self.diag * v
-        for ox, oy in zip(*self._offsets()):
-            if ox or oy:
-                out += self.gen[ox, oy] * np.roll(v, (-ox, -oy), axis=(0, 1))
-        return out
-
-    def q_value(self, values: np.ndarray) -> float:
-        v = np.asarray(values, dtype=complex).reshape(self.diag.shape)
-        return float(np.real(np.vdot(v, self.apply(v))))
-
-    def m_value(self, values: np.ndarray) -> float:
-        v = np.asarray(values, dtype=complex).reshape(-1)
-        return float(self.w * np.real(np.vdot(v, v)))
+        return self.stencils[0].size ** 2
 
     @property
     def Q(self) -> sp.csr_matrix:
-        """Q as a canonical CSR matrix, one row of stored offsets per node."""
-        n = self.diag.shape[0]
-        ox, oy = self._offsets()
-        cols = ((np.arange(n)[:, None, None] + ox) % n * n
-                + (np.arange(n)[:, None] + oy) % n)
-        data = self.gen[ox, oy] + np.zeros((n, n, 1))
-        data[..., 0] = self.diag
-        Q = sp.csr_matrix((data.reshape(-1), cols.reshape(-1),
-                           np.arange(0, data.size + 1, len(ox))),
+        """Q as a canonical CSR matrix: the Kronecker sum written out, so
+        row (i, j) stores the diagonal, (i + o, j) for each nonzero
+        s_xi[o] and (i, j + o) for each nonzero s_eta[o], o != 0, mod n."""
+        sx, sy = self.stencils
+        n = sx.size
+        ox, oy = (np.flatnonzero(s[1:]) + 1 for s in (sx, sy))
+        i, j = np.arange(n)[:, None, None], np.arange(n)[:, None]
+        cols = np.concatenate(
+            [i * n + j, (i + ox) % n * n + j, i * n + (j + oy) % n], axis=-1)
+        data = np.concatenate([[sx[0] + sy[0] + self.shift], sx[ox], sy[oy]])
+        Q = sp.csr_matrix((np.broadcast_to(data, cols.shape).reshape(-1),
+                           cols.reshape(-1),
+                           np.arange(0, cols.size + 1, data.size)),
                           shape=(n * n, n * n))
         Q.sort_indices()    # canonical CSR, which the matvecs run fastest on
         return Q
@@ -189,26 +179,19 @@ def chart_metric(periods: tuple[float, float], shear: float = 0.0):
     return ginv, a * b
 
 
-def _stencil_hermitian_norms(gen: np.ndarray,
-                             diag: np.ndarray) -> tuple[float, float]:
-    """||Q - Q^H||_F and ||Q||_F of the n x n grid operator Q with diagonal
-    `diag` and the coefficient gen[o] at every other offset o.
+def _stencil_hermitian_norms(s: np.ndarray) -> tuple[float, float]:
+    """||A - A^H||_F and ||A||_F of an axis term A (x) I or I (x) A of Q on
+    the n x n grid, for the circulant A of the axis stencil s.
 
-    Off the diagonal Q = sum_{o != 0} gen[o] S_o, with S_o the shift of the
-    grid by o (mod n): S_o^H = S_{-o}, and each coefficient fills n^2
-    entries.  The diagonal enters entry by entry, so an inf there still
-    makes a NaN.
+    A = sum_o s[o] S_o with S_o the shift by o (mod n), S_o^H = S_{-o}, and
+    each coefficient fills n^2 entries of the axis term.  An inf centre
+    s[0] makes a NaN.
     """
-    n = gen.shape[0]
-    off = gen.copy()
-    off[0, 0] = 0.0
-    flip = -np.arange(n) % n
-    skew = off - np.conj(off[np.ix_(flip, flip)])
+    n = s.size
     with np.errstate(invalid="ignore"):     # inf - inf is the NaN wanted
-        dskew = diag - np.conj(diag)
-    herm = n * n * np.vdot(skew, skew).real + np.vdot(dskew, dskew).real
-    norm = n * n * np.vdot(off, off).real + np.vdot(diag, diag).real
-    return float(np.sqrt(herm)), float(np.sqrt(norm))
+        skew = s - np.conj(s[-np.arange(n) % n])
+    return (float(n * np.sqrt(np.vdot(skew, skew).real)),
+            float(n * np.sqrt(np.vdot(s, s).real)))
 
 
 def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
@@ -238,13 +221,14 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
     w = sqrtg * h * h
 
     # Q / w = g^00 Fx^H Fx + g^11 Fy^H Fy + V for F = (e^{-i a} S - 1) / h,
-    # a the step phase and S the shift to the next node.  gen[ox, oy] couples
-    # a node to the one (ox, oy) on, mod n; n = 2 folds the two neighbours.
-    ex, ey = np.exp(-1j * phi * h), np.exp(-1j * theta * h)
+    # a the step phase and S the shift to the next node.  An axis stencil
+    # couples a node to the one o on along its axis, mod n; n = 2 folds the
+    # two neighbours.
     one, fwd, bwd = np.eye(n)[[0, 1, -1]]   # 1D stencils of 1, S and S^T
-    lx, ly = (2 * one - e * fwd - np.conj(e) * bwd for e in (ex, ey))
-    gen = w / h ** 2 * (ginv[0, 0] * np.outer(lx, one)
-                        + ginv[1, 1] * np.outer(one, ly))
+    stencils = tuple(
+        w / h ** 2 * (g * (2 * one - e * fwd - np.conj(e) * bwd))
+        for g, e in ((ginv[0, 0], np.exp(-1j * phi * h)),
+                     (ginv[1, 1], np.exp(-1j * theta * h))))
     # The grid plane wave of mode m has step phase theta = (2 pi m - phi) h
     # under the connection, and F has symbol (e^{i theta} - 1) / h.  Signed
     # modes keep theta small.
@@ -259,7 +243,7 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
     terms = [(di / ai) ** 2 for di, ai in zip(d, periods)]
     gap = sum(t * (di * h) ** 2 / 12 for t, di in zip(terms, d))
     continuum = (sum(terms) + V, gap, max(sum(terms), abs(V)))
-    return StencilForm(gen, np.full((n, n), gen[0, 0] + w * V), w,
+    return StencilForm(stencils, w * V, w,
                        {"symbol": symbol, "continuum": continuum})
 
 
@@ -267,20 +251,19 @@ def min_eigenvalue(form: StencilForm) -> SpectrumResult:
     """Smallest generalized eigenvalue of (Q, M), read off the form's symbol.
 
     The bottom of meta["symbol"] (first FFT index on ties) and its grid plane
-    wave are the answer.  Only the stencil is read, and two checks tie the
-    symbol to it.  A circulant operator's spectrum is the DFT of its
-    stencil, so with a constant diagonal the plane wave of mode m has the
-    eigenvalue n^2 ifft2(stencil)[m] under Q, and every mode must match
-    w symbol[m]; this bounds the residual of every probe, so the minimality
-    holds.  The bottom's plane wave, an outer product of two 1-D waves, has
-    its eigenpair residual checked through `apply`.  Both are relative to
-    max(1, max|symbol|) |M x|; either above SYMBOL_TOL, a diagonal that is
-    not constant, or a bottom that is not finite raises ConvergenceError.
-    The discrete bottom must lie in the bracket [c - gap, c] of the form's
-    continuum bottom c, up to a rounding slack of 1e-12 times the size of
-    c's terms, else ConvergenceError; c is returned as `continuum`.  A form
-    that is no `StencilForm` (the masked Euclidean form) raises
-    WrongFormError.
+    wave are the answer.  Only the stencils are read, and one check ties the
+    symbol to them.  A circulant's spectrum is the DFT of its stencil, so
+    the plane wave of mode m = (mx, my) has the eigenvalue
+    n ifft(s_xi)[mx] + n ifft(s_eta)[my] + shift under Q, and every mode must
+    match w symbol[m] to SYMBOL_TOL relative to max(1, max|symbol|) w.  That
+    bounds the residual of every probe, so the minimality holds; the
+    difference at the bottom mode is the eigenpair residual, returned as
+    `residual`.  A failed check or a bottom that is not finite raises
+    ConvergenceError.  The discrete bottom must lie in the bracket
+    [c - gap, c] of the form's continuum bottom c, up to a rounding slack
+    of 1e-12 times the size of c's terms, else ConvergenceError; c is
+    returned as `continuum`.  A form that is no `StencilForm` (the masked
+    Euclidean form) raises WrongFormError.
     """
     if not isinstance(form, StencilForm):
         raise WrongFormError("form is no stencil with a Fourier symbol")
@@ -292,27 +275,20 @@ def min_eigenvalue(form: StencilForm) -> SpectrumResult:
     mx, my = np.unravel_index(np.argmin(symbol), symbol.shape)
     lam = float(symbol[mx, my])
     scale = max(1.0, float(np.abs(symbol).max()))
-    stencil = form.gen.copy()
-    stencil[0, 0] = form.diag[0, 0]
-    spectrum = float(np.abs(n * n * np.fft.ifft2(stencil) - w * symbol).max()
-                     / (w * scale))
-    constant = bool(np.all(form.diag == form.diag[0, 0]))
-    j = np.arange(n)
-    v = np.outer(*(np.exp(2j * np.pi * (m * j % n) / n) for m in (mx, my)))
-    v /= np.sqrt(w * n * n)
-    res = float(np.linalg.norm(form.apply(v) - lam * w * v)
-                / (scale * w * np.linalg.norm(v)))
-    if not (np.isfinite(lam) and constant and res <= SYMBOL_TOL
-            and spectrum <= SYMBOL_TOL):
-        raise ConvergenceError(
-            f"symbol does not match the stencil: residual {res:.1e}, "
-            f"spectrum {spectrum:.1e}, constant diagonal {constant}",
-            best=lam)
+    ex, ey = (n * np.fft.ifft(s) for s in form.stencils)
+    diff = np.abs(ex[:, None] + ey + form.shift - w * symbol) / (w * scale)
+    spectrum, res = float(diff.max()), float(diff[mx, my])
+    if not (np.isfinite(lam) and spectrum <= SYMBOL_TOL):
+        raise ConvergenceError(f"symbol does not match the stencil: "
+                               f"spectrum {spectrum:.1e}", best=lam)
     c, gap, size = form.meta["continuum"]
     slack = 1e-12 * max(1.0, size)
     if not c - gap - slack <= lam <= c + slack:
         raise ConvergenceError(f"bottom {lam!r} lies outside its continuum "
                                f"bracket [{c - gap!r}, {c!r}]", best=lam)
+    j = np.arange(n)
+    v = np.outer(*(np.exp(2j * np.pi * (m * j % n) / n) for m in (mx, my)))
+    v /= np.sqrt(w * n * n)
     return SpectrumResult(lam, v, res, 0, c)
 
 
@@ -532,56 +508,6 @@ def _cutoff_window(epsilon: float, center: tuple[float, float],
     dens = (ginv[0, 0] * px ** 2 + ginv[1, 1] * py ** 2
             + 2 * ginv[0, 1] * px * py)
     return ix, iy, win, float(np.sum(dens) * sqrtg * hx * hx)
-
-
-@dataclass
-class CutoffAuditReport:
-    lhs_top: float          # int |(d (phi s))^top|^2
-    rhs_perp: float         # int |(d_zbar (phi s))^perp|^2
-    term_phi2_perp: float   # int phi^2 |(d_zbar s)^perp|^2
-    term_grad: float        # int |grad phi|^2 |s|^2
-    term_cross: float       # 2 sqrt(int |grad phi|^2) sqrt(int |s|^2 |(d_zbar s)^perp|^2)
-    chain_holds: bool
-    stability_holds: bool
-
-
-def cutoff_inequality_audit(values: np.ndarray, phi: np.ndarray,
-                            imm: Immersion, extent: int = 1,
-                            twist: tuple[float, float] = (0.0, 0.0)
-                            ) -> CutoffAuditReport:
-    """Evaluate the three-term cutoff inequality chain for phi * s.
-
-    `values` is an ambient-valued section on the grid of the [0, extent)^2
-    cover of `imm`, and `phi` a scalar cutoff on the same grid; `twist` is
-    the connection phase, as in `euclidean_index_form`.  Both inequalities
-    are checked to 1e-9 relative to max(1, rhs_perp).
-    """
-    tol = 1e-9
-    densities = _index_densities(imm, surface_quantities(imm), extent, twist)
-    w = np.where(_tile(imm.mask, extent), imm.dxdy_weight(), 0.0)
-
-    def integ(density):
-        return float(np.sum(density * w))
-
-    # |grad phi|^2 = 4 |d_zbar phi|^2 for a real function.
-    grad2 = 4.0 * np.abs(wirtinger_diff(phi, _chart_factors(imm),
-                                        (1.0 / imm.n,) * 2)) ** 2
-
-    # the section and phi * section as one batch of two
-    perp2, top2 = densities(np.stack([values, phi[:, :, None] * values], -1))
-    ns2 = np.sum(np.abs(values) ** 2, axis=2)
-    perp_dzb_s2 = perp2[..., 0]
-
-    lhs_top = integ(top2[..., 1])
-    rhs_perp = integ(perp2[..., 1])
-    t_phi2 = integ(phi ** 2 * perp_dzb_s2)
-    t_grad = integ(grad2 * ns2)
-    t_cross = 2.0 * np.sqrt(integ(grad2)) * np.sqrt(integ(ns2 * perp_dzb_s2))
-
-    chain = rhs_perp <= t_phi2 + t_grad + t_cross + tol * max(1.0, rhs_perp)
-    stab = lhs_top <= rhs_perp + tol * max(1.0, rhs_perp)
-    return CutoffAuditReport(lhs_top, rhs_perp, t_phi2, t_grad, t_cross,
-                             bool(chain), bool(stab))
 
 
 # ---------------------------------------------------------------------------

@@ -214,15 +214,16 @@ class ExceptionalReport:
     injectivity_violations: int
 
 
-def exceptional_cutoffs(imm: Immersion, R: float, n: int,
-                        weight=None) -> ExceptionalReport:
+def exceptional_cutoffs(imm: Immersion, R: float, n: int) -> ExceptionalReport:
     """Cutoff regions and localized sections on the vertical double cover.
 
     Works on the domain [0,1) x [0,2) of the sublattice (1, 2*tau), with a
     horizontal holonomy of -1 detwisted by the truncated-distance phase.
     d_t is the induced distance to the circle eta = t; U_j = {d_j <= R/3};
     the I-case cutoff ramps as 3 - 6 d_1 / R between R/3 and R/2, the
-    V-case uses (3/R) min(d_0, d_1).
+    V-case uses (3/R) min(d_0, d_1).  `injectivity_violations` counts the
+    nodes where the selected cutoff's support meets its translate by the
+    deck transformation, half the cover vertically.
     """
     if not imm.flat:
         raise DomainError("exceptional construction implemented on flat tori")
@@ -249,11 +250,10 @@ def exceptional_cutoffs(imm: Immersion, R: float, n: int,
 
     # Horizontal detwist: delta((0,0),(xi,0)) truncated at R.
     delta_xi = np.minimum(R, a_len * X)
-    w = np.ones((n, ny)) if weight is None else np.asarray(weight, dtype=float)
     # Periodic-gauge values: the xi phase pi is detwisted by the truncated
     # distance (exactly periodic because delta reaches R at the seam); the
     # eta phase pi stays in the connection and is paid as vertical energy.
-    c1 = w * np.exp(1j * (np.pi * X - delta_xi * np.pi / R))
+    c1 = np.exp(1j * (np.pi * X - delta_xi * np.pi / R))
     s1 = SectionGrid(lattice=imm.lattice, a=1.0, b=2.0, values=c1[:, :, None],
                      phi=np.pi, theta=np.pi,
                      meta={"R": R})
@@ -279,18 +279,10 @@ def exceptional_cutoffs(imm: Immersion, R: float, n: int,
     bound_I = (6.0 / R) * np.sqrt(3.0) * lam
     bound_V = (3.0 / R) * np.sqrt(3.0) * lam
 
-    # Support injectivity: vertical integer translates within the support
-    # must be at distance >= R (sampled; flat geometry makes it exact).
+    # Support injectivity: the support must miss its vertical deck
+    # translate (by half the cover); count the nodes where it does not.
     supp = phi > 1e-12
-    viol = 0
-    deck = half  # length of the vertical deck translate of the base torus
-    if deck < R - 2 * b_len / ny:
-        rng = np.random.default_rng(7)
-        cand = np.argwhere(supp)
-        for _ in range(min(10000, 4 * len(cand))):
-            i, j = cand[rng.integers(len(cand))]
-            if supp[i, (j + ny // 2) % ny]:
-                viol += 1
+    viol = int(np.count_nonzero(supp & np.roll(supp, ny // 2, axis=1)))
 
     # Rayleigh quotient of the localized section against the proof's chain.
     energy = 2.0 * dbar_energy_chart(localized, imm)

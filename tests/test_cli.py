@@ -32,16 +32,6 @@ def test_sections_pass_and_outputs(tmp_path):
     assert data["rows"] == 4 and data["failures"] == []
 
 
-def test_sections_output_is_deterministic(tmp_path):
-    cfg = _cfg(tmp_path, "c.json", {"k_max": 3, "grid": 64})
-    outs = []
-    for sub in ("a", "b"):
-        out = tmp_path / sub
-        assert main(["sections", "--config", cfg, "--out", str(out)]) == 0
-        outs.append((out / "sections.csv").read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_decompose_pass(tmp_path):
     out = tmp_path / "out"
     rc = main(["decompose", "--out", str(out), "--seed", "0"])
@@ -49,15 +39,6 @@ def test_decompose_pass(tmp_path):
     data = json.loads((out / "decompose.json").read_text())
     assert data["failures"] == []
     assert all(r["residual"] <= 1e-8 for r in data["reports"])
-
-
-def test_decompose_deterministic_under_seed(tmp_path):
-    runs = []
-    for sub in ("a", "b"):
-        out = tmp_path / sub
-        assert main(["decompose", "--out", str(out), "--seed", "5"]) == 0
-        runs.append((out / "decompose.json").read_bytes())
-    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("seed", [0, 69, 84, 106, 147, 209, 254, 257, 268, 273])
@@ -137,16 +118,6 @@ def test_cutoff_unresolved_grid_fails(tmp_path):
     assert rc == 2
 
 
-def test_cutoff_output_is_deterministic_in_process(tmp_path):
-    outs = []
-    for sub in ("a", "b"):
-        out = tmp_path / sub
-        assert main(["cutoff", "--out", str(out)]) == 0
-        outs.append(((out / "cutoff.csv").read_bytes(),
-                     (out / "cutoff.json").read_bytes()))
-    assert outs[0] == outs[1]
-
-
 @pytest.mark.parametrize("sub, payload, args", [
     ("cutoff", {"epsilons": "abc"}, []),
     ("cutoff", {"epsilons": 0.05}, []),
@@ -180,16 +151,6 @@ def test_stability_pass(tmp_path):
     data = json.loads((out / "stability.json").read_text())
     assert data["rows"][0]["stable"]
     assert not data["rows"][1]["stable"]
-
-
-def test_stability_output_is_deterministic_in_process(tmp_path):
-    cfg = _cfg(tmp_path, "c.json", {"k_max": 1})
-    outs = []
-    for sub in ("a", "b"):
-        out = tmp_path / sub
-        assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
-        outs.append((out / "stability.csv").read_bytes())
-    assert outs[0] == outs[1]
 
 
 def test_stability_tower_with_unnested_covers_passes(tmp_path):
@@ -310,13 +271,40 @@ def test_abelian_pass(tmp_path):
     assert (out / "abelian.csv").exists()
 
 
-def test_abelian_output_is_deterministic(tmp_path):
+# a small config and the flags of one run of each subcommand; a subcommand
+# missing here fails its case
+DETERMINISM_RUNS = {
+    "sections": ({"k_max": 3, "grid": 64}, []),
+    "decompose": ({}, ["--seed", "5"]),
+    "cutoff": ({}, []),
+    "stability": ({"k_max": 1}, []),
+    "systole": ({}, []),
+    "abelian": ({}, []),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(stabletori.cli.COMMANDS))
+def test_output_is_deterministic(tmp_path, sub):
+    # two runs in one process write the same files, byte for byte
+    payload, args = DETERMINISM_RUNS[sub]
+    cfg = _cfg(tmp_path, "c.json", payload)
     outs = []
-    for sub in ("a", "b"):
-        out = tmp_path / sub
-        assert main(["abelian", "--out", str(out)]) == 0
-        outs.append(((out / "abelian.csv").read_bytes(),
-                     (out / "abelian.json").read_bytes()))
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main([sub, "--config", cfg, "--out", str(out), *args]) == 0
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outs[0] and outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("grid", ["5000", "-3"])
+def test_abelian_ignores_the_grid_flag(tmp_path, grid):
+    # abelian has no grid key, so --grid is ignored, as --seed is where a
+    # subcommand has no seed key
+    outs = []
+    for argv in ([], ["--grid", grid]):
+        out = tmp_path / str(len(argv))
+        assert main(["abelian", *argv, "--out", str(out)]) == 0
+        outs.append((out / "abelian.csv").read_bytes())
     assert outs[0] == outs[1]
 
 

@@ -6,7 +6,6 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from stabletori.errors import (ConfigError, ConvergenceError, DomainError,
@@ -19,9 +18,8 @@ from stabletori.scenarios import (EllipticScenario, FlatTorusScenario,
                                   LensScenario, flat_chart_immersion,
                                   second_variation_form)
 from stabletori.stability import (DiscreteForm, StencilForm, covering_sweep,
-                                  cutoff_inequality_audit, flat_twisted_form,
-                                  log_cutoff, min_eigenvalue,
-                                  _stencil_hermitian_norms)
+                                  flat_twisted_form, log_cutoff,
+                                  min_eigenvalue, _stencil_hermitian_norms)
 from stabletori.sections import wirtinger_diff
 
 from conftest import fourier_lambda_min, kron_twisted_form_q
@@ -140,24 +138,21 @@ def test_pic_symbol_bottom_matches_dense_eigh(L, rho, lens, n):
     assert got == pytest.approx(_dense_bottom(form), abs=1e-9)
 
 
-def _node_dip(form):
-    # a dip of the potential at one node
-    form.diag[0, 5] -= 3.0 * form.w
+def _potential_dip(form):
+    # a dip of the constant potential
+    form.shift -= 3.0 * form.w
 
 
 def _mode_dip(form):
-    # lowers the plane wave of mode (2, 3) below the bottom of the symbol by
-    # a circulant change of the stencil, 1e3 M u u^H M / (u^H M u); every
-    # other plane wave, the symbol's minimizer too, stays an exact
+    # lowers the plane waves of xi mode 2 below the bottom of the symbol by
+    # a circulant change of the xi stencil, 1e3 w u u^H / n for the 1-D wave
+    # u; every other plane wave, the symbol's minimizer too, stays an exact
     # eigenvector with its eigenvalue, so only the spectrum check can see it
-    j = np.arange(16)
-    u = np.exp(2j * np.pi * (2 * j[:, None] + 3 * j) / 16)
-    dip = 1e3 * form.w / 16 ** 2 * np.conj(u)
-    form.gen -= dip
-    form.diag -= dip[0, 0]
+    u = np.exp(2j * np.pi * 2 * np.arange(16) / 16)
+    form.stencils[0][:] -= 1e3 * form.w / 16 * np.conj(u)
 
 
-@pytest.mark.parametrize("dip", [_node_dip, _mode_dip])
+@pytest.mark.parametrize("dip", [_potential_dip, _mode_dip])
 def test_min_eigenvalue_rejects_form_altered_after_assembly(dip):
     form = flat_twisted_form((1.0, 1.3), (1.7, -0.6), 16, potential=-1.0)
     dip(form)
@@ -167,14 +162,18 @@ def test_min_eigenvalue_rejects_form_altered_after_assembly(dip):
     assert info.value.best > _dense_bottom(form)
 
 
-@pytest.mark.parametrize("part, node", [("gen", (1, 0)), ("diag", (0, 5))],
-                         ids=["gen", "diag"])
-def test_min_eigenvalue_rejects_one_coefficient_changed_by_1e_8(part, node):
-    # the diagonal change shifts the bottom's residual by only 3e-10, under
-    # SYMBOL_TOL, so the constant-diagonal check is what rejects it
+@pytest.mark.parametrize("part", ["gen", "diag"])
+def test_min_eigenvalue_rejects_one_coefficient_changed_by_1e_8(part):
+    # an off-centre coefficient of the xi stencil, or the diagonal entry of
+    # Q through its scalar shift, times 1 + 1e-8: either moves some modes by
+    # 1.6e-9 to 5e-9 of max|symbol| w, above SYMBOL_TOL
     form = flat_twisted_form((1.0, 1.3), (1.7, -0.6), 16, potential=-1.0)
     min_eigenvalue(form)
-    getattr(form, part)[node] *= 1 + 1e-8
+    sx, sy = form.stencils
+    if part == "gen":
+        sx[1] *= 1 + 1e-8
+    else:
+        form.shift += 1e-8 * (sx[0] + sy[0] + form.shift).real
     with pytest.raises(ConvergenceError):
         min_eigenvalue(form)
 
@@ -200,41 +199,49 @@ def test_stencil_stores_five_points(n):
     assert form.Q.nnz == 5 * n * n
 
 
+def _dense_circulant(s):
+    """sum_o s[o] S_o, with S_o the periodic shift by o, as a dense matrix."""
+    n = s.size
+    return sum(s[o] * np.roll(np.eye(n), o, axis=1) for o in range(n))
+
+
 @given(st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(-3 * np.pi, 3 * np.pi),
        st.floats(-3 * np.pi, 3 * np.pi), st.floats(-5.0, 5.0),
        st.integers(2, 12))
 @settings(max_examples=80, deadline=None)
 def test_stencil_hermitian_norms_match_the_matrix(a, b, phi, theta, pot, n):
+    # the constructor checks the norms of Q's two axis terms, and those
+    # terms plus the shift are Q
     seen = []
 
-    def spy(gen, diag):
-        seen.append(_stencil_hermitian_norms(gen, diag))
+    def spy(s):
+        seen.append(_stencil_hermitian_norms(s))
         return seen[-1]
 
     with mock.patch.object(stability, "_stencil_hermitian_norms", spy):
-        Q = flat_twisted_form((a, b), (phi, theta), n, potential=pot).Q
-    (herm, norm), = seen
-    want = spla.norm(Q)
-    assert abs(herm - spla.norm(Q - Q.getH())) <= 1e-13 * want
-    assert abs(norm - want) <= 1e-13 * want
+        form = flat_twisted_form((a, b), (phi, theta), n, potential=pot)
+    eye = np.eye(n)
+    Ax, Ay = (_dense_circulant(s) for s in form.stencils)
+    terms = np.kron(Ax, eye), np.kron(eye, Ay)
+    for (herm, norm), T in zip(seen, terms, strict=True):
+        want = np.linalg.norm(T)
+        assert abs(herm - np.linalg.norm(T - T.conj().T)) <= 1e-13 * want
+        assert abs(norm - want) <= 1e-13 * want
+    Q = form.Q.toarray()
+    assert np.abs(Q - sum(terms) - form.shift * np.eye(n * n)).max() <= (
+        1e-13 * np.abs(Q).max())
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_stencil_hermitian_norms_of_a_non_hermitian_stencil(rng, n):
-    """The stencil sums against the dense matrix sum_o gen[o] S_o + diag."""
-    gen = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    diag = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    shift = [np.roll(np.eye(n), o, axis=1) for o in range(n)]
-    Q = np.diag(diag.reshape(-1)).astype(complex)
-    for ox in range(n):
-        for oy in range(n):
-            if ox or oy:
-                Q += gen[ox, oy] * np.kron(shift[ox], shift[oy])
-    herm, norm = _stencil_hermitian_norms(gen, diag)
-    assert herm == pytest.approx(np.linalg.norm(Q - Q.conj().T), rel=1e-13)
-    assert norm == pytest.approx(np.linalg.norm(Q), rel=1e-13)
-    diag[1, 0] = np.inf
-    assert np.isnan(_stencil_hermitian_norms(gen, diag)[0])
+    """The stencil sums against the dense axis term of sum_o s[o] S_o."""
+    s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    T = np.kron(_dense_circulant(s), np.eye(n))
+    herm, norm = _stencil_hermitian_norms(s)
+    assert herm == pytest.approx(np.linalg.norm(T - T.conj().T), rel=1e-13)
+    assert norm == pytest.approx(np.linalg.norm(T), rel=1e-13)
+    s[0] = np.inf
+    assert np.isnan(_stencil_hermitian_norms(s)[0])
 
 
 def test_flat_twisted_form_checks_its_stencil_not_its_matrix(monkeypatch):
@@ -253,30 +260,34 @@ def test_flat_twisted_form_checks_its_stencil_not_its_matrix(monkeypatch):
 
 def test_stencil_form_built_directly_is_checked_on_its_stencil():
     form = flat_twisted_form((1.0, 1.3), (1.7, -0.6), 8)
-    gen = form.gen.copy()
-    gen[1, 0] = -gen[1, 0]
-    diag = form.diag.copy()
-    diag[2, 3] = np.nan
-    # an offset coefficient with the wrong sign, then a NaN on the diagonal
-    for g, d in ((gen, form.diag), (form.gen, diag)):
+    sx, sy = form.stencils
+    flipped, infinite, real = sx.copy(), sy.copy(), sy.real.copy()
+    flipped[1] = -flipped[1]
+    infinite[3] = np.inf
+    real[3] = np.inf        # real arithmetic keeps the norms inf, not NaN
+    # an off-centre coefficient with the wrong sign, an inf coefficient in a
+    # complex and in a real stencil, then a shift that is no finite number
+    for stencils, shift in (((flipped, sy), 0.0), ((sx, infinite), 0.0),
+                            ((sx, real), 0.0), ((sx, sy), np.nan),
+                            ((sx, sy), -np.inf)):
         with pytest.raises(DomainError, match="Hermitian"):
-            StencilForm(g, d, form.w, form.meta)
+            StencilForm(stencils, shift, form.w, form.meta)
 
 
 @pytest.mark.parametrize("potential", [0.0, 0.4])
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_stencil_form_applies_its_matrix(rng, potential, n):
+    # (Q v)[i, j] = sum_o s_xi[o] v[i + o, j] + s_eta[o] v[i, j + o]
+    # + shift v[i, j], indices mod n, written as periodic shifts of the grid
     form = flat_twisted_form((1.0, 1.3), (1.7, -0.6), n, potential=potential)
-    # a diagonal that varies by node, edited in after assembly: `apply` and
-    # `Q` must both read it node by node
-    form.diag = form.diag + form.w * rng.uniform(-5.0, 5.0, (n, n))
     v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    want = form.shift * v
+    for axis, s in enumerate(form.stencils):
+        for o in range(n):
+            want = want + s[o] * np.roll(v, -o, axis=axis)
     Qv = form.Q @ v.reshape(-1)
-    assert np.abs(form.apply(v).reshape(-1) - Qv).max() <= (
-        1e-13 * np.abs(Qv).max())
-    assert form.q_value(v) == pytest.approx(np.vdot(v, Qv).real, rel=1e-12)
-    assert form.m_value(v) == pytest.approx(
-        np.vdot(v, form.M @ v.reshape(-1)).real, rel=1e-14)
+    assert np.abs(Qv - want.reshape(-1)).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(form.M @ v.reshape(-1), form.w * v.reshape(-1))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
@@ -583,40 +594,34 @@ def test_log_cutoff_allocates_little_beyond_phi():
     assert peak < 24e6
 
 
-def test_cutoff_inequality_audit_chain_holds():
-    sc = EllipticScenario(n=128)
-    imm = sc.immersion()
-    n = 128
-    phi, _ = log_cutoff(0.18, (0.5 + 0.5 / n, 0.5 + 0.5 / n),
-                        imm.lattice, n, imm.scale)
-    vals = next(sc.random_normal_sections(1, seed=3, imm=imm))
-    rep = cutoff_inequality_audit(vals, phi, imm)
-    assert rep.chain_holds
-    assert rep.stability_holds
-    assert rep.rhs_perp >= 0.0 and rep.lhs_top >= 0.0
+def _array_q_value(imm, vals, extent=1, twist=(0.0, 0.0)):
+    """Q(s) from the array form: the densities against the cell measure."""
+    perp, top = stability._index_densities(imm, surface_quantities(imm),
+                                           extent, twist)(vals[..., None])
+    w = np.where(np.tile(imm.mask, (extent, extent)), imm.dxdy_weight(), 0.0)
+    return float(np.sum(w * (perp - top)[..., 0]))
 
 
 def test_index_form_matrix_matches_the_array_stencil():
     # Q(s) = int |(d_zbar s)^perp|^2 - |(d_z s)^top|^2, once from the sparse
-    # matrix and once from the array stencil of the cutoff audit (phi = 1)
+    # matrix and once from the array stencil `_index_densities`
     sc = EllipticScenario(n=48)
     form = sc.form()
     imm = form.meta["immersion"]
     for seed in range(3):
         vals = next(sc.random_normal_sections(1, seed=seed, imm=imm))
         assert not np.any(vals[~imm.mask])    # packing drops nothing
-        rep = cutoff_inequality_audit(vals, np.ones((48, 48)), imm)
-        assert form.q_value(vals) == pytest.approx(rep.rhs_perp - rep.lhs_top,
+        assert form.q_value(vals) == pytest.approx(_array_q_value(imm, vals),
                                                    rel=1e-12)
-    # on a twisted cover, with the audit given the form's extent and twist
+    # on a twisted cover, with the array form given the form's extent and
+    # twist
     sc = EllipticScenario(n=16)
     imm = sc.immersion()
     twist = (0.7, -1.3)
     form = stability.euclidean_index_form(imm, twist=twist, extent=2)
     vals = next(sc.random_normal_sections(1, extent=2, seed=5, imm=imm))
-    rep = cutoff_inequality_audit(vals, np.ones((32, 32)), imm, 2, twist)
-    assert form.q_value(vals) == pytest.approx(rep.rhs_perp - rep.lhs_top,
-                                               rel=1e-12)
+    assert form.q_value(vals) == pytest.approx(
+        _array_q_value(imm, vals, 2, twist), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
