@@ -30,7 +30,7 @@ from .errors import (ConfigError, ConvergenceError, DomainError,
 from .lattice import CoverSpec, Lattice, flat_systole
 from .scenarios import FlatTorusScenario, LensScenario, sublattice_growth_table
 from .sections import dbar
-from .stability import _cutoff_window, covering_sweep, min_eigenvalue
+from .stability import covering_sweep, log_cutoff, min_eigenvalue
 from .systole import (axis_truncated_distances, phase_trial_section,
                       rayleigh_bound_check, systole_bound_verdict)
 from .geometry import pic_kappa
@@ -45,7 +45,7 @@ MAX_GRID_DOF = 4_000_000
 DEFAULTS = {
     "sections": {"tau": [0.0, 1.0], "phi": np.pi, "theta": np.pi,
                  "k_max": 16, "grid": 256},
-    "decompose": {"rank": 4, "count": 5, "grid": 0, "seed": 0},
+    "decompose": {"rank": 4, "count": 5, "seed": 0},
     "cutoff": {"epsilons": [0.05, 0.06, 0.07, 0.085, 0.1], "grid": 1024},
     "stability": {"scenario": "lens", "L": 2.0, "rho": 1.0, "p": 3, "q": 1,
                   "k_max": 3, "grid": 96},
@@ -203,7 +203,7 @@ def cmd_cutoff(cfg, out: Path, svg: bool):
     failures = []
     for eps in epsilons:
         try:
-            ix, iy, win, energy = _cutoff_window(eps, center, lat, n)
+            ix, iy, win, energy = log_cutoff(eps, center, lat, n)
         except ResolutionError as exc:
             failures.append(f"eps={eps}: {exc}")
             continue

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundles import FlatBundle, LineHolonomy, decompose_commuting_pair
+from .bundles import LineHolonomy, principal_angle
 from .errors import DomainError, ResolutionError, ShapeError, WrongFormError
 from .lattice import Lattice
 from .weierstrass import eisenstein_invariants, wp
@@ -75,27 +75,14 @@ class AmbientSpace:
             return 1 + self.n_sphere
         return self.dim
 
-    def base_point(self) -> np.ndarray:
-        p = np.zeros(self.dim)
-        if self.kind == "product_circle_sphere":
-            p[1] = self.sphere_radius
-        return p
-
     def tangent_basis(self) -> np.ndarray:
         """Columns: orthonormal tangent vectors at the base point, in ambient
-        coordinates."""
-        if self.kind != "product_circle_sphere":
-            return np.eye(self.dim)
-        u = self.base_point()[1:]
-        uhat = u / np.linalg.norm(u)
-        # Orthonormal complement of uhat inside the sphere coordinates.
-        A = np.eye(len(u)) - np.outer(uhat, uhat)
-        w, v = np.linalg.eigh(A)
-        comp = v[:, w > 0.5]
-        basis = np.zeros((self.dim, 1 + comp.shape[1]))
-        basis[0, 0] = 1.0
-        basis[1:, 1:] = comp
-        return basis
+        coordinates.  For the product kind the base point is
+        (0, rho, 0, ..., 0), so they are the axes e_0, e_2, ..., e_{dim-1}."""
+        axes = np.eye(self.dim)
+        if self.kind == "product_circle_sphere":
+            return np.delete(axes, 1, axis=1)
+        return axes
 
     def curvature_operator(self) -> np.ndarray:
         """The curvature operator <R(e_i ^ e_j), e_k ^ e_l> on Lambda^2 of the
@@ -131,24 +118,18 @@ class AmbientSpace:
         """
         if self.is_flat:
             return np.zeros(np.shape(X)[:-1], dtype=complex)[()]
-        sph = self._sphere_projection()
-        return self._sphere_curvature(sph(X), sph(Y), sph(Z), sph(W))
-
-    def _sphere_projection(self):
-        """v -> its projection onto the sphere's tangent space at the base
-        point."""
-        u = self.base_point()[1:]
-        uhat = u / np.linalg.norm(u)
-
-        def sph(v):
-            vs = np.asarray(v, dtype=complex)[..., 1:]
-            return vs - (vs @ uhat)[..., None] * uhat
-        return sph
+        return self._sphere_curvature(*map(_sphere_part, (X, Y, Z, W)))
 
     def _sphere_curvature(self, xs, ys, zs, ws):
         """The curvature tensor of the round sphere on projected vectors."""
         k = 1.0 / self.sphere_radius ** 2
         return k * (_dot(xs, zs) * _dot(ys, ws) - _dot(xs, ws) * _dot(ys, zs))
+
+
+def _sphere_part(v):
+    """Projection of stacked (..., dim) vectors onto the sphere's tangent
+    space at the base point (0, rho, 0, ..., 0): coordinates 2 and up."""
+    return np.asarray(v, dtype=complex)[..., 2:]
 
 
 def _dot(a, b):
@@ -258,10 +239,9 @@ def complex_sectional_curvatures(N: AmbientSpace, X, Y) -> np.ndarray:
     if N.is_flat:
         num = np.zeros(X.shape[:-1], dtype=complex)[()]
     else:
-        # The projection is real-linear with a real normal, so it commutes
-        # with conjugation to the bit: X and Y are projected once.
-        sph = N._sphere_projection()
-        xs, ys = sph(X), sph(Y)
+        # the projection is a coordinate slice, so it commutes with
+        # conjugation: X and Y are projected once
+        xs, ys = _sphere_part(X), _sphere_part(Y)
         num = N._sphere_curvature(xs, ys, np.conj(xs), np.conj(ys))
     if not np.all(np.abs(num.imag) <= 1e-10 * np.maximum(np.abs(num), 1.0)):
         raise DomainError("curvature value is not numerically real")
@@ -439,13 +419,11 @@ def product_geodesic_torus(L: float, rho: float, n_sphere: int,
     The image is the circle factor times the short closed geodesic of the
     lens quotient; periods are (2 pi L, 2 pi rho / p).  Parallel transport
     of the normal plane (e3, e4) is trivial around the circle period and
-    the lens rotation by 2 pi q / p around the geodesic one.
-    `decompose_commuting_pair` splits that pair into the complexified
-    normal lines.  Each line vector is scaled so that its e3 component (its
-    e4 component on the line e4) is real and positive, and N^{1,0} comes
-    first: the line on which the quarter turn e3 -> e4 acts by +i.  For
-    p >= 3 the two lines are isotropic and dual; for p <= 2 the transport
-    is +-1 and the decomposition returns e3 and e4.
+    the rotation by alpha = 2 pi q / p around the geodesic one, so the
+    complexified normal lines are written down: for p >= 3 they are
+    (e3 -+ i e4) / sqrt 2 with holonomy (0, +-alpha), N^{1,0} first (the
+    line on which the quarter turn e3 -> e4 acts by +i), isotropic and
+    dual; for p <= 2 the transport is +-1 and they are e3 and e4.
     """
     p, q = lens
     amb = AmbientSpace(kind="product_circle_sphere", circle_radius=L,
@@ -475,22 +453,17 @@ def product_geodesic_torus(L: float, rho: float, n_sphere: int,
     lam2 = np.ones((n, n))
     mask = np.ones((n, n), dtype=bool)
 
-    alpha = 2 * np.pi * q / p if p > 1 else 0.0
-    rotation = np.array([[np.cos(alpha), -np.sin(alpha)],
-                         [np.sin(alpha), np.cos(alpha)]])
-    report, _, basis = decompose_commuting_pair(
-        FlatBundle(np.eye(2), rotation, lat))
-    lines = []
-    for summand, v in zip(report.summands, basis.T):
-        j = int(abs(v[0]) < 0.5)    # a unit vector has a component >= 1/sqrt2
-        lines.append((summand.line_class, v * np.conj(v[j]) / abs(v[j])))
-    # conj(v3) v4 is -i/2 on N^{1,0}, +i/2 on its dual and 0 on e3 and e4
-    lines.sort(key=lambda line: np.imag(np.conj(line[1][0]) * line[1][1]))
-    plane = np.eye(dim)[:, 3:5]
+    alpha = principal_angle(2 * np.pi * q / p) if p > 1 else 0.0
+    e3, e4 = np.eye(dim, dtype=complex)[3:5]
+    hol = LineHolonomy(0.0, alpha)
+    if p <= 2:
+        lines = [(hol, e3), (hol, e4)]
+    else:
+        lines = [(hol, (e3 - 1j * e4) / np.sqrt(2)),
+                 (LineHolonomy(0.0, -alpha), (e3 + 1j * e4) / np.sqrt(2))]
     return Immersion(
         lattice=lat, scale=a_len, ambient=amb, F=F, Fz=Fz, lam2=lam2,
-        mask=mask, flat=True, periods=(a_len, b_len),
-        normal_lines=[(hol, plane @ v) for hol, v in lines],
+        mask=mask, flat=True, periods=(a_len, b_len), normal_lines=lines,
     )
 
 

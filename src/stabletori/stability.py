@@ -461,21 +461,9 @@ def log_cutoff(epsilon: float, center: tuple[float, float], lattice: Lattice,
     the flat metric it converges to 2 pi / |log eps|.
 
     phi is exactly 1 outside the disc r < eps, so phi and its forward
-    differences are evaluated only on the disc's bounding index window
-    (`_cutoff_window`).
-    """
-    ix, iy, win, energy = _cutoff_window(epsilon, center, lattice, n, scale)
-    phi = np.ones((n, n))
-    phi[np.ix_(ix, iy)] = win
-    return phi, energy
-
-
-def _cutoff_window(epsilon: float, center: tuple[float, float],
-                   lattice: Lattice, n: int, scale: float = 1.0):
-    """`log_cutoff` on the disc's index window: (ix, iy, phi there, energy).
-
-    The full grid's phi is 1 off the window, so callers that need only the
-    energy build no n x n array.
+    differences are evaluated only on the disc's bounding index window:
+    the result is (ix, iy, window, energy) with phi[np.ix_(ix, iy)] =
+    window and phi = 1 elsewhere, and no n x n array is built.
     """
     if not (0 < epsilon < 1):
         raise DomainError("epsilon must be in (0, 1)")

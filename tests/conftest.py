@@ -143,6 +143,14 @@ def isotropic_curvature(operator, X, Y):
     return num.real / np.sum(np.abs(w) ** 2, axis=-1)
 
 
+def cutoff_phi(n, ix, iy, window):
+    """The full n x n cutoff of a `log_cutoff` result: its window pasted
+    into ones."""
+    phi = np.ones((n, n))
+    phi[np.ix_(ix, iy)] = window
+    return phi
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

@@ -149,12 +149,12 @@ def test_criterion_4_log_cutoff_energy():
     n = 1024
     imm = flat_chart_immersion(1.0, 1.0, n)
     center = (0.5 + 0.5 / n, 0.5 + 0.5 / n)
-    _, e05 = log_cutoff(0.05, center, imm.lattice, n, imm.scale)
+    *_, e05 = log_cutoff(0.05, center, imm.lattice, n, imm.scale)
     exact05 = 2 * np.pi / abs(np.log(0.05))
     rel05 = abs(e05 / exact05 - 1)
     worst_prod = 0.0
     for eps in (0.05, 0.06, 0.07, 0.085, 0.1):
-        _, e = log_cutoff(eps, center, imm.lattice, n, imm.scale)
+        *_, e = log_cutoff(eps, center, imm.lattice, n, imm.scale)
         worst_prod = max(worst_prod, abs(e * abs(np.log(eps)) / (2 * np.pi) - 1))
     dt = time.perf_counter() - t0
     ok = rel05 <= 0.02 and worst_prod <= 0.03 and dt < 30.0

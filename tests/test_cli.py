@@ -15,6 +15,8 @@ from stabletori.geometry import AmbientSpace
 from stabletori.lattice import Lattice
 from stabletori.stability import StencilForm, log_cutoff
 
+from conftest import cutoff_phi
+
 
 def _cfg(tmp_path, name, payload):
     p = tmp_path / name
@@ -108,8 +110,8 @@ def test_cutoff_svg_renders_log_cutoff_per_epsilon(tmp_path, monkeypatch):
     assert [name for name, _ in rendered] == names
     center = (0.5 + 0.5 / n, 0.5 + 0.5 / n)
     for (_, field), eps in zip(rendered, epsilons):
-        phi, _ = log_cutoff(eps, center, Lattice(0.0, 1.0), n)
-        assert np.array_equal(field, phi[::8, ::8])
+        *window, _ = log_cutoff(eps, center, Lattice(0.0, 1.0), n)
+        assert np.array_equal(field, cutoff_phi(n, *window)[::8, ::8])
 
 
 def test_cutoff_unresolved_grid_fails(tmp_path):
@@ -130,6 +132,7 @@ def test_cutoff_unresolved_grid_fails(tmp_path):
     ("sections", {"k_max": 0}, []),
     ("abelian", {"k_max": 0}, []),
     ("abelian", {"k_max": "x"}, []),
+    ("decompose", {"grid": 0}, []),
 ])
 def test_bad_grid_epsilons_or_k_max_is_a_config_error(tmp_path, capsys, sub,
                                                       payload, args):
@@ -194,16 +197,11 @@ def test_systole_pass(tmp_path):
     assert data["seam_residual"] <= 1e-9
 
 
-def test_systole_default_reports_rayleigh_chain_and_is_deterministic(tmp_path):
+def test_systole_default_reports_rayleigh_chain(tmp_path):
     # the default lens zero mode discretizes below -1e-6, so the chain
     # kappa Mass <= energy, which needs stability, is reported, not judged
-    outs = []
-    for sub in ("a", "b"):
-        out = tmp_path / sub
-        assert main(["systole", "--out", str(out)]) == 0
-        outs.append((out / "systole.json").read_bytes())
-    assert outs[0] == outs[1]
-    data = json.loads(outs[0])
+    assert main(["systole", "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "systole.json").read_text())
     assert data["rayleigh_chain_holds"] is False
     assert data["rayleigh_lhs"] > data["rayleigh_energy"]
     assert data["lambda_min"] < -1e-6
@@ -214,16 +212,11 @@ def test_systole_default_reports_rayleigh_chain_and_is_deterministic(tmp_path):
     assert data["verdict"] is True
 
 
-def test_systole_kappa_follows_the_sphere_radius_and_is_deterministic(
-        tmp_path):
+def test_systole_kappa_follows_the_sphere_radius(tmp_path):
     cfg = _cfg(tmp_path, "c.json", {"rho": 1.02})
-    outs = []
-    for sub in ("a", "b"):
-        out = tmp_path / sub
-        assert main(["systole", "--config", cfg, "--out", str(out)]) == 0
-        outs.append((out / "systole.json").read_bytes())
-    assert outs[0] == outs[1]
-    data = json.loads(outs[0])
+    out = tmp_path / "out"
+    assert main(["systole", "--config", cfg, "--out", str(out)]) == 0
+    data = json.loads((out / "systole.json").read_text())
     assert data["kappa"] == 1 / (2 * 1.02 ** 2)
     assert data["kappa_hat"] == pytest.approx(data["kappa"], rel=1e-12)
 
@@ -297,15 +290,16 @@ def test_output_is_deterministic(tmp_path, sub):
 
 
 @pytest.mark.parametrize("grid", ["5000", "-3"])
-def test_abelian_ignores_the_grid_flag(tmp_path, grid):
-    # abelian has no grid key, so --grid is ignored, as --seed is where a
-    # subcommand has no seed key
+@pytest.mark.parametrize("sub", ["abelian", "decompose"])
+def test_grid_flag_is_ignored_without_a_grid_key(tmp_path, sub, grid):
+    # abelian and decompose have no grid key, so --grid is ignored, as
+    # --seed is where a subcommand has no seed key
     outs = []
     for argv in ([], ["--grid", grid]):
         out = tmp_path / str(len(argv))
-        assert main(["abelian", *argv, "--out", str(out)]) == 0
-        outs.append((out / "abelian.csv").read_bytes())
-    assert outs[0] == outs[1]
+        assert main([sub, *argv, "--out", str(out)]) == 0
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_missing_config_is_a_config_error(tmp_path):

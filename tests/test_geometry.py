@@ -1,9 +1,13 @@
 """Ambient curvature, isotropic planes, immersions, surface quantities."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stabletori.bundles import (FlatBundle, LineHolonomy,
+                                decompose_commuting_pair, principal_angle)
 from stabletori.errors import DomainError, ShapeError, WrongFormError
 from stabletori.lattice import Lattice
 from stabletori.geometry import (KAPPA_BLOCK, AmbientSpace, IsotropicPlane,
@@ -410,24 +414,48 @@ def test_product_torus_geometry():
     # image stays on the sphere factor of radius rho
     r = np.linalg.norm(imm.F[:, :, 1:3], axis=2)
     assert np.allclose(r, 1.0, atol=1e-12)
-    # the two normal lines are dual and the pairing is the off-diagonal one
-    (L1, e1), (L2, e2) = imm.normal_lines
-    assert L2.phi == pytest.approx(-L1.phi) and L2.theta == pytest.approx(-L1.theta)
-    assert abs(np.dot(e1, e1)) < 1e-12       # isotropic directions
-    assert abs(np.dot(e1, e2) - 1.0) < 1e-12
     with pytest.raises(DomainError):
         product_geodesic_torus(2.0, 1.0, 4, (3, 1), 32)
     with pytest.raises(DomainError):
         product_geodesic_torus(2.0, 1.0, 3, (4, 2), 32)
 
 
-def test_sign_transport_reads_exact_angles():
-    # for p = 2 the transport is (I, -I): both lines are trivial around the
-    # circle and flip sign around the geodesic, with no rounding angle
-    imm = product_geodesic_torus(2.0, 1.0, 3, (2, 1), 8)
-    for line, _ in imm.normal_lines:
-        assert line.phi == 0.0
-        assert line.theta == np.pi
+LENSES = [(1, 0)] + [(p, q) for p in range(2, 13) for q in range(1, p)
+                     if math.gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize("p, q", LENSES)
+def test_lens_transport_reads_exact_lines(p, q):
+    # the transport is (I, R(2 pi q / p)) on the normal plane (e3, e4); its
+    # lines are written down, so the angles and vectors are exact
+    imm = product_geodesic_torus(2.0, 1.0, 3, (p, q), 8)
+    alpha = principal_angle(2 * np.pi * q / p) if p > 1 else 0.0
+    (L1, e1), (L2, e2) = imm.normal_lines
+    assert L1 == LineHolonomy(0.0, alpha)
+    e3, e4 = np.eye(5, dtype=complex)[3:5]
+    if p <= 2:
+        # the transport is +-1: both lines trivial around the circle, flipping
+        # sign around the geodesic for p = 2, with no rounding angle
+        assert L2 == L1 and L1.theta == (np.pi if p == 2 else 0.0)
+        assert np.array_equal(e1, e3) and np.array_equal(e2, e4)
+    else:
+        # N^{1,0} first, and the two lines are dual to the bit
+        assert L2 == L1.dual() and L2.theta == -L1.theta
+        assert np.array_equal(e1, (e3 - 1j * e4) / np.sqrt(2))
+        assert np.array_equal(e2, (e3 + 1j * e4) / np.sqrt(2))
+    # the Atiyah decomposition of the transport finds the same lines
+    c, s = np.cos(2 * np.pi * q / p), np.sin(2 * np.pi * q / p)
+    report, _, basis = decompose_commuting_pair(
+        FlatBundle(np.eye(2), np.array([[c, -s], [s, c]]), imm.lattice))
+    found = [(summand.line_class, v)
+             for summand, v in zip(report.summands, basis.T)]
+    for line, e in imm.normal_lines:
+        u = e[3:5]
+        assert any(abs(hol.phi - line.phi) < 1e-12
+                   and abs(hol.theta - line.theta) < 1e-12
+                   and np.linalg.norm(v - u * np.vdot(u, v))
+                   < 1e-12 * np.linalg.norm(v)
+                   for hol, v in found)
 
 
 def test_surface_quantities_projections():

@@ -22,7 +22,7 @@ from stabletori.stability import (DiscreteForm, StencilForm, covering_sweep,
                                   min_eigenvalue, _stencil_hermitian_norms)
 from stabletori.sections import wirtinger_diff
 
-from conftest import fourier_lambda_min, kron_twisted_form_q
+from conftest import cutoff_phi, fourier_lambda_min, kron_twisted_form_q
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +358,9 @@ def test_lens_eigenvalue_ladder():
 
 @pytest.mark.parametrize("p, q", [(5, 2), (7, 3)])
 def test_lens_lines_and_bottoms_come_from_the_decomposition(p, q):
-    # the normal lines are the decomposition's, N^{1,0} first, and every
-    # sweep level's continuum bottom is (d_k / b_k)^2 - 1 / rho^2 with d_k the
-    # distance of the lifted twist k 2 pi q / p from 2 pi Z
+    # the normal lines agree with the decomposition's, N^{1,0} first, and
+    # every sweep level's continuum bottom is (d_k / b_k)^2 - 1 / rho^2 with
+    # d_k the distance of the lifted twist k 2 pi q / p from 2 pi Z
     sc = LensScenario(rho=1.3, p=p, q=q, n=16)
     alpha = principal_angle(2 * np.pi * q / p)
     (L1, e1), (L2, e2) = sc.torus.normal_lines
@@ -513,10 +513,11 @@ def test_euclidean_index_form_split_parts_have_signs():
 def test_log_cutoff_energy_matches_analytic_value():
     n = 512
     imm = flat_chart_immersion(1.0, 1.0, n)
-    phi, energy = log_cutoff(0.1, (0.5 + 0.5 / n, 0.5 + 0.5 / n),
-                             imm.lattice, n, imm.scale)
+    ix, iy, window, energy = log_cutoff(0.1, (0.5 + 0.5 / n, 0.5 + 0.5 / n),
+                                        imm.lattice, n, imm.scale)
     exact = 2 * np.pi / abs(np.log(0.1))
     assert energy == pytest.approx(exact, rel=0.03)
+    phi = cutoff_phi(n, ix, iy, window)
     assert phi.min() == 0.0 and phi.max() == 1.0
 
 
@@ -557,11 +558,11 @@ def _full_grid_log_cutoff(epsilon, center, tau, n, scale):
 
 
 def _assert_matches_full_grid(epsilon, center, tau, n, scale):
-    phi, energy = log_cutoff(epsilon, center, Lattice(tau.real, tau.imag),
-                             n, scale)
+    *window, energy = log_cutoff(epsilon, center,
+                                 Lattice(tau.real, tau.imag), n, scale)
     want_phi, want_energy = _full_grid_log_cutoff(epsilon, center, tau, n,
                                                   scale)
-    assert np.array_equal(phi, want_phi)
+    assert np.array_equal(cutoff_phi(n, *window), want_phi)
     assert energy == pytest.approx(want_energy, rel=1e-12)
 
 
