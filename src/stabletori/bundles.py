@@ -5,6 +5,9 @@ A flat rank-r bundle is a commuting pair of invertible matrices
 (e^{i phi}, e^{i theta}); the indecomposable Atiyah bundle is realized by
 rho(1) = e^{i phi} I, rho(tau) = e^{i theta} A_delta with A_delta unipotent
 upper triangular.
+
+scipy is imported only inside the decomposition's functions, so importing
+this module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import ztrsen
 
 from .errors import (ConvergenceError, DomainError, ResolutionError,
                      ShapeError)
@@ -224,6 +225,7 @@ def _joint_bases(T: np.ndarray, Z: np.ndarray,
     Each cluster is moved to the front of the Schur form (T, Z) by ztrsen,
     so the leading columns of the reordered Z span its invariant subspace.
     """
+    from scipy.linalg.lapack import ztrsen
     bases = []
     for c in np.unique(labels):
         _, Zc, _, m, _, _, info = ztrsen((labels == c).astype(np.int32), T, Z,
@@ -242,6 +244,7 @@ def _jordan_chains(N: np.ndarray, tol: float) -> list[np.ndarray]:
     tol * max(||N||_F, 1), and its kernel, spanned by the right singular
     vectors past those above tol * max(s_0, 1).
     """
+    import scipy.linalg
     d = N.shape[0]
     if d == 1:
         return [np.eye(1, dtype=complex)]
@@ -304,6 +307,7 @@ def decompose_commuting_pair(bundle: FlatBundle, tol: float = 1e-8):
     residual meets `tol` wins.  If none does, ConvergenceError carries the
     report of the best rung as `best`.
     """
+    import scipy.linalg
     A, C = bundle.rho1, bundle.rhotau
     T, Z = scipy.linalg.schur(A + PAIR_MIX * C, output="complex")
     pairs = np.stack([np.diag(Z.conj().T @ M @ Z) for M in (A, C)], axis=1)

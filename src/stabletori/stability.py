@@ -10,15 +10,17 @@ and tracing.  The masked Euclidean index form is a `DiscreteForm`, an
 assembled sparse matrix checked as one.  The elliptic stability audit
 builds no matrix: it evaluates the Euclidean index form matrix-free, as
 grid densities (`_index_densities`) summed against the cell measure.
+
+The sparse matrices are the only use of scipy here, so it is imported
+inside the functions that build them: the CLI's subcommands never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .bundles import principal_angle
 from .errors import (ConvergenceError, DomainError, ResolutionError,
@@ -26,6 +28,9 @@ from .errors import (ConvergenceError, DomainError, ResolutionError,
 from .geometry import Immersion, SurfaceQuantities, surface_quantities
 from .lattice import Lattice, wirtinger_factors
 from .sections import SectionGrid, _axis_diff, dbar
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 SYMBOL_TOL = 1e-9   # relative spectrum bound of min_eigenvalue
 STABLE_TOL = 1e-12  # stable means a continuum bottom >= -STABLE_TOL (rounding)
@@ -84,6 +89,7 @@ class StencilForm:
         """Q as a canonical CSR matrix: the Kronecker sum written out, so
         row (i, j) stores the diagonal, (i + o, j) for each nonzero
         s_xi[o] and (i, j + o) for each nonzero s_eta[o], o != 0, mod n."""
+        import scipy.sparse as sp
         sx, sy = self.stencils
         n = sx.size
         ox, oy = (np.flatnonzero(s[1:]) + 1 for s in (sx, sy))
@@ -100,6 +106,7 @@ class StencilForm:
 
     @property
     def M(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
         return sp.diags(np.full(self.dof, self.w), format="csr")
 
 
@@ -131,17 +138,10 @@ class DiscreteForm:
         sel = self.meta.get("active")
         return v[sel] if sel is not None else v
 
-    def q_value(self, values: np.ndarray) -> float:
-        v = self.pack(values)
-        return float(np.real(np.vdot(v, self.Q @ v)))
-
-    def m_value(self, values: np.ndarray) -> float:
-        v = self.pack(values)
-        return float(np.real(np.vdot(v, self.M @ v)))
-
 
 def _hermitian_norms(Q: sp.csr_matrix) -> tuple[float, float]:
     """||Q - Q^H||_F and ||Q||_F of an assembled matrix."""
+    import scipy.sparse.linalg as spla
     return spla.norm(Q - Q.getH()), spla.norm(Q)
 
 
@@ -156,6 +156,7 @@ class SpectrumResult:
 
 def _cov_diff_1d(n: int, h: float, step_angle: float) -> sp.spmatrix:
     """1D periodic central covariant difference with a constant connection phase."""
+    import scipy.sparse as sp
     shift_fwd = sp.diags([np.ones(n - 1), [1.0]], [1, -(n - 1)], format="csr")
     shift_bwd = shift_fwd.T.tocsr()
     return (shift_fwd * np.exp(-1j * step_angle)
@@ -361,6 +362,7 @@ def euclidean_index_form(imm: Immersion,
     """
     if imm.ambient.kind != "euclidean":
         raise WrongFormError("euclidean index form needs a euclidean ambient")
+    import scipy.sparse as sp
     quants = quants or surface_quantities(imm)
     n, dim = imm.n, imm.dim
     N = extent * n

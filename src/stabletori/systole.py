@@ -7,7 +7,8 @@ sections are read off the flat chart; a non-flat immersion raises
 `WrongFormError`.  `induced_systole` is a graph distance on a patch of the
 universal cover, an 8-neighbor weighted grid graph (Dijkstra), kept as the
 tests' independent check of the exact flat systole.  The 8-neighbor metric
-overestimates lengths by at most ~8.24% in the worst direction.
+overestimates lengths by at most ~8.24% in the worst direction.  The graph
+is the module's only use of scipy, imported when `induced_systole` runs.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .bundles import LineHolonomy
 from .errors import DomainError, ResolutionError, WrongFormError
@@ -37,6 +36,7 @@ EXCEPTIONAL_CONSTANT = 2 * (18 + np.pi) / np.sqrt(3.0)
 
 def _patch_edges(imm: Immersion, window: int):
     """Sparse 8-neighbor graph over the cover patch of the induced metric."""
+    import scipy.sparse as sp
     n = imm.n
     W = (2 * window + 1) * n
     lam = np.sqrt(np.tile(imm.lam2, (2 * window + 1, 2 * window + 1)))
@@ -74,6 +74,7 @@ def induced_systole(imm: Immersion, window: int = 2, stride: int = 8) -> float:
     R = min over deck translates gamma = (m, n), |m|, |n| <= window, of
     min over sampled base points z of d(z, z + gamma).
     """
+    from scipy.sparse.csgraph import dijkstra
     n = imm.n
     W = (2 * window + 1) * n
     srcs = [(i, j) for i in range(0, n, stride) for j in range(0, n, stride)]
@@ -84,7 +85,7 @@ def induced_systole(imm: Immersion, window: int = 2, stride: int = 8) -> float:
     for k0 in range(0, len(srcs), batch):
         chunk = srcs[k0:k0 + batch]
         idx = [(off + i) * W + (off + j) for (i, j) in chunk]
-        d = _csgraph_dijkstra(G, indices=idx, directed=False)
+        d = dijkstra(G, indices=idx, directed=False)
         d = d.reshape(len(chunk), W, W)
         for s, (i, j) in enumerate(chunk):
             for m in range(-window, window + 1):

@@ -1,8 +1,10 @@
 """Command line driver: exit codes, outputs, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from stabletori.lattice import Lattice
 from stabletori.stability import StencilForm, log_cutoff
 
 from conftest import cutoff_phi
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _cfg(tmp_path, name, payload):
@@ -401,18 +405,47 @@ def test_non_coprime_lens_is_a_config_error_naming_p_and_q(tmp_path, capsys,
             in capsys.readouterr().err)
 
 
-def test_importing_the_cli_does_not_load_scipy_optimize(tmp_path):
-    """Neither the import nor a full default `systole` run loads it."""
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, stabletori.cli\n"
-         "print('scipy.optimize' in sys.modules)\n"
-         f"rc = stabletori.cli.main(['systole', '--out', {str(tmp_path)!r}])\n"
-         "print(rc, 'scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True)
+_SCIPY_GUARD = """
+import json, sys
+from stabletori.cli import main
+
+tmp = sys.argv[1]
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+def run(sub, cfg):
+    path = f"{tmp}/{sub}.json"
+    with open(path, "w") as f:
+        json.dump(cfg, f)
+    return main([sub, "--config", path, "--out", f"{tmp}/out", "--svg"])
+
+print(json.dumps(scipy_modules()))
+for sub, cfg in [("stability", {"grid": 32}), ("systole", {}),
+                 ("sections", {"k_max": 4, "grid": 32}),
+                 ("cutoff", {"epsilons": [0.3], "grid": 128}),
+                 ("abelian", {})]:
+    print(json.dumps([sub, run(sub, cfg), scipy_modules()]))
+print(json.dumps(["decompose", run("decompose", {"rank": 2, "count": 2}),
+                  "scipy.linalg" in sys.modules]))
+"""
+
+
+def test_only_decompose_loads_scipy(tmp_path):
+    """Importing the CLI and running the five other subcommands (`systole`
+    at its default) loads no scipy module; `decompose` then loads
+    scipy.linalg.
+
+    A fresh interpreter is needed: this one already holds scipy.
+    """
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["False", "0 False"]
-    assert (tmp_path / "systole.json").exists()
+    lines = [json.loads(x) for x in proc.stdout.splitlines()]
+    assert lines == [[]] + [[sub, 0, []] for sub in (
+        "stability", "systole", "sections", "cutoff", "abelian")] + [
+        ["decompose", 0, True]]
 
 
 def test_stability_and_systole_assemble_no_matrix(tmp_path, monkeypatch):
