@@ -23,14 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .bundles import (FlatBundle, LineHolonomy, decompose_commuting_pair,
-                      line_section)
+from .bundles import (AtiyahData, FlatBundle, LineHolonomy,
+                      decompose_commuting_pair, line_section)
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      ResolutionError, ResourceGuard, StableToriError)
-from .lattice import CoverSpec, Lattice, flat_systole
+from .lattice import CoverSpec, Lattice
 from .scenarios import FlatTorusScenario, LensScenario, sublattice_growth_table
 from .sections import dbar
-from .stability import covering_sweep, log_cutoff, min_eigenvalue
+from .stability import covering_sweep, log_cutoff
 from .systole import (axis_truncated_distances, phase_trial_section,
                       rayleigh_bound_check, systole_bound_verdict)
 from .geometry import pic_kappa
@@ -91,6 +91,13 @@ def _config_numbers(cfg, key: str, length: int = 0) -> list:
     return value
 
 
+def _config_lattice(cfg) -> Lattice:
+    tau = _config_numbers(cfg, "tau", 2)
+    if not tau[1] > 0:
+        raise ConfigError(f"tau must be in the upper half-plane, got {tau!r}")
+    return Lattice(*tau)
+
+
 def _lens_scenario(cfg) -> LensScenario:
     p, q = _config_int(cfg, "p", 1), _config_int(cfg, "q")
     if p > 1 and math.gcd(p, q) != 1:
@@ -125,7 +132,7 @@ def load_config(sub: str, args) -> dict:
 def cmd_sections(cfg, out: Path, svg: bool):
     k_max = _config_int(cfg, "k_max", 1)
     grid = _config_int(cfg, "grid", 1)
-    lat = Lattice(*_config_numbers(cfg, "tau", 2))
+    lat = _config_lattice(cfg)
     L = LineHolonomy(_config_number(cfg, "phi"), _config_number(cfg, "theta"))
     rows = []
     failures = []
@@ -161,17 +168,12 @@ def cmd_decompose(cfg, out: Path, svg: bool):
             b = int(rng.integers(1, left + 1))
             blocks.append(b)
             left -= b
-        A = np.zeros((r, r), dtype=complex)
-        C = np.zeros((r, r), dtype=complex)
-        off = 0
-        for b in blocks:
+        A, C = np.zeros((2, r, r), dtype=complex)
+        for off, b in zip(np.cumsum([0, *blocks]), blocks):
             phi, theta = rng.uniform(-np.pi, np.pi, 2)
-            Ab = np.exp(1j * phi) * np.eye(b)
-            Ut = np.eye(b) + np.diag(np.full(b - 1, 0.3), 1) if b > 1 else np.eye(b)
-            Cb = np.exp(1j * theta) * Ut
-            A[off:off + b, off:off + b] = Ab
-            C[off:off + b, off:off + b] = Cb
-            off += b
+            block = slice(off, off + b)
+            A[block, block] = np.exp(1j * phi) * np.eye(b)
+            C[block, block] = np.exp(1j * theta) * AtiyahData(b, 0.3).A
         S = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
         Si = np.linalg.inv(S)
         bundle = FlatBundle(S @ A @ Si, S @ C @ Si, lat, commute_tol=1e-8)
@@ -256,9 +258,8 @@ def cmd_systole(cfg, out: Path, svg: bool):
     failures = []
     scen = _lens_scenario(cfg)
     n = cfg["grid"]
-    res = min_eigenvalue(scen.cover_form(1, 1, n))
+    _, R, lambda_min, continuum = scen.level(CoverSpec.scaling(1))
     imm = scen.torus
-    R = flat_systole(imm.lattice, imm.scale)
     kappa = imm.ambient.kappa_pic
     # the curvature operator certifies the closed form from both sides
     kappa_hat = pic_kappa(imm.ambient.curvature_operator())
@@ -269,11 +270,11 @@ def cmd_systole(cfg, out: Path, svg: bool):
     hol = imm.normal_lines[0][0]
     trial = phase_trial_section(hol, R, deltas, imm, n)
     ray = rayleigh_bound_check(trial, imm, kappa)
-    verdict = systole_bound_verdict(res.continuum, R, kappa, case="general")
+    verdict = systole_bound_verdict(continuum, R, kappa, case="general")
     summary = {
         "R": R, "kappa": kappa, "kappa_hat": kappa_hat,
         "C": verdict.constant, "bound": verdict.bound,
-        "lambda_min": res.lambda_min,
+        "lambda_min": lambda_min,
         "seam_residual": trial.seam_residual,
         "rayleigh_lhs": ray.lhs, "rayleigh_energy": ray.rhs,
         "rayleigh_chain_holds": ray.chain_holds,
@@ -294,8 +295,7 @@ def cmd_systole(cfg, out: Path, svg: bool):
 
 def cmd_abelian(cfg, out: Path, svg: bool):
     k_max = _config_int(cfg, "k_max", 1)
-    tau = complex(*_config_numbers(cfg, "tau", 2))
-    rows = sublattice_growth_table(tau, k_max)
+    rows = sublattice_growth_table(_config_lattice(cfg).tau, k_max)
     failures = []
     for (k, deg, got, want) in rows:
         if abs(got - want) > 1e-10 * max(1.0, want):

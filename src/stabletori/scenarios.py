@@ -11,7 +11,8 @@ from .errors import ConfigError, DomainError, ResolutionError, WrongFormError
 from .geometry import (AmbientSpace, Immersion, SurfaceQuantities,
                        elliptic_curve_immersion, product_geodesic_torus,
                        surface_quantities)
-from .lattice import CoverSpec, Lattice, cover_lattice, flat_systole
+from .lattice import (CoverSpec, Lattice, cover_lattice, flat_systole,
+                      normalize_lattice)
 from .stability import (DiscreteForm, StencilForm, _index_densities,
                         _node_norm2, _tile, euclidean_index_form,
                         flat_twisted_form, min_eigenvalue)
@@ -236,7 +237,6 @@ class FlatTorusScenario:
 
 def sublattice_growth_table(tau: complex, kmax: int = 10):
     """flat_systole along the tower k*Lambda, with the exact scaling law."""
-    from .lattice import normalize_lattice
     lat, _ = normalize_lattice(tau)
     base = flat_systole(lat)
     rows = []

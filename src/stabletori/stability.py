@@ -1,13 +1,13 @@
 """Discrete second-variation forms, twisted eigenproblems, and cutoffs.
 
 A flat twisted form is a `StencilForm`: the separable 5-point stencil
-Q = A_xi (x) I + I (x) A_eta + w V I on the n x n grid, held as its two
-length-n axis stencils, the scalar diagonal shift w V and the node mass w.
-Its Hermitian symmetry is checked on each axis stencil, and
-`min_eigenvalue` reads only the stencils, whose 1-D DFTs sum to its
-spectrum.  Its sparse matrices are assembled on request, for test oracles
-and tracing.  The masked Euclidean index form is a `DiscreteForm`, an
-assembled sparse matrix checked as one.  The elliptic stability audit
+Q = A_xi (x) I + I (x) A_eta + w V I on the n x n grid, held per axis as
+two length-n stencils and two symbol terms, with the diagonal shift w V
+and the node mass w.  Its Hermitian symmetry is checked on each axis
+stencil, and `min_eigenvalue` checks each stencil's 1-D DFT against its
+symbol term.  Its sparse matrices are assembled on request, for test
+oracles and tracing.  The masked Euclidean index form is a `DiscreteForm`,
+an assembled sparse matrix checked as one.  The elliptic stability audit
 builds no matrix: it evaluates the Euclidean index form matrix-free, as
 grid densities (`_index_densities`) summed against the cell measure.
 
@@ -55,12 +55,11 @@ class StencilForm:
 
     `stencils` holds the two length-n axis stencils: A couples a node to the
     node o on along its axis, mod n, with the coefficient s[o].  `shift` is
-    the constant w V on the diagonal.  meta["symbol"] is the n x n array of
-    the generalized eigenvalues of (Q, M), indexed by the FFT mode (mx, my)
-    whose grid plane wave is the eigenvector.  meta["continuum"] is
-    (c, gap, size): the exact continuum bottom, how far below it the
-    discrete bottom may lie, and the size of c's terms, which sets its
-    rounding.
+    the constant w V on the diagonal.  The generalized eigenvalue of (Q, M)
+    at the FFT mode (mx, my), whose grid plane wave is the eigenvector, is
+    (symbols[0][mx] + symbols[1][my]) / h^2 + potential for h = 1/n.
+    `continuum` is (c, gap, size): the exact continuum bottom, how far
+    below it the discrete bottom may lie, and the size of c's terms.
 
     Q must be Hermitian: the constructor checks each axis stencil against
     s[o] = conj(s[-o]) (`_stencil_hermitian_norms`) and that the shift is
@@ -71,7 +70,9 @@ class StencilForm:
     stencils: tuple[np.ndarray, np.ndarray]
     shift: float
     w: float
-    meta: dict                      # "symbol" and "continuum"
+    symbols: tuple[np.ndarray, np.ndarray]  # g^aa 4 sin^2(theta_m / 2)
+    potential: float
+    continuum: tuple[float, float, float]
 
     def __post_init__(self):
         for s in self.stencils:
@@ -148,10 +149,9 @@ def _hermitian_norms(Q: sp.csr_matrix) -> tuple[float, float]:
 @dataclass
 class SpectrumResult:
     lambda_min: float
-    eigensection: np.ndarray
     residual: float     # relative to max(1, max|symbol|) |M v|
     iterations: int     # 0: read off the closed-form symbol
-    continuum: float    # the exact continuum bottom, meta["continuum"]
+    continuum: float    # the exact continuum bottom, form.continuum
 
 
 def _cov_diff_1d(n: int, h: float, step_angle: float) -> sp.spmatrix:
@@ -205,7 +205,7 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
     potentials in the difference stencils.  The mass form is the flat area
     measure, so generalized eigenvalues are physical frequencies squared plus
     the potential.  The form is its 5-point stencil, diagonal in grid plane
-    waves; it records its symbol and the continuum bottom with its bracket.
+    waves; it keeps its symbol per axis and its continuum bottom and gap.
     A potential that is not a scalar raises ShapeError.
     """
     if n < 2:
@@ -225,7 +225,8 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
     # a the step phase and S the shift to the next node.  An axis stencil
     # couples a node to the one o on along its axis, mod n; n = 2 folds the
     # two neighbours.
-    one, fwd, bwd = np.eye(n)[[0, 1, -1]]   # 1D stencils of 1, S and S^T
+    one, fwd, bwd = np.zeros((3, n))        # 1D stencils of 1, S and S^T
+    one[0] = fwd[1] = bwd[-1] = 1.0
     stencils = tuple(
         w / h ** 2 * (g * (2 * one - e * fwd - np.conj(e) * bwd))
         for g, e in ((ginv[0, 0], np.exp(-1j * phi * h)),
@@ -234,9 +235,8 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
     # under the connection, and F has symbol (e^{i theta} - 1) / h.  Signed
     # modes keep theta small.
     m = (np.arange(n) + n // 2) % n - n // 2
-    tx, ty = ((2 * np.pi * m - t) * h for t in (phi, theta))
-    symbol = (ginv[0, 0] * (4 * np.sin(tx / 2) ** 2)[:, None]
-              + ginv[1, 1] * (4 * np.sin(ty / 2) ** 2)[None, :]) / h ** 2 + V
+    symbols = tuple(g * (4 * np.sin((2 * np.pi * m - t) * h / 2) ** 2)
+                    for g, t in ((ginv[0, 0], phi), (ginv[1, 1], theta)))
     # Each axis's continuum bottom is the mode nearest its twist, at
     # distance d; the grid scales its term by 4 sin^2(x/2) / x^2 in
     # [1 - x^2/12, 1] (x = d h) and puts no other mode lower.
@@ -244,53 +244,53 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
     terms = [(di / ai) ** 2 for di, ai in zip(d, periods)]
     gap = sum(t * (di * h) ** 2 / 12 for t, di in zip(terms, d))
     continuum = (sum(terms) + V, gap, max(sum(terms), abs(V)))
-    return StencilForm(stencils, w * V, w,
-                       {"symbol": symbol, "continuum": continuum})
+    return StencilForm(stencils, w * V, w, symbols, V, continuum)
 
 
 def min_eigenvalue(form: StencilForm) -> SpectrumResult:
     """Smallest generalized eigenvalue of (Q, M), read off the form's symbol.
 
-    The bottom of meta["symbol"] (first FFT index on ties) and its grid plane
-    wave are the answer.  Only the stencils are read, and one check ties the
-    symbol to them.  A circulant's spectrum is the DFT of its stencil, so
-    the plane wave of mode m = (mx, my) has the eigenvalue
-    n ifft(s_xi)[mx] + n ifft(s_eta)[my] + shift under Q, and every mode must
-    match w symbol[m] to SYMBOL_TOL relative to max(1, max|symbol|) w.  That
-    bounds the residual of every probe, so the minimality holds; the
-    difference at the bottom mode is the eigenpair residual, returned as
-    `residual`.  A failed check or a bottom that is not finite raises
-    ConvergenceError.  The discrete bottom must lie in the bracket
-    [c - gap, c] of the form's continuum bottom c, up to a rounding slack
-    of 1e-12 times the size of c's terms, else ConvergenceError; c is
-    returned as `continuum`.  A form that is no `StencilForm` (the masked
-    Euclidean form) raises WrongFormError.
+    The symbol is separable with axis terms >= 0: its bottom is the mode
+    (mx, my) of the two axis minima (first index on ties), and its largest
+    modulus lies there or at the two axis maxima.  A circulant's spectrum is
+    the DFT of its stencil, so mode (mx, my) of Q is F(s_xi)[mx] +
+    F(s_eta)[my] + shift, F(s)[m] = sum_o s[o] e^{2 pi i m o / n}.  Each
+    F(s) must match w / h^2 times its axis term, and the shift w V: the sum
+    of the three largest differences, which bounds every mode's, must lie
+    within SYMBOL_TOL relative to max(1, max|symbol|) w.  That bounds the
+    residual of every probe, so the minimality holds; the bottom mode's
+    difference is the eigenpair residual, returned as `residual`.  A failed
+    check, a bottom that is not finite, or one outside the bracket
+    [c - gap, c] of the continuum bottom c (with a rounding slack of 1e-12
+    times the size of c's terms) raises ConvergenceError; c is returned as
+    `continuum`.  A form that is no `StencilForm` (the masked Euclidean
+    form) raises WrongFormError.
     """
     if not isinstance(form, StencilForm):
         raise WrongFormError("form is no stencil with a Fourier symbol")
-    symbol = form.meta["symbol"]
-    w = form.w
+    w, V = form.w, form.potential
     if not w > 0:
         raise DomainError("mass form must be positive definite")
-    n = symbol.shape[0]
-    mx, my = np.unravel_index(np.argmin(symbol), symbol.shape)
-    lam = float(symbol[mx, my])
-    scale = max(1.0, float(np.abs(symbol).max()))
-    ex, ey = (n * np.fft.ifft(s) for s in form.stencils)
-    diff = np.abs(ex[:, None] + ey + form.shift - w * symbol) / (w * scale)
-    spectrum, res = float(diff.max()), float(diff[mx, my])
+    t_xi, t_eta = form.symbols
+    h2 = (1.0 / t_xi.size) ** 2
+    mx, my = np.argmin(t_xi), np.argmin(t_eta)
+    lam = float((t_xi[mx] + t_eta[my]) / h2 + V)
+    top = float((t_xi.max() + t_eta.max()) / h2 + V)
+    scale = max(1.0, abs(lam), abs(top))
+    ex, ey = (t_xi.size * np.fft.ifft(s) for s in form.stencils)
+    spectrum = (sum(float(np.abs(e - w * (t / h2)).max())
+                    for e, t in ((ex, t_xi), (ey, t_eta)))
+                + abs(form.shift - w * V)) / (w * scale)
+    res = float(abs(ex[mx] + ey[my] + form.shift - w * lam) / (w * scale))
     if not (np.isfinite(lam) and spectrum <= SYMBOL_TOL):
         raise ConvergenceError(f"symbol does not match the stencil: "
                                f"spectrum {spectrum:.1e}", best=lam)
-    c, gap, size = form.meta["continuum"]
+    c, gap, size = form.continuum
     slack = 1e-12 * max(1.0, size)
     if not c - gap - slack <= lam <= c + slack:
         raise ConvergenceError(f"bottom {lam!r} lies outside its continuum "
                                f"bracket [{c - gap!r}, {c!r}]", best=lam)
-    j = np.arange(n)
-    v = np.outer(*(np.exp(2j * np.pi * (m * j % n) / n) for m in (mx, my)))
-    v /= np.sqrt(w * n * n)
-    return SpectrumResult(lam, v, res, 0, c)
+    return SpectrumResult(lam, res, 0, c)
 
 
 # ---------------------------------------------------------------------------

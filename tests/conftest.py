@@ -128,6 +128,27 @@ def kron_twisted_form_q(periods, twist, n, potential=0.0, shear=0.0):
     return (Q + sp.diags(w * V.reshape(-1))).tocsr()
 
 
+def stencil_spectrum_mismatch(form):
+    """The whole-grid spectrum check of a stencil form, mode by mode.
+
+    The plane wave of mode (mx, my) is an eigenvector of the Kronecker sum
+    of the two axis circulants plus the shift, with the eigenvalue
+    sum_o s_xi[o] e^{2 pi i mx o / n} + sum_o s_eta[o] e^{2 pi i my o / n}
+    + shift, each DFT written out as a matrix.  Returns the largest of its
+    n^2 differences from w times the claimed eigenvalue
+    (t_xi[mx] + t_eta[my]) / h^2 + V, relative to max(1, max|symbol|) w.
+    """
+    sx, sy = form.stencils
+    n = sx.size
+    j = np.arange(n)
+    dft = np.exp(2j * np.pi * (np.outer(j, j) % n) / n)
+    t_xi, t_eta = form.symbols
+    symbol = (t_xi[:, None] + t_eta[None, :]) * n ** 2 + form.potential
+    eig = (dft @ sx)[:, None] + (dft @ sy)[None, :] + form.shift
+    scale = max(1.0, float(np.abs(symbol).max()))
+    return float(np.abs(eig - form.w * symbol).max()) / (form.w * scale)
+
+
 def isotropic_curvature(operator, X, Y):
     """R(X, Y, conj X, conj Y) / |X wedge Y|^2 for a curvature operator.
 

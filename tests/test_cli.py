@@ -386,6 +386,11 @@ def test_bad_lens_decompose_or_tau_config_is_a_config_error(tmp_path, capsys,
     ("stability", {"rho": 0}, "rho"),
     ("stability", {"L": -1}, "L"),
     ("sections", {"phi": 10 ** 400}, "phi"),
+    # a tau off the upper half-plane names no lattice
+    ("sections", {"tau": [0, 0]}, "tau"),
+    ("sections", {"tau": [0, -1]}, "tau"),
+    ("abelian", {"tau": [0, 0]}, "tau"),
+    ("abelian", {"tau": [0, -1]}, "tau"),
 ])
 def test_bad_lens_or_line_value_is_a_config_error_naming_its_key(
         tmp_path, capsys, sub, payload, key):

@@ -17,12 +17,14 @@ from stabletori import stability
 from stabletori.scenarios import (EllipticScenario, FlatTorusScenario,
                                   LensScenario, flat_chart_immersion,
                                   second_variation_form)
-from stabletori.stability import (DiscreteForm, StencilForm, covering_sweep,
-                                  flat_twisted_form, log_cutoff,
-                                  min_eigenvalue, _stencil_hermitian_norms)
+from stabletori.stability import (SYMBOL_TOL, DiscreteForm, StencilForm,
+                                  covering_sweep, flat_twisted_form,
+                                  log_cutoff, min_eigenvalue,
+                                  _stencil_hermitian_norms)
 from stabletori.sections import wirtinger_diff
 
-from conftest import cutoff_phi, fourier_lambda_min, kron_twisted_form_q
+from conftest import (cutoff_phi, fourier_lambda_min, kron_twisted_form_q,
+                      stencil_spectrum_mismatch)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +89,7 @@ def test_continuum_bottom_brackets_the_discrete_bottom(a, b, phi, theta, pot,
                                                        n):
     form = flat_twisted_form((a, b), (phi, theta), n, potential=pot)
     res = min_eigenvalue(form)
-    c, gap, _ = form.meta["continuum"]
+    c, gap, _ = form.continuum
     assert res.continuum == c
     # brute force over the continuum symbol's modes
     m = range(-6, 7)
@@ -100,12 +102,12 @@ def test_continuum_bottom_brackets_the_discrete_bottom(a, b, phi, theta, pot,
 
 def test_min_eigenvalue_rejects_a_shifted_continuum_bottom():
     form = flat_twisted_form((1.0, 1.3), (1.7, -0.6), 16, potential=-1.0)
-    c, gap, size = form.meta["continuum"]
+    c, gap, size = form.continuum
     lam = min_eigenvalue(form).lambda_min
     assert c - gap < lam < c
     # the discrete bottom above the bracket, then below it
     for shifted in (lam - 1e-6, lam + gap + 1e-6):
-        form.meta["continuum"] = (shifted, gap, size)
+        form.continuum = (shifted, gap, size)
         with pytest.raises(ConvergenceError) as info:
             min_eigenvalue(form)
         assert info.value.best == lam
@@ -176,6 +178,43 @@ def test_min_eigenvalue_rejects_one_coefficient_changed_by_1e_8(part):
         form.shift += 1e-8 * (sx[0] + sy[0] + form.shift).real
     with pytest.raises(ConvergenceError):
         min_eigenvalue(form)
+
+
+@given(st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(-np.pi, np.pi),
+       st.floats(-np.pi, np.pi), st.floats(-5.0, 5.0), st.integers(2, 24),
+       st.sampled_from([0, 1, "shift"]), st.integers(0, 23),
+       st.floats(-13.0, -6.0), st.sampled_from([1.0, -1.0, 1j, -1j]))
+@settings(max_examples=120, deadline=None)
+def test_min_eigenvalue_raises_whenever_the_whole_grid_check_fails(
+        a, b, phi, theta, pot, n, part, o, log_size, sign):
+    # one stencil coefficient or the shift moved by 1e-13 to 1e-6 of the
+    # xi stencil's centre, which straddles SYMBOL_TOL; the per-axis check
+    # bounds every mode, so it may not pass a form the n x n check rejects
+    form = flat_twisted_form((a, b), (phi, theta), n, potential=pot)
+    assert stencil_spectrum_mismatch(form) <= SYMBOL_TOL
+    min_eigenvalue(form)
+    delta = 10 ** log_size * abs(form.stencils[0][0]) * sign
+    if part == "shift":
+        form.shift += delta.real + delta.imag
+    else:
+        form.stencils[part][o % n] += delta
+    if stencil_spectrum_mismatch(form) > SYMBOL_TOL:
+        with pytest.raises(ConvergenceError):
+            min_eigenvalue(form)
+
+
+def test_flat_form_and_its_solve_build_nothing_of_size_n_squared():
+    # at the dof cap one n x n float array is 32 MB; the axis stencils,
+    # symbols and DFTs peak near 0.4 MB
+    n = 2000
+    tracemalloc.start()
+    try:
+        form = flat_twisted_form((1.0, 1.3), (1.7, -0.6), n, potential=-1.0)
+        min_eigenvalue(form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +310,8 @@ def test_stencil_form_built_directly_is_checked_on_its_stencil():
                             ((sx, real), 0.0), ((sx, sy), np.nan),
                             ((sx, sy), -np.inf)):
         with pytest.raises(DomainError, match="Hermitian"):
-            StencilForm(stencils, shift, form.w, form.meta)
+            StencilForm(stencils, shift, form.w, form.symbols,
+                        form.potential, form.continuum)
 
 
 @pytest.mark.parametrize("potential", [0.0, 0.4])
@@ -305,11 +345,12 @@ def test_hermitian_guard_rejects_one_changed_entry():
 
 
 def test_min_eigenvalue_rejects_nan_symbol():
-    form = flat_twisted_form((1.0, 1.0), (0.0, 0.0), 8)
-    form.meta["symbol"] = form.meta["symbol"].copy()
-    form.meta["symbol"][2, 3] = np.nan
-    with pytest.raises(ConvergenceError):
-        min_eigenvalue(form)
+    # a NaN axis term makes a row or column of modes NaN, mode (2, 3) too
+    for axis, m in ((0, 2), (1, 3)):
+        form = flat_twisted_form((1.0, 1.0), (0.0, 0.0), 8)
+        form.symbols[axis][m] = np.nan
+        with pytest.raises(ConvergenceError):
+            min_eigenvalue(form)
 
 
 def test_flat_twisted_form_rejects_potential_of_wrong_shape():
