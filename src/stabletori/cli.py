@@ -288,7 +288,7 @@ def cmd_systole(cfg, out: Path, svg: bool):
     serialize.write_json(out / "systole.json", summary)
     if svg:
         serialize.svg_heatmap(out / "trial_phase.svg",
-                              np.angle(trial.values[:, :, 0]),
+                              np.angle(trial.grid().values[:, :, 0]),
                               title="trial section phase")
     return failures
 

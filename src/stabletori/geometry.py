@@ -353,9 +353,6 @@ class Immersion:
     Fz: np.ndarray                    # (n, n, dim) complex
     lam2: np.ndarray                  # (n, n)
     mask: np.ndarray                  # (n, n) bool, True where active
-    flat: bool
-    normal_lines: list[tuple[LineHolonomy, np.ndarray]] = field(default_factory=list)
-    periods: tuple[float, float] | None = None
 
     @property
     def n(self) -> int:
@@ -373,6 +370,44 @@ class Immersion:
         """Induced area of each grid cell (zero on masked cells)."""
         out = self.lam2 * self.dxdy_weight()
         return np.where(self.mask, out, 0.0)
+
+
+@dataclass
+class FlatTorus:
+    """Flat totally geodesic torus with periods (a, b), held in closed form.
+
+    The chart is z = scale * (xi + eta * tau) over (xi, eta) in [0,1)^2 with
+    scale = a and tau = i b / a, an isometry with unit conformal factor.
+    `frame` holds the real unit tangents along xi and eta, (2, dim), in
+    ambient coordinates at the base point: the ambient is homogeneous and
+    the torus totally geodesic, so one point stands for all.
+    `normal_lines` are the flat lines of its complexified normal bundle,
+    each with its holonomy.  `n` is the side of the n x n grid that its
+    forms and trial sections are sampled on; nothing of size n^2 is stored.
+    """
+
+    periods: tuple[float, float]
+    ambient: AmbientSpace
+    n: int
+    frame: np.ndarray
+    normal_lines: list[tuple[LineHolonomy, np.ndarray]] = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ResolutionError("a torus grid needs at least 2 x 2 nodes")
+
+    @property
+    def lattice(self) -> Lattice:
+        a, b = self.periods
+        return Lattice(0.0, b / a)
+
+    @property
+    def scale(self) -> float:
+        return self.periods[0]
+
+    @property
+    def dim(self) -> int:
+        return self.ambient.dim
 
 
 def elliptic_curve_immersion(lat: Lattice, puncture_radius: float,
@@ -406,21 +441,21 @@ def elliptic_curve_immersion(lat: Lattice, puncture_radius: float,
     Fz = np.stack([pp / 2, -1j * pp / 2, ppp / 2, -1j * ppp / 2], axis=-1)
     lam2 = np.abs(pp) ** 2 + np.abs(ppp) ** 2
     amb = AmbientSpace(kind="euclidean", dim=4)
-    return Immersion(
-        lattice=lat, scale=1.0, ambient=amb, F=F, Fz=Fz, lam2=lam2,
-        mask=mask, flat=False,
-    )
+    return Immersion(lattice=lat, scale=1.0, ambient=amb, F=F, Fz=Fz,
+                     lam2=lam2, mask=mask)
 
 
 def product_geodesic_torus(L: float, rho: float, n_sphere: int,
-                           lens: tuple[int, int], n: int) -> Immersion:
+                           lens: tuple[int, int], n: int) -> FlatTorus:
     """Totally geodesic flat torus in S^1(L) x (S^{n_sphere}(rho)/lens).
 
     The image is the circle factor times the short closed geodesic of the
-    lens quotient; periods are (2 pi L, 2 pi rho / p).  Parallel transport
-    of the normal plane (e3, e4) is trivial around the circle period and
-    the rotation by alpha = 2 pi q / p around the geodesic one, so the
-    complexified normal lines are written down: for p >= 3 they are
+    lens quotient; periods are (2 pi L, 2 pi rho / p).  At the base point
+    (0, rho, 0, ..., 0) the circle runs along e0 and the geodesic along e2,
+    (rho cos(s / rho), rho sin(s / rho)) in the (e1, e2) plane.  Parallel
+    transport of the normal plane (e3, e4) is trivial around the circle
+    period and the rotation by alpha = 2 pi q / p around the geodesic one,
+    so the complexified normal lines are written down: for p >= 3 they are
     (e3 -+ i e4) / sqrt 2 with holonomy (0, +-alpha), N^{1,0} first (the
     line on which the quarter turn e3 -> e4 acts by +i), isotropic and
     dual; for p <= 2 the transport is +-1 and they are e3 and e4.
@@ -430,41 +465,16 @@ def product_geodesic_torus(L: float, rho: float, n_sphere: int,
                        sphere_radius=rho, n_sphere=n_sphere, lens=(p, q))
     if p > 1 and n_sphere != 3:
         raise DomainError("twisted lens quotients are supported on S^3 only")
-    if n < 2:
-        raise ResolutionError("a torus grid needs at least 2 x 2 nodes")
-    a_len = 2 * np.pi * L
-    b_len = 2 * np.pi * rho / p
-    lat = Lattice(0.0, b_len / a_len)
-    dim = amb.dim
-    xi = np.arange(n) * (1.0 / n)
-    # Node (i, j) sits at arc length a_len xi_i on S^1 and s_j = b_len xi_j
-    # along the geodesic; the sphere coordinates depend on j alone.
-    s = b_len * xi
-    cos_s, sin_s = np.cos(s / rho), np.sin(s / rho)
-    F = np.zeros((n, n, dim))
-    F[:, :, 0] = a_len * xi[:, None]
-    F[:, :, 1] = rho * cos_s
-    F[:, :, 2] = rho * sin_s
-    # Tangents in arc-length chart coordinates (z = x + i y, x along S^1).
-    Fz = np.zeros((n, n, dim), dtype=complex)
-    Fz[:, :, 0] = 0.5
-    Fz[:, :, 1] = -0.5j * (-sin_s)
-    Fz[:, :, 2] = -0.5j * cos_s
-    lam2 = np.ones((n, n))
-    mask = np.ones((n, n), dtype=bool)
-
     alpha = principal_angle(2 * np.pi * q / p) if p > 1 else 0.0
-    e3, e4 = np.eye(dim, dtype=complex)[3:5]
+    e3, e4 = np.eye(amb.dim, dtype=complex)[3:5]
     hol = LineHolonomy(0.0, alpha)
     if p <= 2:
         lines = [(hol, e3), (hol, e4)]
     else:
         lines = [(hol, (e3 - 1j * e4) / np.sqrt(2)),
                  (LineHolonomy(0.0, -alpha), (e3 + 1j * e4) / np.sqrt(2))]
-    return Immersion(
-        lattice=lat, scale=a_len, ambient=amb, F=F, Fz=Fz, lam2=lam2,
-        mask=mask, flat=True, periods=(a_len, b_len), normal_lines=lines,
-    )
+    return FlatTorus((2 * np.pi * L, 2 * np.pi * rho / p), amb, n,
+                     np.eye(amb.dim)[[0, 2]], lines)
 
 
 # ---------------------------------------------------------------------------

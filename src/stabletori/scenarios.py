@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import LineHolonomy, principal_angle
-from .errors import ConfigError, DomainError, ResolutionError, WrongFormError
-from .geometry import (AmbientSpace, Immersion, SurfaceQuantities,
+from .errors import ConfigError, DomainError, WrongFormError
+from .geometry import (AmbientSpace, FlatTorus, Immersion, SurfaceQuantities,
                        elliptic_curve_immersion, product_geodesic_torus,
                        surface_quantities)
 from .lattice import (CoverSpec, Lattice, cover_lattice, flat_systole,
@@ -24,34 +24,21 @@ AUDIT_BATCH = 10
 
 
 def flat_chart_immersion(a_len: float, b_len: float, n: int,
-                         ambient: AmbientSpace | None = None) -> Immersion:
+                         ambient: AmbientSpace | None = None) -> FlatTorus:
     """Flat isometric chart torus with unit conformal factor.
 
     The totally geodesic torus of `FlatTorusScenario` inside a flat 4-torus,
-    with no normal lines, and the chart on which the exceptional cutoffs and
-    the `induced_systole` check of the exact flat systole are tested.  Trial
-    sections do not use it: the lens ones live on the lens torus.
+    along the first two axes, with no normal lines: the chart on which the
+    exceptional cutoffs and the `induced_systole` check of the exact flat
+    systole are tested.  Trial sections do not use it: the lens ones live
+    on the lens torus.
     """
-    if n < 2:
-        raise ResolutionError("a torus grid needs at least 2 x 2 nodes")
     if ambient is None:
         ambient = AmbientSpace(kind="flat_torus", dim=4)
-    lat = Lattice(0.0, b_len / a_len)
-    F = np.zeros((n, n, ambient.dim))
-    h = 1.0 / n
-    xi = np.arange(n) * h
-    X, Y = np.meshgrid(xi, xi, indexing="ij")
-    F[:, :, 0] = a_len * X
-    F[:, :, 1] = b_len * Y
-    Fz = np.zeros((n, n, ambient.dim), dtype=complex)
-    Fz[:, :, 0] = 0.5
-    Fz[:, :, 1] = -0.5j
-    return Immersion(lattice=lat, scale=a_len, ambient=ambient, F=F, Fz=Fz,
-                     lam2=np.ones((n, n)), mask=np.ones((n, n), dtype=bool),
-                     flat=True, periods=(a_len, b_len))
+    return FlatTorus((a_len, b_len), ambient, n, np.eye(ambient.dim)[:2])
 
 
-def second_variation_form(imm: Immersion, kx: int, ky: int,
+def second_variation_form(imm: FlatTorus, kx: int, ky: int,
                           n: int) -> StencilForm:
     """Second variation of a flat totally geodesic torus on its (kx, ky) cover.
 
@@ -59,13 +46,14 @@ def second_variation_form(imm: Immersion, kx: int, ky: int,
     `imm.normal_lines`; on the first of them the form is the scalar twisted
     Laplacian over the periods scaled by (kx, ky), with the line's holonomy
     lifted to the cover, plus the constant potential -sum_i R(t_i, e, t_i, e)
-    at the ambient's base point, for the real tangent frame t_i and the real
-    unit normal e along the line (the model geometries are homogeneous).
-    The lines of a lens torus are dual, so their spectra coincide.  A torus
-    with no normal lines in a flat ambient gets the untwisted form with no
-    potential.
+    at the ambient's base point, for the tangent frame t_i of `imm.frame`
+    and the real unit normal e along the line (the model geometries are
+    homogeneous).  The lines of a lens torus are dual, so their spectra
+    coincide.  A torus with no normal lines in a flat ambient gets the
+    untwisted form with no potential; anything but a `FlatTorus` raises
+    WrongFormError.
     """
-    if not imm.flat:
+    if not isinstance(imm, FlatTorus):
         raise WrongFormError("the second variation form needs a flat torus")
     hol, e = LineHolonomy(0.0, 0.0), np.zeros(imm.dim)
     if imm.normal_lines:
@@ -73,9 +61,7 @@ def second_variation_form(imm: Immersion, kx: int, ky: int,
         e = eps.real / np.linalg.norm(eps.real)
     elif not imm.ambient.is_flat:
         raise WrongFormError("a torus in a curved ambient needs normal lines")
-    frame = np.stack([2 * imm.Fz[0, 0].real, -2 * imm.Fz[0, 0].imag])
-    frame /= np.linalg.norm(frame, axis=1, keepdims=True)
-    curv = imm.ambient.curvature(frame, e, frame, e)
+    curv = imm.ambient.curvature(imm.frame, e, imm.frame, e)
     a, b = imm.periods
     twist = (principal_angle(kx * hol.phi), principal_angle(ky * hol.theta))
     return flat_twisted_form((kx * a, ky * b), twist, n,
@@ -93,8 +79,9 @@ def _diagonal_cover(spec: CoverSpec) -> tuple[int, int]:
 class LensScenario:
     """S^1(L) x lens(p, q) on S^3(rho), with the short geodesic torus.
 
-    `torus` is the `product_geodesic_torus` on an n x n grid, built once;
-    every form of the sweep is its `second_variation_form`.
+    `torus` is the `product_geodesic_torus` for an n x n grid, built once
+    and held in closed form; every form of the sweep is its
+    `second_variation_form`.
     """
 
     L: float = 2.0

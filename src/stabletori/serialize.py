@@ -37,7 +37,8 @@ def write_json(path, obj):
 
 
 def svg_heatmap(path, field: np.ndarray, title: str = "", cell: int = 4):
-    """Tiny dependency-free SVG raster of a nonnegative scalar field."""
+    """Tiny dependency-free SVG raster of a real scalar field, blue at its
+    minimum to red at its maximum (`systole` passes a phase in (-pi, pi])."""
     field = np.asarray(field, dtype=float)
     lo, hi = float(field.min()), float(field.max())
     span = hi - lo if hi > lo else 1.0

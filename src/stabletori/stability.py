@@ -25,7 +25,8 @@ import numpy as np
 from .bundles import principal_angle
 from .errors import (ConvergenceError, DomainError, ResolutionError,
                      ShapeError, WrongFormError)
-from .geometry import Immersion, SurfaceQuantities, surface_quantities
+from .geometry import (FlatTorus, Immersion, SurfaceQuantities,
+                       surface_quantities)
 from .lattice import Lattice, wirtinger_factors
 from .sections import SectionGrid, _axis_diff, dbar
 
@@ -297,7 +298,7 @@ def min_eigenvalue(form: StencilForm) -> SpectrumResult:
 # ambient-valued sections (shared by the index forms and audits)
 
 
-def _chart_factors(imm: Immersion) -> tuple[complex, complex]:
+def _chart_factors(imm: Immersion | FlatTorus) -> tuple[complex, complex]:
     fxi, feta = wirtinger_factors(imm.lattice)
     return fxi / imm.scale, feta / imm.scale
 
@@ -360,7 +361,7 @@ def euclidean_index_form(imm: Immersion,
     data repeated periodically.  `quants` are the immersion's
     `surface_quantities`, computed here unless the caller has them.
     """
-    if imm.ambient.kind != "euclidean":
+    if not isinstance(imm, Immersion) or imm.ambient.kind != "euclidean":
         raise WrongFormError("euclidean index form needs a euclidean ambient")
     import scipy.sparse as sp
     quants = quants or surface_quantities(imm)
@@ -419,7 +420,7 @@ def euclidean_index_form(imm: Immersion,
     })
 
 
-def chart_norm2(sec: SectionGrid, imm: Immersion, values: np.ndarray) -> float:
+def chart_norm2(sec: SectionGrid, imm: FlatTorus, values: np.ndarray) -> float:
     """sum |values|^2 dxdy over the grid of sec in the flat chart of imm.
 
     With the section's own values this is its da mass (lam2 = 1 on a flat
@@ -429,7 +430,7 @@ def chart_norm2(sec: SectionGrid, imm: Immersion, values: np.ndarray) -> float:
     return float(np.sum(np.abs(values) ** 2) * w)
 
 
-def dbar_energy_chart(sec: SectionGrid, imm: Immersion) -> float:
+def dbar_energy_chart(sec: SectionGrid, imm: FlatTorus) -> float:
     """sum |nabla_zbar c|^2 dxdy for a scalar section in the chart of imm."""
     return chart_norm2(sec, imm, dbar(sec).values / imm.scale)
 

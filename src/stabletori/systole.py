@@ -3,12 +3,14 @@ R <= C / sqrt(kappa).
 
 Every systole the package computes is a flat one, exact from the period
 lattice (`lattice.flat_systole`), and the truncated distances of the trial
-sections are read off the flat chart; a non-flat immersion raises
+sections are read off the flat chart; anything but a `FlatTorus` raises
 `WrongFormError`.  `induced_systole` is a graph distance on a patch of the
 universal cover, an 8-neighbor weighted grid graph (Dijkstra), kept as the
 tests' independent check of the exact flat systole.  The 8-neighbor metric
 overestimates lengths by at most ~8.24% in the worst direction.  The graph
 is the module's only use of scipy, imported when `induced_systole` runs.
+The trial section is kept as its two 1-D factors, so the Rayleigh check
+costs O(n) on an n x n grid.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import numpy as np
 
 from .bundles import LineHolonomy
 from .errors import DomainError, ResolutionError, WrongFormError
-from .geometry import Immersion
-from .sections import SectionGrid, wirtinger_diff
-from .stability import (STABLE_TOL, _chart_factors, chart_norm2,
-                        dbar_energy_chart)
+from .geometry import FlatTorus
+from .lattice import Lattice, wirtinger_factors
+from .sections import SectionGrid, _axis_diff, wirtinger_diff
+from .stability import STABLE_TOL, _chart_factors, dbar_energy_chart
 
 EIGHT_NEIGHBOR_ANISOTROPY = 0.0824
 
@@ -34,52 +36,36 @@ EXCEPTIONAL_CONSTANT = 2 * (18 + np.pi) / np.sqrt(3.0)
 # graph systole
 
 
-def _patch_edges(imm: Immersion, window: int):
-    """Sparse 8-neighbor graph over the cover patch of the induced metric."""
-    import scipy.sparse as sp
-    n = imm.n
-    W = (2 * window + 1) * n
-    lam = np.sqrt(np.tile(imm.lam2, (2 * window + 1, 2 * window + 1)))
-    tau = imm.lattice.tau
-    h = 1.0 / n
-    steps = [(1, 0), (0, 1), (1, 1), (1, -1)]
-    rows, cols, data = [], [], []
-    idx = np.arange(W * W).reshape(W, W)
-    for dx, dy in steps:
-        chord = abs(imm.scale * (dx * h + dy * h * tau))
-        src = idx[: W - dx, :]     # every step has dx >= 0
-        lam_a = lam[: W - dx, :]
-        if dy >= 0:
-            src = src[:, : W - dy]
-            lam_a = lam_a[:, : W - dy]
-        else:
-            src = src[:, -dy:]
-            lam_a = lam_a[:, -dy:]
-        dst = src + dx * W + dy
-        lam_b = lam.reshape(-1)[dst.reshape(-1)].reshape(dst.shape)
-        wgt = 0.5 * (lam_a + lam_b) * chord
-        rows.append(src.reshape(-1))
-        cols.append(dst.reshape(-1))
-        data.append(wgt.reshape(-1))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
-    G = sp.csr_matrix((data, (rows, cols)), shape=(W * W, W * W))
-    return G + G.T
-
-
-def induced_systole(imm: Immersion, window: int = 2, stride: int = 8) -> float:
+def induced_systole(imm: FlatTorus, window: int = 2, stride: int = 8) -> float:
     """Shortest nontrivial closed curve length from grid distances.
 
     R = min over deck translates gamma = (m, n), |m|, |n| <= window, of
-    min over sampled base points z of d(z, z + gamma).
+    min over sampled base points z of d(z, z + gamma), for the graph
+    distance d of the 8-neighbor graph over the cover patch of the
+    imm.n x imm.n grid, each edge weighing its chord (lam2 = 1).
     """
+    if not isinstance(imm, FlatTorus):
+        raise WrongFormError("the graph systole needs a flat torus")
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import dijkstra
     n = imm.n
     W = (2 * window + 1) * n
+    h = 1.0 / n
+    node = np.arange(W * W).reshape(W, W)
+    rows, cols, data = [], [], []
+    for dx, dy in [(1, 0), (0, 1), (1, 1), (1, -1)]:
+        # every step has dx >= 0; a step down starts one column in
+        src = node[: W - dx, max(0, -dy): W - max(0, dy)]
+        rows.append(src.reshape(-1))
+        cols.append((src + dx * W + dy).reshape(-1))
+        chord = abs(imm.scale * (dx * h + dy * h * imm.lattice.tau))
+        data.append(np.full(src.size, chord))
+    G = sp.csr_matrix((np.concatenate(data),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(W * W, W * W))
+    G = G + G.T
     srcs = [(i, j) for i in range(0, n, stride) for j in range(0, n, stride)]
     best = np.inf
-    G = _patch_edges(imm, window)
     off = window * n
     batch = 32
     for k0 in range(0, len(srcs), batch):
@@ -113,10 +99,11 @@ class TruncatedDistance:
     R: float
 
 
-def axis_truncated_distances(imm: Immersion, R: float, n: int) -> TruncatedDistance:
+def axis_truncated_distances(imm: FlatTorus, R: float,
+                             n: int) -> TruncatedDistance:
     if not (R > 0):
         raise DomainError("systole must be positive")
-    if not imm.flat:
+    if not isinstance(imm, FlatTorus):
         raise WrongFormError("truncated distances need a flat chart")
     ts = np.linspace(0.0, 1.0, n + 1)
     a_len, b_len = imm.periods
@@ -127,8 +114,41 @@ def axis_truncated_distances(imm: Immersion, R: float, n: int) -> TruncatedDista
     return TruncatedDistance(dxi, deta, R)
 
 
+@dataclass
+class TrialSection:
+    """A section c(xi, eta) = f(xi) g(eta) of a flat line bundle, kept as
+    its factors at xi, eta = i / n in the periodic gauge of the holonomy
+    (phi, theta).  R, the systole its phase is cut at, must be positive,
+    else DomainError.  `grid()` builds the n x n section, for `systole
+    --svg` and the tests' oracles only.
+    """
+
+    lattice: Lattice
+    f: np.ndarray
+    g: np.ndarray
+    phi: float
+    theta: float
+    R: float
+    seam_residual: float
+
+    def __post_init__(self):
+        if not self.R > 0:
+            raise DomainError("R must be positive")
+
+    @property
+    def grad_bound(self) -> float:
+        """The pointwise bound 2 pi / (sqrt 3 R) of |dbar c| / |c|."""
+        return 2 * np.pi / (np.sqrt(3.0) * self.R)
+
+    def grid(self) -> SectionGrid:
+        return SectionGrid(lattice=self.lattice, a=1.0, b=1.0,
+                           values=self.f[:, None] * self.g[None, :],
+                           phi=self.phi, theta=self.theta,
+                           seam_residual=self.seam_residual)
+
+
 def phase_trial_section(L: LineHolonomy, R: float, deltas: TruncatedDistance,
-                        imm: Immersion, n: int) -> SectionGrid:
+                        imm: FlatTorus, n: int) -> TrialSection:
     """The Lipschitz isotropic trial section with truncated-distance phase.
 
     Periodic-gauge representative
@@ -136,31 +156,21 @@ def phase_trial_section(L: LineHolonomy, R: float, deltas: TruncatedDistance,
                  * exp(i*(phi*xi + theta*eta)),
     which is exactly periodic because delta reaches R at the period; both
     phase ramps carry the minus sign, which is the choice that closes both
-    seams simultaneously.
+    seams simultaneously.  It is the product of the xi and the eta factor.
     """
-    if R <= 0:
+    if not R > 0:
         raise DomainError("R must be positive")
-    dx = deltas.delta_xi[:-1]
-    dy = deltas.delta_eta[:-1]
+    dx, dy = deltas.delta_xi[:-1], deltas.delta_eta[:-1]
     if len(dx) != n or len(dy) != n:
         raise DomainError("delta fields must be sampled on the same grid")
-    xi = np.arange(n) / n
-    eta = np.arange(n) / n
-    ramp = np.exp(-1j * (dx[:, None] * L.phi + dy[None, :] * L.theta) / R)
-    gauge = np.exp(1j * (L.phi * xi[:, None] + L.theta * eta[None, :]))
-    vals = (ramp * gauge)[:, :, None]
+    t = np.arange(n) / n
+    f, g = (np.exp(-1j * (d * a) / R) * np.exp(1j * (a * t))
+            for d, a in ((dx, L.phi), (dy, L.theta)))
     # Seam residual from the closing identities at xi = 1 and eta = 1.
-    close_x = abs(np.exp(-1j * deltas.delta_xi[-1] * L.phi / R)
-                  * np.exp(1j * L.phi) - 1.0)
-    close_y = abs(np.exp(-1j * deltas.delta_eta[-1] * L.theta / R)
-                  * np.exp(1j * L.theta) - 1.0)
-    return SectionGrid(
-        lattice=imm.lattice, a=1.0, b=1.0, values=vals,
-        phi=L.phi, theta=L.theta,
-        seam_residual=float(max(close_x, close_y)),
-        meta={"R": R, "holonomy": L,
-              "grad_bound": 2 * np.pi / (np.sqrt(3.0) * R)},
-    )
+    seam = max(abs(np.exp(-1j * d[-1] * a / R) * np.exp(1j * a) - 1.0)
+               for d, a in ((deltas.delta_xi, L.phi),
+                            (deltas.delta_eta, L.theta)))
+    return TrialSection(imm.lattice, f, g, L.phi, L.theta, R, float(seam))
 
 
 @dataclass
@@ -171,7 +181,7 @@ class RayleighReport:
     chain_holds: bool
 
 
-def rayleigh_bound_check(s: SectionGrid, imm: Immersion,
+def rayleigh_bound_check(s: TrialSection, imm: FlatTorus,
                          kappa: float) -> RayleighReport:
     """Report kappa * Mass(s) <= dbar energy <= (2 pi / (sqrt3 R))^2 Mass(s).
 
@@ -179,14 +189,28 @@ def rayleigh_bound_check(s: SectionGrid, imm: Immersion,
     sqrt(kappa), which `systole_bound_verdict` decides.  `chain_holds`
     records whether the computed chain itself holds; it is reported and not
     judged, because its first inequality needs stability.
+
+    Mass and energy are `chart_norm2` and `dbar_energy_chart` of
+    `s.grid()`, summed in O(n): dbar c = f_xi (Df) g + f_eta f (Dg) for the
+    central covariant difference D, so over the grid sum |dbar c|^2 =
+    |f_xi|^2 |Df|^2 |g|^2 + |f_eta|^2 |f|^2 |Dg|^2
+    + 2 Re(f_xi conj(f_eta) <f, Df> <Dg, g>).
     """
-    R = s.meta.get("R")
-    if R is None:
-        raise DomainError("section does not carry its systole")
-    mass_da = chart_norm2(s, imm, s.values)  # flat: lam2 = 1
-    energy = 2.0 * dbar_energy_chart(s, imm)
+    h = 1.0 / s.f.size
+    # the factors as (n, 1) columns, a grid field of `_axis_diff`
+    f, g = s.f[:, None], s.g[:, None]
+    Df, Dg = (_axis_diff(v, 0, h, a * h) for v, a in ((f, s.phi), (g, s.theta)))
+    nf, ng, nDf, nDg = (np.vdot(v, v).real for v in (f, g, Df, Dg))
+    fxi, feta = wirtinger_factors(s.lattice)
+    cross = fxi * np.conj(feta) * np.vdot(f, Df) * np.vdot(Dg, g)
+    dbar2 = (abs(fxi) ** 2 * nDf * ng + abs(feta) ** 2 * nf * nDg
+             + 2 * cross.real)
+    # the chart measure of a grid cell, w = scale^2 tau2 h^2 (lam2 = 1)
+    w = imm.scale ** 2 * imm.lattice.tau2 * h * h
+    mass_da = float(nf * ng * w)
+    energy = 2.0 * float(dbar2 / imm.scale ** 2 * w)
     lhs = kappa * mass_da
-    ebound = (2 * np.pi / (np.sqrt(3.0) * R)) ** 2 * mass_da
+    ebound = s.grad_bound ** 2 * mass_da
     return RayleighReport(lhs, energy, ebound, bool(lhs <= energy <= ebound))
 
 
@@ -215,7 +239,7 @@ class ExceptionalReport:
     injectivity_violations: int
 
 
-def exceptional_cutoffs(imm: Immersion, R: float, n: int) -> ExceptionalReport:
+def exceptional_cutoffs(imm: FlatTorus, R: float, n: int) -> ExceptionalReport:
     """Cutoff regions and localized sections on the vertical double cover.
 
     Works on the domain [0,1) x [0,2) of the sublattice (1, 2*tau), with a
@@ -226,7 +250,7 @@ def exceptional_cutoffs(imm: Immersion, R: float, n: int) -> ExceptionalReport:
     nodes where the selected cutoff's support meets its translate by the
     deck transformation, half the cover vertically.
     """
-    if not imm.flat:
+    if not isinstance(imm, FlatTorus):
         raise DomainError("exceptional construction implemented on flat tori")
     a_len, b_len = imm.periods
     if R / 6 < 4 * (b_len / n):
@@ -256,8 +280,7 @@ def exceptional_cutoffs(imm: Immersion, R: float, n: int) -> ExceptionalReport:
     # eta phase pi stays in the connection and is paid as vertical energy.
     c1 = np.exp(1j * (np.pi * X - delta_xi * np.pi / R))
     s1 = SectionGrid(lattice=imm.lattice, a=1.0, b=2.0, values=c1[:, :, None],
-                     phi=np.pi, theta=np.pi,
-                     meta={"R": R})
+                     phi=np.pi, theta=np.pi)
 
     cell = a_len * b_len / (n * ny)
     dens = np.abs(c1) ** 2 * cell
@@ -268,8 +291,7 @@ def exceptional_cutoffs(imm: Immersion, R: float, n: int) -> ExceptionalReport:
 
     loc_vals = phi[:, :, None] * s1.values
     localized = SectionGrid(lattice=imm.lattice, a=1.0, b=2.0, values=loc_vals,
-                            phi=np.pi, theta=np.pi,
-                            meta={"R": R})
+                            phi=np.pi, theta=np.pi)
 
     fac = _chart_factors(imm)
 

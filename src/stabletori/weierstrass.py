@@ -1,9 +1,8 @@
 """Weierstrass elliptic functions for the lattice Z + Z*tau.
 
 Evaluation uses the exponentially convergent Fourier (q-series) form after
-reducing the argument to the fundamental cell; the classical direct lattice
-sum is kept as an independent cross-check (`wp_lattice_sum`), and the two
-are compared in the test suite.
+reducing the argument to the fundamental cell.  The test suite checks it
+against the classical direct lattice sum, which lives there as its oracle.
 """
 
 from __future__ import annotations
@@ -56,33 +55,6 @@ def wp(z, lat: Lattice, pole_cutoff: float = 1e-6):
         pp = pp + a * (1.0 + a) / (1.0 - a) ** 3 \
             - b * (1.0 + b) / (1.0 - b) ** 3
     return (TWO_PI_I ** 2) * p, (TWO_PI_I ** 3) * pp
-
-
-def wp_lattice_sum(z, lat: Lattice, radius: float = 60.0,
-                   pole_cutoff: float = 1e-6):
-    """(wp, wp') by direct summation over |omega| <= radius.
-
-    Convergence is slow (tail O(1/radius) before cancellation); intended as
-    an independent oracle, not for production evaluation.
-    """
-    zr = _reduce(z, lat)
-    if np.any(np.abs(zr) < pole_cutoff):
-        raise PoleError("argument too close to a lattice point")
-    zflat = np.atleast_1d(zr).ravel()
-    M = int(np.ceil(radius / min(1.0, lat.tau2))) + 2
-    m, n = np.meshgrid(np.arange(-M, M + 1), np.arange(-M, M + 1), indexing="ij")
-    omega = (m + n * lat.tau).ravel()
-    keep = (np.abs(omega) <= radius) & (np.abs(omega) > 0)
-    omega = omega[keep]
-    p = np.empty_like(zflat)
-    pp = np.empty_like(zflat)
-    for i, zz in enumerate(zflat):
-        p[i] = 1.0 / zz ** 2 + np.sum(1.0 / (zz - omega) ** 2 - 1.0 / omega ** 2)
-        pp[i] = -2.0 / zz ** 3 - 2.0 * np.sum(1.0 / (zz - omega) ** 3)
-    shape = np.shape(z)
-    if shape:
-        return p.reshape(shape), pp.reshape(shape)
-    return p[0], pp[0]
 
 
 def eisenstein_invariants(lat: Lattice) -> tuple[complex, complex]:

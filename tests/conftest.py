@@ -149,6 +149,26 @@ def stencil_spectrum_mismatch(form):
     return float(np.abs(eig - form.w * symbol).max()) / (form.w * scale)
 
 
+def wp_lattice_sum(z, lat, radius=60.0):
+    """(wp, wp') of the lattice Z + Z tau by direct summation over the
+    lattice points omega with 0 < |omega| <= radius, for a 1-D array z.
+
+    Each z is first moved by a lattice vector into the cell |xi|, |eta| <=
+    1/2 of z = xi + eta tau, where the truncated sum is most accurate; its
+    tail is O(1/radius) before cancellation.  Slow: the oracle of `wp`.
+    """
+    z = np.asarray(z, dtype=complex)
+    eta = z.imag / lat.tau2
+    z = z - np.round(z.real - eta * lat.tau1) - np.round(eta) * lat.tau
+    M = int(np.ceil(radius / min(1.0, lat.tau2))) + 2
+    m, n = np.meshgrid(np.arange(-M, M + 1), np.arange(-M, M + 1))
+    omega = (m + n * lat.tau).ravel()
+    omega = omega[(np.abs(omega) <= radius) & (omega != 0)]
+    p = [1 / w ** 2 + np.sum(1 / (w - omega) ** 2 - 1 / omega ** 2) for w in z]
+    pp = [-2 / w ** 3 - 2 * np.sum(1 / (w - omega) ** 3) for w in z]
+    return np.array(p), np.array(pp)
+
+
 def isotropic_curvature(operator, X, Y):
     """R(X, Y, conj X, conj Y) / |X wedge Y|^2 for a curvature operator.
 

@@ -249,8 +249,9 @@ def test_criterion_8_trial_section_bounds():
     s = phase_trial_section(imm.normal_lines[0][0], R, deltas, imm, n)
     seam_ok = s.seam_residual <= 1e-9
     # pointwise dbar bound in the physical chart, up to one grid step
-    grad = np.abs(dbar(s).values[:, :, 0]) / imm.scale
-    bound = s.meta["grad_bound"] * np.abs(s.values[:, :, 0])
+    c = s.grid()
+    grad = np.abs(dbar(c).values[:, :, 0]) / imm.scale
+    bound = s.grad_bound * np.abs(c.values[:, :, 0])
     h = max(imm.periods) / n
     point_ok = bool(np.all(grad <= bound * (1 + 4 * h)))
     # exceptional construction on a vertical double cover

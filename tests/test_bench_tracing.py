@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from stabletori import geometry, stability
+from stabletori import geometry, stability, systole
+from stabletori.scenarios import LensScenario
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -66,3 +67,16 @@ def test_form_counters_read_a_stencil_form():
     assert out["stability.min_eigenvalue.calls"] == 1
     assert out["stability.min_eigenvalue.dof"] == 12 ** 2
     assert out["stability.min_eigenvalue.unique_ratio"] == 1.0
+
+
+def test_graph_systole_counter_reads_the_sources():
+    # the counter reads the torus's n and the stride: a 32 x 32 grid sampled
+    # every 16 nodes has 2 x 2 sources
+    tracer = tracing.Tracer()
+    tracer.begin_pass(0)
+    torus = LensScenario(n=32).torus
+    with tracer.installed():
+        systole.induced_systole(torus, window=1, stride=16)
+    out = tracer.pass_summary(0, wall=1.0)
+    assert out["systole.induced_systole.calls"] == 1
+    assert out["systole.induced_systole.sources"] == 4

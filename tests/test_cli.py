@@ -463,3 +463,39 @@ def test_stability_and_systole_assemble_no_matrix(tmp_path, monkeypatch):
     for i, argv in enumerate([["stability"], ["stability", "--grid", "64"],
                               ["systole"]]):
         assert main([*argv, "--out", str(tmp_path / str(i))]) == 0
+
+
+_PEAK_RSS = """
+import resource, sys
+from stabletori.cli import main
+
+code = main([sys.argv[1], "--grid", "2000", "--out", sys.argv[2]])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+# Starts the script in argv[1] with the rest of argv as its arguments.
+_LAUNCH = """
+import subprocess, sys
+sys.exit(subprocess.run([sys.executable, "-c", *sys.argv[1:]]).returncode)
+"""
+
+
+def test_lens_subcommands_at_grid_2000_stay_small(tmp_path):
+    """`systole --grid 2000` and then `stability --grid 2000`, each in a
+    fresh interpreter, peak below 60 MiB: one n x n complex array alone
+    would be 61 MiB.  ru_maxrss is in KiB on Linux.
+
+    Linux carries the peak of the address space a process was exec'd from
+    into its ru_maxrss, so each child is started from a bare interpreter:
+    started from this process, it would read the test run's own peak.
+    """
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for sub in ("systole", "stability"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LAUNCH, _PEAK_RSS, sub,
+             str(tmp_path / sub)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, kib = map(int, proc.stdout.split())
+        assert code == 0
+        assert kib < 60 * 1024, f"{sub} peaked at {kib / 1024:.1f} MiB"

@@ -14,7 +14,7 @@ from stabletori.geometry import (KAPPA_BLOCK, AmbientSpace, IsotropicPlane,
                                  _orthonormal_frames, _plane_checks,
                                  complex_sectional_curvatures,
                                  elliptic_curve_immersion, kappa_pic_estimate,
-                                 pic_kappa, product_geodesic_torus,
+                                 FlatTorus, pic_kappa, product_geodesic_torus,
                                  surface_quantities)
 
 from conftest import isotropic_curvature
@@ -408,12 +408,25 @@ def test_elliptic_immersion_mask_removes_pole_neighborhood():
 
 
 def test_product_torus_geometry():
-    imm = product_geodesic_torus(2.0, 1.0, 3, (3, 1), 32)
+    rho = 1.0
+    imm = product_geodesic_torus(2.0, rho, 3, (3, 1), 32)
+    assert isinstance(imm, FlatTorus) and imm.n == 32
     assert imm.periods == pytest.approx((4 * np.pi, 2 * np.pi / 3))
-    assert imm.flat
-    # image stays on the sphere factor of radius rho
-    r = np.linalg.norm(imm.F[:, :, 1:3], axis=2)
-    assert np.allclose(r, 1.0, atol=1e-12)
+    # the frame is orthonormal: the circle direction e0, which has no
+    # sphere part, and the geodesic's unit tangent at the base point
+    t_circle, t_geo = imm.frame
+    assert np.array_equal(imm.frame @ imm.frame.T, np.eye(2))
+    assert np.array_equal(t_circle, np.eye(5)[0])
+    # the geodesic from the base point rho e1 along t_geo, in closed form,
+    # stays on the sphere factor of radius rho and closes after p periods
+    s = np.linspace(0.0, 3 * imm.periods[1], 97)
+    base = rho * np.eye(5)[1]
+    image = (np.cos(s / rho)[:, None] * base
+             + rho * np.sin(s / rho)[:, None] * t_geo)
+    assert np.allclose(np.linalg.norm(image[:, 1:], axis=1), rho, atol=1e-12)
+    assert np.allclose(image[:, 0], 0.0)
+    assert np.allclose(image[-1], image[0], atol=1e-12)
+    assert imm.frame.shape == (2, 5)
     with pytest.raises(DomainError):
         product_geodesic_torus(2.0, 1.0, 4, (3, 1), 32)
     with pytest.raises(DomainError):
@@ -459,11 +472,23 @@ def test_lens_transport_reads_exact_lines(p, q):
 
 
 def test_surface_quantities_projections():
-    imm = product_geodesic_torus(2.0, 1.0, 3, (3, 1), 24)
+    # on the elliptic immersion, at its unmasked nodes off branch points
+    imm = elliptic_curve_immersion(Lattice(0.0, 1.0), 0.1, 24)
     q = surface_quantities(imm)
-    PT, PN = q.tangent_proj, q.normal_proj
-    eye = np.eye(imm.dim)[None, None]
+    Fx, Fy = 2 * imm.Fz.real, -2 * imm.Fz.imag
+    off = (imm.mask & (np.linalg.norm(Fx, axis=2) >= 1e-8)
+           & (np.linalg.norm(Fy, axis=2) >= 1e-8))
+    assert off.sum() > 0.9 * imm.mask.sum()
+    PT, PN = q.tangent_proj[off], q.normal_proj[off]
+    eye = np.eye(imm.dim)[None]
     assert np.allclose(PT + PN, eye, atol=1e-12)
-    assert np.allclose(np.einsum("xyij,xyjk->xyik", PT, PT), PT, atol=1e-12)
-    tr = np.einsum("xyii->xy", PT)
+    assert np.allclose(np.einsum("xij,xjk->xik", PT, PT), PT, atol=1e-12)
+    tr = np.einsum("xii->x", PT)
     assert np.allclose(tr, 2.0, atol=1e-12)
+    # PT fixes the tangent vectors F_x, F_y and PN annihilates them
+    for v in (Fx[off], Fy[off]):
+        size = np.linalg.norm(v, axis=1)[:, None]
+        assert np.allclose(np.einsum("xij,xj->xi", PT, v) / size, v / size,
+                           atol=1e-12)
+        assert np.allclose(np.einsum("xij,xj->xi", PN, v) / size, 0.0,
+                           atol=1e-12)

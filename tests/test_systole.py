@@ -1,10 +1,15 @@
 """Systoles, trial sections, and the bound verdict."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from stabletori.bundles import LineHolonomy
 from stabletori.errors import DomainError, ResolutionError, WrongFormError
-from stabletori.lattice import CoverSpec
+from stabletori.geometry import product_geodesic_torus
+from stabletori.lattice import CoverSpec, Lattice
 from stabletori.scenarios import (EllipticScenario, FlatTorusScenario,
                                   LensScenario, flat_chart_immersion)
 from stabletori.systole import (EIGHT_NEIGHBOR_ANISOTROPY,
@@ -12,6 +17,7 @@ from stabletori.systole import (EIGHT_NEIGHBOR_ANISOTROPY,
                                 axis_truncated_distances, exceptional_cutoffs,
                                 induced_systole, phase_trial_section,
                                 rayleigh_bound_check, systole_bound_verdict)
+from stabletori.stability import chart_norm2, dbar_energy_chart
 
 
 def test_induced_systole_flat_values():
@@ -90,8 +96,10 @@ def test_phase_trial_section_is_periodic_and_unimodular():
     td = axis_truncated_distances(imm, R, n)
     s = phase_trial_section(imm.normal_lines[0][0], R, td, imm, n)
     assert s.seam_residual <= 1e-9
-    assert np.allclose(np.abs(s.values), 1.0, atol=1e-12)
-    assert s.meta["grad_bound"] == pytest.approx(2 * np.pi / (np.sqrt(3) * R))
+    c = s.grid()
+    assert c.values.shape == (n, n, 1)
+    assert np.allclose(np.abs(c.values), 1.0, atol=1e-12)
+    assert s.grad_bound == pytest.approx(2 * np.pi / (np.sqrt(3) * R))
 
 
 def test_rayleigh_chain_on_lens_trial_section():
@@ -117,7 +125,7 @@ def test_rayleigh_chain_holds_reports_each_inequality():
     assert rep.lhs > rep.rhs and not rep.chain_holds
     assert rayleigh_bound_check(s, imm, kappa=0.49).chain_holds
     # the upper inequality (2 pi / sqrt3 R)^2 Mass fails once R is read 4x
-    s.meta["R"] = 4 * R
+    s = dataclasses.replace(s, R=4 * R)
     assert not rayleigh_bound_check(s, imm, kappa=0.49).chain_holds
 
 
@@ -126,9 +134,71 @@ def test_rayleigh_check_requires_systole_tag():
     td = axis_truncated_distances(imm, 2.0943951023931953, 32)
     s = phase_trial_section(imm.normal_lines[0][0], 2.0943951023931953,
                             td, imm, 32)
-    s.meta.pop("R")
-    with pytest.raises(DomainError):
-        rayleigh_bound_check(s, imm, kappa=0.5)
+    # a trial section always carries its systole, and only a positive one
+    for R in (0.0, -1.0, np.nan):
+        with pytest.raises(DomainError):
+            dataclasses.replace(s, R=R)
+        with pytest.raises(DomainError):
+            phase_trial_section(imm.normal_lines[0][0], R, td, imm, 32)
+
+
+def _grid_rayleigh(s, imm, kappa):
+    """kappa Mass and the dbar energy of a trial section by the n x n
+    formula: `chart_norm2` and `dbar_energy_chart` on its grid."""
+    c = s.grid()
+    return (kappa * chart_norm2(c, imm, c.values),
+            2.0 * dbar_energy_chart(c, imm))
+
+
+@pytest.mark.parametrize("n", [2, 3, 32, 96, 250])
+@pytest.mark.parametrize("lens", [(1, 0), (2, 1), (3, 1), (5, 2), (7, 3)])
+def test_separable_rayleigh_matches_the_grid_sums(lens, n):
+    # the O(n) sums of the factors against the n x n formula, on the lens
+    # trial section, on a section with both phases twisted, and on random
+    # factors over a sheared lattice, where the cross term of |dbar c|^2
+    # does not vanish
+    rng = np.random.default_rng([n, *lens])
+    L, rho = 2.0 * (1 + rng.uniform(-0.02, 0.02)), 1 + rng.uniform(-0.02, 0.02)
+    imm = product_geodesic_torus(L, rho, 3, lens, n)
+    R = min(imm.periods)
+    td = axis_truncated_distances(imm, R, n)
+    lens_section = phase_trial_section(imm.normal_lines[0][0], R, td, imm, n)
+    twisted = phase_trial_section(LineHolonomy(0.7, -1.3), R, td, imm, n)
+    sheared = dataclasses.replace(
+        twisted, lattice=Lattice(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.5)),
+        f=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+        g=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+        phi=rng.uniform(-np.pi, np.pi), theta=rng.uniform(-np.pi, np.pi))
+    for s in (lens_section, twisted, sheared):
+        rep = rayleigh_bound_check(s, imm, kappa=0.5)
+        lhs, energy = _grid_rayleigh(s, imm, 0.5)
+        assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
+        assert rep.rhs == pytest.approx(energy, rel=1e-12, abs=0)
+        assert rep.energy_bound == pytest.approx(
+            (s.grad_bound ** 2 / 0.5) * lhs, rel=1e-12, abs=0)
+
+
+def test_lens_trial_pipeline_at_grid_2000_allocates_no_grid():
+    # construction, systole, trial section and Rayleigh check: one n x n
+    # complex array would be 64 MB
+    n = 2000
+    tracemalloc.start()
+    try:
+        sc = LensScenario(n=n)
+        _, R, _, _ = sc.level(CoverSpec.scaling(1))
+        td = axis_truncated_distances(sc.torus, R, n)
+        s = phase_trial_section(sc.torus.normal_lines[0][0], R, td,
+                                sc.torus, n)
+        rayleigh_bound_check(s, sc.torus, kappa=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def test_graph_systole_needs_a_flat_torus():
+    with pytest.raises(WrongFormError):
+        induced_systole(EllipticScenario(n=16).immersion(), window=1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import pytest
 from stabletori.errors import PoleError
 from stabletori.geometry import elliptic_curve_immersion
 from stabletori.lattice import normalize_lattice
-from stabletori.weierstrass import (eisenstein_invariants, wp, wp_lattice_sum)
+from stabletori.weierstrass import eisenstein_invariants, wp
+
+from conftest import wp_lattice_sum
 
 
 LATTICES = [normalize_lattice(t)[0] for t in (1.0j, 0.3 + 1.1j, -0.4 + 0.8j)]
