@@ -207,15 +207,40 @@ class DecompositionReport:
 # commuting pair give distinct eigenvalues a + PAIR_MIX * c of A + PAIR_MIX * C.
 PAIR_MIX = 0.5772156649 + 1.2020569032j
 
+# Largest ||X||_F of an accepted split T11 X - X T22 = T12 of the Schur form:
+# the separating similarity [[I, X], [0, I]] has condition about ||X||^2, so
+# 1e4 ~ sqrt(tol / eps) keeps rounding below the default tol = 1e-8.
+SPLIT_BOUND = 1e4
 
-def _joint_clusters(pairs: np.ndarray, tol: float) -> np.ndarray:
-    """Cluster label of each pair: the first index of its chain of pairs
-    linked by max-norm distance <= tol * scale (single linkage)."""
-    scale = max(np.max(np.abs(pairs)), 1.0)
-    reach = np.max(np.abs(pairs[:, None] - pairs[None]), axis=2) <= tol * scale
-    for _ in range(len(pairs).bit_length()):  # transitive closure
-        reach = reach @ reach
-    return np.argmax(reach, axis=1)
+
+def _split_schur(T: np.ndarray, Z: np.ndarray):
+    """Reorder the Schur form (T, Z) into well-separated diagonal blocks
+    (Bavely-Stewart) and label each eigenvalue by its block's first index.
+
+    A block grows, by moving the nearest remaining eigenvalue next to it,
+    until T11 X - X T22 = T12 splits it off the trailing part with
+    ||X||_F <= SPLIT_BOUND."""
+    from scipy.linalg.lapack import ztrexc, ztrsyl
+    n = T.shape[0]
+    labels = np.empty(n, dtype=int)
+    start = 0
+    while start < n:
+        end = start + 1
+        while end < n:
+            X, scale, info = ztrsyl(T[start:end, start:end], T[end:, end:],
+                                    T[start:end, end:], isgn=-1)
+            if info == 0 and np.linalg.norm(X) <= SPLIT_BOUND * scale:
+                break
+            ev = np.diag(T)
+            gap = np.abs(ev[end:, None] - ev[None, start:end]).min(axis=1)
+            nearest = end + int(np.argmin(gap))
+            T, Z, info = ztrexc(T, Z, nearest + 1, end + 1)
+            if info != 0:
+                raise ConvergenceError("Schur reordering failed")
+            end += 1
+        labels[start:end] = start
+        start = end
+    return T, Z, labels
 
 
 def _joint_bases(T: np.ndarray, Z: np.ndarray,
@@ -231,7 +256,7 @@ def _joint_bases(T: np.ndarray, Z: np.ndarray,
         _, Zc, _, m, _, _, info = ztrsen((labels == c).astype(np.int32), T, Z,
                                          job="N")
         if info != 0:
-            raise np.linalg.LinAlgError("Schur reordering failed")
+            raise ConvergenceError("Schur reordering failed")
         bases.append(Zc[:, :m])
     return bases
 
@@ -242,49 +267,47 @@ def _jordan_chains(N: np.ndarray, tol: float) -> list[np.ndarray]:
     One SVD of each power N^p, p = 1, 2, ... until its rank is 0 (at most
     p = d), gives both its numerical rank, counting singular values above
     tol * max(||N||_F, 1), and its kernel, spanned by the right singular
-    vectors past those above tol * max(s_0, 1).
+    vectors past those above tol * max(s_0, 1).  ConvergenceError when N^d
+    still has rank, or when the chains do not span the d dimensions.
     """
     import scipy.linalg
     d = N.shape[0]
     if d == 1:
         return [np.eye(1, dtype=complex)]
     cut = tol * max(np.linalg.norm(N), 1.0)
-    powers = [np.eye(d, dtype=complex)]
-    ranks = [d]
+    powers, ranks = [np.eye(d, dtype=complex)], [d]
     kernels = [np.zeros((d, 0), dtype=complex)]
     while ranks[-1] and len(powers) <= d:
         powers.append(powers[-1] @ N)
         _, s, vh = np.linalg.svd(powers[-1])
         ranks.append(int(np.sum(s > cut)))
         kernels.append(vh[int(np.sum(s > tol * max(s[0], 1.0))):].conj().T)
-    pmax = len(ranks) - 1  # nilpotency index
-    chains: list[list[np.ndarray]] = []
+    if ranks[-1]:
+        raise ConvergenceError(f"a joint block of size {d} is not nilpotent "
+                               f"to tolerance {tol:g}")
+    ranks.append(0)
+    chains: list[np.ndarray] = []
     tops: list[tuple[int, np.ndarray]] = []  # (length, top vector)
-    for p in range(pmax, 0, -1):
-        blocks_ge_p = ranks[p - 1] - ranks[p]
-        blocks_ge_p1 = ranks[p] - ranks[p + 1] if p + 1 < len(ranks) else 0
-        new = blocks_ge_p - blocks_ge_p1
+    for p in range(len(ranks) - 2, 0, -1):
+        # chains of length p: (blocks of size >= p) - (blocks of size > p)
+        new = ranks[p - 1] - 2 * ranks[p] + ranks[p + 1]
         if new <= 0:
             continue
-        # Candidates live in ker(N^p); exclude ker(N^{p-1}) and the level-p
-        # images of already-chosen longer chains.
+        # Candidates live in ker(N^p); project them away from ker(N^{p-1})
+        # and the level-p images of already-chosen longer chains.
+        Q = np.linalg.qr(np.hstack([kernels[p - 1]] + [
+            (powers[length - p] @ v)[:, None] for length, v in tops
+            if length > p]))[0]
         K = kernels[p]
-        excl = [kernels[p - 1]]
-        for (length, v) in tops:
-            if length > p:
-                excl.append((powers[length - p] @ v)[:, None])
-        E = np.hstack(excl) if excl else np.zeros((d, 0))
-        # Project the candidate space away from the excluded span.
-        Q, _ = np.linalg.qr(E) if E.shape[1] else (np.zeros((d, 0)), None)
-        C = K - Q @ (Q.conj().T @ K)
-        u, s, vh = scipy.linalg.svd(C, full_matrices=False)
-        picks = u[:, :new]
-        for i in range(new):
-            v = picks[:, i]
+        u = scipy.linalg.svd(K - Q @ (Q.conj().T @ K), full_matrices=False)[0]
+        for v in u[:, :new].T:
             tops.append((p, v))
-            chain = [powers[p - 1 - q] @ v for q in range(p)]
-            chains.append(chain)
-    return [np.stack(c, axis=1) for c in chains]
+            chains.append(np.stack([powers[p - 1 - q] @ v for q in range(p)],
+                                   axis=1))
+    if sum(c.shape[1] for c in chains) != d:
+        raise ConvergenceError(f"Jordan chains do not span a joint block of "
+                               f"size {d}")
+    return chains
 
 
 def decompose_commuting_pair(bundle: FlatBundle, tol: float = 1e-8):
@@ -298,45 +321,25 @@ def decompose_commuting_pair(bundle: FlatBundle, tol: float = 1e-8):
 
     When one factor is scalar on each joint block, both matrices are
     polynomials in the generic combination A + PAIR_MIX * C, so one complex
-    Schur form Z of it triangularizes both and gives every joint eigenvalue
-    pair on the diagonals of Z^H A Z and Z^H C Z.
-    The pairs of a defective Jordan block of size b split numerically by
-    roughly eps**(1/b), so the pairs are clustered along a ladder of
-    tolerances, every rung reusing the same Schur form and skipping a
-    partition already tried; the first rung whose block-diagonalization
-    residual meets `tol` wins.  If none does, ConvergenceError carries the
-    report of the best rung as `best`.
+    Schur form of it triangularizes both.  A size-b Jordan block splits its
+    eigenvalues by roughly eps**(1/b), so the form is split once, where the
+    separating similarity is well conditioned (`_split_schur`), and the
+    Jordan chains of each block give its summands.  The residual is the
+    relative distance of both matrices from that shape; above `tol`,
+    ConvergenceError carries the report as `best`.  A block that no chains
+    span raises ConvergenceError without one.
     """
     import scipy.linalg
     A, C = bundle.rho1, bundle.rhotau
     T, Z = scipy.linalg.schur(A + PAIR_MIX * C, output="complex")
-    pairs = np.stack([np.diag(Z.conj().T @ M @ Z) for M in (A, C)], axis=1)
-    rungs = [max(tol, 1e-7)]
-    while rungs[-1] * 10.0 <= 1e-2:
-        rungs.append(rungs[-1] * 10.0)
-    best = labels = None
-    for ctol in rungs:
-        prev, labels = labels, _joint_clusters(pairs, ctol)
-        if prev is not None and np.array_equal(labels, prev):
-            continue
-        try:
-            out = _decompose_attempt(A, C, _joint_bases(T, Z, labels), tol)
-        except np.linalg.LinAlgError:
-            continue
-        if out[0].residual <= max(tol, 1e-9):
-            if ctol > rungs[0]:
-                out[0].warnings.append(
-                    f"eigenvalue clusters merged at tolerance {ctol:g}")
-            return out
-        if best is None or out[0].residual < best.residual:
-            best = out[0]
-    if best is None:
-        raise ConvergenceError("no consistent block decomposition found")
-    best.warnings.append("block residual above tolerance at every "
-                         "clustering level")
-    raise ConvergenceError(
-        f"no block decomposition within tolerance {tol:g} "
-        f"(best residual {best.residual:.2e})", best=best)
+    out = _decompose_attempt(A, C, _joint_bases(*_split_schur(T, Z)), tol)
+    report = out[0]
+    if report.residual > tol:
+        report.warnings.append("block residual above tolerance")
+        raise ConvergenceError(
+            f"no block decomposition within tolerance {tol:g} "
+            f"(residual {report.residual:.2e})", best=report)
+    return out
 
 
 def _angle(lam: complex, tol: float) -> float:
@@ -354,14 +357,11 @@ def _decompose_attempt(A: np.ndarray, C: np.ndarray,
     cols: list[np.ndarray] = []
     summands: list[Summand] = []
     filtrations: list[list[np.ndarray]] = []
+    scalars: list[tuple[complex, complex]] = []  # (lamA, lamC) per column
     for Q in blocks:
-        A_b = Q.conj().T @ A @ Q
-        C_b = Q.conj().T @ C @ Q
-        d = Q.shape[1]
-        lamA = np.trace(A_b) / d
-        lamC = np.trace(C_b) / d
-        NA = A_b - lamA * np.eye(d)
-        NC = C_b - lamC * np.eye(d)
+        A_b, C_b = (Q.conj().T @ M @ Q for M in (A, C))
+        lamA, lamC = np.trace(A_b) / len(A_b), np.trace(C_b) / len(C_b)
+        NA, NC = A_b - lamA * np.eye(len(A_b)), C_b - lamC * np.eye(len(C_b))
         nA, nC = np.linalg.norm(NA), np.linalg.norm(NC)
         if nA > tol and nC > tol:
             N = NA + NC
@@ -379,22 +379,22 @@ def _decompose_attempt(A: np.ndarray, C: np.ndarray,
             cols.append(basis)
             summands.append(Summand(rank=ch.shape[1], line_class=line))
             filtrations.append([basis[:, :j + 1] for j in range(ch.shape[1])])
+            scalars += [(lamA, lamC)] * ch.shape[1]
 
     T = np.hstack(cols)
     if np.linalg.cond(T) > 1e8:
         warnings.append("ill-conditioned change of basis")
     Tinv = np.linalg.inv(T)
     owner = np.repeat(np.arange(len(summands)), [s.rank for s in summands])
-    in_block = owner[:, None] == owner[None]
+    # the target shape: each block its scalar plus a strictly upper part
+    upper = np.triu(owner[:, None] == owner[None], 1)
     residual = 0.0
-    for M in (A, C):
-        Mblk = np.where(in_block, Tinv @ M @ T, 0.0)
+    for M, lam in zip((A, C), np.transpose(scalars)):
+        shaped = np.where(upper, Tinv @ M @ T, 0.0) + np.diag(lam)
         residual = max(residual,
-                       float(np.linalg.norm(T @ Mblk @ Tinv - M)
+                       float(np.linalg.norm(T @ shaped @ Tinv - M)
                              / max(np.linalg.norm(M), 1.0)))
-    report = DecompositionReport(summands=summands, residual=residual,
-                                 warnings=warnings)
-    return report, filtrations, T
+    return DecompositionReport(summands, residual, warnings), filtrations, T
 
 
 def pullback_bundle(bundle: FlatBundle, spec: CoverSpec) -> FlatBundle:

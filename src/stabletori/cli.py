@@ -218,7 +218,7 @@ def cmd_cutoff(cfg, out: Path, svg: bool):
             phi = np.ones((n, n))
             phi[np.ix_(ix, iy)] = win
             serialize.svg_heatmap(out / f"cutoff_{eps}.svg", phi[::8, ::8],
-                                  title="log cutoff")
+                                  bounds=(0.0, 1.0), title="log cutoff")
     serialize.write_csv(out / "cutoff.csv",
                         ["epsilon", "energy", "exact", "energy_times_logeps",
                          "rel_err"], rows,
@@ -257,7 +257,6 @@ def cmd_stability(cfg, out: Path, svg: bool):
 def cmd_systole(cfg, out: Path, svg: bool):
     failures = []
     scen = _lens_scenario(cfg)
-    n = cfg["grid"]
     _, R, lambda_min, continuum = scen.level(CoverSpec.scaling(1))
     imm = scen.torus
     kappa = imm.ambient.kappa_pic
@@ -266,9 +265,8 @@ def cmd_systole(cfg, out: Path, svg: bool):
     if not abs(kappa_hat - kappa) <= 1e-12 * kappa:
         raise DomainError(f"certified kappa {kappa_hat!r} does not match the "
                           f"closed-form kappa {kappa!r}")
-    deltas = axis_truncated_distances(imm, R, n)
-    hol = imm.normal_lines[0][0]
-    trial = phase_trial_section(hol, R, deltas, imm, n)
+    deltas = axis_truncated_distances(imm, R)
+    trial = phase_trial_section(imm.normal_lines[0][0], deltas, imm.lattice)
     ray = rayleigh_bound_check(trial, imm, kappa)
     verdict = systole_bound_verdict(continuum, R, kappa, case="general")
     summary = {
@@ -289,6 +287,7 @@ def cmd_systole(cfg, out: Path, svg: bool):
     if svg:
         serialize.svg_heatmap(out / "trial_phase.svg",
                               np.angle(trial.grid().values[:, :, 0]),
+                              bounds=(-np.pi, np.pi),
                               title="trial section phase")
     return failures
 

@@ -36,13 +36,15 @@ def write_json(path, obj):
                           encoding="utf-8")
 
 
-def svg_heatmap(path, field: np.ndarray, title: str = "", cell: int = 4):
-    """Tiny dependency-free SVG raster of a real scalar field, blue at its
-    minimum to red at its maximum (`systole` passes a phase in (-pi, pi])."""
-    field = np.asarray(field, dtype=float)
-    lo, hi = float(field.min()), float(field.max())
-    span = hi - lo if hi > lo else 1.0
-    nx, ny = field.shape
+def svg_heatmap(path, field: np.ndarray, *, bounds: tuple[float, float],
+                title: str = "", cell: int = 4):
+    """Tiny dependency-free SVG raster of a real scalar field, blue at
+    bounds[0] to red at bounds[1], clipped outside; a caller-fixed range
+    keeps rounding noise in a constant field one colour."""
+    lo, hi = bounds
+    red = (255 * np.clip((np.asarray(field, dtype=float) - lo) / (hi - lo),
+                         0.0, 1.0)).astype(int)
+    nx, ny = red.shape
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{nx * cell}" height="{ny * cell}">',
@@ -50,12 +52,10 @@ def svg_heatmap(path, field: np.ndarray, title: str = "", cell: int = 4):
     ]
     for i in range(nx):
         for j in range(ny):
-            t = (field[i, j] - lo) / span
-            r = int(255 * t)
-            b = 255 - r
+            r = red[i, j]
             parts.append(
                 f'<rect x="{i * cell}" y="{(ny - 1 - j) * cell}" '
                 f'width="{cell}" height="{cell}" '
-                f'fill="rgb({r},0,{b})"/>')
+                f'fill="rgb({r},0,{255 - r})"/>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts), encoding="utf-8")

@@ -99,13 +99,12 @@ class TruncatedDistance:
     R: float
 
 
-def axis_truncated_distances(imm: FlatTorus, R: float,
-                             n: int) -> TruncatedDistance:
+def axis_truncated_distances(imm: FlatTorus, R: float) -> TruncatedDistance:
     if not (R > 0):
         raise DomainError("systole must be positive")
     if not isinstance(imm, FlatTorus):
         raise WrongFormError("truncated distances need a flat chart")
-    ts = np.linspace(0.0, 1.0, n + 1)
+    ts = np.linspace(0.0, 1.0, imm.n + 1)
     a_len, b_len = imm.periods
     dxi = np.minimum(R, a_len * ts)
     deta = np.minimum(R, b_len * ts)
@@ -147,8 +146,8 @@ class TrialSection:
                            seam_residual=self.seam_residual)
 
 
-def phase_trial_section(L: LineHolonomy, R: float, deltas: TruncatedDistance,
-                        imm: FlatTorus, n: int) -> TrialSection:
+def phase_trial_section(L: LineHolonomy, deltas: TruncatedDistance,
+                        lattice: Lattice) -> TrialSection:
     """The Lipschitz isotropic trial section with truncated-distance phase.
 
     Periodic-gauge representative
@@ -156,12 +155,13 @@ def phase_trial_section(L: LineHolonomy, R: float, deltas: TruncatedDistance,
                  * exp(i*(phi*xi + theta*eta)),
     which is exactly periodic because delta reaches R at the period; both
     phase ramps carry the minus sign, which is the choice that closes both
-    seams simultaneously.  It is the product of the xi and the eta factor.
+    seams simultaneously.  It is the product of the xi and the eta factor,
+    on the grid and with the systole R of `deltas`.
     """
-    if not R > 0:
-        raise DomainError("R must be positive")
+    R = deltas.R
     dx, dy = deltas.delta_xi[:-1], deltas.delta_eta[:-1]
-    if len(dx) != n or len(dy) != n:
+    n = len(dx)
+    if len(dy) != n:
         raise DomainError("delta fields must be sampled on the same grid")
     t = np.arange(n) / n
     f, g = (np.exp(-1j * (d * a) / R) * np.exp(1j * (a * t))
@@ -170,7 +170,7 @@ def phase_trial_section(L: LineHolonomy, R: float, deltas: TruncatedDistance,
     seam = max(abs(np.exp(-1j * d[-1] * a / R) * np.exp(1j * a) - 1.0)
                for d, a in ((deltas.delta_xi, L.phi),
                             (deltas.delta_eta, L.theta)))
-    return TrialSection(imm.lattice, f, g, L.phi, L.theta, R, float(seam))
+    return TrialSection(lattice, f, g, L.phi, L.theta, R, float(seam))
 
 
 @dataclass

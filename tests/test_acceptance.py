@@ -245,8 +245,8 @@ def test_criterion_8_trial_section_bounds():
     n = 96
     imm = LensScenario(n=n).torus
     R = induced_systole(imm, window=1, stride=n // 4)
-    deltas = axis_truncated_distances(imm, R, n)
-    s = phase_trial_section(imm.normal_lines[0][0], R, deltas, imm, n)
+    deltas = axis_truncated_distances(imm, R)
+    s = phase_trial_section(imm.normal_lines[0][0], deltas, imm.lattice)
     seam_ok = s.seam_residual <= 1e-9
     # pointwise dbar bound in the physical chart, up to one grid step
     c = s.grid()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,9 +48,8 @@ def test_decompose_pass(tmp_path):
     assert all(r["residual"] <= 1e-8 for r in data["reports"])
 
 
-@pytest.mark.parametrize("seed", [0, 69, 84, 106, 147, 209, 254, 257, 268, 273])
-def test_decompose_rank_6_passes_on_seeds_that_used_to_fail(tmp_path, seed):
-    cfg = _cfg(tmp_path, "c.json", {"rank": 6, "count": 40, "seed": seed})
+def _decompose_passes(tmp_path, rank, seed):
+    cfg = _cfg(tmp_path, "c.json", {"rank": rank, "count": 40, "seed": seed})
     out = tmp_path / "out"
     assert main(["decompose", "--config", cfg, "--out", str(out)]) == 0
     data = json.loads((out / "decompose.json").read_text())
@@ -57,15 +57,25 @@ def test_decompose_rank_6_passes_on_seeds_that_used_to_fail(tmp_path, seed):
     assert len(data["reports"]) == 40
 
 
-def test_decompose_reports_the_merge_warning(tmp_path):
+@pytest.mark.parametrize("seed", [0, 69, 84, 106, 147, 209, 254, 257, 268, 273])
+def test_decompose_rank_6_passes_on_seeds_that_used_to_fail(tmp_path, seed):
+    _decompose_passes(tmp_path, 6, seed)
+
+
+def test_decompose_rank_10_passes_on_a_seed_that_used_to_fail(tmp_path):
+    # trial 20 is one 10-block under a similarity of condition about 3e12
+    _decompose_passes(tmp_path, 10, 0)
+
+
+def test_decompose_keeps_a_jordan_block_whole_without_a_warning(tmp_path):
     # Trial 0 of this seed is one 3-block: its eigenvalues split by about
-    # eps**(1/3), so the clusters merge above the finest tolerance.
+    # eps**(1/3), and the Schur form's split keeps them in one block.
     cfg = _cfg(tmp_path, "c.json", {"rank": 3, "count": 1, "seed": 0})
     out = tmp_path / "out"
     assert main(["decompose", "--config", cfg, "--out", str(out)]) == 0
     report, = json.loads((out / "decompose.json").read_text())["reports"]
     assert report["ranks"] == [3]
-    assert report["warnings"] == ["eigenvalue clusters merged at tolerance 0.0001"]
+    assert report["warnings"] == []
 
 
 def test_decompose_records_a_trial_that_raises(tmp_path, monkeypatch):
@@ -214,6 +224,16 @@ def test_systole_default_reports_rayleigh_chain(tmp_path):
     assert data["kappa_hat"] == pytest.approx(0.5, rel=1e-12)
     assert data["bound"] == data["C"] / np.sqrt(0.5)
     assert data["verdict"] is True
+
+
+def test_systole_svg_draws_the_flat_default_phase_in_one_colour(tmp_path):
+    # the default trial phase is zero up to rounding; on the fixed (-pi, pi]
+    # scale that noise must not show as a colour ramp
+    assert main(["systole", "--out", str(tmp_path), "--svg"]) == 0
+    svg = (tmp_path / "trial_phase.svg").read_text()
+    fills = re.findall(r'fill="(rgb\([0-9,]+\))"', svg)
+    assert len(fills) == 96 * 96
+    assert set(fills) == {"rgb(127,0,128)"}
 
 
 def test_systole_kappa_follows_the_sphere_radius(tmp_path):

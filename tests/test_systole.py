@@ -63,7 +63,7 @@ def test_exact_level_systole_within_dijkstra_bracket(scenario, k, chart):
 def test_axis_truncated_distances_shape_and_lipschitz():
     imm = LensScenario(n=64).torus
     R = 2 * np.pi / 3
-    td = axis_truncated_distances(imm, R, 64)
+    td = axis_truncated_distances(imm, R)
     a_len, b_len = imm.periods
     for delta, period in ((td.delta_xi, a_len), (td.delta_eta, b_len)):
         assert delta[0] == 0.0
@@ -78,23 +78,23 @@ def test_axis_truncated_distances_shape_and_lipschitz():
 def test_axis_truncated_distances_rejects_oversized_radius():
     imm = flat_chart_immersion(1.0, 1.0, 32)
     with pytest.raises(DomainError):
-        axis_truncated_distances(imm, 10.0, 32)
+        axis_truncated_distances(imm, 10.0)
     with pytest.raises(DomainError):
-        axis_truncated_distances(imm, -1.0, 32)
+        axis_truncated_distances(imm, -1.0)
 
 
 def test_axis_truncated_distances_need_a_flat_chart():
     imm = EllipticScenario(n=16).immersion()
     with pytest.raises(WrongFormError):
-        axis_truncated_distances(imm, 1.0, 16)
+        axis_truncated_distances(imm, 1.0)
 
 
 def test_phase_trial_section_is_periodic_and_unimodular():
     n = 64
     imm = LensScenario(n=n).torus
     R = 2 * np.pi / 3
-    td = axis_truncated_distances(imm, R, n)
-    s = phase_trial_section(imm.normal_lines[0][0], R, td, imm, n)
+    td = axis_truncated_distances(imm, R)
+    s = phase_trial_section(imm.normal_lines[0][0], td, imm.lattice)
     assert s.seam_residual <= 1e-9
     c = s.grid()
     assert c.values.shape == (n, n, 1)
@@ -106,8 +106,8 @@ def test_rayleigh_chain_on_lens_trial_section():
     n = 96
     imm = LensScenario(n=n).torus
     R = 2 * np.pi / 3
-    td = axis_truncated_distances(imm, R, n)
-    s = phase_trial_section(imm.normal_lines[0][0], R, td, imm, n)
+    td = axis_truncated_distances(imm, R)
+    s = phase_trial_section(imm.normal_lines[0][0], td, imm.lattice)
     rep = rayleigh_bound_check(s, imm, kappa=0.5)
     # kappa Mass <= Energy <= (2 pi / sqrt3 R)^2 Mass, up to discretization
     assert rep.rhs <= rep.energy_bound * (1 + 1e-6)
@@ -118,8 +118,8 @@ def test_rayleigh_chain_holds_reports_each_inequality():
     n = 96
     imm = LensScenario(n=n).torus
     R = 2 * np.pi / 3
-    td = axis_truncated_distances(imm, R, n)
-    s = phase_trial_section(imm.normal_lines[0][0], R, td, imm, n)
+    td = axis_truncated_distances(imm, R)
+    s = phase_trial_section(imm.normal_lines[0][0], td, imm.lattice)
     # at kappa = 1/2 the discrete energy sits 1.6e-4 below kappa * Mass
     rep = rayleigh_bound_check(s, imm, kappa=0.5)
     assert rep.lhs > rep.rhs and not rep.chain_holds
@@ -131,15 +131,12 @@ def test_rayleigh_chain_holds_reports_each_inequality():
 
 def test_rayleigh_check_requires_systole_tag():
     imm = LensScenario(n=32).torus
-    td = axis_truncated_distances(imm, 2.0943951023931953, 32)
-    s = phase_trial_section(imm.normal_lines[0][0], 2.0943951023931953,
-                            td, imm, 32)
+    td = axis_truncated_distances(imm, 2.0943951023931953)
+    s = phase_trial_section(imm.normal_lines[0][0], td, imm.lattice)
     # a trial section always carries its systole, and only a positive one
     for R in (0.0, -1.0, np.nan):
         with pytest.raises(DomainError):
             dataclasses.replace(s, R=R)
-        with pytest.raises(DomainError):
-            phase_trial_section(imm.normal_lines[0][0], R, td, imm, 32)
 
 
 def _grid_rayleigh(s, imm, kappa):
@@ -161,9 +158,9 @@ def test_separable_rayleigh_matches_the_grid_sums(lens, n):
     L, rho = 2.0 * (1 + rng.uniform(-0.02, 0.02)), 1 + rng.uniform(-0.02, 0.02)
     imm = product_geodesic_torus(L, rho, 3, lens, n)
     R = min(imm.periods)
-    td = axis_truncated_distances(imm, R, n)
-    lens_section = phase_trial_section(imm.normal_lines[0][0], R, td, imm, n)
-    twisted = phase_trial_section(LineHolonomy(0.7, -1.3), R, td, imm, n)
+    td = axis_truncated_distances(imm, R)
+    lens_section = phase_trial_section(imm.normal_lines[0][0], td, imm.lattice)
+    twisted = phase_trial_section(LineHolonomy(0.7, -1.3), td, imm.lattice)
     sheared = dataclasses.replace(
         twisted, lattice=Lattice(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.5)),
         f=rng.standard_normal(n) + 1j * rng.standard_normal(n),
@@ -186,9 +183,9 @@ def test_lens_trial_pipeline_at_grid_2000_allocates_no_grid():
     try:
         sc = LensScenario(n=n)
         _, R, _, _ = sc.level(CoverSpec.scaling(1))
-        td = axis_truncated_distances(sc.torus, R, n)
-        s = phase_trial_section(sc.torus.normal_lines[0][0], R, td,
-                                sc.torus, n)
+        td = axis_truncated_distances(sc.torus, R)
+        s = phase_trial_section(sc.torus.normal_lines[0][0], td,
+                                sc.torus.lattice)
         rayleigh_bound_check(s, sc.torus, kappa=0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
