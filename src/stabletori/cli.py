@@ -180,9 +180,12 @@ def cmd_decompose(cfg, out: Path, svg: bool):
         try:
             rep = decompose_commuting_pair(bundle)[0]
         except ConvergenceError as exc:
-            if exc.best is None:
-                raise
             rep = exc.best  # fails the residual check below
+            if rep is None:     # refused without a report
+                reports.append({"trial": trial, "ranks": [], "residual": None,
+                                "warnings": [str(exc)]})
+                failures.append(f"trial {trial}: refused: {exc}")
+                continue
         reports.append({"trial": trial,
                         "ranks": list(rep.rank_multiset()),
                         "residual": rep.residual,

@@ -128,12 +128,12 @@ class EllipticScenario:
 
         Each of the `count` sections, (N, N, 4) with N = extent * imm.n, is
         `modes` plane waves e^{2 pi i (kx xi + ky eta) / extent}, |kx|, |ky|
-        <= 3, with complex Gaussian amplitudes in R^4, times a bump that
-        vanishes within 1.3 puncture radii of each lattice point, so on every
-        masked node, then projected onto the normal plane node by node.  The
-        stream depends on `seed` alone; `stability_audit` reads the same
-        sections in batches.  `imm` and its `surface_quantities` are built
-        here unless given.
+        <= 3, with complex Gaussian amplitudes in R^4, summed as separable
+        products e_kx(xi) e_ky(eta), times a bump that vanishes within 1.3
+        puncture radii of each lattice point, so on every masked node, then
+        projected onto the normal plane node by node.  The stream depends on
+        `seed` alone; `stability_audit` reads the same sections in batches.
+        `imm` and its `surface_quantities` are built here unless given.
         """
         for batch in self._section_batches(count, extent, seed, modes,
                                            imm, quants):
@@ -145,31 +145,29 @@ class EllipticScenario:
         imm = imm or self.immersion()
         quants = quants or surface_quantities(imm)
         N = extent * imm.n
-        PN = _tile(quants.normal_proj, extent)
         xi = np.arange(N) * (1.0 / imm.n)
         X, Y = np.meshgrid(xi, xi, indexing="ij")
         red = (X - np.round(X)) + (Y - np.round(Y)) * imm.lattice.tau
         t = np.clip((np.abs(red) - 1.3 * self.puncture) / (0.7 * self.puncture),
                     0, 1)
-        bump = (t * t * (3 - 2 * t))[:, :, None, None]
+        bump = t * t * (3 - 2 * t)     # folded into the normal projectors
+        PN = _tile(quants.normal_proj, extent) * bump[..., None, None]
         # the 1D waves e_k(xi) for k = -3..3; a 2D wave is e_kx(xi) e_ky(eta)
         waves = np.exp(2j * np.pi * np.arange(-3, 4)[:, None] * xi / extent)
         rng = np.random.default_rng(seed)
         for start in range(0, count, AUDIT_BATCH):
             S = min(AUDIT_BATCH, count - start)
             k = np.empty((S, modes, 2), dtype=int)
-            amp = np.zeros((S, modes, 4, S), dtype=complex)
+            amp = np.empty((S, modes, 4), dtype=complex)
             for s in range(S):
                 for m in range(modes):
                     k[s, m] = rng.integers(-3, 4), rng.integers(-3, 4)
-                    amp[s, m, :, s] = (rng.standard_normal(4)
-                                       + 1j * rng.standard_normal(4))
-            plane = waves[k[..., 0] + 3, :, None] * waves[k[..., 1] + 3, None, :]
-            # section s sums its modes: one matmul against the block-diagonal
-            # amplitudes, which lands in the (N, N, 4, S) layout
-            vals = (plane.reshape(S * modes, N * N).T
-                    @ amp.reshape(S * modes, 4 * S)).reshape(N, N, 4, S)
-            vals *= bump
+                    amp[s, m] = (rng.standard_normal(4)
+                                 + 1j * rng.standard_normal(4))
+            # section s: (4 N, modes) @ (modes, N) of a_m e_kx(xi), e_ky(eta)
+            left = np.einsum("smc,smx->scxm", amp, waves[k[..., 0] + 3])
+            vals = left.reshape(S, 4 * N, modes) @ waves[k[..., 1] + 3]
+            vals = vals.reshape(S, 4, N, N).transpose(2, 3, 1, 0).copy()
             yield (PN @ vals.view(float)).view(complex)
 
     def stability_audit(self, count: int = 200, extent: int = 1,

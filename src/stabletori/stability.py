@@ -8,8 +8,8 @@ stencil, and `min_eigenvalue` checks each stencil's 1-D DFT against its
 symbol term.  Its sparse matrices are assembled on request, for test
 oracles and tracing.  The masked Euclidean index form is a `DiscreteForm`,
 an assembled sparse matrix checked as one.  The elliptic stability audit
-builds no matrix: it evaluates the Euclidean index form matrix-free, as
-grid densities (`_index_densities`) summed against the cell measure.
+evaluates it matrix-free, as grid densities (`_index_densities`) in
+orthonormal node 2-frames (`_node_frame`) summed against the cell measure.
 
 The sparse matrices are the only use of scipy here, so it is imported
 inside the functions that build them: the CLI's subcommands never load it.
@@ -308,16 +308,30 @@ def _tile(fld: np.ndarray, extent: int) -> np.ndarray:
     return np.tile(fld, (extent, extent) + (1,) * (fld.ndim - 2))
 
 
-def _node_norm2(v: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
-    """sum_i |(P v)_i|^2 per node and section of a batch v, (N, N, dim, S).
-
-    The real node projections P, (N, N, dim, dim), act on the float view of
-    v, real and imaginary parts side by side, which is one real matmul and
-    gives the same numbers as the complex P @ v.
-    """
-    f = v.view(float) if P is None else P @ v.view(float)
-    sq = np.einsum("xyij,xyij->xyj", f, f)
+def _node_norm2(v: np.ndarray) -> np.ndarray:
+    """sum_i |v_i|^2 per node and section of a batch v, (N, N, dim, S)."""
+    sq = np.einsum("xyij,xyij->xyj", v.view(float), v.view(float))
     return sq[..., 0::2] + sq[..., 1::2]
+
+
+def _node_frame(P: np.ndarray) -> np.ndarray:
+    """Orthonormal rows F, (n, n, 2, dim), of rank-2 node projectors P with
+    F^T F = P, by pivoted Gram-Schmidt on P's columns.  A node where F^T F
+    misses P by over 1e-12, as a branch point's unnormalized tangent
+    projector, raises DomainError with the count of such nodes."""
+    def pivot(R):   # the longest column of R[:, :, x, y], normalized
+        j = np.argmax(np.einsum("ij...,ij...->j...", R, R), axis=0)
+        col = np.take_along_axis(R, j[None, None], 1)[:, 0]
+        return col / np.sqrt(np.einsum("i...,i...->...", col, col))
+
+    Pc = np.moveaxis(P, (-2, -1), (0, 1)).copy()    # component-major
+    u = pivot(Pc)
+    F = np.stack([u, pivot(Pc - u[:, None]
+                           * np.einsum("i...,ij...->j...", u, Pc))])
+    miss = np.abs(np.einsum("ki...,kj...->ij...", F, F) - Pc).max(axis=(0, 1))
+    if bad := np.count_nonzero(~(miss <= 1e-12)):   # a NaN counts as bad
+        raise DomainError(f"no rank-2 orthonormal frame at {bad} nodes")
+    return np.moveaxis(F, (0, 1), (-2, -1)).copy()
 
 
 def _index_densities(imm: Immersion, quants: SurfaceQuantities,
@@ -327,25 +341,29 @@ def _index_densities(imm: Immersion, quants: SurfaceQuantities,
     Returns a function of a batch of ambient-valued fields v, (N, N, dim, S),
     that gives |(d_zbar v)^perp|^2 and |(d_z v)^top|^2 per node and section;
     Q(v) is the sum of their difference against the masked cell measure.
-    Both derivatives are `wirtinger_diff`, the stencil `euclidean_index_form`
-    writes as a matrix, combined from one pair of axis differences.
+    Both derivatives are `wirtinger_diff`'s, the stencil that
+    `euclidean_index_form` writes as a matrix, from one pair of axis
+    differences, and both norms are frame norms |P w| = |F w| in the
+    `_node_frame`s: equal to the projected norms to rounding, not the bit.
     """
-    PT = _tile(quants.tangent_proj, extent)
-    PN = _tile(quants.normal_proj, extent)
     fx, fy = _chart_factors(imm)
-    cx, cy = np.conj((fx, fy))
+    r = fy / fx     # |fx a + fy b| = |fx| |a + r b|, conjugated for d_z
+    Fn, Ft = (abs(fx) * _tile(_node_frame(P), extent)
+              for P in (quants.normal_proj, quants.tangent_proj))
     h = 1.0 / imm.n
 
     def densities(v):
         dx = _axis_diff(v, 0, h, twist[0] * h)
-        dy = _axis_diff(v, 1, h, twist[1] * h)
-        # the operand orders of wirtinger_diff's products, so that both
-        # derivatives keep its bits; d_z overwrites the axis differences
-        dzb = np.multiply(dx, fx)
-        dzb += np.multiply(fy, dy)
-        dz = np.multiply(cx, dx, out=dx)
-        dz += np.multiply(cy, dy, out=dy)
-        return _node_norm2(dzb, PN), _node_norm2(dz, PT)
+        nx, tx = ((F @ dx.view(float)).view(complex) for F in (Fn, Ft))
+        dy = _axis_diff(v, 1, h, twist[1] * h).view(float)
+        ny, ty = dx.reshape(2, *nx.shape)   # D_xi v is spent by now
+        np.matmul(Fn, dy, out=ny.view(float))
+        np.matmul(Ft, dy, out=ty.view(float))
+        ny *= r
+        nx += ny
+        ty *= np.conj(r)
+        tx += ty
+        return _node_norm2(nx), _node_norm2(tx)
     return densities
 
 
@@ -385,16 +403,11 @@ def euclidean_index_form(imm: Immersion,
     Dzb = fxi * Dx + feta * Dy
     Dz = np.conj(fxi) * Dx + np.conj(feta) * Dy
 
-    def block_diag_field(P):
-        rows = np.repeat(np.arange(N * N) * dim, dim * dim)
-        rows = rows + np.tile(np.repeat(np.arange(dim), dim), N * N)
-        cols = np.repeat(np.arange(N * N) * dim, dim * dim)
-        cols = cols + np.tile(np.tile(np.arange(dim), dim), N * N)
-        data = P.reshape(-1)
-        return sp.csr_matrix((data, (rows, cols)), shape=(N * N * dim, N * N * dim))
-
-    PNs = block_diag_field(PN.astype(complex))
-    PTs = block_diag_field(PT.astype(complex))
+    # the node projectors as block-diagonal matrices
+    PNs, PTs = (sp.bsr_matrix((P.reshape(-1, dim, dim).astype(complex),
+                               np.arange(N * N), np.arange(N * N + 1)),
+                              shape=(N * N * dim,) * 2).tocsr()
+                for P in (PN, PT))
 
     w0 = imm.dxdy_weight() * 1.0   # cell measure is the same on the cover grid
     wcell = np.where(mask, w0, 0.0).reshape(-1)

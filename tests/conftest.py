@@ -192,6 +192,41 @@ def cutoff_phi(n, ix, iy, window):
     return phi
 
 
+def plane_wave_sections(normal_proj, tau, puncture, count, extent=1,
+                        seed=0, modes=4):
+    """Random normal sections, (count, N, N, 4) with N = extent * n, built
+    one plane wave at a time.
+
+    Replays the draws of `EllipticScenario.random_normal_sections` from
+    `default_rng(seed)`: per section and mode the integers kx, ky in
+    [-3, 3] and the real and imaginary parts of the amplitude in R^4.  Each
+    mode is the full grid wave e^{2 pi i (kx i + ky j) / N}, its phase
+    reduced mod N in integers, times its amplitude; their sum is cut off
+    by the smoothstep bump of the distance to the lattice (0 within 1.3
+    puncture radii, 1 beyond 2) and then projected by the normal
+    projectors `normal_proj`, (n, n, 4, 4), repeated over the cover.
+    """
+    n = normal_proj.shape[0]
+    N = extent * n
+    I, J = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+    X, Y = I / n, J / n
+    dist = np.abs((X - np.round(X)) + (Y - np.round(Y)) * tau)
+    t = np.clip((dist - 1.3 * puncture) / (0.7 * puncture), 0.0, 1.0)
+    bump = t * t * (3 - 2 * t)
+    PN = np.tile(normal_proj, (extent, extent, 1, 1))
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        v = np.zeros((N, N, 4), dtype=complex)
+        for _ in range(modes):
+            kx, ky = rng.integers(-3, 4), rng.integers(-3, 4)
+            a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            wave = np.exp(2j * np.pi * ((kx * I + ky * J) % N) / N)
+            v += wave[:, :, None] * a
+        out.append(np.einsum("xyij,xyj->xyi", PN, v * bump[:, :, None]))
+    return np.array(out)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

@@ -97,6 +97,33 @@ def test_decompose_records_a_trial_that_raises(tmp_path, monkeypatch):
     assert "trial 0: residual 1.50e-03" in data["failures"]
 
 
+def test_decompose_records_a_refused_trial_and_goes_on(tmp_path, monkeypatch):
+    # a refusal carries no report (best is None); its trial is recorded and
+    # the other trials still run and write theirs
+    real = stabletori.cli.decompose_commuting_pair
+    calls = []
+
+    def refusing(bundle):
+        calls.append(bundle)
+        if len(calls) == 2:
+            raise ConvergenceError("Jordan chains do not span a joint block")
+        return real(bundle)
+
+    monkeypatch.setattr(stabletori.cli, "decompose_commuting_pair", refusing)
+    cfg = _cfg(tmp_path, "c.json", {"rank": 3, "count": 3, "seed": 0})
+    out = tmp_path / "out"
+    assert main(["decompose", "--config", cfg, "--out", str(out)]) == 2
+    data = json.loads((out / "decompose.json").read_text())
+    assert [r["trial"] for r in data["reports"]] == [0, 1, 2]
+    refused = data["reports"][1]
+    assert refused["ranks"] == [] and refused["residual"] is None
+    assert refused["warnings"] == ["Jordan chains do not span a joint block"]
+    assert data["failures"] == [
+        "trial 1: refused: Jordan chains do not span a joint block"]
+    assert all(r["residual"] <= 1e-8 for i, r in enumerate(data["reports"])
+               if i != 1)
+
+
 def test_cutoff_pass(tmp_path):
     cfg = _cfg(tmp_path, "c.json", {"epsilons": [0.1], "grid": 512})
     out = tmp_path / "out"

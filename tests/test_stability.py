@@ -12,7 +12,8 @@ from stabletori.errors import (ConfigError, ConvergenceError, DomainError,
                                ResolutionError, ShapeError, WrongFormError)
 from stabletori.lattice import CoverSpec, Lattice, wirtinger_factors
 from stabletori.bundles import principal_angle
-from stabletori.geometry import product_geodesic_torus, surface_quantities
+from stabletori.geometry import (SurfaceQuantities, product_geodesic_torus,
+                                 surface_quantities)
 from stabletori import stability
 from stabletori.scenarios import (EllipticScenario, FlatTorusScenario,
                                   LensScenario, flat_chart_immersion,
@@ -24,7 +25,7 @@ from stabletori.stability import (SYMBOL_TOL, DiscreteForm, StencilForm,
 from stabletori.sections import wirtinger_diff
 
 from conftest import (cutoff_phi, fourier_lambda_min, kron_twisted_form_q,
-                      stencil_spectrum_mismatch)
+                      plane_wave_sections, stencil_spectrum_mismatch)
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +509,49 @@ def test_audit_densities_match_two_wirtinger_diffs(extent, twist):
         assert g.shape == w.shape == (24 * extent, 24 * extent, 7)
         np.testing.assert_allclose(g, w, rtol=1e-13,
                                    atol=1e-13 * np.abs(w).max())
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("extent", [1, 2])
+def test_random_normal_sections_match_plane_waves(seed, extent):
+    # the separable draw against one full-grid plane wave per mode, from
+    # the same default_rng(seed) draws: 13 sections span a partial batch
+    sc = EllipticScenario(n=16)
+    imm = sc.immersion()
+    got = np.array(list(sc.random_normal_sections(13, extent, seed, imm=imm)))
+    want = plane_wave_sections(surface_quantities(imm).normal_proj,
+                               imm.lattice.tau, sc.puncture, 13, extent, seed)
+    assert got.shape == want.shape == (13, 16 * extent, 16 * extent, 4)
+    np.testing.assert_allclose(got, want, rtol=1e-14,
+                               atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("extent", [1, 2])
+def test_node_frames_are_orthonormal_and_span_the_projectors(n, extent):
+    quants = surface_quantities(EllipticScenario(n=n).immersion())
+    eye = np.eye(2)
+    for P in (quants.normal_proj, quants.tangent_proj):
+        F = stability._tile(stability._node_frame(P), extent)
+        P = stability._tile(P, extent)
+        assert F.shape == (n * extent, n * extent, 2, 4)
+        np.testing.assert_allclose(F @ np.swapaxes(F, -1, -2),
+                                   np.broadcast_to(eye, F.shape[:2] + (2, 2)),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(np.swapaxes(F, -1, -2) @ F, P,
+                                   rtol=0, atol=1e-14)
+
+
+def test_index_densities_refuse_a_projector_with_no_frame():
+    # a halved tangent projector, as at a branch point, has no orthonormal
+    # 2-frame; a frame norm would drop part of its density
+    imm = EllipticScenario(n=16).immersion()
+    quants = surface_quantities(imm)
+    PT = quants.tangent_proj.copy()
+    PT[3, 5] *= 0.5
+    bad = SurfaceQuantities(tangent_proj=PT, normal_proj=quants.normal_proj)
+    with pytest.raises(DomainError, match="at 1 nodes"):
+        stability._index_densities(imm, bad)
 
 
 def test_elliptic_audit_builds_no_sparse_form(monkeypatch):
