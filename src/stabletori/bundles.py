@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (ConvergenceError, DomainError, ResolutionError,
                      ShapeError)
 from .lattice import CoverSpec, Lattice, cover_lattice, wirtinger_factors
-from .sections import SectionGrid
+from .sections import ProductSection, SectionGrid
 
 
 def principal_angle(x: float) -> float:
@@ -53,40 +53,31 @@ def lift_line_holonomy(L: LineHolonomy, k: int) -> LineHolonomy:
     return LineHolonomy(principal_angle(k * L.phi), principal_angle(k * L.theta))
 
 
-def line_section(L: LineHolonomy, k: int, lat: Lattice, n: int) -> SectionGrid:
+def line_section(L: LineHolonomy, k: int, lat: Lattice,
+                 n: int) -> ProductSection:
     """Unit almost-holomorphic section of the line bundle over C/(k*Lambda).
 
     In the periodic gauge the section is the pure phase
     c(xi, eta) = exp(i*(omega_x*xi + omega_y*eta)) with omega chosen so that
     the residual connection frequency is the principal lift divided by k.
+    It is kept as its two 1-D phase waves on the n x n cover grid.
     sup |dbar s| then equals (1/k)|phi_k*dxi_dzbar + theta_k*deta_dzbar|
-    in closed form; that value is attached to the metadata.
+    in closed form, `sup_dbar_exact`.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
+    lifted = lift_line_holonomy(L, k)   # DomainError when k < 1
     if n < 8:
         raise ResolutionError("grid must be at least 8")
-    lifted = lift_line_holonomy(L, k)
     omega_x = L.phi - lifted.phi / k   # = 2*pi*(integer)/k
     omega_y = L.theta - lifted.theta / k
     t = np.arange(n) * (k / n)
-    # the phase wave is a product of two 1D waves: 2n exps, not n^2
-    vals = (np.exp(1j * omega_x * t)[:, None]
-            * np.exp(1j * omega_y * t)[None, :])[:, :, None]
-    # Seam audit in the flat trivialization: over a full horizontal period
-    # the representative must come back through the lifted holonomy.
-    left = np.exp(1j * omega_x * k) * vals[0, :, 0]
-    res_x = float(np.max(np.abs(left - vals[0, :, 0] * 1.0)))
-    top = np.exp(1j * omega_y * k) * vals[:, 0, 0]
-    res_y = float(np.max(np.abs(top - vals[:, 0, 0] * 1.0)))
+    f, g = np.exp(1j * omega_x * t), np.exp(1j * omega_y * t)
+    # seam audit: over a full period of the cover each wave comes back
+    seam = max(abs(np.exp(1j * omega * k) - 1.0) for omega in (omega_x, omega_y))
     fxi, feta = wirtinger_factors(lat)
-    sup_dbar = abs(lifted.phi * fxi + lifted.theta * feta) / k
-    return SectionGrid(
-        lattice=lat, a=float(k), b=float(k), values=vals,
-        phi=L.phi, theta=L.theta,
-        seam_residual=max(res_x, res_y),
-        meta={"sup_dbar_exact": sup_dbar, "k": k, "holonomy": L},
-    )
+    return ProductSection(
+        lattice=lat, a=float(k), b=float(k), f=f, g=g,
+        phi=L.phi, theta=L.theta, seam_residual=float(seam), k=k,
+        sup_dbar_exact=abs(lifted.phi * fxi + lifted.theta * feta) / k)
 
 
 def nilpotent_log(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -170,17 +161,8 @@ def atiyah_sections(data: AtiyahData, lat: Lattice, n: int) -> list[SectionGrid]
     if n < 8:
         raise ResolutionError("grid must be at least 8")
     B = data.B
-    out = []
-    for j in range(data.r):
-        vals = np.zeros((n, n, data.r), dtype=complex)
-        vals[:, :, j] = 1.0
-        out.append(SectionGrid(
-            lattice=lat, a=1.0, b=1.0, values=vals,
-            phi=0.0, theta=0.0, bmat=B,
-            seam_residual=0.0,
-            meta={"atiyah": data, "index": j},
-        ))
-    return out
+    return [SectionGrid(lat, 1.0, 1.0, np.tile(w, (n, n, 1)), bmat=B)
+            for w in np.eye(data.r)]
 
 
 # ---------------------------------------------------------------------------

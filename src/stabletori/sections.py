@@ -17,11 +17,11 @@ so twisted periodicity across seams reduces to plain periodicity of c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 from .lattice import Lattice, wirtinger_factors
 
 
@@ -42,7 +42,6 @@ class SectionGrid:
     theta: float = 0.0            # connection phase per unit eta-period
     bmat: np.ndarray | None = None  # (r, r), nilpotent part of the potential
     seam_residual: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -52,24 +51,12 @@ class SectionGrid:
             raise ShapeError("values must be (nx, ny, r)")
 
     @property
-    def nx(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def ny(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def rank(self) -> int:
-        return self.values.shape[2]
-
-    @property
     def hx(self) -> float:
-        return self.a / self.nx
+        return self.a / self.values.shape[0]
 
     @property
     def hy(self) -> float:
-        return self.b / self.ny
+        return self.b / self.values.shape[1]
 
 
 def _axis_diff(v: np.ndarray, axis: int, step: float,
@@ -82,9 +69,12 @@ def _axis_diff(v: np.ndarray, axis: int, step: float,
     n = v.shape[axis]
     out = np.empty(v.shape, dtype=np.result_type(v, 1j))
     # (row, next, previous): the interior, then the two rows whose
-    # neighbour wraps; on one or two nodes both neighbours coincide
+    # neighbour wraps, as length-1 slices, so that a 1-D field still gives
+    # arrays to write into; on one or two nodes both neighbours coincide
+    p = (n - 2) % n
     for rows in ((slice(1, -1), slice(2, None), slice(None, -2)),
-                 (0, 1 % n, n - 1), (n - 1, 0, (n - 2) % n)):
+                 (slice(0, 1), slice(1 % n, 1 % n + 1), slice(n - 1, n)),
+                 (slice(n - 1, n), slice(0, 1), slice(p, p + 1))):
         o, nxt, prv = ((slice(None),) * axis + (r,) for r in rows)
         if angle:
             np.multiply(v[nxt], np.exp(-1j * angle), out=out[o])
@@ -127,6 +117,64 @@ def dbar(sec: SectionGrid) -> SectionGrid:
     d = wirtinger_diff(sec.values, wirtinger_factors(sec.lattice),
                        (sec.hx, sec.hy), (sec.phi, sec.theta), sec.bmat)
     return replace(sec, values=d, seam_residual=0.0)
+
+
+@dataclass
+class ProductSection:
+    """A line-bundle section c = f(xi) g(eta) on [0,a) x [0,b), kept as its
+    factors at xi = a*i/len(f), eta = b*j/len(g) in the periodic gauge of
+    (phi, theta).  A line section carries its cover `k` and closed form
+    `sup_dbar_exact`, a trial section the systole `R` its phase is cut at
+    (positive, else DomainError).  `grid()`, the n x n section, is for
+    `--svg` and the tests' oracles only."""
+
+    lattice: Lattice
+    a: float
+    b: float
+    f: np.ndarray
+    g: np.ndarray
+    phi: float
+    theta: float
+    seam_residual: float
+    k: int | None = None
+    sup_dbar_exact: float | None = None
+    R: float | None = None
+
+    def __post_init__(self):
+        if self.R is not None and not self.R > 0:
+            raise DomainError("R must be positive")
+
+    @property
+    def hx(self) -> float:
+        return self.a / self.f.size
+
+    @property
+    def hy(self) -> float:
+        return self.b / self.g.size
+
+    @property
+    def grad_bound(self) -> float:
+        """The pointwise bound 2 pi / (sqrt 3 R) of |dbar c| / |c|."""
+        return 2 * np.pi / (np.sqrt(3.0) * self.R)
+
+    def grid(self) -> SectionGrid:
+        return SectionGrid(self.lattice, self.a, self.b,
+                           self.f[:, None] * self.g[None, :], self.phi,
+                           self.theta, seam_residual=self.seam_residual)
+
+    def diffs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Df, Dg) by `_axis_diff`, so that dbar c = f_xi (Df) g
+        + f_eta f (Dg) on the grid (the product rule)."""
+        return (_axis_diff(self.f, 0, self.hx, self.phi * self.hx),
+                _axis_diff(self.g, 0, self.hy, self.theta * self.hy))
+
+    def sup_dbar(self) -> float:
+        """max |dbar(self.grid()).values| up to rounding, from one matrix
+        product: [f_xi Df, f_eta f] (n x 2) times [g; Dg] (2 x m)."""
+        fxi, feta = wirtinger_factors(self.lattice)
+        Df, Dg = self.diffs()
+        d = np.stack((fxi * Df, feta * self.f), 1) @ np.stack((self.g, Dg))
+        return float(np.max(np.abs(d)))
 
 
 def gram_matrix(sections: list[SectionGrid],

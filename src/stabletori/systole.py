@@ -23,7 +23,7 @@ from .bundles import LineHolonomy
 from .errors import DomainError, ResolutionError, WrongFormError
 from .geometry import FlatTorus
 from .lattice import Lattice, wirtinger_factors
-from .sections import SectionGrid, _axis_diff, wirtinger_diff
+from .sections import ProductSection, SectionGrid, wirtinger_diff
 from .stability import STABLE_TOL, _chart_factors, dbar_energy_chart
 
 EIGHT_NEIGHBOR_ANISOTROPY = 0.0824
@@ -113,41 +113,8 @@ def axis_truncated_distances(imm: FlatTorus, R: float) -> TruncatedDistance:
     return TruncatedDistance(dxi, deta, R)
 
 
-@dataclass
-class TrialSection:
-    """A section c(xi, eta) = f(xi) g(eta) of a flat line bundle, kept as
-    its factors at xi, eta = i / n in the periodic gauge of the holonomy
-    (phi, theta).  R, the systole its phase is cut at, must be positive,
-    else DomainError.  `grid()` builds the n x n section, for `systole
-    --svg` and the tests' oracles only.
-    """
-
-    lattice: Lattice
-    f: np.ndarray
-    g: np.ndarray
-    phi: float
-    theta: float
-    R: float
-    seam_residual: float
-
-    def __post_init__(self):
-        if not self.R > 0:
-            raise DomainError("R must be positive")
-
-    @property
-    def grad_bound(self) -> float:
-        """The pointwise bound 2 pi / (sqrt 3 R) of |dbar c| / |c|."""
-        return 2 * np.pi / (np.sqrt(3.0) * self.R)
-
-    def grid(self) -> SectionGrid:
-        return SectionGrid(lattice=self.lattice, a=1.0, b=1.0,
-                           values=self.f[:, None] * self.g[None, :],
-                           phi=self.phi, theta=self.theta,
-                           seam_residual=self.seam_residual)
-
-
 def phase_trial_section(L: LineHolonomy, deltas: TruncatedDistance,
-                        lattice: Lattice) -> TrialSection:
+                        lattice: Lattice) -> ProductSection:
     """The Lipschitz isotropic trial section with truncated-distance phase.
 
     Periodic-gauge representative
@@ -170,7 +137,8 @@ def phase_trial_section(L: LineHolonomy, deltas: TruncatedDistance,
     seam = max(abs(np.exp(-1j * d[-1] * a / R) * np.exp(1j * a) - 1.0)
                for d, a in ((deltas.delta_xi, L.phi),
                             (deltas.delta_eta, L.theta)))
-    return TrialSection(lattice, f, g, L.phi, L.theta, R, float(seam))
+    return ProductSection(lattice, 1.0, 1.0, f, g, L.phi, L.theta,
+                          float(seam), R=R)
 
 
 @dataclass
@@ -181,7 +149,7 @@ class RayleighReport:
     chain_holds: bool
 
 
-def rayleigh_bound_check(s: TrialSection, imm: FlatTorus,
+def rayleigh_bound_check(s: ProductSection, imm: FlatTorus,
                          kappa: float) -> RayleighReport:
     """Report kappa * Mass(s) <= dbar energy <= (2 pi / (sqrt3 R))^2 Mass(s).
 
@@ -196,17 +164,14 @@ def rayleigh_bound_check(s: TrialSection, imm: FlatTorus,
     |f_xi|^2 |Df|^2 |g|^2 + |f_eta|^2 |f|^2 |Dg|^2
     + 2 Re(f_xi conj(f_eta) <f, Df> <Dg, g>).
     """
-    h = 1.0 / s.f.size
-    # the factors as (n, 1) columns, a grid field of `_axis_diff`
-    f, g = s.f[:, None], s.g[:, None]
-    Df, Dg = (_axis_diff(v, 0, h, a * h) for v, a in ((f, s.phi), (g, s.theta)))
-    nf, ng, nDf, nDg = (np.vdot(v, v).real for v in (f, g, Df, Dg))
+    Df, Dg = s.diffs()
+    nf, ng, nDf, nDg = (np.vdot(v, v).real for v in (s.f, s.g, Df, Dg))
     fxi, feta = wirtinger_factors(s.lattice)
-    cross = fxi * np.conj(feta) * np.vdot(f, Df) * np.vdot(Dg, g)
+    cross = fxi * np.conj(feta) * np.vdot(s.f, Df) * np.vdot(Dg, s.g)
     dbar2 = (abs(fxi) ** 2 * nDf * ng + abs(feta) ** 2 * nf * nDg
              + 2 * cross.real)
     # the chart measure of a grid cell, w = scale^2 tau2 h^2 (lam2 = 1)
-    w = imm.scale ** 2 * imm.lattice.tau2 * h * h
+    w = imm.scale ** 2 * imm.lattice.tau2 * s.hx * s.hy
     mass_da = float(nf * ng * w)
     energy = 2.0 * float(dbar2 / imm.scale ** 2 * w)
     lhs = kappa * mass_da
@@ -295,12 +260,11 @@ def exceptional_cutoffs(imm: FlatTorus, R: float, n: int) -> ExceptionalReport:
 
     fac = _chart_factors(imm)
 
-    # Interior gradient magnitudes (kink cells excluded up to one stencil).
-    lam = 1.0
+    # Gradient magnitudes of the cutoffs (lam2 = 1 on the flat chart).
     g_I, g_V = (np.abs(wirtinger_diff(f, fac, (1.0 / n, 1.0 / ny)))
                 for f in (phi_I, phi_V))
-    bound_I = (6.0 / R) * np.sqrt(3.0) * lam
-    bound_V = (3.0 / R) * np.sqrt(3.0) * lam
+    bound_I = (6.0 / R) * np.sqrt(3.0)
+    bound_V = (3.0 / R) * np.sqrt(3.0)
 
     # Support injectivity: the support must miss its vertical deck
     # translate (by half the cover); count the nodes where it does not.

@@ -26,8 +26,9 @@ def _reduce(z: np.ndarray, lat: Lattice) -> np.ndarray:
 
 
 def _qseries_terms(lat: Lattice) -> int:
-    # |q| = exp(-2 pi tau2); stop when |q|^n drops below 1e-17.
-    return int(np.ceil(40.0 / (2 * np.pi * lat.tau2) * np.log(10))) + 2
+    # |q| = exp(-2 pi tau2) and the reduced |u| <= exp(pi tau2): stop when
+    # |q^n u| <= exp(-pi tau2 (2n - 1)) < 1e-17, plus two guard terms.
+    return int(np.ceil((17 * np.log(10) / (np.pi * lat.tau2) + 1) / 2)) + 2
 
 
 def wp(z, lat: Lattice, pole_cutoff: float = 1e-6):

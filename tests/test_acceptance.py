@@ -41,8 +41,8 @@ def test_criterion_1_line_section_decay():
     ok = True
     for k in range(1, 17):
         sec = line_section(L, k, LAT, n)
-        sup = float(np.max(np.abs(dbar(sec).values)))
-        exact = sec.meta["sup_dbar_exact"]
+        sup = float(np.max(np.abs(dbar(sec.grid()).values)))
+        exact = sec.sup_dbar_exact
         if exact > 0:
             worst_rel = max(worst_rel, abs(sup / exact - 1))
             ks.append(k)

@@ -64,8 +64,9 @@ def test_line_section_measured_sup_matches_closed_form():
         sec = line_section(L, k, LAT, 128)
         lifted = lift_line_holonomy(L, k)
         expected = abs(lifted.phi * fxi + lifted.theta * feta) / k
-        assert sec.meta["sup_dbar_exact"] == pytest.approx(expected, rel=1e-12)
-        measured = float(np.max(np.abs(dbar(sec).values)))
+        assert sec.k == k and (sec.a, sec.b) == (k, k)
+        assert sec.sup_dbar_exact == pytest.approx(expected, rel=1e-12)
+        measured = float(np.max(np.abs(dbar(sec.grid()).values)))
         assert measured == pytest.approx(expected, rel=1e-3)
         assert sec.seam_residual <= 1e-12
 
@@ -84,7 +85,7 @@ def test_line_section_is_the_meshgrid_phase_wave(L):
         X, Y = np.meshgrid(t, t, indexing="ij")
         want = np.exp(1j * ((L.phi - lifted.phi / k) * X
                             + (L.theta - lifted.theta / k) * Y))
-        sec = line_section(L, k, LAT, n)
+        sec = line_section(L, k, LAT, n).grid()
         assert sec.values.shape == (n, n, 1)
         assert np.max(np.abs(sec.values[:, :, 0] - want)) <= 1e-14
 
@@ -92,8 +93,8 @@ def test_line_section_is_the_meshgrid_phase_wave(L):
 def test_line_section_trivial_lift_is_exactly_flat():
     # (pi, pi) on an even cover lifts to the trivial class: dbar s == 0
     sec = line_section(LineHolonomy(math.pi, math.pi), 2, LAT, 64)
-    assert sec.meta["sup_dbar_exact"] == 0.0
-    assert float(np.max(np.abs(dbar(sec).values))) < 1e-11
+    assert sec.sup_dbar_exact == 0.0
+    assert float(np.max(np.abs(dbar(sec.grid()).values))) < 1e-11
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,35 @@ def test_sections_pass_and_outputs(tmp_path):
     assert data["rows"] == 4 and data["failures"] == []
 
 
+def test_sections_prints_trivial_lifts_as_the_bound(tmp_path):
+    # (pi, pi) lifts to the trivial class on even k: those rows print the
+    # bound the rounding noise meets, and every field still parses as a float
+    out = tmp_path / "out"
+    cfg = _cfg(tmp_path, "c.json", {"k_max": 4, "grid": 64})
+    assert main(["sections", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "sections.csv").read_text().splitlines()
+    assert lines[0].startswith("# verifies:") and "1e-10" in lines[0]
+    rows = [[float(x) for x in ln.split(",")] for ln in lines[2:]]
+    for k, sup, exact, ratio in rows:
+        if k % 2:
+            assert exact > 0 and 0.99 <= ratio <= 1.01
+        else:
+            assert (sup, exact) == (stabletori.cli.FLAT_SUP_TOL, 0.0)
+            assert np.isnan(ratio)
+
+
+def test_sections_fails_a_trivial_lift_above_the_bound(tmp_path, monkeypatch,
+                                                       capsys):
+    # a zero closed form no longer passes whatever sup|dbar s| reads
+    from stabletori.sections import ProductSection
+    monkeypatch.setattr(ProductSection, "sup_dbar", lambda self: 1e-9)
+    out = tmp_path / "out"
+    cfg = _cfg(tmp_path, "c.json", {"k_max": 2, "grid": 64})
+    assert main(["sections", "--config", cfg, "--out", str(out)]) == 2
+    assert "k=2: sup dbar 1.00e-09 > 1e-10" in capsys.readouterr().err
+    assert (out / "sections.csv").read_text().splitlines()[3] == "2,1e-09,0,nan"
+
+
 def test_decompose_pass(tmp_path):
     out = tmp_path / "out"
     rc = main(["decompose", "--out", str(out), "--seed", "0"])

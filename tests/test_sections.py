@@ -1,11 +1,14 @@
 """Section grids, covariant differences, metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from stabletori.lattice import Lattice, wirtinger_factors
 from stabletori.bundles import AtiyahData, LineHolonomy, atiyah_sections, line_section
-from stabletori.sections import (SectionGrid, dbar, gram_matrix,
+from stabletori.cli import FLAT_SUP_TOL
+from stabletori.sections import (SectionGrid, _axis_diff, dbar, gram_matrix,
                                  wirtinger_diff)
 
 
@@ -81,9 +84,61 @@ def test_wirtinger_diff_equals_the_roll_formula(n, tail, nilpotent, twist):
     assert np.array_equal(got, _roll_wirtinger(v, factors, steps, twist, bmat))
 
 
+def _roll_diff(v, axis, step, angle):
+    return (np.roll(v, -1, axis=axis) * np.exp(-1j * angle)
+            - np.roll(v, 1, axis=axis) * np.exp(1j * angle)) / (2 * step)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("angle", [0.0, 0.3])
+def test_axis_diff_on_1d_and_2d_fields(n, angle):
+    # bit for bit against np.roll on a 1-D factor and on both axes of a
+    # 2-D field; a 1-D factor and the same factor as an (n, 1) column agree
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = rng.standard_normal((n, n + 1)) + 1j * rng.standard_normal((n, n + 1))
+    h = 1.0 / n
+    got = _axis_diff(f, 0, h, angle)
+    assert got.shape == (n,)
+    assert np.array_equal(got, _roll_diff(f, 0, h, angle))
+    assert np.array_equal(got, _axis_diff(f[:, None], 0, h, angle)[:, 0])
+    for axis in (0, 1):
+        assert np.array_equal(_axis_diff(v, axis, h, angle),
+                              _roll_diff(v, axis, h, angle))
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+@pytest.mark.parametrize("L", [LineHolonomy(np.pi, np.pi),
+                               LineHolonomy(0.9, -2.0)])
+@pytest.mark.parametrize("lat", [LAT, Lattice(0.3, 1.2)])
+def test_product_rule_sup_matches_the_grid_dbar(n, L, lat):
+    # the product-rule sup of `sections` against dbar on the n x n grid;
+    # on a trivial lift both are rounding noise under FLAT_SUP_TOL
+    for k in range(1, 17):
+        sec = line_section(L, k, lat, n)
+        got = sec.sup_dbar()
+        want = float(np.max(np.abs(dbar(sec.grid()).values)))
+        if sec.sup_dbar_exact > 0:
+            assert got == pytest.approx(want, rel=1e-13, abs=0)
+        else:
+            assert max(got, want) <= FLAT_SUP_TOL
+
+
+def test_line_section_at_grid_2000_allocates_no_grid():
+    # one n x n complex array would be 64 MB
+    tracemalloc.start()
+    try:
+        sec = line_section(LineHolonomy(0.9, -2.0), 3, LAT, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sec.f.shape == sec.g.shape == (2000,)
+    assert peak < 1e6
+
+
 def test_dbar_is_close_on_line_sections():
     L = LineHolonomy(0.5, 1.3)
-    sec = line_section(L, 1, LAT, 32)
+    sec = line_section(L, 1, LAT, 32).grid()
     fxi, feta = wirtinger_factors(LAT)
     # the periodic-gauge wave has omega = 0, so the connection term is all of it
     target = -1j * (L.phi * fxi + L.theta * feta) * sec.values
