@@ -284,6 +284,7 @@ def cmd_systole(cfg, out: Path, svg: bool):
         "seam_residual": trial.seam_residual,
         "rayleigh_lhs": ray.lhs, "rayleigh_energy": ray.rhs,
         "rayleigh_chain_holds": ray.chain_holds,
+        "applicable": verdict.applicable,
         "verdict": verdict.passed,
     }
     if not verdict.passed:

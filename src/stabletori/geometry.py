@@ -349,18 +349,17 @@ class Immersion:
     lattice: Lattice
     scale: float
     ambient: AmbientSpace
-    F: np.ndarray                     # (n, n, dim)
     Fz: np.ndarray                    # (n, n, dim) complex
     lam2: np.ndarray                  # (n, n)
     mask: np.ndarray                  # (n, n) bool, True where active
 
     @property
     def n(self) -> int:
-        return self.F.shape[0]
+        return self.Fz.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.F.shape[2]
+        return self.Fz.shape[2]
 
     def dxdy_weight(self) -> float:
         """Chart measure of one grid cell."""
@@ -437,11 +436,10 @@ def elliptic_curve_immersion(lat: Lattice, puncture_radius: float,
     g2, _ = eisenstein_invariants(lat)
     ppp = 6.0 * p ** 2 - g2 / 2.0
 
-    F = np.stack([p.real, p.imag, pp.real, pp.imag], axis=-1)
     Fz = np.stack([pp / 2, -1j * pp / 2, ppp / 2, -1j * ppp / 2], axis=-1)
     lam2 = np.abs(pp) ** 2 + np.abs(ppp) ** 2
     amb = AmbientSpace(kind="euclidean", dim=4)
-    return Immersion(lattice=lat, scale=1.0, ambient=amb, F=F, Fz=Fz,
+    return Immersion(lattice=lat, scale=1.0, ambient=amb, Fz=Fz,
                      lam2=lam2, mask=mask)
 
 
@@ -483,23 +481,38 @@ def product_geodesic_torus(L: float, rho: float, n_sphere: int,
 
 @dataclass
 class SurfaceQuantities:
-    tangent_proj: np.ndarray       # (n, n, dim, dim)
-    normal_proj: np.ndarray
+    """Orthonormal real 2-frames of the tangent and the normal plane at
+    every node, (n, n, 2, dim): rows F with F F^T = I, and F^T F the
+    plane's orthogonal projector."""
+
+    tangent_frame: np.ndarray
+    normal_frame: np.ndarray
 
 
 def surface_quantities(imm: Immersion) -> SurfaceQuantities:
-    """Pointwise tangent and normal projections (unnormalized at branch
-    points, where |F_x| or |F_y| < 1e-8)."""
-    Fx = 2 * np.real(imm.Fz)
-    Fy = -2 * np.imag(imm.Fz)
-    nrm_x = np.linalg.norm(Fx, axis=2)
-    nrm_y = np.linalg.norm(Fy, axis=2)
-    branch = (nrm_x < 1e-8) | (nrm_y < 1e-8)
-    safe_x = np.where(branch, 1.0, nrm_x)
-    safe_y = np.where(branch, 1.0, nrm_y)
-    t1 = Fx / safe_x[:, :, None]
-    t2 = Fy / safe_y[:, :, None]
-    PT = (np.einsum("xyi,xyj->xyij", t1, t1)
-          + np.einsum("xyi,xyj->xyij", t2, t2))
-    PN = np.eye(imm.dim)[None, None] - PT
-    return SurfaceQuantities(tangent_proj=PT, normal_proj=PN)
+    """The tangent and normal frames of a holomorphic curve in C^2 = R^4,
+    in closed form.
+
+    F_z = (u, -i u, v, -i v) makes the tangent plane the complex line of
+    w = 2 (u, v), with |w|^2 = lam2, and the normal plane its Hermitian
+    complement, spanned by nu = (-conj w_2, conj w_1) of the same length.
+    The frames are the real forms (Re, Im per complex coordinate) of
+    (w, i w) / |w| and (nu, i nu) / |w|.  An F_z not of that form to 1e-12
+    relative at every node raises WrongFormError; a node with |w|^2 <= 0 (a
+    branch point, where the tangent plane degenerates) raises DomainError
+    with the count of such nodes.
+    """
+    Fz = imm.Fz
+    if Fz.shape[2:] != (4,) or not np.all(
+            np.abs(Fz[..., 1::2] + 1j * Fz[..., 0::2])
+            <= 1e-12 * np.linalg.norm(Fz, axis=2)[..., None]):
+        raise WrongFormError("not a holomorphic curve in C^2")
+    w = 2 * Fz[..., 0::2]
+    lam2 = np.sum(np.abs(w) ** 2, axis=2)
+    if bad := np.count_nonzero(~(lam2 > 0)):     # a NaN counts as bad
+        raise DomainError(f"branch point: no tangent frame at {bad} nodes")
+    w /= np.sqrt(lam2)[..., None]
+    nu = np.stack([-np.conj(w[..., 1]), np.conj(w[..., 0])], axis=-1)
+    # a complex (n, n, 2, 2) stack viewed as floats is its real form
+    return SurfaceQuantities(*(np.stack([c, 1j * c], axis=2).view(float)
+                               for c in (w, nu)))

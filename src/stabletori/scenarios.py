@@ -131,7 +131,8 @@ class EllipticScenario:
         <= 3, with complex Gaussian amplitudes in R^4, summed as separable
         products e_kx(xi) e_ky(eta), times a bump that vanishes within 1.3
         puncture radii of each lattice point, so on every masked node, then
-        projected onto the normal plane node by node.  The stream depends on
+        projected onto the normal plane node by node, as Fn^T Fn v in its
+        orthonormal frame Fn.  The stream depends on
         `seed` alone; `stability_audit` reads the same sections in batches.
         `imm` and its `surface_quantities` are built here unless given.
         """
@@ -150,8 +151,10 @@ class EllipticScenario:
         red = (X - np.round(X)) + (Y - np.round(Y)) * imm.lattice.tau
         t = np.clip((np.abs(red) - 1.3 * self.puncture) / (0.7 * self.puncture),
                     0, 1)
-        bump = t * t * (3 - 2 * t)     # folded into the normal projectors
-        PN = _tile(quants.normal_proj, extent) * bump[..., None, None]
+        bump = t * t * (3 - 2 * t)
+        # the normal projector Fn^T Fn of the normal frame, times the bump
+        Fn = _tile(quants.normal_frame, extent)
+        PN = np.swapaxes(Fn, -1, -2) @ (Fn * bump[..., None, None])
         # the 1D waves e_k(xi) for k = -3..3; a 2D wave is e_kx(xi) e_ky(eta)
         waves = np.exp(2j * np.pi * np.arange(-3, 4)[:, None] * xi / extent)
         rng = np.random.default_rng(seed)

@@ -154,7 +154,11 @@ class ProductSection:
 
     @property
     def grad_bound(self) -> float:
-        """The pointwise bound 2 pi / (sqrt 3 R) of |dbar c| / |c|."""
+        """The pointwise bound 2 pi / (sqrt 3 R) of |dbar c| / |c| of a
+        trial section; a section with no R raises DomainError."""
+        if self.R is None:
+            raise DomainError("the gradient bound needs the systole R of a "
+                              "trial section")
         return 2 * np.pi / (np.sqrt(3.0) * self.R)
 
     def grid(self) -> SectionGrid:
@@ -167,6 +171,18 @@ class ProductSection:
         + f_eta f (Dg) on the grid (the product rule)."""
         return (_axis_diff(self.f, 0, self.hx, self.phi * self.hx),
                 _axis_diff(self.g, 0, self.hy, self.theta * self.hy))
+
+    def dbar_norm2(self) -> float:
+        """sum |dbar c|^2 over the grid, in O(n): with dbar c = f_xi (Df) g
+        + f_eta f (Dg), it is |f_xi|^2 |Df|^2 |g|^2 + |f_eta|^2 |f|^2 |Dg|^2
+        + 2 Re(f_xi conj(f_eta) <f, Df> <Dg, g>)."""
+        Df, Dg = self.diffs()
+        nf, ng, nDf, nDg = (np.vdot(v, v).real
+                            for v in (self.f, self.g, Df, Dg))
+        fxi, feta = wirtinger_factors(self.lattice)
+        cross = fxi * np.conj(feta) * np.vdot(self.f, Df) * np.vdot(Dg, self.g)
+        return float(abs(fxi) ** 2 * nDf * ng + abs(feta) ** 2 * nf * nDg
+                     + 2 * cross.real)
 
     def sup_dbar(self) -> float:
         """max |dbar(self.grid()).values| up to rounding, from one matrix

@@ -8,8 +8,10 @@ stencil, and `min_eigenvalue` checks each stencil's 1-D DFT against its
 symbol term.  Its sparse matrices are assembled on request, for test
 oracles and tracing.  The masked Euclidean index form is a `DiscreteForm`,
 an assembled sparse matrix checked as one.  The elliptic stability audit
-evaluates it matrix-free, as grid densities (`_index_densities`) in
-orthonormal node 2-frames (`_node_frame`) summed against the cell measure.
+evaluates it matrix-free, as grid densities (`_index_densities`) summed
+against the cell measure.  Matrix and densities measure the derivatives in
+the same orthonormal node 2-frames, written in closed form by
+`geometry.surface_quantities`.
 
 The sparse matrices are the only use of scipy here, so it is imported
 inside the functions that build them: the CLI's subcommands never load it.
@@ -28,7 +30,7 @@ from .errors import (ConvergenceError, DomainError, ResolutionError,
 from .geometry import (FlatTorus, Immersion, SurfaceQuantities,
                        surface_quantities)
 from .lattice import Lattice, wirtinger_factors
-from .sections import SectionGrid, _axis_diff, dbar
+from .sections import _axis_diff
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -314,26 +316,6 @@ def _node_norm2(v: np.ndarray) -> np.ndarray:
     return sq[..., 0::2] + sq[..., 1::2]
 
 
-def _node_frame(P: np.ndarray) -> np.ndarray:
-    """Orthonormal rows F, (n, n, 2, dim), of rank-2 node projectors P with
-    F^T F = P, by pivoted Gram-Schmidt on P's columns.  A node where F^T F
-    misses P by over 1e-12, as a branch point's unnormalized tangent
-    projector, raises DomainError with the count of such nodes."""
-    def pivot(R):   # the longest column of R[:, :, x, y], normalized
-        j = np.argmax(np.einsum("ij...,ij...->j...", R, R), axis=0)
-        col = np.take_along_axis(R, j[None, None], 1)[:, 0]
-        return col / np.sqrt(np.einsum("i...,i...->...", col, col))
-
-    Pc = np.moveaxis(P, (-2, -1), (0, 1)).copy()    # component-major
-    u = pivot(Pc)
-    F = np.stack([u, pivot(Pc - u[:, None]
-                           * np.einsum("i...,ij...->j...", u, Pc))])
-    miss = np.abs(np.einsum("ki...,kj...->ij...", F, F) - Pc).max(axis=(0, 1))
-    if bad := np.count_nonzero(~(miss <= 1e-12)):   # a NaN counts as bad
-        raise DomainError(f"no rank-2 orthonormal frame at {bad} nodes")
-    return np.moveaxis(F, (0, 1), (-2, -1)).copy()
-
-
 def _index_densities(imm: Immersion, quants: SurfaceQuantities,
                      extent: int = 1, twist: tuple[float, float] = (0.0, 0.0)):
     """The array form of the Euclidean index form on the [0, extent)^2 cover.
@@ -343,13 +325,13 @@ def _index_densities(imm: Immersion, quants: SurfaceQuantities,
     Q(v) is the sum of their difference against the masked cell measure.
     Both derivatives are `wirtinger_diff`'s, the stencil that
     `euclidean_index_form` writes as a matrix, from one pair of axis
-    differences, and both norms are frame norms |P w| = |F w| in the
-    `_node_frame`s: equal to the projected norms to rounding, not the bit.
+    differences, and both norms are frame norms |F w| in the
+    `surface_quantities` frames, as in the matrix.
     """
     fx, fy = _chart_factors(imm)
     r = fy / fx     # |fx a + fy b| = |fx| |a + r b|, conjugated for d_z
-    Fn, Ft = (abs(fx) * _tile(_node_frame(P), extent)
-              for P in (quants.normal_proj, quants.tangent_proj))
+    Fn, Ft = (abs(fx) * _tile(F, extent)
+              for F in (quants.normal_frame, quants.tangent_frame))
     h = 1.0 / imm.n
 
     def densities(v):
@@ -375,6 +357,7 @@ def euclidean_index_form(imm: Immersion,
 
     Q(s) = sum ( |(d_zbar s)^perp|^2 - |(d_z s)^top|^2 ) dxdy over the grid,
     restricted to dofs on unmasked nodes; mass form uses the induced area.
+    Both norms are taken in the node frames of `surface_quantities`.
     `extent` builds the form on the [0, extent)^2 cover with the immersion
     data repeated periodically.  `quants` are the immersion's
     `surface_quantities`, computed here unless the caller has them.
@@ -386,8 +369,6 @@ def euclidean_index_form(imm: Immersion,
     n, dim = imm.n, imm.dim
     N = extent * n
 
-    PT = _tile(quants.tangent_proj, extent)
-    PN = _tile(quants.normal_proj, extent)
     mask = _tile(imm.mask, extent)
     lam2 = _tile(imm.lam2, extent)
 
@@ -403,18 +384,18 @@ def euclidean_index_form(imm: Immersion,
     Dzb = fxi * Dx + feta * Dy
     Dz = np.conj(fxi) * Dx + np.conj(feta) * Dy
 
-    # the node projectors as block-diagonal matrices
-    PNs, PTs = (sp.bsr_matrix((P.reshape(-1, dim, dim).astype(complex),
-                               np.arange(N * N), np.arange(N * N + 1)),
-                              shape=(N * N * dim,) * 2).tocsr()
-                for P in (PN, PT))
+    # the node frames as block-diagonal (2 x dim)-block matrices
+    Fn, Ft = (sp.bsr_matrix((_tile(F, extent).reshape(-1, 2, dim),
+                             np.arange(N * N), np.arange(N * N + 1)),
+                            shape=(2 * N * N, dim * N * N)).tocsr()
+              for F in (quants.normal_frame, quants.tangent_frame))
 
     w0 = imm.dxdy_weight() * 1.0   # cell measure is the same on the cover grid
     wcell = np.where(mask, w0, 0.0).reshape(-1)
-    W = sp.diags(np.repeat(wcell, dim))
+    W = sp.diags(np.repeat(wcell, 2))
 
-    An = PNs @ Dzb
-    At = PTs @ Dz
+    An = Fn @ Dzb
+    At = Ft @ Dz
     Qplus = (An.getH() @ W @ An).tocsr()
     Qminus = (At.getH() @ W @ At).tocsr()
     Q = Qplus - Qminus
@@ -431,21 +412,6 @@ def euclidean_index_form(imm: Immersion,
         "active": idx, "immersion": imm, "extent": extent,
         "Qplus": Qplus, "Qminus": Qminus, "twist": twist,
     })
-
-
-def chart_norm2(sec: SectionGrid, imm: FlatTorus, values: np.ndarray) -> float:
-    """sum |values|^2 dxdy over the grid of sec in the flat chart of imm.
-
-    With the section's own values this is its da mass (lam2 = 1 on a flat
-    chart).
-    """
-    w = imm.scale ** 2 * imm.lattice.tau2 * sec.hx * sec.hy
-    return float(np.sum(np.abs(values) ** 2) * w)
-
-
-def dbar_energy_chart(sec: SectionGrid, imm: FlatTorus) -> float:
-    """sum |nabla_zbar c|^2 dxdy for a scalar section in the chart of imm."""
-    return chart_norm2(sec, imm, dbar(sec).values / imm.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,16 @@ costs O(n) on an n x n grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bundles import LineHolonomy
 from .errors import DomainError, ResolutionError, WrongFormError
 from .geometry import FlatTorus
-from .lattice import Lattice, wirtinger_factors
-from .sections import ProductSection, SectionGrid, wirtinger_diff
-from .stability import STABLE_TOL, _chart_factors, dbar_energy_chart
+from .lattice import Lattice
+from .sections import ProductSection, _axis_diff
+from .stability import STABLE_TOL, _chart_factors
 
 EIGHT_NEIGHBOR_ANISOTROPY = 0.0824
 
@@ -158,25 +158,21 @@ def rayleigh_bound_check(s: ProductSection, imm: FlatTorus,
     records whether the computed chain itself holds; it is reported and not
     judged, because its first inequality needs stability.
 
-    Mass and energy are `chart_norm2` and `dbar_energy_chart` of
-    `s.grid()`, summed in O(n): dbar c = f_xi (Df) g + f_eta f (Dg) for the
-    central covariant difference D, so over the grid sum |dbar c|^2 =
-    |f_xi|^2 |Df|^2 |g|^2 + |f_eta|^2 |f|^2 |Dg|^2
-    + 2 Re(f_xi conj(f_eta) <f, Df> <Dg, g>).
+    Mass and energy are the grid sums of |c|^2 and |dbar c|^2 against the
+    chart measure of a cell, each in O(n) from the two factors.
     """
-    Df, Dg = s.diffs()
-    nf, ng, nDf, nDg = (np.vdot(v, v).real for v in (s.f, s.g, Df, Dg))
-    fxi, feta = wirtinger_factors(s.lattice)
-    cross = fxi * np.conj(feta) * np.vdot(s.f, Df) * np.vdot(Dg, s.g)
-    dbar2 = (abs(fxi) ** 2 * nDf * ng + abs(feta) ** 2 * nf * nDg
-             + 2 * cross.real)
-    # the chart measure of a grid cell, w = scale^2 tau2 h^2 (lam2 = 1)
-    w = imm.scale ** 2 * imm.lattice.tau2 * s.hx * s.hy
-    mass_da = float(nf * ng * w)
-    energy = 2.0 * float(dbar2 / imm.scale ** 2 * w)
+    mass_da, energy = _chart_mass_energy(s, imm)
     lhs = kappa * mass_da
     ebound = s.grad_bound ** 2 * mass_da
     return RayleighReport(lhs, energy, ebound, bool(lhs <= energy <= ebound))
+
+
+def _chart_mass_energy(s: ProductSection, imm: FlatTorus):
+    """sum |c|^2 dxdy and 2 sum |nabla_zbar c|^2 dxdy of a product section
+    over its grid, in the flat chart of imm (lam2 = 1)."""
+    w = imm.scale ** 2 * imm.lattice.tau2 * s.hx * s.hy
+    mass = float(np.vdot(s.f, s.f).real * np.vdot(s.g, s.g).real * w)
+    return mass, 2.0 * s.dbar_norm2() / imm.scale ** 2 * w
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +181,15 @@ def rayleigh_bound_check(s: ProductSection, imm: FlatTorus,
 
 @dataclass
 class ExceptionalReport:
+    """The masks and cutoffs are functions of eta alone, sampled at the
+    2n rows eta = j / 2n; `s1` and `localized` are product sections."""
+
     U_masks: list[np.ndarray]
     V_masks: list[np.ndarray]
     phi_I: np.ndarray
     phi_V: np.ndarray
-    s1: SectionGrid
-    localized: SectionGrid
+    s1: ProductSection
+    localized: ProductSection
     energies_I: list[float]
     energies_J: list[float]
     selected: int
@@ -213,7 +212,9 @@ def exceptional_cutoffs(imm: FlatTorus, R: float, n: int) -> ExceptionalReport:
     the I-case cutoff ramps as 3 - 6 d_1 / R between R/3 and R/2, the
     V-case uses (3/R) min(d_0, d_1).  `injectivity_violations` counts the
     nodes where the selected cutoff's support meets its translate by the
-    deck transformation, half the cover vertically.
+    deck transformation, half the cover vertically.  The section depends on
+    xi alone and every distance on eta alone, so nothing of size n^2 is
+    built: each grid sum is a product of two axis sums.
     """
     if not isinstance(imm, FlatTorus):
         raise DomainError("exceptional construction implemented on flat tori")
@@ -222,9 +223,8 @@ def exceptional_cutoffs(imm: FlatTorus, R: float, n: int) -> ExceptionalReport:
         raise ResolutionError("R/6 band resolved by fewer than ~8 cells")
     ny = 2 * n
     xi = np.arange(n) / n
-    eta = np.arange(ny) / ny
-    X, E = np.meshgrid(xi, eta, indexing="ij")
-    y = b_len * E  # physical vertical coordinate in [0, b_len)
+    # the physical vertical coordinate in [0, b_len) of each eta row
+    y = b_len * (np.arange(ny) / ny)
     half = b_len / 2.0
 
     # The double cover stacks two copies of the base torus, so the two
@@ -238,41 +238,38 @@ def exceptional_cutoffs(imm: FlatTorus, R: float, n: int) -> ExceptionalReport:
     phi_I = np.clip(3.0 - 6.0 * d[1] / R, 0.0, 1.0)
     phi_V = np.clip(np.minimum(d[0], d[1]) * 3.0 / R, 0.0, 1.0)
 
-    # Horizontal detwist: delta((0,0),(xi,0)) truncated at R.
-    delta_xi = np.minimum(R, a_len * X)
     # Periodic-gauge values: the xi phase pi is detwisted by the truncated
-    # distance (exactly periodic because delta reaches R at the seam); the
-    # eta phase pi stays in the connection and is paid as vertical energy.
-    c1 = np.exp(1j * (np.pi * X - delta_xi * np.pi / R))
-    s1 = SectionGrid(lattice=imm.lattice, a=1.0, b=2.0, values=c1[:, :, None],
-                     phi=np.pi, theta=np.pi)
+    # distance delta((0,0),(xi,0)) = min(R, a xi) (exactly periodic because
+    # delta reaches R at the seam); the eta phase pi stays in the connection
+    # and is paid as vertical energy.
+    f = np.exp(1j * (np.pi * xi - np.minimum(R, a_len * xi) * np.pi / R))
+    s1 = ProductSection(imm.lattice, 1.0, 2.0, f, np.ones(ny, dtype=complex),
+                        np.pi, np.pi, 0.0)
 
+    # sum |s1|^2 cell over each region: the xi sum times the masked eta sum
     cell = a_len * b_len / (n * ny)
-    dens = np.abs(c1) ** 2 * cell
-    I = [float(np.sum(dens[U[0]])), float(np.sum(dens[U[1]]))]
-    J = [float(np.sum(dens[V[0]])), float(np.sum(dens[V[1]]))]
+    nf = np.vdot(s1.f, s1.f).real
+    I, J = ([float(nf * np.vdot(s1.g[m], s1.g[m]).real * cell) for m in M]
+            for M in (U, V))
     selected = int(np.argmax(I))
     phi = phi_I if selected == 1 else np.clip(3.0 - 6.0 * d[0] / R, 0.0, 1.0)
+    localized = replace(s1, g=phi * s1.g)
 
-    loc_vals = phi[:, :, None] * s1.values
-    localized = SectionGrid(lattice=imm.lattice, a=1.0, b=2.0, values=loc_vals,
-                            phi=np.pi, theta=np.pi)
-
-    fac = _chart_factors(imm)
-
-    # Gradient magnitudes of the cutoffs (lam2 = 1 on the flat chart).
-    g_I, g_V = (np.abs(wirtinger_diff(f, fac, (1.0 / n, 1.0 / ny)))
-                for f in (phi_I, phi_V))
+    # Gradient magnitudes of the cutoffs (lam2 = 1 on the flat chart): a
+    # function of eta has no xi difference, so |dbar phi| = |f_eta| |D phi|.
+    feta = abs(_chart_factors(imm)[1])
+    g_I, g_V = (feta * np.abs(_axis_diff(c, 0, 1.0 / ny, 0.0)).max()
+                for c in (phi_I, phi_V))
     bound_I = (6.0 / R) * np.sqrt(3.0)
     bound_V = (3.0 / R) * np.sqrt(3.0)
 
     # Support injectivity: the support must miss its vertical deck
     # translate (by half the cover); count the nodes where it does not.
     supp = phi > 1e-12
-    viol = int(np.count_nonzero(supp & np.roll(supp, ny // 2, axis=1)))
+    viol = n * int(np.count_nonzero(supp & np.roll(supp, ny // 2)))
 
     # Rayleigh quotient of the localized section against the proof's chain.
-    energy = 2.0 * dbar_energy_chart(localized, imm)
+    energy = _chart_mass_energy(localized, imm)[1]
     mass_sel = I[selected]
     ray = energy / mass_sel if mass_sel > 0 else np.inf
     chain = (EXCEPTIONAL_CONSTANT / R) ** 2
@@ -281,7 +278,7 @@ def exceptional_cutoffs(imm: FlatTorus, R: float, n: int) -> ExceptionalReport:
         localized=localized, energies_I=I, energies_J=J, selected=selected,
         case="I" if max(I) >= max(J) else "V",
         grad_bound_I=bound_I, grad_bound_V=bound_V,
-        max_grad_I=float(np.max(g_I)), max_grad_V=float(np.max(g_V)),
+        max_grad_I=float(g_I), max_grad_V=float(g_V),
         rayleigh=float(ray), chain_bound=float(chain),
         injectivity_violations=viol,
     )

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from stabletori.sections import dbar
+
 
 # ---------------------------------------------------------------------------
 # acceptance reporting: one visible pass/fail line per criterion
@@ -190,6 +192,32 @@ def cutoff_phi(n, ix, iy, window):
     phi = np.ones((n, n))
     phi[np.ix_(ix, iy)] = window
     return phi
+
+
+def chart_norm2(sec, imm, values):
+    """sum |values|^2 dxdy over the n x n grid of the `SectionGrid` sec in
+    the flat chart of imm; with the section's own values this is its da
+    mass (lam2 = 1 on a flat chart)."""
+    w = imm.scale ** 2 * imm.lattice.tau2 * sec.hx * sec.hy
+    return float(np.sum(np.abs(values) ** 2) * w)
+
+
+def dbar_energy_chart(sec, imm):
+    """sum |nabla_zbar c|^2 dxdy of a scalar `SectionGrid` in the flat chart
+    of imm, from `dbar` of the whole grid."""
+    return chart_norm2(sec, imm, dbar(sec).values / imm.scale)
+
+
+def surface_projectors(Fz):
+    """Tangent and normal projectors, (n, n, 4, 4) each, of a conformal
+    immersion with stored F_z: P_T = t1 t1^T + t2 t2^T for the unit
+    vectors t1, t2 along F_x = 2 Re F_z and F_y = -2 Im F_z, and
+    P_N = I - P_T."""
+    t1, t2 = (v / np.linalg.norm(v, axis=2, keepdims=True)
+              for v in (2 * Fz.real, -2 * Fz.imag))
+    PT = (np.einsum("xyi,xyj->xyij", t1, t1)
+          + np.einsum("xyi,xyj->xyij", t2, t2))
+    return PT, np.eye(Fz.shape[2]) - PT
 
 
 def plane_wave_sections(normal_proj, tau, puncture, count, extent=1,

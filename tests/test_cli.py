@@ -280,6 +280,8 @@ def test_systole_default_reports_rayleigh_chain(tmp_path):
     assert data["kappa_hat"] == pytest.approx(0.5, rel=1e-12)
     assert data["bound"] == data["C"] / np.sqrt(0.5)
     assert data["verdict"] is True
+    # the continuum bottom is 0, so the bound applies
+    assert data["applicable"] is True
 
 
 def test_systole_svg_draws_the_flat_default_phase_in_one_colour(tmp_path):
@@ -507,15 +509,18 @@ for sub, cfg in [("stability", {"grid": 32}), ("systole", {}),
                  ("cutoff", {"epsilons": [0.3], "grid": 128}),
                  ("abelian", {})]:
     print(json.dumps([sub, run(sub, cfg), scipy_modules()]))
+from stabletori.scenarios import EllipticScenario
+EllipticScenario().stability_audit(count=10)
+print(json.dumps(["audit", scipy_modules()]))
 print(json.dumps(["decompose", run("decompose", {"rank": 2, "count": 2}),
                   "scipy.linalg" in sys.modules]))
 """
 
 
 def test_only_decompose_loads_scipy(tmp_path):
-    """Importing the CLI and running the five other subcommands (`systole`
-    at its default) loads no scipy module; `decompose` then loads
-    scipy.linalg.
+    """Importing the CLI, running the five other subcommands (`systole`
+    at its default) and the elliptic stability audit loads no scipy
+    module; `decompose` then loads scipy.linalg.
 
     A fresh interpreter is needed: this one already holds scipy.
     """
@@ -526,7 +531,7 @@ def test_only_decompose_loads_scipy(tmp_path):
     lines = [json.loads(x) for x in proc.stdout.splitlines()]
     assert lines == [[]] + [[sub, 0, []] for sub in (
         "stability", "systole", "sections", "cutoff", "abelian")] + [
-        ["decompose", 0, True]]
+        ["audit", []], ["decompose", 0, True]]
 
 
 def test_stability_and_systole_assemble_no_matrix(tmp_path, monkeypatch):

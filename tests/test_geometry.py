@@ -472,23 +472,20 @@ def test_lens_transport_reads_exact_lines(p, q):
 
 
 def test_surface_quantities_projections():
-    # on the elliptic immersion, at its unmasked nodes off branch points
+    # on the elliptic immersion, at every node: the frames are orthonormal,
+    # orthogonal to each other, and the tangent frame's projector fixes the
+    # tangent vectors F_x, F_y, which the normal frame annihilates
     imm = elliptic_curve_immersion(Lattice(0.0, 1.0), 0.1, 24)
     q = surface_quantities(imm)
+    Ft, Fn = q.tangent_frame, q.normal_frame
+    assert Ft.shape == Fn.shape == (24, 24, 2, imm.dim)
+    eye = np.broadcast_to(np.eye(2), (24, 24, 2, 2))
+    for A, B, want in ((Ft, Ft, eye), (Fn, Fn, eye), (Ft, Fn, 0 * eye)):
+        assert np.allclose(A @ np.swapaxes(B, -1, -2), want, atol=1e-12)
     Fx, Fy = 2 * imm.Fz.real, -2 * imm.Fz.imag
-    off = (imm.mask & (np.linalg.norm(Fx, axis=2) >= 1e-8)
-           & (np.linalg.norm(Fy, axis=2) >= 1e-8))
-    assert off.sum() > 0.9 * imm.mask.sum()
-    PT, PN = q.tangent_proj[off], q.normal_proj[off]
-    eye = np.eye(imm.dim)[None]
-    assert np.allclose(PT + PN, eye, atol=1e-12)
-    assert np.allclose(np.einsum("xij,xjk->xik", PT, PT), PT, atol=1e-12)
-    tr = np.einsum("xii->x", PT)
-    assert np.allclose(tr, 2.0, atol=1e-12)
-    # PT fixes the tangent vectors F_x, F_y and PN annihilates them
-    for v in (Fx[off], Fy[off]):
-        size = np.linalg.norm(v, axis=1)[:, None]
-        assert np.allclose(np.einsum("xij,xj->xi", PT, v) / size, v / size,
-                           atol=1e-12)
-        assert np.allclose(np.einsum("xij,xj->xi", PN, v) / size, 0.0,
+    for v in (Fx, Fy):
+        u = v / np.linalg.norm(v, axis=2, keepdims=True)
+        PTu = np.einsum("xyki,xykj,xyj->xyi", Ft, Ft, u)
+        assert np.allclose(PTu, u, atol=1e-12)
+        assert np.allclose(np.einsum("xyki,xyi->xyk", Fn, u), 0.0,
                            atol=1e-12)

@@ -12,8 +12,8 @@ from stabletori.errors import (ConfigError, ConvergenceError, DomainError,
                                ResolutionError, ShapeError, WrongFormError)
 from stabletori.lattice import CoverSpec, Lattice, wirtinger_factors
 from stabletori.bundles import principal_angle
-from stabletori.geometry import (SurfaceQuantities, product_geodesic_torus,
-                                 surface_quantities)
+from stabletori.geometry import (elliptic_curve_immersion,
+                                 product_geodesic_torus, surface_quantities)
 from stabletori import stability
 from stabletori.scenarios import (EllipticScenario, FlatTorusScenario,
                                   LensScenario, flat_chart_immersion,
@@ -25,7 +25,8 @@ from stabletori.stability import (SYMBOL_TOL, DiscreteForm, StencilForm,
 from stabletori.sections import wirtinger_diff
 
 from conftest import (cutoff_phi, fourier_lambda_min, kron_twisted_form_q,
-                      plane_wave_sections, stencil_spectrum_mismatch)
+                      plane_wave_sections, stencil_spectrum_mismatch,
+                      surface_projectors)
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +502,9 @@ def test_audit_densities_match_two_wirtinger_diffs(extent, twist):
         P = np.tile(P, (extent, extent, 1, 1))
         return np.sum(np.abs(np.einsum("xyij,xyjs->xyis", P, w)) ** 2, axis=2)
 
-    want = (norm2(wirtinger_diff(v, fac, steps, twist), quants.normal_proj),
-            norm2(wirtinger_diff(v, np.conj(fac), steps, twist),
-                  quants.tangent_proj))
+    PT, PN = surface_projectors(imm.Fz)
+    want = (norm2(wirtinger_diff(v, fac, steps, twist), PN),
+            norm2(wirtinger_diff(v, np.conj(fac), steps, twist), PT))
     got = stability._index_densities(imm, quants, extent, twist)(v)
     for g, w in zip(got, want):
         assert g.shape == w.shape == (24 * extent, 24 * extent, 7)
@@ -519,7 +520,7 @@ def test_random_normal_sections_match_plane_waves(seed, extent):
     sc = EllipticScenario(n=16)
     imm = sc.immersion()
     got = np.array(list(sc.random_normal_sections(13, extent, seed, imm=imm)))
-    want = plane_wave_sections(surface_quantities(imm).normal_proj,
+    want = plane_wave_sections(surface_projectors(imm.Fz)[1],
                                imm.lattice.tau, sc.puncture, 13, extent, seed)
     assert got.shape == want.shape == (13, 16 * extent, 16 * extent, 4)
     np.testing.assert_allclose(got, want, rtol=1e-14,
@@ -529,29 +530,38 @@ def test_random_normal_sections_match_plane_waves(seed, extent):
 @pytest.mark.parametrize("n", [16, 64])
 @pytest.mark.parametrize("extent", [1, 2])
 def test_node_frames_are_orthonormal_and_span_the_projectors(n, extent):
-    quants = surface_quantities(EllipticScenario(n=n).immersion())
+    # the closed-form frames against the projectors of F_x and F_y, on a
+    # square and a sheared lattice, repeated over the cover as the audit
+    # repeats them
     eye = np.eye(2)
-    for P in (quants.normal_proj, quants.tangent_proj):
-        F = stability._tile(stability._node_frame(P), extent)
-        P = stability._tile(P, extent)
-        assert F.shape == (n * extent, n * extent, 2, 4)
-        np.testing.assert_allclose(F @ np.swapaxes(F, -1, -2),
-                                   np.broadcast_to(eye, F.shape[:2] + (2, 2)),
-                                   rtol=0, atol=1e-14)
-        np.testing.assert_allclose(np.swapaxes(F, -1, -2) @ F, P,
-                                   rtol=0, atol=1e-14)
+    for tau in (1j, 0.3 + 1.1j):
+        imm = elliptic_curve_immersion(Lattice(tau.real, tau.imag), 0.1, n)
+        quants = surface_quantities(imm)
+        for F, P in zip((quants.tangent_frame, quants.normal_frame),
+                        surface_projectors(imm.Fz)):
+            F, P = (stability._tile(a, extent) for a in (F, P))
+            assert F.shape == (n * extent, n * extent, 2, 4)
+            np.testing.assert_allclose(
+                F @ np.swapaxes(F, -1, -2),
+                np.broadcast_to(eye, F.shape[:2] + (2, 2)), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(np.swapaxes(F, -1, -2) @ F, P,
+                                       rtol=0, atol=1e-14)
 
 
-def test_index_densities_refuse_a_projector_with_no_frame():
-    # a halved tangent projector, as at a branch point, has no orthonormal
-    # 2-frame; a frame norm would drop part of its density
+def test_surface_quantities_refuse_a_branch_point():
+    # a zero F_z node has no tangent plane; a frame there would be NaN
     imm = EllipticScenario(n=16).immersion()
-    quants = surface_quantities(imm)
-    PT = quants.tangent_proj.copy()
-    PT[3, 5] *= 0.5
-    bad = SurfaceQuantities(tangent_proj=PT, normal_proj=quants.normal_proj)
+    imm.Fz[3, 5] = 0.0
     with pytest.raises(DomainError, match="at 1 nodes"):
-        stability._index_densities(imm, bad)
+        surface_quantities(imm)
+
+
+def test_surface_quantities_refuse_a_non_holomorphic_curve():
+    # the closed-form frames hold for F_z = (u, -i u, v, -i v) only
+    imm = EllipticScenario(n=16).immersion()
+    imm.Fz[3, 5, 1] *= 1 + 1e-9
+    with pytest.raises(WrongFormError, match="not a holomorphic curve"):
+        surface_quantities(imm)
 
 
 def test_elliptic_audit_builds_no_sparse_form(monkeypatch):

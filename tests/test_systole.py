@@ -9,7 +9,7 @@ import pytest
 from stabletori.bundles import LineHolonomy
 from stabletori.errors import DomainError, ResolutionError, WrongFormError
 from stabletori.geometry import product_geodesic_torus
-from stabletori.lattice import CoverSpec, Lattice
+from stabletori.lattice import CoverSpec, Lattice, wirtinger_factors
 from stabletori.scenarios import (EllipticScenario, FlatTorusScenario,
                                   LensScenario, flat_chart_immersion)
 from stabletori.systole import (EIGHT_NEIGHBOR_ANISOTROPY,
@@ -17,7 +17,9 @@ from stabletori.systole import (EIGHT_NEIGHBOR_ANISOTROPY,
                                 axis_truncated_distances, exceptional_cutoffs,
                                 induced_systole, phase_trial_section,
                                 rayleigh_bound_check, systole_bound_verdict)
-from stabletori.stability import chart_norm2, dbar_energy_chart
+from stabletori.sections import SectionGrid
+
+from conftest import chart_norm2, dbar_energy_chart
 
 
 def test_induced_systole_flat_values():
@@ -129,6 +131,15 @@ def test_rayleigh_chain_holds_reports_each_inequality():
     assert not rayleigh_bound_check(s, imm, kappa=0.49).chain_holds
 
 
+def test_grad_bound_needs_a_systole():
+    # a line section carries no R, so it has no trial-section bound
+    from stabletori.bundles import line_section
+    s = line_section(LineHolonomy(np.pi, np.pi), 2, Lattice(0.0, 1.0), 8)
+    assert s.R is None
+    with pytest.raises(DomainError, match="systole R"):
+        s.grad_bound
+
+
 def test_rayleigh_check_requires_systole_tag():
     imm = LensScenario(n=32).torus
     td = axis_truncated_distances(imm, 2.0943951023931953)
@@ -228,7 +239,69 @@ def test_exceptional_cutoffs_regions_and_bounds():
     # the localized Rayleigh quotient sits below the chain constant
     assert rep.chain_bound == pytest.approx((EXCEPTIONAL_CONSTANT / 0.6) ** 2)
     assert rep.rayleigh <= rep.chain_bound
-    assert np.allclose(np.abs(rep.s1.values), 1.0, atol=1e-12)
+    assert np.allclose(np.abs(rep.s1.grid().values), 1.0, atol=1e-12)
+
+
+def _grid_exceptional(imm, R, n):
+    """The scalars of `exceptional_cutoffs` from n x 2n meshgrids: masks,
+    cutoffs and the section on every node, gradients by periodic central
+    differences of the whole grid, the energy by `dbar_energy_chart`."""
+    a_len, b_len = imm.periods
+    ny = 2 * n
+    X, E = np.meshgrid(np.arange(n) / n, np.arange(ny) / ny, indexing="ij")
+    y = b_len * E
+    d0, d1 = np.minimum(y, b_len - y), np.abs(y - b_len / 2)
+    U = [d0 <= R / 3, d1 <= R / 3]
+    out = (d0 > R / 3) & (d1 > R / 3)
+    V = [out & (y < b_len / 2), out & (y >= b_len / 2)]
+    c = np.exp(1j * (np.pi * X - np.minimum(R, a_len * X) * np.pi / R))
+    cell = a_len * b_len / (n * ny)
+    I = [float(np.sum(np.abs(c[m]) ** 2) * cell) for m in U]
+    J = [float(np.sum(np.abs(c[m]) ** 2) * cell) for m in V]
+    fxi, feta = (f / imm.scale for f in wirtinger_factors(imm.lattice))
+
+    def max_grad(phi):
+        dx = (np.roll(phi, -1, 0) - np.roll(phi, 1, 0)) * n / 2
+        dy = (np.roll(phi, -1, 1) - np.roll(phi, 1, 1)) * ny / 2
+        return float(np.abs(fxi * dx + feta * dy).max())
+
+    ramp = [np.clip(3 - 6 * dd / R, 0, 1) for dd in (d0, d1)]
+    phi_V = np.clip(np.minimum(d0, d1) * 3 / R, 0, 1)
+    sel = int(np.argmax(I))
+    supp = ramp[sel] > 1e-12
+    loc = SectionGrid(imm.lattice, 1.0, 2.0, ramp[sel] * c, np.pi, np.pi)
+    ray = 2 * dbar_energy_chart(loc, imm) / I[sel]
+    viol = int(np.count_nonzero(supp & np.roll(supp, n, axis=1)))
+    return I, J, max_grad(ramp[1]), max_grad(phi_V), ray, viol
+
+
+@pytest.mark.parametrize("periods, R, n", [((1.0, 2.0), 0.6, 96),
+                                           ((1.0, 1.0), 0.6, 64),
+                                           ((1.3, 2.0), 0.45, 128),
+                                           ((0.8, 2.5), 0.7, 100)])
+def test_exceptional_cutoffs_match_the_grid_oracle(periods, R, n):
+    rep = exceptional_cutoffs(flat_chart_immersion(*periods, n), R, n)
+    I, J, grad_I, grad_V, ray, viol = _grid_exceptional(
+        flat_chart_immersion(*periods, n), R, n)
+    np.testing.assert_allclose(rep.energies_I, I, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rep.energies_J, J, rtol=1e-12, atol=0)
+    for got, want in ((rep.max_grad_I, grad_I), (rep.max_grad_V, grad_V),
+                      (rep.rayleigh, ray)):
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert rep.injectivity_violations == viol
+
+
+def test_exceptional_cutoffs_at_grid_1000_allocate_no_grid():
+    # one n x 2n complex array would be 32 MB
+    n = 1000
+    imm = flat_chart_immersion(1.0, 2.0, n)
+    tracemalloc.start()
+    try:
+        exceptional_cutoffs(imm, 0.6, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_exceptional_cutoffs_resolution_guard():
