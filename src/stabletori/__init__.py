@@ -7,8 +7,8 @@ from .lattice import (CoverSpec, Lattice, cover_lattice, flat_systole,
                       normalize_lattice, wirtinger_factors)
 from .bundles import (AtiyahData, DecompositionReport, FlatBundle,
                       LineHolonomy, atiyah_sections, decompose_commuting_pair,
-                      lift_line_holonomy, line_section, nilpotent_log,
-                      principal_angle, pullback_bundle, two_torsion_classify)
+                      line_section, nilpotent_log, principal_angle,
+                      pullback_bundle, two_torsion_classify)
 from .sections import ProductSection, SectionGrid, dbar, gram_matrix
 
 __version__ = "0.1.0"

@@ -46,13 +46,6 @@ class LineHolonomy:
         return LineHolonomy(-self.phi, -self.theta)
 
 
-def lift_line_holonomy(L: LineHolonomy, k: int) -> LineHolonomy:
-    """Holonomy of the pullback to the cover C/(k*Lambda)."""
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    return LineHolonomy(principal_angle(k * L.phi), principal_angle(k * L.theta))
-
-
 def line_section(L: LineHolonomy, k: int, lat: Lattice,
                  n: int) -> ProductSection:
     """Unit almost-holomorphic section of the line bundle over C/(k*Lambda).
@@ -64,7 +57,9 @@ def line_section(L: LineHolonomy, k: int, lat: Lattice,
     sup |dbar s| then equals (1/k)|phi_k*dxi_dzbar + theta_k*deta_dzbar|
     in closed form, `sup_dbar_exact`.
     """
-    lifted = lift_line_holonomy(L, k)   # DomainError when k < 1
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    lifted = LineHolonomy(k * L.phi, k * L.theta)   # the pullback's holonomy
     if n < 8:
         raise ResolutionError("grid must be at least 8")
     omega_x = L.phi - lifted.phi / k   # = 2*pi*(integer)/k

@@ -252,7 +252,8 @@ def cmd_stability(cfg, out: Path, svg: bool):
                         [(r.degree, r.systole, r.lambda_min, r.stable)
                          for r in rows],
                         comment="verifies: covering sweep of the bottom "
-                                "eigenvalue against the induced systole")
+                                "eigenvalue against the exact flat systole "
+                                "of each cover")
     serialize.write_json(out / "stability.json", {
         "rows": [{"degree": r.degree, "R": r.systole,
                   "lambda_min": r.lambda_min, "stable": r.stable}

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bundles import LineHolonomy, principal_angle
 from .errors import DomainError, ResolutionError, ShapeError, WrongFormError
-from .lattice import Lattice
+from .lattice import CoverSpec, Lattice
 from .weierstrass import eisenstein_invariants, wp
 
 
@@ -407,6 +407,20 @@ class FlatTorus:
     @property
     def dim(self) -> int:
         return self.ambient.dim
+
+    def cover(self, spec: CoverSpec) -> "FlatTorus":
+        """The torus of the diagonal cover ((kx, 0), (0, ky)): periods
+        (kx a, ky b), on the same ambient, frame and grid, with each normal
+        line's holonomy lifted to (kx phi, ky theta).  A sheared spec raises
+        DomainError."""
+        (kx, shear_x), (shear_y, ky) = spec.basis
+        if shear_x != 0 or shear_y != 0:
+            raise DomainError("a flat torus covers diagonally only")
+        lines = [(LineHolonomy(kx * hol.phi, ky * hol.theta), e)
+                 for hol, e in self.normal_lines]
+        a, b = self.periods
+        return FlatTorus((kx * a, ky * b), self.ambient, self.n, self.frame,
+                         lines)
 
 
 def elliptic_curve_immersion(lat: Lattice, puncture_radius: float,

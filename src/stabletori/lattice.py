@@ -120,11 +120,6 @@ class CoverSpec:
             raise InvalidCoverError("k must be >= 1")
         return CoverSpec(((k, 0), (0, k)))
 
-    @staticmethod
-    def double_double() -> "CoverSpec":
-        """The sublattice spanned by 2 and 2*tau, degree 4."""
-        return CoverSpec(((2, 0), (0, 2)))
-
 
 def cover_lattice(lat: Lattice, spec: CoverSpec,
                   scale: float = 1.0) -> tuple[Lattice, float, int]:

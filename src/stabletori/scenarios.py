@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import LineHolonomy, principal_angle
+from .bundles import LineHolonomy
 from .errors import ConfigError, DomainError, WrongFormError
 from .geometry import (AmbientSpace, FlatTorus, Immersion, SurfaceQuantities,
                        elliptic_curve_immersion, product_geodesic_torus,
@@ -19,8 +19,9 @@ from .stability import (DiscreteForm, StencilForm, _index_densities,
 
 # Sections per batch of the elliptic audit: one (N, N, 4, batch) array is
 # about 2.6 MB at N = 64, so a batch costs little memory while its numpy
-# calls still cover many sections each.
+# calls still cover many sections each.  Each section sums AUDIT_MODES waves.
 AUDIT_BATCH = 10
+AUDIT_MODES = 4
 
 
 def flat_chart_immersion(a_len: float, b_len: float, n: int,
@@ -38,20 +39,19 @@ def flat_chart_immersion(a_len: float, b_len: float, n: int,
     return FlatTorus((a_len, b_len), ambient, n, np.eye(ambient.dim)[:2])
 
 
-def second_variation_form(imm: FlatTorus, kx: int, ky: int,
-                          n: int) -> StencilForm:
-    """Second variation of a flat totally geodesic torus on its (kx, ky) cover.
+def second_variation_form(imm: FlatTorus) -> StencilForm:
+    """Second variation of a flat totally geodesic torus, on its n x n grid.
 
     The complexified normal bundle splits into the flat lines of
     `imm.normal_lines`; on the first of them the form is the scalar twisted
-    Laplacian over the periods scaled by (kx, ky), with the line's holonomy
-    lifted to the cover, plus the constant potential -sum_i R(t_i, e, t_i, e)
-    at the ambient's base point, for the tangent frame t_i of `imm.frame`
-    and the real unit normal e along the line (the model geometries are
-    homogeneous).  The lines of a lens torus are dual, so their spectra
-    coincide.  A torus with no normal lines in a flat ambient gets the
-    untwisted form with no potential; anything but a `FlatTorus` raises
-    WrongFormError.
+    Laplacian over `imm.periods` with the line's holonomy as the twist, plus
+    the constant potential -sum_i R(t_i, e, t_i, e) at the ambient's base
+    point, for the tangent frame t_i of `imm.frame` and the real unit
+    normal e along the line (the model geometries are homogeneous).  The
+    lines of a lens torus are dual, so their spectra coincide.  A cover's
+    form is the form of `FlatTorus.cover`.  A torus with no normal lines in
+    a flat ambient gets the untwisted form with no potential; anything but
+    a `FlatTorus` raises WrongFormError.
     """
     if not isinstance(imm, FlatTorus):
         raise WrongFormError("the second variation form needs a flat torus")
@@ -62,17 +62,8 @@ def second_variation_form(imm: FlatTorus, kx: int, ky: int,
     elif not imm.ambient.is_flat:
         raise WrongFormError("a torus in a curved ambient needs normal lines")
     curv = imm.ambient.curvature(imm.frame, e, imm.frame, e)
-    a, b = imm.periods
-    twist = (principal_angle(kx * hol.phi), principal_angle(ky * hol.theta))
-    return flat_twisted_form((kx * a, ky * b), twist, n,
+    return flat_twisted_form(imm.periods, (hol.phi, hol.theta), imm.n,
                              potential=-float(np.sum(curv.real)))
-
-
-def _diagonal_cover(spec: CoverSpec) -> tuple[int, int]:
-    (a, b), (c, d) = spec.basis
-    if b != 0 or c != 0:
-        raise DomainError("scenario sweeps support diagonal covers only")
-    return a, d
 
 
 @dataclass
@@ -80,8 +71,8 @@ class LensScenario:
     """S^1(L) x lens(p, q) on S^3(rho), with the short geodesic torus.
 
     `torus` is the `product_geodesic_torus` for an n x n grid, built once
-    and held in closed form; every form of the sweep is its
-    `second_variation_form`.
+    and held in closed form; every form of the sweep is the
+    `second_variation_form` of one of its covers, `torus.cover(spec)`.
     """
 
     L: float = 2.0
@@ -95,15 +86,14 @@ class LensScenario:
         self.torus = product_geodesic_torus(self.L, self.rho, self.n_sphere,
                                             (self.p, self.q), self.n)
 
-    def cover_form(self, kx: int, ky: int, n: int) -> StencilForm:
-        return second_variation_form(self.torus, kx, ky, n)
+    def cover_form(self, spec: CoverSpec) -> StencilForm:
+        return second_variation_form(self.torus.cover(spec))
 
     def level(self, spec: CoverSpec):
-        kx, ky = _diagonal_cover(spec)
-        a, b = self.torus.periods
-        R = flat_systole(Lattice(0.0, ky * b / (kx * a)), kx * a)
-        res = min_eigenvalue(self.cover_form(kx, ky, self.n))
-        return spec.degree, R, res.lambda_min, res.continuum
+        cover = self.torus.cover(spec)
+        res = min_eigenvalue(self.cover_form(spec))
+        return (spec.degree, flat_systole(cover.lattice, cover.scale),
+                res.lambda_min, res.continuum)
 
 
 @dataclass
@@ -121,27 +111,24 @@ class EllipticScenario:
         return euclidean_index_form(self.immersion(), extent=extent)
 
     def random_normal_sections(self, count: int, extent: int = 1,
-                               seed: int = 0, modes: int = 4,
-                               imm: Immersion | None = None,
+                               seed: int = 0, imm: Immersion | None = None,
                                quants: SurfaceQuantities | None = None):
         """Band-limited normal-projected sections supported off the puncture.
 
         Each of the `count` sections, (N, N, 4) with N = extent * imm.n, is
-        `modes` plane waves e^{2 pi i (kx xi + ky eta) / extent}, |kx|, |ky|
-        <= 3, with complex Gaussian amplitudes in R^4, summed as separable
-        products e_kx(xi) e_ky(eta), times a bump that vanishes within 1.3
-        puncture radii of each lattice point, so on every masked node, then
-        projected onto the normal plane node by node, as Fn^T Fn v in its
-        orthonormal frame Fn.  The stream depends on
+        AUDIT_MODES plane waves e^{2 pi i (kx xi + ky eta) / extent},
+        |kx|, |ky| <= 3, with complex Gaussian amplitudes in R^4, summed as
+        separable products e_kx(xi) e_ky(eta), times a bump that vanishes
+        within 1.3 puncture radii of each lattice point, so on every masked
+        node, then projected onto the normal plane node by node, as
+        Fn^T Fn v in its orthonormal frame Fn.  The stream depends on
         `seed` alone; `stability_audit` reads the same sections in batches.
         `imm` and its `surface_quantities` are built here unless given.
         """
-        for batch in self._section_batches(count, extent, seed, modes,
-                                           imm, quants):
+        for batch in self._section_batches(count, extent, seed, imm, quants):
             yield from np.moveaxis(batch, -1, 0)
 
-    def _section_batches(self, count, extent, seed, modes=4, imm=None,
-                         quants=None):
+    def _section_batches(self, count, extent, seed, imm=None, quants=None):
         """random_normal_sections as (N, N, 4, S) batches of AUDIT_BATCH."""
         imm = imm or self.immersion()
         quants = quants or surface_quantities(imm)
@@ -160,16 +147,16 @@ class EllipticScenario:
         rng = np.random.default_rng(seed)
         for start in range(0, count, AUDIT_BATCH):
             S = min(AUDIT_BATCH, count - start)
-            k = np.empty((S, modes, 2), dtype=int)
-            amp = np.empty((S, modes, 4), dtype=complex)
+            k = np.empty((S, AUDIT_MODES, 2), dtype=int)
+            amp = np.empty((S, AUDIT_MODES, 4), dtype=complex)
             for s in range(S):
-                for m in range(modes):
+                for m in range(AUDIT_MODES):
                     k[s, m] = rng.integers(-3, 4), rng.integers(-3, 4)
                     amp[s, m] = (rng.standard_normal(4)
                                  + 1j * rng.standard_normal(4))
-            # section s: (4 N, modes) @ (modes, N) of a_m e_kx(xi), e_ky(eta)
+            # section s: (4 N, M) @ (M, N) of a_m e_kx(xi), e_ky(eta), M modes
             left = np.einsum("smc,smx->scxm", amp, waves[k[..., 0] + 3])
-            vals = left.reshape(S, 4 * N, modes) @ waves[k[..., 1] + 3]
+            vals = left.reshape(S, 4 * N, AUDIT_MODES) @ waves[k[..., 1] + 3]
             vals = vals.reshape(S, 4, N, N).transpose(2, 3, 1, 0).copy()
             yield (PN @ vals.view(float)).view(complex)
 
@@ -209,8 +196,9 @@ class EllipticScenario:
 
 @dataclass
 class FlatTorusScenario:
-    """Totally geodesic flat torus inside a flat 4-torus: the lens sweep
-    read off `flat_chart_immersion`."""
+    """Totally geodesic flat torus inside a flat 4-torus: the lens sweep's
+    `cover_form` and `level` read off `torus.cover(spec)` of the
+    `flat_chart_immersion`, which has no twist and no potential."""
 
     a_len: float = 1.0
     b_len: float = 1.0

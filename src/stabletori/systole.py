@@ -206,11 +206,12 @@ class ExceptionalReport:
 def exceptional_cutoffs(imm: FlatTorus, R: float, n: int) -> ExceptionalReport:
     """Cutoff regions and localized sections on the vertical double cover.
 
-    Works on the domain [0,1) x [0,2) of the sublattice (1, 2*tau), with a
-    horizontal holonomy of -1 detwisted by the truncated-distance phase.
-    d_t is the induced distance to the circle eta = t; U_j = {d_j <= R/3};
-    the I-case cutoff ramps as 3 - 6 d_1 / R between R/3 and R/2, the
-    V-case uses (3/R) min(d_0, d_1).  `injectivity_violations` counts the
+    `imm` is that cover, two base tori stacked vertically, and everything
+    is measured in its own chart [0,1)^2 at n x 2n nodes, with a horizontal
+    holonomy of -1 detwisted by the truncated-distance phase.  d_j is the
+    induced distance to the circle eta = j / 2; U_j = {d_j <= R/3}; the
+    I-case cutoff ramps as 3 - 6 d_1 / R between R/3 and R/2, the V-case
+    uses (3/R) min(d_0, d_1).  `injectivity_violations` counts the
     nodes where the selected cutoff's support meets its translate by the
     deck transformation, half the cover vertically.  The section depends on
     xi alone and every distance on eta alone, so nothing of size n^2 is
@@ -243,7 +244,7 @@ def exceptional_cutoffs(imm: FlatTorus, R: float, n: int) -> ExceptionalReport:
     # delta reaches R at the seam); the eta phase pi stays in the connection
     # and is paid as vertical energy.
     f = np.exp(1j * (np.pi * xi - np.minimum(R, a_len * xi) * np.pi / R))
-    s1 = ProductSection(imm.lattice, 1.0, 2.0, f, np.ones(ny, dtype=complex),
+    s1 = ProductSection(imm.lattice, 1.0, 1.0, f, np.ones(ny, dtype=complex),
                         np.pi, np.pi, 0.0)
 
     # sum |s1|^2 cell over each region: the xi sum times the masked eta sum

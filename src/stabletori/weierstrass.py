@@ -13,6 +13,7 @@ from .errors import PoleError
 from .lattice import Lattice
 
 TWO_PI_I = 2j * np.pi
+POLE_CUTOFF = 1e-6
 
 
 def _reduce(z: np.ndarray, lat: Lattice) -> np.ndarray:
@@ -31,14 +32,14 @@ def _qseries_terms(lat: Lattice) -> int:
     return int(np.ceil((17 * np.log(10) / (np.pi * lat.tau2) + 1) / 2)) + 2
 
 
-def wp(z, lat: Lattice, pole_cutoff: float = 1e-6):
+def wp(z, lat: Lattice):
     """(wp(z), wp'(z)) by the q-series; vectorized over z.
 
-    Raises PoleError when a reduced argument is within `pole_cutoff` of a
+    Raises PoleError when a reduced argument is within POLE_CUTOFF of a
     lattice point.
     """
     zr = _reduce(z, lat)
-    if np.any(np.abs(zr) < pole_cutoff):
+    if np.any(np.abs(zr) < POLE_CUTOFF):
         raise PoleError("argument too close to a lattice point")
     q = np.exp(TWO_PI_I * lat.tau)
     u = np.exp(TWO_PI_I * zr)

@@ -133,7 +133,7 @@ def test_criterion_3_decomposition_roundtrip():
         labels.add(two_torsion_classify(LineHolonomy(phi, theta)))
         b = FlatBundle(np.array([[np.exp(1j * phi)]]),
                        np.array([[np.exp(1j * theta)]]), LAT)
-        pb = pullback_bundle(b, CoverSpec.double_double())
+        pb = pullback_bundle(b, CoverSpec.scaling(2))
         ok = ok and np.allclose(pb.rho1, 1.0, atol=1e-12)
         ok = ok and np.allclose(pb.rhotau, 1.0, atol=1e-12)
     ok = ok and labels == set(TWO_TORSION_LABELS)
@@ -214,7 +214,7 @@ def test_criterion_7_lens_scenario_end_to_end():
     sc = LensScenario(n=96)
     a, b = sc.torus.periods
     oracle = fourier_lambda_min((a, b), (0.0, 2 * np.pi / 3), potential=-1.0)
-    lam1 = min_eigenvalue(sc.cover_form(1, 1, 96)).lambda_min
+    lam1 = min_eigenvalue(sc.cover_form(CoverSpec.scaling(1))).lambda_min
     # the oracle value is exactly zero; 2% is read against the potential
     # scale 1 / rho^2 = 1
     lam_ok = abs(lam1 - oracle) <= 0.02

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from stabletori import geometry, stability, systole
+from stabletori.lattice import CoverSpec
 from stabletori.scenarios import LensScenario
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -80,3 +81,16 @@ def test_graph_systole_counter_reads_the_sources():
     out = tracer.pass_summary(0, wall=1.0)
     assert out["systole.induced_systole.calls"] == 1
     assert out["systole.induced_systole.sources"] == 4
+
+
+def test_level_spans_see_the_cover_form():
+    # a level builds its cover's form through `cover_form`, once
+    tracer = tracing.Tracer()
+    tracer.begin_pass(0)
+    scenario = LensScenario(n=16)
+    with tracer.installed():
+        scenario.level(CoverSpec.scaling(2))
+    names = [span[0] for span in tracer.spans]
+    assert names.count("scenarios.cover_form") == 1
+    out = tracer.pass_summary(0, wall=1.0)
+    assert out["stability.flat_twisted_form.calls"] == 1

@@ -13,7 +13,7 @@ from stabletori.bundles import (AtiyahData, FlatBundle, LineHolonomy,
                                 TWO_TORSION_LABELS, _jordan_chains,
                                 atiyah_sections,
                                 decompose_commuting_pair,
-                                lift_line_holonomy, line_section,
+                                line_section,
                                 nilpotent_log, principal_angle,
                                 pullback_bundle, two_torsion_classify)
 from stabletori.sections import dbar, gram_matrix
@@ -50,20 +50,13 @@ def test_line_holonomy_normalizes_and_dualizes():
     assert abs(np.exp(1j * (L.theta + D.theta)) - 1) < 1e-12
 
 
-def test_lift_line_holonomy_multiplies_angles():
-    L = LineHolonomy(0.4, -1.1)
-    L2 = lift_line_holonomy(L, 3)
-    assert L2.phi == pytest.approx(principal_angle(1.2))
-    assert L2.theta == pytest.approx(principal_angle(-3.3))
-
-
 def test_line_section_measured_sup_matches_closed_form():
     L = LineHolonomy(0.9, -2.0)
     fxi, feta = wirtinger_factors(LAT)
     for k in (1, 2, 3):
         sec = line_section(L, k, LAT, 128)
-        lifted = lift_line_holonomy(L, k)
-        expected = abs(lifted.phi * fxi + lifted.theta * feta) / k
+        expected = abs(principal_angle(k * L.phi) * fxi
+                       + principal_angle(k * L.theta) * feta) / k
         assert sec.k == k and (sec.a, sec.b) == (k, k)
         assert sec.sup_dbar_exact == pytest.approx(expected, rel=1e-12)
         measured = float(np.max(np.abs(dbar(sec.grid()).values)))
@@ -80,14 +73,21 @@ def test_line_section_is_the_meshgrid_phase_wave(L):
     # for k <= 16
     n = 256
     for k in range(1, 17):
-        lifted = lift_line_holonomy(L, k)
+        phi_k, theta_k = (principal_angle(k * x) for x in (L.phi, L.theta))
         t = np.arange(n) * (k / n)
         X, Y = np.meshgrid(t, t, indexing="ij")
-        want = np.exp(1j * ((L.phi - lifted.phi / k) * X
-                            + (L.theta - lifted.theta / k) * Y))
+        want = np.exp(1j * ((L.phi - phi_k / k) * X
+                            + (L.theta - theta_k / k) * Y))
         sec = line_section(L, k, LAT, n).grid()
         assert sec.values.shape == (n, n, 1)
         assert np.max(np.abs(sec.values[:, :, 0] - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_line_section_refuses_covers_below_one(k):
+    # the guard runs before anything divides by k
+    with pytest.raises(DomainError):
+        line_section(LineHolonomy(0.9, -2.0), k, LAT, 16)
 
 
 def test_line_section_trivial_lift_is_exactly_flat():
@@ -379,7 +379,7 @@ def test_two_torsion_classes_and_trivialization():
         labels.add(two_torsion_classify(L))
         b = FlatBundle(np.array([[np.exp(1j * phi)]]),
                        np.array([[np.exp(1j * theta)]]), LAT)
-        pb = pullback_bundle(b, CoverSpec.double_double())
+        pb = pullback_bundle(b, CoverSpec.scaling(2))
         assert np.allclose(pb.rho1, 1.0, atol=1e-12)
         assert np.allclose(pb.rhotau, 1.0, atol=1e-12)
     assert labels == set(TWO_TORSION_LABELS)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from stabletori.bundles import (FlatBundle, LineHolonomy,
                                 decompose_commuting_pair, principal_angle)
 from stabletori.errors import DomainError, ShapeError, WrongFormError
-from stabletori.lattice import Lattice
+from stabletori.lattice import CoverSpec, Lattice
 from stabletori.geometry import (KAPPA_BLOCK, AmbientSpace, IsotropicPlane,
                                  _orthonormal_frames, _plane_checks,
                                  complex_sectional_curvatures,
@@ -431,6 +431,29 @@ def test_product_torus_geometry():
         product_geodesic_torus(2.0, 1.0, 4, (3, 1), 32)
     with pytest.raises(DomainError):
         product_geodesic_torus(2.0, 1.0, 3, (4, 2), 32)
+
+
+def test_cover_multiplies_periods_and_lifts_holonomies():
+    # the (2, 3) cover: periods scaled per axis, each line's angles lifted
+    # and wrapped (-3.3 leaves the principal range), the rest shared
+    e = np.eye(4, dtype=complex)[2]
+    torus = FlatTorus((1.5, 0.7), AmbientSpace(kind="flat_torus"), 8,
+                      np.eye(4)[:2], [(LineHolonomy(0.4, -1.1), e)])
+    cover = torus.cover(CoverSpec(((2, 0), (0, 3))))
+    assert cover.periods == (2 * 1.5, 3 * 0.7)
+    assert cover.ambient is torus.ambient and cover.frame is torus.frame
+    assert cover.n == 8
+    (hol, line), = cover.normal_lines
+    assert line is e
+    assert (hol.phi, hol.theta) == (principal_angle(0.8),
+                                    principal_angle(3 * -1.1))
+    assert hol.theta == pytest.approx(-3.3 + 2 * np.pi)
+
+
+def test_cover_refuses_a_sheared_spec():
+    torus = product_geodesic_torus(2.0, 1.0, 3, (3, 1), 16)
+    with pytest.raises(DomainError):
+        torus.cover(CoverSpec(((1, 1), (0, 2))))
 
 
 LENSES = [(1, 0)] + [(p, q) for p in range(2, 13) for q in range(1, p)

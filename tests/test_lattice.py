@@ -84,7 +84,7 @@ def test_wirtinger_factors_annihilate_z_and_fix_zbar():
 def test_cover_spec_degree_and_validation():
     assert CoverSpec.scaling(3).degree == 9
     assert CoverSpec(((1, 0), (0, 2))).degree == 2
-    assert CoverSpec.double_double().degree == 4
+    assert CoverSpec(((2, 1), (0, 2))).degree == 4
     with pytest.raises(InvalidCoverError):
         CoverSpec(((1, 0), (2, 0)))   # rank deficient
 

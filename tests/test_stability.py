@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from stabletori.errors import (ConfigError, ConvergenceError, DomainError,
                                ResolutionError, ShapeError, WrongFormError)
-from stabletori.lattice import CoverSpec, Lattice, wirtinger_factors
+from stabletori.lattice import (CoverSpec, Lattice, flat_systole,
+                               wirtinger_factors)
 from stabletori.bundles import principal_angle
 from stabletori.geometry import (elliptic_curve_immersion,
                                  product_geodesic_torus, surface_quantities)
@@ -137,7 +138,7 @@ def test_pic_symbol_bottom_matches_dense_eigh(L, rho, lens, n):
     # the second variation of a product torus in the PIC ambient S^1 x S^3
     # or its lens quotient: the curvature potential comes from the ambient
     imm = product_geodesic_torus(L, rho, 3, lens, n)
-    form = second_variation_form(imm, 1, 1, n)
+    form = second_variation_form(imm)
     got = min_eigenvalue(form).lambda_min
     assert got == pytest.approx(_dense_bottom(form), abs=1e-9)
 
@@ -392,10 +393,10 @@ def test_flat_twisted_form_rejects_non_finite_input(kwargs):
 
 
 def test_lens_eigenvalue_ladder():
-    sc = LensScenario()
+    sc = LensScenario(n=64)
     expected = {1: 0.0, 2: -0.75, 3: -1.0}
     for k, want in expected.items():
-        got = min_eigenvalue(sc.cover_form(k, k, 64)).lambda_min
+        got = min_eigenvalue(sc.cover_form(CoverSpec.scaling(k))).lambda_min
         assert got == pytest.approx(want, abs=2e-3)
 
 
@@ -419,6 +420,40 @@ def test_lens_lines_and_bottoms_come_from_the_decomposition(p, q):
                                      rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("cover", [(1, 2), (2, 1), (3, 3)])
+@pytest.mark.parametrize("scenario", [LensScenario(p=3, q=1, n=16),
+                                      LensScenario(p=5, q=2, n=16),
+                                      LensScenario(p=2, q=1, n=16),
+                                      FlatTorusScenario(n=16)],
+                         ids=["lens31", "lens52", "lens21", "flat"])
+def test_cover_form_and_systole_match_the_scaled_construction(scenario,
+                                                              cover):
+    # the oracle scales the periods and lifts the first line's holonomy by
+    # hand, as the sweep did before covers were tori
+    kx, ky = cover
+    spec = CoverSpec(((kx, 0), (0, ky)))
+    torus = scenario.torus
+    a, b = torus.periods
+    phi, theta, potential = 0.0, 0.0, 0.0
+    if torus.normal_lines:
+        hol = torus.normal_lines[0][0]
+        phi, theta, potential = hol.phi, hol.theta, -1.0 / scenario.rho ** 2
+    want = flat_twisted_form(
+        (kx * a, ky * b),
+        (principal_angle(kx * phi), principal_angle(ky * theta)), 16,
+        potential)
+    got = second_variation_form(torus.cover(spec))
+    for name in ("stencils", "symbols", "shift", "continuum"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    R = scenario.level(spec)[1]
+    assert R == flat_systole(Lattice(0.0, ky * b / (kx * a)), kx * a)
+
+
+def test_level_refuses_a_sheared_cover():
+    with pytest.raises(DomainError):
+        LensScenario().level(CoverSpec(((1, 1), (0, 2))))
+
+
 def test_direct_lens_scenario_rejects_non_coprime_lens():
     # the CLI refuses (4, 2) as a config error; built directly, the torus
     # refuses it instead of sweeping a twist of pi
@@ -429,7 +464,7 @@ def test_direct_lens_scenario_rejects_non_coprime_lens():
 def test_second_variation_form_rejects_curved_base():
     imm = EllipticScenario(n=32).immersion()
     with pytest.raises(WrongFormError):
-        second_variation_form(imm, 1, 1, 32)
+        second_variation_form(imm)
 
 
 # ---------------------------------------------------------------------------
