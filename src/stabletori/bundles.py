@@ -22,6 +22,14 @@ from .errors import (ConvergenceError, DomainError, ResolutionError,
 from .lattice import CoverSpec, Lattice, cover_lattice, wirtinger_factors
 from .sections import ProductSection, SectionGrid
 
+# `nilpotent_log` takes A as unipotent when ||(A - I)^r|| <= NILPOTENT_TOL
+# max(||A||, 1); `two_torsion_classify` reads an angle within TORSION_TOL of
+# 0 or pi as that sign; `decompose_commuting_pair` accepts a relative
+# residual up to DECOMPOSE_TOL.
+NILPOTENT_TOL = 1e-10
+TORSION_TOL = 1e-9
+DECOMPOSE_TOL = 1e-8
+
 
 def principal_angle(x: float) -> float:
     """Wrap an angle into the principal range (-pi, pi]."""
@@ -75,7 +83,7 @@ def line_section(L: LineHolonomy, k: int, lat: Lattice,
         sup_dbar_exact=abs(lifted.phi * fxi + lifted.theta * feta) / k)
 
 
-def nilpotent_log(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def nilpotent_log(A: np.ndarray) -> np.ndarray:
     """log(A) for unipotent A via the terminating Mercator series."""
     A = np.asarray(A, dtype=complex)
     r = A.shape[0]
@@ -83,7 +91,7 @@ def nilpotent_log(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         raise ShapeError("square matrix required")
     N = A - np.eye(r)
     scale = max(np.linalg.norm(A), 1.0)
-    if np.linalg.norm(np.linalg.matrix_power(N, r)) > tol * scale:
+    if np.linalg.norm(np.linalg.matrix_power(N, r)) > NILPOTENT_TOL * scale:
         raise DomainError("A - I is not nilpotent")
     B = np.zeros_like(N)
     P = np.eye(r, dtype=complex)
@@ -150,8 +158,8 @@ def atiyah_sections(data: AtiyahData, lat: Lattice, n: int) -> list[SectionGrid]
     """The frame w_1..w_r of almost-holomorphic sections.
 
     In the periodic gauge with the orthonormal metric each w_j is the
-    constant coordinate vector, and dbar w_j = -(i/(2*tau2)) B w_j holds as
-    a pointwise algebraic identity.
+    constant coordinate vector, and dbar w_j = -(i/(2*scale*tau2)) B w_j
+    holds as a pointwise algebraic identity.
     """
     if n < 8:
         raise ResolutionError("grid must be at least 8")
@@ -186,7 +194,7 @@ PAIR_MIX = 0.5772156649 + 1.2020569032j
 
 # Largest ||X||_F of an accepted split T11 X - X T22 = T12 of the Schur form:
 # the separating similarity [[I, X], [0, I]] has condition about ||X||^2, so
-# 1e4 ~ sqrt(tol / eps) keeps rounding below the default tol = 1e-8.
+# 1e4 ~ sqrt(DECOMPOSE_TOL / eps) keeps rounding below DECOMPOSE_TOL.
 SPLIT_BOUND = 1e4
 
 
@@ -287,7 +295,7 @@ def _jordan_chains(N: np.ndarray, tol: float) -> list[np.ndarray]:
     return chains
 
 
-def decompose_commuting_pair(bundle: FlatBundle, tol: float = 1e-8):
+def decompose_commuting_pair(bundle: FlatBundle):
     """Split a commuting pair into scalar-times-unipotent blocks.
 
     Returns (DecompositionReport, filtrations, change_of_basis).  In the
@@ -302,34 +310,34 @@ def decompose_commuting_pair(bundle: FlatBundle, tol: float = 1e-8):
     eigenvalues by roughly eps**(1/b), so the form is split once, where the
     separating similarity is well conditioned (`_split_schur`), and the
     Jordan chains of each block give its summands.  The residual is the
-    relative distance of both matrices from that shape; above `tol`,
+    relative distance of both matrices from that shape; above DECOMPOSE_TOL,
     ConvergenceError carries the report as `best`.  A block that no chains
     span raises ConvergenceError without one.
     """
     import scipy.linalg
     A, C = bundle.rho1, bundle.rhotau
     T, Z = scipy.linalg.schur(A + PAIR_MIX * C, output="complex")
-    out = _decompose_attempt(A, C, _joint_bases(*_split_schur(T, Z)), tol)
+    out = _decompose_attempt(A, C, _joint_bases(*_split_schur(T, Z)))
     report = out[0]
-    if report.residual > tol:
+    if report.residual > DECOMPOSE_TOL:
         report.warnings.append("block residual above tolerance")
         raise ConvergenceError(
-            f"no block decomposition within tolerance {tol:g} "
+            f"no block decomposition within tolerance {DECOMPOSE_TOL:g} "
             f"(residual {report.residual:.2e})", best=report)
     return out
 
 
-def _angle(lam: complex, tol: float) -> float:
-    """Angle of an eigenvalue, exactly 0 or pi when within tol of either:
-    a trivial or sign factor must not read as a rounding angle."""
+def _angle(lam: complex) -> float:
+    """Angle of an eigenvalue, exactly 0 or pi when within DECOMPOSE_TOL of
+    either: a trivial or sign factor must not read as a rounding angle."""
     a = float(np.angle(lam))
-    if abs(a) <= tol:
+    if abs(a) <= DECOMPOSE_TOL:
         return 0.0
-    return math.pi if math.pi - abs(a) <= tol else a
+    return math.pi if math.pi - abs(a) <= DECOMPOSE_TOL else a
 
 
 def _decompose_attempt(A: np.ndarray, C: np.ndarray,
-                       blocks: list[np.ndarray], tol: float):
+                       blocks: list[np.ndarray]):
     warnings: list[str] = []
     cols: list[np.ndarray] = []
     summands: list[Summand] = []
@@ -340,15 +348,15 @@ def _decompose_attempt(A: np.ndarray, C: np.ndarray,
         lamA, lamC = np.trace(A_b) / len(A_b), np.trace(C_b) / len(C_b)
         NA, NC = A_b - lamA * np.eye(len(A_b)), C_b - lamC * np.eye(len(C_b))
         nA, nC = np.linalg.norm(NA), np.linalg.norm(NC)
-        if nA > tol and nC > tol:
+        if nA > DECOMPOSE_TOL and nC > DECOMPOSE_TOL:
             N = NA + NC
             warnings.append("joint block has nilpotent parts in both factors")
         elif nC >= nA:
             N = NC
         else:
             N = NA
-        line = LineHolonomy(_angle(lamA, tol), _angle(lamC, tol))
-        for ch in _jordan_chains(N, tol):
+        line = LineHolonomy(_angle(lamA), _angle(lamC))
+        for ch in _jordan_chains(N, DECOMPOSE_TOL):
             # An orthonormal basis of the chain's flag keeps the change of
             # basis well conditioned; the chain vectors can differ in length
             # by orders of magnitude.
@@ -388,19 +396,18 @@ def pullback_bundle(bundle: FlatBundle, spec: CoverSpec) -> FlatBundle:
     (a, b), (c, d) = spec.basis
     r1 = power(bundle.rho1, a) @ power(bundle.rhotau, b)
     r2 = power(bundle.rho1, c) @ power(bundle.rhotau, d)
-    new_lat, _, _ = cover_lattice(bundle.lattice, spec)
-    return FlatBundle(r1, r2, new_lat)
+    return FlatBundle(r1, r2, cover_lattice(bundle.lattice, spec))
 
 
 TWO_TORSION_LABELS = ("0", "1/2", "tau/2", "(1+tau)/2")
 
 
-def two_torsion_classify(L: LineHolonomy, tol: float = 1e-9) -> str | None:
+def two_torsion_classify(L: LineHolonomy) -> str | None:
     """Which of the four self-dual points the line bundle represents."""
     def sign_of(angle):
-        if abs(principal_angle(angle)) <= tol:
+        if abs(principal_angle(angle)) <= TORSION_TOL:
             return 1
-        if abs(abs(principal_angle(angle)) - math.pi) <= tol:
+        if abs(abs(principal_angle(angle)) - math.pi) <= TORSION_TOL:
             return -1
         return 0
 

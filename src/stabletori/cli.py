@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .bundles import (AtiyahData, FlatBundle, LineHolonomy,
+from .bundles import (DECOMPOSE_TOL, AtiyahData, FlatBundle, LineHolonomy,
                       decompose_commuting_pair, line_section)
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      ResolutionError, ResourceGuard, StableToriError)
@@ -197,7 +197,7 @@ def cmd_decompose(cfg, out: Path, svg: bool):
                         "warnings": rep.warnings})
         if rep.rank_multiset() != tuple(sorted(blocks)):
             failures.append(f"trial {trial}: rank multiset mismatch")
-        if rep.residual > 1e-8:
+        if rep.residual > DECOMPOSE_TOL:
             failures.append(f"trial {trial}: residual {rep.residual:.2e}")
     serialize.write_json(out / "decompose.json",
                          {"reports": reports, "failures": failures})
@@ -276,7 +276,7 @@ def cmd_systole(cfg, out: Path, svg: bool):
                           f"closed-form kappa {kappa!r}")
     deltas = axis_truncated_distances(imm, R)
     trial = phase_trial_section(imm.normal_lines[0][0], deltas, imm.lattice)
-    ray = rayleigh_bound_check(trial, imm, kappa)
+    ray = rayleigh_bound_check(trial, kappa)
     verdict = systole_bound_verdict(continuum, R, kappa, case="general")
     summary = {
         "R": R, "kappa": kappa, "kappa_hat": kappa_hat,

@@ -342,12 +342,11 @@ def kappa_pic_estimate(N: AmbientSpace, samples: int = 2000,
 class Immersion:
     """Sampled conformal immersion of a torus chart into a model ambient.
 
-    The chart is z = scale * (xi + eta * tau) over (xi, eta) in [0,1)^2;
+    The chart is its lattice's, z = scale * (xi + eta * tau) over [0,1)^2;
     lam2 is the conformal factor with da = lam2 * dxdy.
     """
 
     lattice: Lattice
-    scale: float
     ambient: AmbientSpace
     Fz: np.ndarray                    # (n, n, dim) complex
     lam2: np.ndarray                  # (n, n)
@@ -363,7 +362,7 @@ class Immersion:
 
     def dxdy_weight(self) -> float:
         """Chart measure of one grid cell."""
-        return self.scale ** 2 * self.lattice.tau2 / self.n ** 2
+        return self.lattice.scale ** 2 * self.lattice.tau2 / self.n ** 2
 
     def da_field(self) -> np.ndarray:
         """Induced area of each grid cell (zero on masked cells)."""
@@ -375,8 +374,8 @@ class Immersion:
 class FlatTorus:
     """Flat totally geodesic torus with periods (a, b), held in closed form.
 
-    The chart is z = scale * (xi + eta * tau) over (xi, eta) in [0,1)^2 with
-    scale = a and tau = i b / a, an isometry with unit conformal factor.
+    Its `lattice` is a (Z + Z i b / a), whose chart z = a (xi + i eta b / a)
+    over (xi, eta) in [0,1)^2 is an isometry with unit conformal factor.
     `frame` holds the real unit tangents along xi and eta, (2, dim), in
     ambient coordinates at the base point: the ambient is homogeneous and
     the torus totally geodesic, so one point stands for all.
@@ -398,11 +397,7 @@ class FlatTorus:
     @property
     def lattice(self) -> Lattice:
         a, b = self.periods
-        return Lattice(0.0, b / a)
-
-    @property
-    def scale(self) -> float:
-        return self.periods[0]
+        return Lattice(0.0, b / a, a)
 
     @property
     def dim(self) -> int:
@@ -453,8 +448,7 @@ def elliptic_curve_immersion(lat: Lattice, puncture_radius: float,
     Fz = np.stack([pp / 2, -1j * pp / 2, ppp / 2, -1j * ppp / 2], axis=-1)
     lam2 = np.abs(pp) ** 2 + np.abs(ppp) ** 2
     amb = AmbientSpace(kind="euclidean", dim=4)
-    return Immersion(lattice=lat, scale=1.0, ambient=amb, Fz=Fz,
-                     lam2=lam2, mask=mask)
+    return Immersion(lattice=lat, ambient=amb, Fz=Fz, lam2=lam2, mask=mask)
 
 
 def product_geodesic_torus(L: float, rho: float, n_sphere: int,

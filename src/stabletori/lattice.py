@@ -1,9 +1,9 @@
 """Lattices in the plane, fundamental-domain reduction and covering towers.
 
-A torus is C/Lambda with Lambda generated by 1 and tau (Im tau > 0).  All
-coordinates downstream are the oblique pair (xi, eta) defined by
-z = xi + eta*tau, so the lattice translations act as integer shifts of
-(xi, eta).
+A torus is C/Lambda with Lambda = scale*(Z + Z*tau) (Im tau > 0, scale > 0).
+All coordinates downstream are the oblique pair (xi, eta) defined by
+z = scale*(xi + eta*tau), so the lattice translations act as integer shifts
+of (xi, eta), and every length, area and derivative is read in that chart.
 """
 
 from __future__ import annotations
@@ -17,14 +17,18 @@ from .errors import InvalidCoverError, InvalidLatticeError
 
 @dataclass(frozen=True)
 class Lattice:
-    """Torus C/(Z + Z*tau) described by tau = tau1 + i*tau2."""
+    """Torus C/(scale*(Z + Z*tau)) described by tau = tau1 + i*tau2 and the
+    length `scale` of its first generator, the metric scale of its chart."""
 
     tau1: float
     tau2: float
+    scale: float = 1.0
 
     def __post_init__(self):
         if not (self.tau2 > 0):
             raise InvalidLatticeError("tau must lie in the upper half-plane")
+        if not (self.scale > 0):
+            raise InvalidLatticeError("scale must be positive")
 
     @property
     def tau(self) -> complex:
@@ -74,10 +78,11 @@ def normalize_lattice(tau: complex) -> tuple[Lattice, np.ndarray]:
 
 
 def wirtinger_factors(lat: Lattice) -> tuple[complex, complex]:
-    """(d xi / d zbar, d eta / d zbar) for the oblique coordinates."""
+    """(d xi / d zbar, d eta / d zbar) for the oblique coordinates of the
+    chart z = scale*(xi + eta*tau)."""
     dxi = 0.5 * (1 - 1j * lat.tau1 / lat.tau2)
     deta = 1j / (2 * lat.tau2)
-    return dxi, deta
+    return dxi / lat.scale, deta / lat.scale
 
 
 @dataclass(frozen=True)
@@ -121,15 +126,11 @@ class CoverSpec:
         return CoverSpec(((k, 0), (0, k)))
 
 
-def cover_lattice(lat: Lattice, spec: CoverSpec,
-                  scale: float = 1.0) -> tuple[Lattice, float, int]:
-    """Renormalized lattice of the sublattice, its scale, and the degree.
-
-    The sublattice spanned by g1 = a + b*tau and g2 = c + d*tau is rewritten
-    as scale' * (Z + Z*tau') with tau' reduced.  `scale` is the metric scale
-    of the input lattice (length of its first generator); scale' plays the
-    same role for the output, so flat systoles can be compared across covers.
-    """
+def cover_lattice(lat: Lattice, spec: CoverSpec) -> Lattice:
+    """The sublattice of `spec`, spanned by g1 = a + b*tau and
+    g2 = c + d*tau in units of lat.scale, as scale'*(Z + Z*tau') with tau'
+    reduced, so that flat systoles compare across covers.  Its covering
+    degree is spec.degree."""
     (a, b), (c, d) = spec.basis
     g1 = a + b * lat.tau
     g2 = c + d * lat.tau
@@ -138,17 +139,15 @@ def cover_lattice(lat: Lattice, spec: CoverSpec,
     reduced, U = normalize_lattice(tau_raw)
     # First generator after reduction, measured in the (g1, g2) frame.
     gen1 = U[0, 0] + U[0, 1] * tau_raw
-    new_scale = scale * abs(g1) * abs(gen1)
-    return reduced, new_scale, spec.degree
+    return Lattice(reduced.tau1, reduced.tau2,
+                   lat.scale * abs(g1) * abs(gen1))
 
 
-def flat_systole(lat: Lattice, scale: float = 1.0) -> float:
+def flat_systole(lat: Lattice) -> float:
     """Length of the shortest nonzero lattice vector of scale*(Z + Z*tau).
 
     That is the first generator U[0, 0] + U[0, 1]*tau of the Gauss-reduced
     basis: |m + n*tau'| >= 1 for tau' reduced and (m, n) != (0, 0).
     """
-    if not (scale > 0):
-        raise InvalidLatticeError("scale must be positive")
     _, U = normalize_lattice(lat.tau)
-    return float(scale * abs(U[0, 0] + U[0, 1] * lat.tau))
+    return float(lat.scale * abs(U[0, 0] + U[0, 1] * lat.tau))

@@ -92,7 +92,7 @@ class LensScenario:
     def level(self, spec: CoverSpec):
         cover = self.torus.cover(spec)
         res = min_eigenvalue(self.cover_form(spec))
-        return (spec.degree, flat_systole(cover.lattice, cover.scale),
+        return (spec.degree, flat_systole(cover.lattice),
                 res.lambda_min, res.continuum)
 
 
@@ -217,6 +217,7 @@ def sublattice_growth_table(tau: complex, kmax: int = 10):
     base = flat_systole(lat)
     rows = []
     for k in range(1, kmax + 1):
-        lat_k, scale_k, deg = cover_lattice(lat, CoverSpec.scaling(k))
-        rows.append((k, deg, flat_systole(lat_k, scale_k), k * base))
+        spec = CoverSpec.scaling(k)
+        rows.append((k, spec.degree, flat_systole(cover_lattice(lat, spec)),
+                     k * base))
     return rows

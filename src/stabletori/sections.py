@@ -123,10 +123,12 @@ def dbar(sec: SectionGrid) -> SectionGrid:
 class ProductSection:
     """A line-bundle section c = f(xi) g(eta) on [0,a) x [0,b), kept as its
     factors at xi = a*i/len(f), eta = b*j/len(g) in the periodic gauge of
-    (phi, theta).  A line section carries its cover `k` and closed form
-    `sup_dbar_exact`, a trial section the systole `R` its phase is cut at
-    (positive, else DomainError).  `grid()`, the n x n section, is for
-    `--svg` and the tests' oracles only."""
+    (phi, theta).  It is measured in the chart of its own lattice,
+    z = scale*(xi + eta*tau): `mass` and `dbar_energy` are grid sums
+    against that chart's cell measure.  A line section carries its cover
+    `k` and closed form `sup_dbar_exact`, a trial section the systole `R`
+    its phase is cut at (positive, else DomainError).  `grid()`, the n x n
+    section, is for `--svg` and the tests' oracles only."""
 
     lattice: Lattice
     a: float
@@ -172,17 +174,27 @@ class ProductSection:
         return (_axis_diff(self.f, 0, self.hx, self.phi * self.hx),
                 _axis_diff(self.g, 0, self.hy, self.theta * self.hy))
 
-    def dbar_norm2(self) -> float:
-        """sum |dbar c|^2 over the grid, in O(n): with dbar c = f_xi (Df) g
-        + f_eta f (Dg), it is |f_xi|^2 |Df|^2 |g|^2 + |f_eta|^2 |f|^2 |Dg|^2
-        + 2 Re(f_xi conj(f_eta) <f, Df> <Dg, g>)."""
+    def _cell(self) -> float:
+        """The chart measure dxdy of one grid cell."""
+        return self.lattice.scale ** 2 * self.lattice.tau2 * self.hx * self.hy
+
+    def mass(self) -> float:
+        """sum |c|^2 dxdy over the grid, in O(n): |f|^2 |g|^2 dxdy."""
+        return float(np.vdot(self.f, self.f).real
+                     * np.vdot(self.g, self.g).real * self._cell())
+
+    def dbar_energy(self) -> float:
+        """2 sum |dbar c|^2 dxdy over the grid, in O(n): with dbar c =
+        f_xi (Df) g + f_eta f (Dg), sum |dbar c|^2 is |f_xi|^2 |Df|^2 |g|^2
+        + |f_eta|^2 |f|^2 |Dg|^2 + 2 Re(f_xi conj(f_eta) <f, Df> <Dg, g>)."""
         Df, Dg = self.diffs()
         nf, ng, nDf, nDg = (np.vdot(v, v).real
                             for v in (self.f, self.g, Df, Dg))
         fxi, feta = wirtinger_factors(self.lattice)
         cross = fxi * np.conj(feta) * np.vdot(self.f, Df) * np.vdot(Dg, self.g)
-        return float(abs(fxi) ** 2 * nDf * ng + abs(feta) ** 2 * nf * nDg
-                     + 2 * cross.real)
+        norm2 = (abs(fxi) ** 2 * nDf * ng + abs(feta) ** 2 * nf * nDg
+                 + 2 * cross.real)
+        return float(2.0 * norm2 * self._cell())
 
     def sup_dbar(self) -> float:
         """max |dbar(self.grid()).values| up to rounding, from one matrix
@@ -197,10 +209,9 @@ def gram_matrix(sections: list[SectionGrid],
                 metric: np.ndarray | None = None) -> tuple[np.ndarray, tuple[float, float]]:
     """Pointwise Gram matrices of a family of sections.
 
-    metric: None for the orthonormal-frame metric, a constant (r, r)
-    Hermitian matrix, or a (nx, ny, r, r) field.  Returns the Gram field
-    G[x, y, i, j] = <s_i, s_j> and the (min, max) of its eigenvalues over
-    the grid.
+    metric: None for the orthonormal-frame metric, or a constant (r, r)
+    Hermitian matrix.  Returns the Gram field G[x, y, i, j] = <s_i, s_j>
+    and the (min, max) of its eigenvalues over the grid.
     """
     if not sections:
         raise ShapeError("need at least one section")
@@ -212,11 +223,8 @@ def gram_matrix(sections: list[SectionGrid],
     if metric is None:
         gstack = stack
     else:
-        metric = np.asarray(metric, dtype=complex)
-        if metric.ndim == 2:
-            gstack = np.einsum("ij,xyjm->xyim", metric, stack)
-        else:
-            gstack = np.einsum("xyij,xyjm->xyim", metric, stack)
+        gstack = np.einsum("ij,xyjm->xyim", np.asarray(metric, dtype=complex),
+                           stack)
     gram = np.einsum("xyrm,xyrl->xyml", np.conj(stack), gstack)
     evals = np.linalg.eigvalsh(gram)
     return gram, (float(evals.min()), float(evals.max()))

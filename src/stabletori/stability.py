@@ -27,8 +27,7 @@ import numpy as np
 from .bundles import principal_angle
 from .errors import (ConvergenceError, DomainError, ResolutionError,
                      ShapeError, WrongFormError)
-from .geometry import (FlatTorus, Immersion, SurfaceQuantities,
-                       surface_quantities)
+from .geometry import Immersion, SurfaceQuantities, surface_quantities
 from .lattice import Lattice, wirtinger_factors
 from .sections import _axis_diff
 
@@ -300,11 +299,6 @@ def min_eigenvalue(form: StencilForm) -> SpectrumResult:
 # ambient-valued sections (shared by the index forms and audits)
 
 
-def _chart_factors(imm: Immersion | FlatTorus) -> tuple[complex, complex]:
-    fxi, feta = wirtinger_factors(imm.lattice)
-    return fxi / imm.scale, feta / imm.scale
-
-
 def _tile(fld: np.ndarray, extent: int) -> np.ndarray:
     """Repeat a per-node field periodically over the [0, extent)^2 cover."""
     return np.tile(fld, (extent, extent) + (1,) * (fld.ndim - 2))
@@ -328,7 +322,7 @@ def _index_densities(imm: Immersion, quants: SurfaceQuantities,
     differences, and both norms are frame norms |F w| in the
     `surface_quantities` frames, as in the matrix.
     """
-    fx, fy = _chart_factors(imm)
+    fx, fy = wirtinger_factors(imm.lattice)
     r = fy / fx     # |fx a + fy b| = |fx| |a + r b|, conjugated for d_z
     Fn, Ft = (abs(fx) * _tile(F, extent)
               for F in (quants.normal_frame, quants.tangent_frame))
@@ -374,7 +368,7 @@ def euclidean_index_form(imm: Immersion,
 
     h = extent / N
     phi, theta = twist
-    fxi, feta = _chart_factors(imm)
+    fxi, feta = wirtinger_factors(imm.lattice)
     Cx = _cov_diff_1d(N, h, phi * h)
     Cy = _cov_diff_1d(N, h, theta * h)
     I = sp.eye(N, format="csr")
@@ -433,14 +427,14 @@ def _disc_window(center: float, half: float, n: int) -> np.ndarray:
 
 
 def log_cutoff(epsilon: float, center: tuple[float, float], lattice: Lattice,
-               n: int, scale: float = 1.0):
+               n: int):
     """Logarithmic cutoff around a chart point and its Dirichlet energy.
 
     phi = clip(log(r / eps^2) / |log eps|, 0, 1) with r the distance to
-    `center` in the chart z = scale * (xi + eta * tau) sampled on an n x n
-    grid.  The energy is the conformally invariant chart Dirichlet integral,
-    which equals the induced-metric energy for any conformal immersion; for
-    the flat metric it converges to 2 pi / |log eps|.
+    `center` in the lattice's chart z = scale * (xi + eta * tau) sampled on
+    an n x n grid.  The energy is the conformally invariant chart Dirichlet
+    integral, which equals the induced-metric energy for any conformal
+    immersion; for the flat metric it converges to 2 pi / |log eps|.
 
     phi is exactly 1 outside the disc r < eps, so phi and its forward
     differences are evaluated only on the disc's bounding index window:
@@ -449,6 +443,7 @@ def log_cutoff(epsilon: float, center: tuple[float, float], lattice: Lattice,
     """
     if not (0 < epsilon < 1):
         raise DomainError("epsilon must be in (0, 1)")
+    scale = lattice.scale
     h_phys = scale * max(1.0, abs(lattice.tau)) / n
     if (epsilon - epsilon ** 2) / h_phys < 8:
         raise ResolutionError("annulus resolved by fewer than 8 cells")

@@ -22,9 +22,9 @@ import numpy as np
 from .bundles import LineHolonomy
 from .errors import DomainError, ResolutionError, WrongFormError
 from .geometry import FlatTorus
-from .lattice import Lattice
+from .lattice import Lattice, wirtinger_factors
 from .sections import ProductSection, _axis_diff
-from .stability import STABLE_TOL, _chart_factors
+from .stability import STABLE_TOL
 
 EIGHT_NEIGHBOR_ANISOTROPY = 0.0824
 
@@ -58,7 +58,7 @@ def induced_systole(imm: FlatTorus, window: int = 2, stride: int = 8) -> float:
         src = node[: W - dx, max(0, -dy): W - max(0, dy)]
         rows.append(src.reshape(-1))
         cols.append((src + dx * W + dy).reshape(-1))
-        chord = abs(imm.scale * (dx * h + dy * h * imm.lattice.tau))
+        chord = abs(imm.lattice.scale * (dx * h + dy * h * imm.lattice.tau))
         data.append(np.full(src.size, chord))
     G = sp.csr_matrix((np.concatenate(data),
                        (np.concatenate(rows), np.concatenate(cols))),
@@ -123,7 +123,8 @@ def phase_trial_section(L: LineHolonomy, deltas: TruncatedDistance,
     which is exactly periodic because delta reaches R at the period; both
     phase ramps carry the minus sign, which is the choice that closes both
     seams simultaneously.  It is the product of the xi and the eta factor,
-    on the grid and with the systole R of `deltas`.
+    on the grid and with the systole R of `deltas`, measured in the chart of
+    `lattice` (the torus's, which carries its scale).
     """
     R = deltas.R
     dx, dy = deltas.delta_xi[:-1], deltas.delta_eta[:-1]
@@ -149,8 +150,7 @@ class RayleighReport:
     chain_holds: bool
 
 
-def rayleigh_bound_check(s: ProductSection, imm: FlatTorus,
-                         kappa: float) -> RayleighReport:
+def rayleigh_bound_check(s: ProductSection, kappa: float) -> RayleighReport:
     """Report kappa * Mass(s) <= dbar energy <= (2 pi / (sqrt3 R))^2 Mass(s).
 
     On a stable scenario this chain forces R <= (2 pi / sqrt3) /
@@ -158,21 +158,14 @@ def rayleigh_bound_check(s: ProductSection, imm: FlatTorus,
     records whether the computed chain itself holds; it is reported and not
     judged, because its first inequality needs stability.
 
-    Mass and energy are the grid sums of |c|^2 and |dbar c|^2 against the
-    chart measure of a cell, each in O(n) from the two factors.
+    Mass and energy are the section's own `mass` and `dbar_energy`, grid
+    sums in the flat chart of its lattice (lam2 = 1), so R, the mass and
+    the energy are all read on that one chart.
     """
-    mass_da, energy = _chart_mass_energy(s, imm)
+    mass_da, energy = s.mass(), s.dbar_energy()
     lhs = kappa * mass_da
     ebound = s.grad_bound ** 2 * mass_da
     return RayleighReport(lhs, energy, ebound, bool(lhs <= energy <= ebound))
-
-
-def _chart_mass_energy(s: ProductSection, imm: FlatTorus):
-    """sum |c|^2 dxdy and 2 sum |nabla_zbar c|^2 dxdy of a product section
-    over its grid, in the flat chart of imm (lam2 = 1)."""
-    w = imm.scale ** 2 * imm.lattice.tau2 * s.hx * s.hy
-    mass = float(np.vdot(s.f, s.f).real * np.vdot(s.g, s.g).real * w)
-    return mass, 2.0 * s.dbar_norm2() / imm.scale ** 2 * w
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +240,15 @@ def exceptional_cutoffs(imm: FlatTorus, R: float, n: int) -> ExceptionalReport:
     s1 = ProductSection(imm.lattice, 1.0, 1.0, f, np.ones(ny, dtype=complex),
                         np.pi, np.pi, 0.0)
 
-    # sum |s1|^2 cell over each region: the xi sum times the masked eta sum
-    cell = a_len * b_len / (n * ny)
-    nf = np.vdot(s1.f, s1.f).real
-    I, J = ([float(nf * np.vdot(s1.g[m], s1.g[m]).real * cell) for m in M]
-            for M in (U, V))
+    # the mass of s1 over each region: s1 with its eta factor masked
+    I, J = ([replace(s1, g=m * s1.g).mass() for m in M] for M in (U, V))
     selected = int(np.argmax(I))
     phi = phi_I if selected == 1 else np.clip(3.0 - 6.0 * d[0] / R, 0.0, 1.0)
     localized = replace(s1, g=phi * s1.g)
 
     # Gradient magnitudes of the cutoffs (lam2 = 1 on the flat chart): a
     # function of eta has no xi difference, so |dbar phi| = |f_eta| |D phi|.
-    feta = abs(_chart_factors(imm)[1])
+    feta = abs(wirtinger_factors(imm.lattice)[1])
     g_I, g_V = (feta * np.abs(_axis_diff(c, 0, 1.0 / ny, 0.0)).max()
                 for c in (phi_I, phi_V))
     bound_I = (6.0 / R) * np.sqrt(3.0)
@@ -270,7 +260,7 @@ def exceptional_cutoffs(imm: FlatTorus, R: float, n: int) -> ExceptionalReport:
     viol = n * int(np.count_nonzero(supp & np.roll(supp, ny // 2)))
 
     # Rayleigh quotient of the localized section against the proof's chain.
-    energy = _chart_mass_energy(localized, imm)[1]
+    energy = localized.dbar_energy()
     mass_sel = I[selected]
     ray = energy / mass_sel if mass_sel > 0 else np.inf
     chain = (EXCEPTIONAL_CONSTANT / R) ** 2

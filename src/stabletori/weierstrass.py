@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import DomainError, PoleError
 from .lattice import Lattice
 
 TWO_PI_I = 2j * np.pi
@@ -27,6 +27,8 @@ def _reduce(z: np.ndarray, lat: Lattice) -> np.ndarray:
 
 
 def _qseries_terms(lat: Lattice) -> int:
+    if lat.scale != 1:     # the series are those of the unit lattice
+        raise DomainError(f"q-series need lattice scale 1, got {lat.scale!r}")
     # |q| = exp(-2 pi tau2) and the reduced |u| <= exp(pi tau2): stop when
     # |q^n u| <= exp(-pi tau2 (2n - 1)) < 1e-17, plus two guard terms.
     return int(np.ceil((17 * np.log(10) / (np.pi * lat.tau2) + 1) / 2)) + 2
@@ -36,14 +38,14 @@ def wp(z, lat: Lattice):
     """(wp(z), wp'(z)) by the q-series; vectorized over z.
 
     Raises PoleError when a reduced argument is within POLE_CUTOFF of a
-    lattice point.
+    lattice point, and DomainError on a lattice whose scale is not 1.
     """
+    nmax = _qseries_terms(lat)
     zr = _reduce(z, lat)
     if np.any(np.abs(zr) < POLE_CUTOFF):
         raise PoleError("argument too close to a lattice point")
     q = np.exp(TWO_PI_I * lat.tau)
     u = np.exp(TWO_PI_I * zr)
-    nmax = _qseries_terms(lat)
 
     p = 1.0 / 12.0 + u / (1.0 - u) ** 2
     pp = u * (1.0 + u) / (1.0 - u) ** 3
@@ -60,9 +62,10 @@ def wp(z, lat: Lattice):
 
 
 def eisenstein_invariants(lat: Lattice) -> tuple[complex, complex]:
-    """(g2, g3) from the normalized Eisenstein series E4, E6."""
-    q = np.exp(TWO_PI_I * lat.tau)
+    """(g2, g3) from the normalized Eisenstein series E4, E6; a lattice whose
+    scale is not 1 raises DomainError."""
     nmax = _qseries_terms(lat)
+    q = np.exp(TWO_PI_I * lat.tau)
     ns = np.arange(1, nmax + 1)
     qn = q ** ns
 

@@ -194,18 +194,19 @@ def cutoff_phi(n, ix, iy, window):
     return phi
 
 
-def chart_norm2(sec, imm, values):
+def chart_norm2(sec, values):
     """sum |values|^2 dxdy over the n x n grid of the `SectionGrid` sec in
-    the flat chart of imm; with the section's own values this is its da
-    mass (lam2 = 1 on a flat chart)."""
-    w = imm.scale ** 2 * imm.lattice.tau2 * sec.hx * sec.hy
+    the flat chart of its lattice, z = scale (xi + eta tau); with the
+    section's own values this is its da mass (lam2 = 1 on a flat chart)."""
+    lat = sec.lattice
+    w = lat.scale ** 2 * lat.tau2 * sec.hx * sec.hy
     return float(np.sum(np.abs(values) ** 2) * w)
 
 
-def dbar_energy_chart(sec, imm):
+def dbar_energy_chart(sec):
     """sum |nabla_zbar c|^2 dxdy of a scalar `SectionGrid` in the flat chart
-    of imm, from `dbar` of the whole grid."""
-    return chart_norm2(sec, imm, dbar(sec).values / imm.scale)
+    of its lattice, from `dbar` of the whole grid."""
+    return chart_norm2(sec, dbar(sec).values)
 
 
 def surface_projectors(Fz):

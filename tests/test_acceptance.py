@@ -73,7 +73,7 @@ def test_criterion_2_atiyah_sections():
         point = max(point, float(np.max(np.abs(dbar(w).values - target))))
     ranges = []
     for k in (1, 2, 4, 8):
-        lat_k, _, _ = cover_lattice(LAT, CoverSpec.scaling(k))
+        lat_k = cover_lattice(LAT, CoverSpec.scaling(k))
         _, rng_ = gram_matrix(atiyah_sections(data, lat_k, n))
         ranges.append(rng_)
     drift = max(max(abs(r[0] - ranges[0][0]), abs(r[1] - ranges[0][1]))
@@ -149,12 +149,12 @@ def test_criterion_4_log_cutoff_energy():
     n = 1024
     imm = flat_chart_immersion(1.0, 1.0, n)
     center = (0.5 + 0.5 / n, 0.5 + 0.5 / n)
-    *_, e05 = log_cutoff(0.05, center, imm.lattice, n, imm.scale)
+    *_, e05 = log_cutoff(0.05, center, imm.lattice, n)
     exact05 = 2 * np.pi / abs(np.log(0.05))
     rel05 = abs(e05 / exact05 - 1)
     worst_prod = 0.0
     for eps in (0.05, 0.06, 0.07, 0.085, 0.1):
-        *_, e = log_cutoff(eps, center, imm.lattice, n, imm.scale)
+        *_, e = log_cutoff(eps, center, imm.lattice, n)
         worst_prod = max(worst_prod, abs(e * abs(np.log(eps)) / (2 * np.pi) - 1))
     dt = time.perf_counter() - t0
     ok = rel05 <= 0.02 and worst_prod <= 0.03 and dt < 30.0
@@ -250,7 +250,7 @@ def test_criterion_8_trial_section_bounds():
     seam_ok = s.seam_residual <= 1e-9
     # pointwise dbar bound in the physical chart, up to one grid step
     c = s.grid()
-    grad = np.abs(dbar(c).values[:, :, 0]) / imm.scale
+    grad = np.abs(dbar(c).values[:, :, 0])
     bound = s.grad_bound * np.abs(c.values[:, :, 0])
     h = max(imm.periods) / n
     point_ok = bool(np.all(grad <= bound * (1 + 4 * h)))
@@ -281,8 +281,8 @@ def test_criterion_9_sublattice_systole_growth():
         lat, _ = normalize_lattice(tau)
         base = flat_systole(lat)
         for k in range(1, 11):
-            lat_k, scale_k, _ = cover_lattice(lat, CoverSpec.scaling(k))
-            ok = ok and flat_systole(lat_k, scale_k) == k * base
+            lat_k = cover_lattice(lat, CoverSpec.scaling(k))
+            ok = ok and flat_systole(lat_k) == k * base
     sc = FlatTorusScenario(n=16)
     rows = covering_sweep(sc, [CoverSpec.scaling(k) for k in (1, 2, 3)])
     rs = [r.systole for r in rows]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from stabletori import geometry, stability, systole
+from stabletori import cli, geometry, stability, systole
 from stabletori.lattice import CoverSpec
 from stabletori.scenarios import LensScenario
 
@@ -94,3 +94,19 @@ def test_level_spans_see_the_cover_form():
     assert names.count("scenarios.cover_form") == 1
     out = tracer.pass_summary(0, wall=1.0)
     assert out["stability.flat_twisted_form.calls"] == 1
+
+
+def test_traced_subcommands_run_and_count(tmp_path):
+    # `systole` and `cutoff` at their defaults, through the wrappers: the
+    # traced functions still take the arguments the subcommands pass, the
+    # trial span sees the Rayleigh check, and the five epsilons each call
+    # the cutoff once
+    tracer = tracing.Tracer()
+    tracer.begin_pass(0)
+    with tracer.installed():
+        codes = [cli.main([sub, "--out", str(tmp_path / sub)])
+                 for sub in ("systole", "cutoff")]
+    assert codes == [cli.EXIT_PASS] * 2
+    out = tracer.pass_summary(0, wall=1.0)
+    assert out["systole.trial.self_s"] > 0
+    assert out["stability.log_cutoff.calls"] == 5

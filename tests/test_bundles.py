@@ -136,7 +136,7 @@ def test_atiyah_gram_range_stable_across_covers():
     ranges = []
     for k in (1, 2, 4, 8):
         from stabletori.lattice import cover_lattice
-        lat_k, _, _ = cover_lattice(LAT, CoverSpec.scaling(k))
+        lat_k = cover_lattice(LAT, CoverSpec.scaling(k))
         secs = atiyah_sections(data, lat_k, 32)
         _, rng_ = gram_matrix(secs)
         ranges.append(rng_)

@@ -70,6 +70,9 @@ def test_degenerate_lattice_rejected():
         normalize_lattice(0.5 + 0.0j)
     with pytest.raises(InvalidLatticeError):
         Lattice(0.0, -1.0)
+    for s in (0.0, -1.0, np.nan):
+        with pytest.raises(InvalidLatticeError):
+            Lattice(0.0, 1.0, s)
 
 
 def test_wirtinger_factors_annihilate_z_and_fix_zbar():
@@ -98,20 +101,22 @@ def test_scaling_covers_nest_exactly_by_divisibility(j, k):
 def test_cover_lattice_scaling_tower():
     lat = Lattice(0.0, 1.0)
     for k in (1, 2, 5):
-        lat_k, scale_k, deg = cover_lattice(lat, CoverSpec.scaling(k))
-        assert deg == k * k
+        spec = CoverSpec.scaling(k)
+        lat_k = cover_lattice(lat, spec)
+        assert spec.degree == k * k
         assert lat_k.tau == pytest.approx(lat.tau)
-        assert scale_k == pytest.approx(k)
+        assert lat_k.scale == pytest.approx(k)
 
 
 def test_cover_lattice_vertical_double():
     lat = Lattice(0.0, 1.0)
     # the sublattice spanned by 1 and 2*tau
-    lat2, scale2, deg = cover_lattice(lat, CoverSpec(((1, 0), (0, 2))))
-    assert deg == 2
+    spec = CoverSpec(((1, 0), (0, 2)))
+    lat2 = cover_lattice(lat, spec)
+    assert spec.degree == 2
     # (1, 2i) is already reduced; the chart keeps unit horizontal scale
     assert lat2.tau == pytest.approx(2.0j)
-    assert scale2 == pytest.approx(1.0)
+    assert lat2.scale == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("tau,expected", [
@@ -132,15 +137,16 @@ def test_flat_systole_closed_forms(tau, expected):
 def test_flat_systole_scales_linearly():
     lat = Lattice(0.2, 0.9)
     base = flat_systole(lat)
-    assert flat_systole(lat, scale=3.5) == pytest.approx(3.5 * base, rel=1e-12)
+    assert flat_systole(Lattice(0.2, 0.9, 3.5)) == pytest.approx(3.5 * base,
+                                                                 rel=1e-12)
 
 
 def test_sublattice_systole_growth_is_exact():
     lat, _ = normalize_lattice(0.5 + 0.9j)
     base = flat_systole(lat)
     for k in range(1, 11):
-        lat_k, scale_k, _ = cover_lattice(lat, CoverSpec.scaling(k))
-        assert flat_systole(lat_k, scale_k) == pytest.approx(k * base, rel=1e-12)
+        lat_k = cover_lattice(lat, CoverSpec.scaling(k))
+        assert flat_systole(lat_k) == pytest.approx(k * base, rel=1e-12)
 
 
 def _enumerated_systole(tau: complex, scale: float) -> float:
@@ -167,6 +173,6 @@ def test_flat_systole_of_unreduced_lattice(lat, expected):
 @given(st.floats(-3, 3), st.floats(0.05, 3), st.floats(0.1, 10))
 @settings(max_examples=100, deadline=None)
 def test_flat_systole_matches_enumeration(t1, t2, scale):
-    lat = Lattice(t1, t2)
-    assert flat_systole(lat, scale) == pytest.approx(
+    lat = Lattice(t1, t2, scale)
+    assert flat_systole(lat) == pytest.approx(
         _enumerated_systole(lat.tau, scale), rel=1e-12)

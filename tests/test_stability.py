@@ -446,7 +446,7 @@ def test_cover_form_and_systole_match_the_scaled_construction(scenario,
     for name in ("stencils", "symbols", "shift", "continuum"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     R = scenario.level(spec)[1]
-    assert R == flat_systole(Lattice(0.0, ky * b / (kx * a)), kx * a)
+    assert R == flat_systole(Lattice(0.0, ky * b / (kx * a), kx * a))
 
 
 def test_level_refuses_a_sheared_cover():
@@ -530,7 +530,7 @@ def test_audit_densities_match_two_wirtinger_diffs(extent, twist):
     quants = surface_quantities(imm)
     v = np.stack(list(sc.random_normal_sections(7, extent, 5, imm=imm,
                                                 quants=quants)), -1)
-    fac = tuple(f / imm.scale for f in wirtinger_factors(imm.lattice))
+    fac = wirtinger_factors(imm.lattice)
     steps = (1.0 / imm.n,) * 2
 
     def norm2(w, P):
@@ -644,7 +644,7 @@ def test_log_cutoff_energy_matches_analytic_value():
     n = 512
     imm = flat_chart_immersion(1.0, 1.0, n)
     ix, iy, window, energy = log_cutoff(0.1, (0.5 + 0.5 / n, 0.5 + 0.5 / n),
-                                        imm.lattice, n, imm.scale)
+                                        imm.lattice, n)
     exact = 2 * np.pi / abs(np.log(0.1))
     assert energy == pytest.approx(exact, rel=0.03)
     phi = cutoff_phi(n, ix, iy, window)
@@ -655,13 +655,13 @@ def test_log_cutoff_resolution_guards():
     imm = flat_chart_immersion(1.0, 1.0, 64)
     with pytest.raises(ResolutionError):
         # annulus unresolved
-        log_cutoff(0.05, (0.5, 0.5), imm.lattice, 64, imm.scale)
+        log_cutoff(0.05, (0.5, 0.5), imm.lattice, 64)
     imm2 = flat_chart_immersion(1.0, 1.0, 256)
     with pytest.raises(ResolutionError):
         # inner radius unresolved
-        log_cutoff(0.05, (0.5, 0.5), imm2.lattice, 256, imm2.scale)
+        log_cutoff(0.05, (0.5, 0.5), imm2.lattice, 256)
     with pytest.raises(DomainError):
-        log_cutoff(1.5, (0.5, 0.5), imm.lattice, 64, imm.scale)
+        log_cutoff(1.5, (0.5, 0.5), imm.lattice, 64)
 
 
 def _full_grid_log_cutoff(epsilon, center, tau, n, scale):
@@ -689,7 +689,7 @@ def _full_grid_log_cutoff(epsilon, center, tau, n, scale):
 
 def _assert_matches_full_grid(epsilon, center, tau, n, scale):
     *window, energy = log_cutoff(epsilon, center,
-                                 Lattice(tau.real, tau.imag), n, scale)
+                                 Lattice(tau.real, tau.imag, scale), n)
     want_phi, want_energy = _full_grid_log_cutoff(epsilon, center, tau, n,
                                                   scale)
     assert np.array_equal(cutoff_phi(n, *window), want_phi)

@@ -110,7 +110,7 @@ def test_rayleigh_chain_on_lens_trial_section():
     R = 2 * np.pi / 3
     td = axis_truncated_distances(imm, R)
     s = phase_trial_section(imm.normal_lines[0][0], td, imm.lattice)
-    rep = rayleigh_bound_check(s, imm, kappa=0.5)
+    rep = rayleigh_bound_check(s, kappa=0.5)
     # kappa Mass <= Energy <= (2 pi / sqrt3 R)^2 Mass, up to discretization
     assert rep.rhs <= rep.energy_bound * (1 + 1e-6)
     assert rep.rhs == pytest.approx(rep.lhs, rel=5e-3)
@@ -123,12 +123,12 @@ def test_rayleigh_chain_holds_reports_each_inequality():
     td = axis_truncated_distances(imm, R)
     s = phase_trial_section(imm.normal_lines[0][0], td, imm.lattice)
     # at kappa = 1/2 the discrete energy sits 1.6e-4 below kappa * Mass
-    rep = rayleigh_bound_check(s, imm, kappa=0.5)
+    rep = rayleigh_bound_check(s, kappa=0.5)
     assert rep.lhs > rep.rhs and not rep.chain_holds
-    assert rayleigh_bound_check(s, imm, kappa=0.49).chain_holds
+    assert rayleigh_bound_check(s, kappa=0.49).chain_holds
     # the upper inequality (2 pi / sqrt3 R)^2 Mass fails once R is read 4x
     s = dataclasses.replace(s, R=4 * R)
-    assert not rayleigh_bound_check(s, imm, kappa=0.49).chain_holds
+    assert not rayleigh_bound_check(s, kappa=0.49).chain_holds
 
 
 def test_grad_bound_needs_a_systole():
@@ -150,21 +150,17 @@ def test_rayleigh_check_requires_systole_tag():
             dataclasses.replace(s, R=R)
 
 
-def _grid_rayleigh(s, imm, kappa):
+def _grid_rayleigh(s, kappa):
     """kappa Mass and the dbar energy of a trial section by the n x n
     formula: `chart_norm2` and `dbar_energy_chart` on its grid."""
     c = s.grid()
-    return (kappa * chart_norm2(c, imm, c.values),
-            2.0 * dbar_energy_chart(c, imm))
+    return kappa * chart_norm2(c, c.values), 2.0 * dbar_energy_chart(c)
 
 
-@pytest.mark.parametrize("n", [2, 3, 32, 96, 250])
-@pytest.mark.parametrize("lens", [(1, 0), (2, 1), (3, 1), (5, 2), (7, 3)])
-def test_separable_rayleigh_matches_the_grid_sums(lens, n):
-    # the O(n) sums of the factors against the n x n formula, on the lens
-    # trial section, on a section with both phases twisted, and on random
-    # factors over a sheared lattice, where the cross term of |dbar c|^2
-    # does not vanish
+def _rayleigh_sections(lens, n):
+    """The lens trial section, a section with both phases twisted, and
+    random factors over a sheared lattice, where the cross term of
+    |dbar c|^2 does not vanish, on a lens torus of randomized periods."""
     rng = np.random.default_rng([n, *lens])
     L, rho = 2.0 * (1 + rng.uniform(-0.02, 0.02)), 1 + rng.uniform(-0.02, 0.02)
     imm = product_geodesic_torus(L, rho, 3, lens, n)
@@ -173,17 +169,45 @@ def test_separable_rayleigh_matches_the_grid_sums(lens, n):
     lens_section = phase_trial_section(imm.normal_lines[0][0], td, imm.lattice)
     twisted = phase_trial_section(LineHolonomy(0.7, -1.3), td, imm.lattice)
     sheared = dataclasses.replace(
-        twisted, lattice=Lattice(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.5)),
+        twisted, lattice=Lattice(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.5),
+                                 imm.lattice.scale),
         f=rng.standard_normal(n) + 1j * rng.standard_normal(n),
         g=rng.standard_normal(n) + 1j * rng.standard_normal(n),
         phi=rng.uniform(-np.pi, np.pi), theta=rng.uniform(-np.pi, np.pi))
-    for s in (lens_section, twisted, sheared):
-        rep = rayleigh_bound_check(s, imm, kappa=0.5)
-        lhs, energy = _grid_rayleigh(s, imm, 0.5)
+    return lens_section, twisted, sheared
+
+
+LENSES = [(1, 0), (2, 1), (3, 1), (5, 2), (7, 3)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 32, 96, 250])
+@pytest.mark.parametrize("lens", LENSES)
+def test_separable_rayleigh_matches_the_grid_sums(lens, n):
+    # the O(n) sums of the factors against the n x n formula
+    for s in _rayleigh_sections(lens, n):
+        rep = rayleigh_bound_check(s, kappa=0.5)
+        lhs, energy = _grid_rayleigh(s, 0.5)
         assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
         assert rep.rhs == pytest.approx(energy, rel=1e-12, abs=0)
         assert rep.energy_bound == pytest.approx(
             (s.grad_bound ** 2 / 0.5) * lhs, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", [3, 96])
+@pytest.mark.parametrize("lens", LENSES)
+def test_section_measures_follow_the_lattice_scale(lens, n):
+    # a section measures itself on its own lattice: rescaling the lattice
+    # by t multiplies the mass by t^2 and leaves the dbar energy, a
+    # conformally invariant Dirichlet energy, unchanged
+    for s in _rayleigh_sections(lens, n):
+        lat = s.lattice
+        for t in (0.37, 5.0):
+            r = dataclasses.replace(
+                s, lattice=Lattice(lat.tau1, lat.tau2, t * lat.scale))
+            assert r.mass() == pytest.approx(t ** 2 * s.mass(), rel=1e-12,
+                                             abs=0)
+            assert r.dbar_energy() == pytest.approx(s.dbar_energy(),
+                                                    rel=1e-12, abs=0)
 
 
 def test_lens_trial_pipeline_at_grid_2000_allocates_no_grid():
@@ -197,7 +221,7 @@ def test_lens_trial_pipeline_at_grid_2000_allocates_no_grid():
         td = axis_truncated_distances(sc.torus, R)
         s = phase_trial_section(sc.torus.normal_lines[0][0], td,
                                 sc.torus.lattice)
-        rayleigh_bound_check(s, sc.torus, kappa=0.5)
+        rayleigh_bound_check(s, kappa=0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -258,7 +282,7 @@ def _grid_exceptional(imm, R, n):
     cell = a_len * b_len / (n * ny)
     I = [float(np.sum(np.abs(c[m]) ** 2) * cell) for m in U]
     J = [float(np.sum(np.abs(c[m]) ** 2) * cell) for m in V]
-    fxi, feta = (f / imm.scale for f in wirtinger_factors(imm.lattice))
+    fxi, feta = wirtinger_factors(imm.lattice)
 
     def max_grad(phi):
         dx = (np.roll(phi, -1, 0) - np.roll(phi, 1, 0)) * n / 2
@@ -270,7 +294,7 @@ def _grid_exceptional(imm, R, n):
     sel = int(np.argmax(I))
     supp = ramp[sel] > 1e-12
     loc = SectionGrid(imm.lattice, 1.0, 1.0, ramp[sel] * c, np.pi, np.pi)
-    ray = 2 * dbar_energy_chart(loc, imm) / I[sel]
+    ray = 2 * dbar_energy_chart(loc) / I[sel]
     viol = int(np.count_nonzero(supp & np.roll(supp, n, axis=1)))
     return I, J, max_grad(ramp[1]), max_grad(phi_V), ray, viol
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from stabletori.errors import PoleError
+from stabletori.errors import DomainError, PoleError
 from stabletori.geometry import elliptic_curve_immersion
-from stabletori.lattice import normalize_lattice
+from stabletori.lattice import Lattice, normalize_lattice
 from stabletori.weierstrass import eisenstein_invariants, wp
 
 from conftest import wp_lattice_sum
@@ -89,3 +89,17 @@ def test_pole_raises():
         wp(np.array([0.0 + 0.0j]), lat)
     with pytest.raises(PoleError):
         wp(np.array([1.0 + 0.0j]), lat)   # lattice point
+
+
+def test_scaled_lattice_is_refused():
+    # the q-series are those of Z + Z tau; a flat torus's lattice carries
+    # its first period as scale, and must not be read as the unit lattice,
+    # not even at an argument on the unit lattice's pole
+    lat = Lattice(0.0, 1.0, 2.0)
+    for z in (0.3 + 0.2j, 0.0j):
+        with pytest.raises(DomainError, match="scale"):
+            wp(np.array([z]), lat)
+    with pytest.raises(DomainError, match="scale"):
+        eisenstein_invariants(lat)
+    with pytest.raises(DomainError, match="scale"):
+        elliptic_curve_immersion(lat, 0.1, 16)
