@@ -58,12 +58,13 @@ def line_section(L: LineHolonomy, k: int, lat: Lattice,
                  n: int) -> ProductSection:
     """Unit almost-holomorphic section of the line bundle over C/(k*Lambda).
 
-    In the periodic gauge the section is the pure phase
-    c(xi, eta) = exp(i*(omega_x*xi + omega_y*eta)) with omega chosen so that
-    the residual connection frequency is the principal lift divided by k.
-    It is kept as its two 1-D phase waves on the n x n cover grid.
-    sup |dbar s| then equals (1/k)|phi_k*dxi_dzbar + theta_k*deta_dzbar|
-    in closed form, `sup_dbar_exact`.
+    It lives on the cover's lattice Lattice(tau1, tau2, k*scale), whose
+    chart carries the pulled-back connection phases (k*phi, k*theta), as the
+    pure phase exp(i*(omega_x*x + omega_y*y)) of (x, y) = k*(xi, eta), with
+    omega chosen so that the residual connection frequency is the principal
+    lift divided by k, kept as its two 1-D waves on the n x n cover grid.
+    sup |dbar s| = |phi_k*dxi_dzbar + theta_k*deta_dzbar| in the cover's
+    Wirtinger factors is its closed form, `sup_dbar_exact`.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -76,11 +77,12 @@ def line_section(L: LineHolonomy, k: int, lat: Lattice,
     f, g = np.exp(1j * omega_x * t), np.exp(1j * omega_y * t)
     # seam audit: over a full period of the cover each wave comes back
     seam = max(abs(np.exp(1j * omega * k) - 1.0) for omega in (omega_x, omega_y))
-    fxi, feta = wirtinger_factors(lat)
+    cover = Lattice(lat.tau1, lat.tau2, k * lat.scale)
+    fxi, feta = wirtinger_factors(cover)
     return ProductSection(
-        lattice=lat, a=float(k), b=float(k), f=f, g=g,
-        phi=L.phi, theta=L.theta, seam_residual=float(seam), k=k,
-        sup_dbar_exact=abs(lifted.phi * fxi + lifted.theta * feta) / k)
+        lattice=cover, f=f, g=g, phi=k * L.phi, theta=k * L.theta,
+        seam_residual=float(seam), k=k,
+        sup_dbar_exact=abs(lifted.phi * fxi + lifted.theta * feta))
 
 
 def nilpotent_log(A: np.ndarray) -> np.ndarray:
@@ -164,7 +166,7 @@ def atiyah_sections(data: AtiyahData, lat: Lattice, n: int) -> list[SectionGrid]
     if n < 8:
         raise ResolutionError("grid must be at least 8")
     B = data.B
-    return [SectionGrid(lat, 1.0, 1.0, np.tile(w, (n, n, 1)), bmat=B)
+    return [SectionGrid(lat, np.tile(w, (n, n, 1)), bmat=B)
             for w in np.eye(data.r)]
 
 

@@ -351,6 +351,7 @@ class Immersion:
     Fz: np.ndarray                    # (n, n, dim) complex
     lam2: np.ndarray                  # (n, n)
     mask: np.ndarray                  # (n, n) bool, True where active
+    puncture_dist: np.ndarray         # (n, n), base-chart |xi + eta tau|
 
     @property
     def n(self) -> int:
@@ -368,6 +369,19 @@ class Immersion:
         """Induced area of each grid cell (zero on masked cells)."""
         out = self.lam2 * self.dxdy_weight()
         return np.where(self.mask, out, 0.0)
+
+    def cover(self, spec: CoverSpec) -> "Immersion":
+        """The immersion of the scaling cover ((k, 0), (0, k)), k >= 1: on
+        the lattice of scale k * scale, every node field tiled k x k onto
+        its kn x kn grid.  Any other spec raises DomainError."""
+        (k, shear_x), (shear_y, ky) = spec.basis
+        if (shear_x, shear_y, ky) != (0, 0, k) or k < 1:
+            raise DomainError(f"{spec.basis} is no scaling cover, k >= 1")
+        lat = self.lattice
+        tiled = (np.tile(a, (k, k) + (1,) * (a.ndim - 2))
+                 for a in (self.Fz, self.lam2, self.mask, self.puncture_dist))
+        return Immersion(Lattice(lat.tau1, lat.tau2, k * lat.scale),
+                         self.ambient, *tiled)
 
 
 @dataclass
@@ -406,11 +420,11 @@ class FlatTorus:
     def cover(self, spec: CoverSpec) -> "FlatTorus":
         """The torus of the diagonal cover ((kx, 0), (0, ky)): periods
         (kx a, ky b), on the same ambient, frame and grid, with each normal
-        line's holonomy lifted to (kx phi, ky theta).  A sheared spec raises
-        DomainError."""
+        line's holonomy lifted to (kx phi, ky theta).  A sheared spec, or a
+        diagonal entry below 1 (negative periods), raises DomainError."""
         (kx, shear_x), (shear_y, ky) = spec.basis
-        if shear_x != 0 or shear_y != 0:
-            raise DomainError("a flat torus covers diagonally only")
+        if shear_x != 0 or shear_y != 0 or min(kx, ky) < 1:
+            raise DomainError(f"{spec.basis} is no diagonal cover, kx, ky >= 1")
         lines = [(LineHolonomy(kx * hol.phi, ky * hol.theta), e)
                  for hol, e in self.normal_lines]
         a, b = self.periods
@@ -448,7 +462,8 @@ def elliptic_curve_immersion(lat: Lattice, puncture_radius: float,
     Fz = np.stack([pp / 2, -1j * pp / 2, ppp / 2, -1j * ppp / 2], axis=-1)
     lam2 = np.abs(pp) ** 2 + np.abs(ppp) ** 2
     amb = AmbientSpace(kind="euclidean", dim=4)
-    return Immersion(lattice=lat, ambient=amb, Fz=Fz, lam2=lam2, mask=mask)
+    return Immersion(lattice=lat, ambient=amb, Fz=Fz, lam2=lam2, mask=mask,
+                     puncture_dist=dist)
 
 
 def product_geodesic_torus(L: float, rho: float, n_sphere: int,

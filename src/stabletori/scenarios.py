@@ -14,7 +14,7 @@ from .geometry import (AmbientSpace, FlatTorus, Immersion, SurfaceQuantities,
 from .lattice import (CoverSpec, Lattice, cover_lattice, flat_systole,
                       normalize_lattice)
 from .stability import (DiscreteForm, StencilForm, _index_densities,
-                        _node_norm2, _tile, euclidean_index_form,
+                        _node_norm2, euclidean_index_form,
                         flat_twisted_form, min_eigenvalue)
 
 # Sections per batch of the elliptic audit: one (N, N, 4, batch) array is
@@ -108,42 +108,41 @@ class EllipticScenario:
         return elliptic_curve_immersion(self.lat, self.puncture, self.n)
 
     def form(self, extent: int = 1) -> DiscreteForm:
-        return euclidean_index_form(self.immersion(), extent=extent)
+        return euclidean_index_form(self.immersion().cover(CoverSpec.scaling(extent)))
 
     def random_normal_sections(self, count: int, extent: int = 1,
-                               seed: int = 0, imm: Immersion | None = None,
-                               quants: SurfaceQuantities | None = None):
+                               seed: int = 0):
         """Band-limited normal-projected sections supported off the puncture.
 
-        Each of the `count` sections, (N, N, 4) with N = extent * imm.n, is
-        AUDIT_MODES plane waves e^{2 pi i (kx xi + ky eta) / extent},
-        |kx|, |ky| <= 3, with complex Gaussian amplitudes in R^4, summed as
-        separable products e_kx(xi) e_ky(eta), times a bump that vanishes
-        within 1.3 puncture radii of each lattice point, so on every masked
-        node, then projected onto the normal plane node by node, as
-        Fn^T Fn v in its orthonormal frame Fn.  The stream depends on
-        `seed` alone; `stability_audit` reads the same sections in batches.
-        `imm` and its `surface_quantities` are built here unless given.
+        Each of the `count` sections, (N, N, 4) on the chart of the scaling
+        cover of `extent`, N = extent * n, is AUDIT_MODES plane waves
+        e^{2 pi i (kx xi + ky eta)}, |kx|, |ky| <= 3, with complex Gaussian
+        amplitudes in R^4, summed as separable products e_kx(xi) e_ky(eta),
+        times a bump of `puncture_dist` that vanishes within 1.3 puncture
+        radii of each lattice point, so on every masked node, then projected
+        onto the normal plane node by node, as Fn^T Fn v in its orthonormal
+        frame Fn.  The stream depends on `seed` alone; `stability_audit`
+        reads the same sections in batches.
         """
-        for batch in self._section_batches(count, extent, seed, imm, quants):
+        imm = self.immersion().cover(CoverSpec.scaling(extent))
+        quants = surface_quantities(imm)
+        for batch in self._section_batches(imm, quants, count, seed):
             yield from np.moveaxis(batch, -1, 0)
 
-    def _section_batches(self, count, extent, seed, imm=None, quants=None):
-        """random_normal_sections as (N, N, 4, S) batches of AUDIT_BATCH."""
-        imm = imm or self.immersion()
-        quants = quants or surface_quantities(imm)
-        N = extent * imm.n
-        xi = np.arange(N) * (1.0 / imm.n)
-        X, Y = np.meshgrid(xi, xi, indexing="ij")
-        red = (X - np.round(X)) + (Y - np.round(Y)) * imm.lattice.tau
-        t = np.clip((np.abs(red) - 1.3 * self.puncture) / (0.7 * self.puncture),
-                    0, 1)
+    def _section_batches(self, imm: Immersion, quants: SurfaceQuantities,
+                         count: int, seed: int):
+        """random_normal_sections on `imm` and its frames `quants`, as
+        (N, N, 4, S) batches of AUDIT_BATCH."""
+        N = imm.n
+        xi = np.arange(N) * (1.0 / N)
+        t = np.clip((imm.puncture_dist - 1.3 * self.puncture)
+                    / (0.7 * self.puncture), 0, 1)
         bump = t * t * (3 - 2 * t)
         # the normal projector Fn^T Fn of the normal frame, times the bump
-        Fn = _tile(quants.normal_frame, extent)
+        Fn = quants.normal_frame
         PN = np.swapaxes(Fn, -1, -2) @ (Fn * bump[..., None, None])
         # the 1D waves e_k(xi) for k = -3..3; a 2D wave is e_kx(xi) e_ky(eta)
-        waves = np.exp(2j * np.pi * np.arange(-3, 4)[:, None] * xi / extent)
+        waves = np.exp(2j * np.pi * np.arange(-3, 4)[:, None] * xi)
         rng = np.random.default_rng(seed)
         for start in range(0, count, AUDIT_BATCH):
             S = min(AUDIT_BATCH, count - start)
@@ -164,25 +163,25 @@ class EllipticScenario:
                         seed: int = 0) -> tuple[float, bool]:
         """Worst Q(s)/Mass(s) over random normal sections; True when stable.
 
-        The sections are `random_normal_sections(count, extent, seed)` on the
-        [0, extent)^2 cover, and Q(s) is the index form of
-        `euclidean_index_form`, evaluated on the grid by its array form
-        `_index_densities`, AUDIT_BATCH sections at a time,
-        with the mass sum lam2 |s|^2 over the unmasked cells.  Stable means
-        the worst quotient is >= -1e-6 over the sections of mass above 1e-14.
-        count < 1 or extent < 1 raises ConfigError; a run with no section of
-        mass above 1e-14 raises DomainError, as it has nothing to decide on.
+        The immersion of the scaling cover of `extent` and its frames are
+        built once.  The sections are `random_normal_sections(count, extent,
+        seed)`, and Q(s) is the cover's `euclidean_index_form`, evaluated on
+        the grid by its array form `_index_densities`, AUDIT_BATCH sections
+        at a time, with the mass sum lam2 |s|^2 over the unmasked cells.
+        Stable means the worst quotient is >= -1e-6 over the sections of mass
+        above 1e-14.  count < 1 or extent < 1 raises ConfigError; a run with
+        no section of mass above 1e-14 raises DomainError, as it has nothing
+        to decide on.
         """
         if count < 1 or extent < 1:
             raise ConfigError("the audit needs count >= 1 and extent >= 1")
-        imm = self.immersion()
+        imm = self.immersion().cover(CoverSpec.scaling(extent))
         quants = surface_quantities(imm)
-        densities = _index_densities(imm, quants, extent)
-        w = _tile(np.where(imm.mask, imm.dxdy_weight(), 0.0), extent)
-        da = _tile(imm.da_field(), extent)
+        densities = _index_densities(imm, quants)
+        w = np.where(imm.mask, imm.dxdy_weight(), 0.0)
+        da = imm.da_field()
         worst = np.inf
-        for batch in self._section_batches(count, extent, seed, imm=imm,
-                                           quants=quants):
+        for batch in self._section_batches(imm, quants, count, seed):
             plus, minus = densities(batch)
             q = np.tensordot(w, plus - minus, 2)
             m = np.tensordot(da, _node_norm2(batch), 2)

@@ -27,16 +27,14 @@ from .lattice import Lattice, wirtinger_factors
 
 @dataclass
 class SectionGrid:
-    """Periodic-gauge samples of a bundle section on [0,a) x [0,b).
+    """Periodic-gauge samples of a bundle section on the unit cell of the
+    chart of its lattice, z = scale*(xi + eta*tau).
 
-    values[i, j, :] = c(xi_i, eta_j) with xi_i = a*i/nx, eta_j = b*j/ny.
-    (a, b) are the domain extents in lattice units, so (a, b) = (k, k) for
-    the cover torus C/(k*Lambda).
+    values[i, j, :] = c(i/nx, j/ny).  A section over the cover C/(k*Lambda)
+    carries that lattice, `Lattice(tau1, tau2, k*scale)`.
     """
 
     lattice: Lattice
-    a: float
-    b: float
     values: np.ndarray            # (nx, ny, r) complex
     phi: float = 0.0              # connection phase per unit xi-period
     theta: float = 0.0            # connection phase per unit eta-period
@@ -52,11 +50,11 @@ class SectionGrid:
 
     @property
     def hx(self) -> float:
-        return self.a / self.values.shape[0]
+        return 1.0 / self.values.shape[0]
 
     @property
     def hy(self) -> float:
-        return self.b / self.values.shape[1]
+        return 1.0 / self.values.shape[1]
 
 
 def _axis_diff(v: np.ndarray, axis: int, step: float,
@@ -121,18 +119,17 @@ def dbar(sec: SectionGrid) -> SectionGrid:
 
 @dataclass
 class ProductSection:
-    """A line-bundle section c = f(xi) g(eta) on [0,a) x [0,b), kept as its
-    factors at xi = a*i/len(f), eta = b*j/len(g) in the periodic gauge of
-    (phi, theta).  It is measured in the chart of its own lattice,
-    z = scale*(xi + eta*tau): `mass` and `dbar_energy` are grid sums
-    against that chart's cell measure.  A line section carries its cover
-    `k` and closed form `sup_dbar_exact`, a trial section the systole `R`
-    its phase is cut at (positive, else DomainError).  `grid()`, the n x n
-    section, is for `--svg` and the tests' oracles only."""
+    """A line-bundle section c = f(xi) g(eta) on the unit cell of the chart
+    of its own lattice, z = scale*(xi + eta*tau), kept as its factors at
+    xi = i/len(f), eta = j/len(g) in the periodic gauge of (phi, theta), the
+    connection phases per unit period of that chart.  `mass` and
+    `dbar_energy` are grid sums against that chart's cell measure.  A line
+    section carries its cover `k` and closed form `sup_dbar_exact`, a trial
+    section the systole `R` its phase is cut at (positive, else
+    DomainError).  `grid()`, the n x n section, is for `--svg` and the
+    tests' oracles only."""
 
     lattice: Lattice
-    a: float
-    b: float
     f: np.ndarray
     g: np.ndarray
     phi: float
@@ -148,11 +145,11 @@ class ProductSection:
 
     @property
     def hx(self) -> float:
-        return self.a / self.f.size
+        return 1.0 / self.f.size
 
     @property
     def hy(self) -> float:
-        return self.b / self.g.size
+        return 1.0 / self.g.size
 
     @property
     def grad_bound(self) -> float:
@@ -164,9 +161,9 @@ class ProductSection:
         return 2 * np.pi / (np.sqrt(3.0) * self.R)
 
     def grid(self) -> SectionGrid:
-        return SectionGrid(self.lattice, self.a, self.b,
-                           self.f[:, None] * self.g[None, :], self.phi,
-                           self.theta, seam_residual=self.seam_residual)
+        return SectionGrid(self.lattice, self.f[:, None] * self.g[None, :],
+                           self.phi, self.theta,
+                           seam_residual=self.seam_residual)
 
     def diffs(self) -> tuple[np.ndarray, np.ndarray]:
         """(Df, Dg) by `_axis_diff`, so that dbar c = f_xi (Df) g

@@ -299,11 +299,6 @@ def min_eigenvalue(form: StencilForm) -> SpectrumResult:
 # ambient-valued sections (shared by the index forms and audits)
 
 
-def _tile(fld: np.ndarray, extent: int) -> np.ndarray:
-    """Repeat a per-node field periodically over the [0, extent)^2 cover."""
-    return np.tile(fld, (extent, extent) + (1,) * (fld.ndim - 2))
-
-
 def _node_norm2(v: np.ndarray) -> np.ndarray:
     """sum_i |v_i|^2 per node and section of a batch v, (N, N, dim, S)."""
     sq = np.einsum("xyij,xyij->xyj", v.view(float), v.view(float))
@@ -311,21 +306,21 @@ def _node_norm2(v: np.ndarray) -> np.ndarray:
 
 
 def _index_densities(imm: Immersion, quants: SurfaceQuantities,
-                     extent: int = 1, twist: tuple[float, float] = (0.0, 0.0)):
-    """The array form of the Euclidean index form on the [0, extent)^2 cover.
+                     twist: tuple[float, float] = (0.0, 0.0)):
+    """The array form of the Euclidean index form of `imm`.
 
-    Returns a function of a batch of ambient-valued fields v, (N, N, dim, S),
+    Returns a function of a batch of ambient-valued fields v, (n, n, dim, S),
     that gives |(d_zbar v)^perp|^2 and |(d_z v)^top|^2 per node and section;
     Q(v) is the sum of their difference against the masked cell measure.
     Both derivatives are `wirtinger_diff`'s, the stencil that
     `euclidean_index_form` writes as a matrix, from one pair of axis
-    differences, and both norms are frame norms |F w| in the
-    `surface_quantities` frames, as in the matrix.
+    differences, with the connection phases `twist` per unit period of the
+    chart of `imm.lattice`, and both norms are frame norms |F w| in the
+    `surface_quantities` frames `quants`, as in the matrix.
     """
     fx, fy = wirtinger_factors(imm.lattice)
     r = fy / fx     # |fx a + fy b| = |fx| |a + r b|, conjugated for d_z
-    Fn, Ft = (abs(fx) * _tile(F, extent)
-              for F in (quants.normal_frame, quants.tangent_frame))
+    Fn, Ft = (abs(fx) * F for F in (quants.normal_frame, quants.tangent_frame))
     h = 1.0 / imm.n
 
     def densities(v):
@@ -344,34 +339,27 @@ def _index_densities(imm: Immersion, quants: SurfaceQuantities,
 
 
 def euclidean_index_form(imm: Immersion,
-                         twist: tuple[float, float] = (0.0, 0.0),
-                         extent: int = 1,
-                         quants: SurfaceQuantities | None = None) -> DiscreteForm:
+                         twist: tuple[float, float] = (0.0, 0.0)) -> DiscreteForm:
     """Complexified stability form for an immersion into Euclidean space.
 
     Q(s) = sum ( |(d_zbar s)^perp|^2 - |(d_z s)^top|^2 ) dxdy over the grid,
-    restricted to dofs on unmasked nodes; mass form uses the induced area.
-    Both norms are taken in the node frames of `surface_quantities`.
-    `extent` builds the form on the [0, extent)^2 cover with the immersion
-    data repeated periodically.  `quants` are the immersion's
-    `surface_quantities`, computed here unless the caller has them.
+    restricted to dofs on unmasked nodes; mass form uses the induced area
+    `imm.da_field()`.  Both norms are taken in the node frames of
+    `surface_quantities`.  `twist` is the connection phase per unit period
+    of the chart of `imm.lattice`; a cover's form is the form of
+    `imm.cover(spec)`.
     """
     if not isinstance(imm, Immersion) or imm.ambient.kind != "euclidean":
         raise WrongFormError("euclidean index form needs a euclidean ambient")
     import scipy.sparse as sp
-    quants = quants or surface_quantities(imm)
+    quants = surface_quantities(imm)
     n, dim = imm.n, imm.dim
-    N = extent * n
-
-    mask = _tile(imm.mask, extent)
-    lam2 = _tile(imm.lam2, extent)
-
-    h = extent / N
+    h = 1.0 / n
     phi, theta = twist
     fxi, feta = wirtinger_factors(imm.lattice)
-    Cx = _cov_diff_1d(N, h, phi * h)
-    Cy = _cov_diff_1d(N, h, theta * h)
-    I = sp.eye(N, format="csr")
+    Cx = _cov_diff_1d(n, h, phi * h)
+    Cy = _cov_diff_1d(n, h, theta * h)
+    I = sp.eye(n, format="csr")
     Id = sp.eye(dim, format="csr")
     Dx = sp.kron(sp.kron(Cx, I), Id, format="csr")
     Dy = sp.kron(sp.kron(I, Cy), Id, format="csr")
@@ -379,13 +367,12 @@ def euclidean_index_form(imm: Immersion,
     Dz = np.conj(fxi) * Dx + np.conj(feta) * Dy
 
     # the node frames as block-diagonal (2 x dim)-block matrices
-    Fn, Ft = (sp.bsr_matrix((_tile(F, extent).reshape(-1, 2, dim),
-                             np.arange(N * N), np.arange(N * N + 1)),
-                            shape=(2 * N * N, dim * N * N)).tocsr()
+    Fn, Ft = (sp.bsr_matrix((F.reshape(-1, 2, dim), np.arange(n * n),
+                             np.arange(n * n + 1)),
+                            shape=(2 * n * n, dim * n * n)).tocsr()
               for F in (quants.normal_frame, quants.tangent_frame))
 
-    w0 = imm.dxdy_weight() * 1.0   # cell measure is the same on the cover grid
-    wcell = np.where(mask, w0, 0.0).reshape(-1)
+    wcell = np.where(imm.mask, imm.dxdy_weight(), 0.0).reshape(-1)
     W = sp.diags(np.repeat(wcell, 2))
 
     An = Fn @ Dzb
@@ -393,17 +380,16 @@ def euclidean_index_form(imm: Immersion,
     Qplus = (An.getH() @ W @ An).tocsr()
     Qminus = (At.getH() @ W @ At).tocsr()
     Q = Qplus - Qminus
-    da = (lam2 * np.where(mask, w0, 0.0)).reshape(-1)
-    M = sp.diags(np.repeat(da, dim))
+    M = sp.diags(np.repeat(imm.da_field().reshape(-1), dim))
 
-    active = np.repeat(mask.reshape(-1), dim)
+    active = np.repeat(imm.mask.reshape(-1), dim)
     idx = np.flatnonzero(active)
     Q = Q[idx][:, idx]
     Qplus = Qplus[idx][:, idx]
     Qminus = Qminus[idx][:, idx]
     M = M.tocsr()[idx][:, idx]
     return DiscreteForm(Q, M, meta={
-        "active": idx, "immersion": imm, "extent": extent,
+        "active": idx, "immersion": imm,
         "Qplus": Qplus, "Qminus": Qminus, "twist": twist,
     })
 

@@ -138,8 +138,7 @@ def phase_trial_section(L: LineHolonomy, deltas: TruncatedDistance,
     seam = max(abs(np.exp(-1j * d[-1] * a / R) * np.exp(1j * a) - 1.0)
                for d, a in ((deltas.delta_xi, L.phi),
                             (deltas.delta_eta, L.theta)))
-    return ProductSection(lattice, 1.0, 1.0, f, g, L.phi, L.theta,
-                          float(seam), R=R)
+    return ProductSection(lattice, f, g, L.phi, L.theta, float(seam), R=R)
 
 
 @dataclass
@@ -237,8 +236,8 @@ def exceptional_cutoffs(imm: FlatTorus, R: float, n: int) -> ExceptionalReport:
     # delta reaches R at the seam); the eta phase pi stays in the connection
     # and is paid as vertical energy.
     f = np.exp(1j * (np.pi * xi - np.minimum(R, a_len * xi) * np.pi / R))
-    s1 = ProductSection(imm.lattice, 1.0, 1.0, f, np.ones(ny, dtype=complex),
-                        np.pi, np.pi, 0.0)
+    s1 = ProductSection(imm.lattice, f, np.ones(ny, dtype=complex), np.pi,
+                        np.pi, 0.0)
 
     # the mass of s1 over each region: s1 with its eta factor masked
     I, J = ([replace(s1, g=m * s1.g).mass() for m in M] for M in (U, V))

@@ -15,7 +15,7 @@ import pytest
 
 from stabletori import cli, geometry, stability, systole
 from stabletori.lattice import CoverSpec
-from stabletori.scenarios import LensScenario
+from stabletori.scenarios import EllipticScenario, LensScenario
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -94,6 +94,25 @@ def test_level_spans_see_the_cover_form():
     assert names.count("scenarios.cover_form") == 1
     out = tracer.pass_summary(0, wall=1.0)
     assert out["stability.flat_twisted_form.calls"] == 1
+
+
+def test_elliptic_audit_evaluates_the_curve_once_on_a_cover():
+    # the extent-2 audit builds its cover from one immersion: wp runs on
+    # the 16 x 16 base grid only, and the immersion and its frames are
+    # built once, inside the audit
+    tracer = tracing.Tracer()
+    tracer.begin_pass(0)
+    with tracer.installed():
+        EllipticScenario(n=16).stability_audit(count=10, extent=2)
+    spans = tracer.spans
+    audit, = (i for i, s in enumerate(spans)
+              if s[0] == "scenarios.stability_audit")
+    for name in ("geometry.elliptic_curve_immersion",
+                 "geometry.surface_quantities"):
+        parents = [s[3] for s in spans if s[0] == name]
+        assert parents == [audit], name
+    out = tracer.pass_summary(0, wall=1.0)
+    assert out["weierstrass.wp.points"] == 16 * 16
 
 
 def test_traced_subcommands_run_and_count(tmp_path):

@@ -57,7 +57,8 @@ def test_line_section_measured_sup_matches_closed_form():
         sec = line_section(L, k, LAT, 128)
         expected = abs(principal_angle(k * L.phi) * fxi
                        + principal_angle(k * L.theta) * feta) / k
-        assert sec.k == k and (sec.a, sec.b) == (k, k)
+        assert sec.k == k
+        assert sec.lattice == Lattice(LAT.tau1, LAT.tau2, k * LAT.scale)
         assert sec.sup_dbar_exact == pytest.approx(expected, rel=1e-12)
         measured = float(np.max(np.abs(dbar(sec.grid()).values)))
         assert measured == pytest.approx(expected, rel=1e-3)

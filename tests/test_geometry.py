@@ -456,6 +456,53 @@ def test_cover_refuses_a_sheared_spec():
         torus.cover(CoverSpec(((1, 1), (0, 2))))
 
 
+def test_cover_refuses_a_negative_diagonal():
+    # ((-1, 0), (0, -1)) is a degree-1 spec, Lambda with the basis
+    # (-1, -tau); its periods would be negative
+    torus = product_geodesic_torus(2.0, 1.0, 3, (3, 1), 16)
+    with pytest.raises(DomainError, match=">= 1"):
+        torus.cover(CoverSpec(((-1, 0), (0, -1))))
+
+
+ELLIPTIC_FIELDS = ("Fz", "lam2", "mask", "puncture_dist")
+
+
+def test_immersion_cover_of_degree_one_is_the_immersion():
+    imm = elliptic_curve_immersion(Lattice(0.3, 1.1), 0.1, 16)
+    cover = imm.cover(CoverSpec.scaling(1))
+    assert cover.lattice == imm.lattice and cover.ambient is imm.ambient
+    for name in ELLIPTIC_FIELDS:
+        assert np.array_equal(getattr(cover, name), getattr(imm, name)), name
+
+
+def test_immersion_cover_tiles_the_node_fields():
+    # the scaling cover 2 Lambda: twice the side and the scale, the same
+    # map, so every node field repeats 2 x 2 and wp is not evaluated again
+    imm = elliptic_curve_immersion(Lattice(0.3, 1.1), 0.1, 16)
+    cover = imm.cover(CoverSpec.scaling(2))
+    assert cover.n == 32 and cover.dim == imm.dim
+    assert cover.lattice == Lattice(0.3, 1.1, 2.0)
+    assert cover.dxdy_weight() == pytest.approx(imm.dxdy_weight(), rel=1e-15)
+    for name in ELLIPTIC_FIELDS:
+        fld, big = getattr(imm, name), getattr(cover, name)
+        assert big.shape == (32, 32) + fld.shape[2:], name
+        for i in range(2):
+            for j in range(2):
+                assert np.array_equal(big[16 * i:16 * (i + 1),
+                                          16 * j:16 * (j + 1)], fld), name
+    # the distance field is the one the mask was cut from
+    assert np.array_equal(imm.mask, imm.puncture_dist > 0.1)
+
+
+@pytest.mark.parametrize("basis", [((2, 0), (0, 3)), ((1, 1), (0, 2)),
+                                   ((-1, 0), (0, -1))])
+def test_immersion_cover_refuses_a_non_scaling_spec(basis):
+    # an unequal diagonal, a shear and a negative diagonal
+    imm = elliptic_curve_immersion(Lattice(0.0, 1.0), 0.1, 16)
+    with pytest.raises(DomainError):
+        imm.cover(CoverSpec(basis))
+
+
 LENSES = [(1, 0)] + [(p, q) for p in range(2, 13) for q in range(1, p)
                      if math.gcd(p, q) == 1]
 

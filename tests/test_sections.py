@@ -19,8 +19,7 @@ def _wave_section(omega_x, omega_y, phi, theta, n=64):
     xi = np.arange(n) / n
     X, Y = np.meshgrid(xi, xi, indexing="ij")
     vals = np.exp(1j * (omega_x * X + omega_y * Y))[:, :, None]
-    return SectionGrid(lattice=LAT, a=1.0, b=1.0, values=vals,
-                       phi=phi, theta=theta)
+    return SectionGrid(lattice=LAT, values=vals, phi=phi, theta=theta)
 
 
 def test_wirtinger_diff_central_symbol():

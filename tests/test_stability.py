@@ -454,6 +454,15 @@ def test_level_refuses_a_sheared_cover():
         LensScenario().level(CoverSpec(((1, 1), (0, 2))))
 
 
+def test_level_and_cover_form_refuse_a_negative_diagonal():
+    # a degree-1 spec whose periods would be negative: refused as a cover,
+    # not built into a form or failed deep inside the lattice
+    spec = CoverSpec(((-1, 0), (0, -1)))
+    for call in (LensScenario(n=16).level, LensScenario(n=16).cover_form):
+        with pytest.raises(DomainError, match=">= 1"):
+            call(spec)
+
+
 def test_direct_lens_scenario_rejects_non_coprime_lens():
     # the CLI refuses (4, 2) as a config error; built directly, the torus
     # refuses it instead of sweeping a twist of pi
@@ -520,27 +529,31 @@ def test_elliptic_audit_matches_the_sparse_form(n, extent):
 
 
 @pytest.mark.parametrize("extent, twist", [(1, (0.4, -1.1)), (2, (0.0, 0.0)),
-                                           (2, (0.3, 0.2))])
+                                           (2, (0.6, 0.4))])
 def test_audit_densities_match_two_wirtinger_diffs(extent, twist):
     # the audit combines d_zbar and d_z from one pair of axis differences;
     # the oracle runs wirtinger_diff once with the chart factors and once
-    # with their conjugates, and projects node by node
+    # with their conjugates, and projects node by node.  The densities take
+    # the cover's immersion and the twist per unit period of its chart; the
+    # oracle works on the base chart, where the cover is [0, extent)^2 at
+    # step 1/n and the same connection is twist / extent per unit period
     sc = EllipticScenario(n=24)
     imm = sc.immersion()
-    quants = surface_quantities(imm)
-    v = np.stack(list(sc.random_normal_sections(7, extent, 5, imm=imm,
-                                                quants=quants)), -1)
+    cover = imm.cover(CoverSpec.scaling(extent))
+    v = np.stack(list(sc.random_normal_sections(7, extent, 5)), -1)
     fac = wirtinger_factors(imm.lattice)
     steps = (1.0 / imm.n,) * 2
+    base_twist = tuple(t / extent for t in twist)
 
     def norm2(w, P):
         P = np.tile(P, (extent, extent, 1, 1))
         return np.sum(np.abs(np.einsum("xyij,xyjs->xyis", P, w)) ** 2, axis=2)
 
     PT, PN = surface_projectors(imm.Fz)
-    want = (norm2(wirtinger_diff(v, fac, steps, twist), PN),
-            norm2(wirtinger_diff(v, np.conj(fac), steps, twist), PT))
-    got = stability._index_densities(imm, quants, extent, twist)(v)
+    want = (norm2(wirtinger_diff(v, fac, steps, base_twist), PN),
+            norm2(wirtinger_diff(v, np.conj(fac), steps, base_twist), PT))
+    got = stability._index_densities(cover, surface_quantities(cover),
+                                      twist)(v)
     for g, w in zip(got, want):
         assert g.shape == w.shape == (24 * extent, 24 * extent, 7)
         np.testing.assert_allclose(g, w, rtol=1e-13,
@@ -554,7 +567,7 @@ def test_random_normal_sections_match_plane_waves(seed, extent):
     # the same default_rng(seed) draws: 13 sections span a partial batch
     sc = EllipticScenario(n=16)
     imm = sc.immersion()
-    got = np.array(list(sc.random_normal_sections(13, extent, seed, imm=imm)))
+    got = np.array(list(sc.random_normal_sections(13, extent, seed)))
     want = plane_wave_sections(surface_projectors(imm.Fz)[1],
                                imm.lattice.tau, sc.puncture, 13, extent, seed)
     assert got.shape == want.shape == (13, 16 * extent, 16 * extent, 4)
@@ -566,15 +579,15 @@ def test_random_normal_sections_match_plane_waves(seed, extent):
 @pytest.mark.parametrize("extent", [1, 2])
 def test_node_frames_are_orthonormal_and_span_the_projectors(n, extent):
     # the closed-form frames against the projectors of F_x and F_y, on a
-    # square and a sheared lattice, repeated over the cover as the audit
-    # repeats them
+    # square and a sheared lattice, on the cover's immersion as the audit
+    # takes them
     eye = np.eye(2)
     for tau in (1j, 0.3 + 1.1j):
         imm = elliptic_curve_immersion(Lattice(tau.real, tau.imag), 0.1, n)
+        imm = imm.cover(CoverSpec.scaling(extent))
         quants = surface_quantities(imm)
         for F, P in zip((quants.tangent_frame, quants.normal_frame),
                         surface_projectors(imm.Fz)):
-            F, P = (stability._tile(a, extent) for a in (F, P))
             assert F.shape == (n * extent, n * extent, 2, 4)
             np.testing.assert_allclose(
                 F @ np.swapaxes(F, -1, -2),
@@ -616,12 +629,20 @@ def test_elliptic_audit_needs_evidence(monkeypatch):
         with pytest.raises(ConfigError):
             sc.stability_audit(**kwargs)
 
-    def massless(self, count, extent, seed, *args, **kwargs):
-        yield np.zeros((16 * extent, 16 * extent, 4, count), dtype=complex)
+    def massless(self, imm, quants, count, seed):
+        yield np.zeros((imm.n, imm.n, 4, count), dtype=complex)
 
     monkeypatch.setattr(EllipticScenario, "_section_batches", massless)
     with pytest.raises(DomainError, match="mass"):
         sc.stability_audit(count=3)
+
+
+def test_euclidean_index_form_mass_is_the_area_density():
+    # M is the masked induced area of each cell, dim times on its diagonal
+    imm = EllipticScenario(n=16).immersion()
+    form = stability.euclidean_index_form(imm)
+    da = np.repeat(imm.da_field().reshape(-1), imm.dim)[form.meta["active"]]
+    assert np.array_equal(form.M.toarray(), np.diag(da))
 
 
 def test_euclidean_index_form_split_parts_have_signs():
@@ -739,11 +760,11 @@ def _form_m_value(form, vals):
     return float(np.real(np.vdot(v, form.M @ v)))
 
 
-def _array_q_value(imm, vals, extent=1, twist=(0.0, 0.0)):
+def _array_q_value(imm, vals, twist=(0.0, 0.0)):
     """Q(s) from the array form: the densities against the cell measure."""
     perp, top = stability._index_densities(imm, surface_quantities(imm),
-                                           extent, twist)(vals[..., None])
-    w = np.where(np.tile(imm.mask, (extent, extent)), imm.dxdy_weight(), 0.0)
+                                           twist)(vals[..., None])
+    w = np.where(imm.mask, imm.dxdy_weight(), 0.0)
     return float(np.sum(w * (perp - top)[..., 0]))
 
 
@@ -754,19 +775,19 @@ def test_index_form_matrix_matches_the_array_stencil():
     form = sc.form()
     imm = form.meta["immersion"]
     for seed in range(3):
-        vals = next(sc.random_normal_sections(1, seed=seed, imm=imm))
+        vals = next(sc.random_normal_sections(1, seed=seed))
         assert not np.any(vals[~imm.mask])    # packing drops nothing
         assert _form_q_value(form, vals) == pytest.approx(
             _array_q_value(imm, vals), rel=1e-12)
-    # on a twisted cover, with the array form given the form's extent and
+    # on a twisted cover, with the array form given the form's cover and
     # twist
     sc = EllipticScenario(n=16)
-    imm = sc.immersion()
+    imm = sc.immersion().cover(CoverSpec.scaling(2))
     twist = (0.7, -1.3)
-    form = stability.euclidean_index_form(imm, twist=twist, extent=2)
-    vals = next(sc.random_normal_sections(1, extent=2, seed=5, imm=imm))
+    form = stability.euclidean_index_form(imm, twist=twist)
+    vals = next(sc.random_normal_sections(1, extent=2, seed=5))
     assert _form_q_value(form, vals) == pytest.approx(
-        _array_q_value(imm, vals, 2, twist), rel=1e-12)
+        _array_q_value(imm, vals, twist), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

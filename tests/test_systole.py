@@ -293,7 +293,7 @@ def _grid_exceptional(imm, R, n):
     phi_V = np.clip(np.minimum(d0, d1) * 3 / R, 0, 1)
     sel = int(np.argmax(I))
     supp = ramp[sel] > 1e-12
-    loc = SectionGrid(imm.lattice, 1.0, 1.0, ramp[sel] * c, np.pi, np.pi)
+    loc = SectionGrid(imm.lattice, ramp[sel] * c, np.pi, np.pi)
     ray = 2 * dbar_energy_chart(loc) / I[sel]
     viol = int(np.count_nonzero(supp & np.roll(supp, n, axis=1)))
     return I, J, max_grad(ramp[1]), max_grad(phi_V), ray, viol
