@@ -8,20 +8,17 @@ import numpy as np
 
 from .bundles import LineHolonomy
 from .errors import ConfigError, DomainError, WrongFormError
-from .geometry import (AmbientSpace, FlatTorus, Immersion, SurfaceQuantities,
+from .geometry import (AmbientSpace, FlatTorus, Immersion,
                        elliptic_curve_immersion, product_geodesic_torus,
                        surface_quantities)
 from .lattice import (CoverSpec, Lattice, cover_lattice, flat_systole,
                       normalize_lattice)
-from .stability import (DiscreteForm, StencilForm, _index_densities,
-                        _node_norm2, euclidean_index_form,
-                        flat_twisted_form, min_eigenvalue)
+from .stability import (DiscreteForm, StencilForm, _wave_pencil,
+                        euclidean_index_form, flat_twisted_form,
+                        min_eigenvalue)
 
-# Sections per batch of the elliptic audit: one (N, N, 4, batch) array is
-# about 2.6 MB at N = 64, so a batch costs little memory while its numpy
-# calls still cover many sections each.  Each section sums AUDIT_MODES waves.
-AUDIT_BATCH = 10
-AUDIT_MODES = 4
+AUDIT_MODES = 4     # waves per audit section
+AUDIT_BAND = 3      # |kx|, |ky| <= AUDIT_BAND for each wave e_k
 
 
 def flat_chart_immersion(a_len: float, b_len: float, n: int,
@@ -37,6 +34,22 @@ def flat_chart_immersion(a_len: float, b_len: float, n: int,
     if ambient is None:
         ambient = AmbientSpace(kind="flat_torus", dim=4)
     return FlatTorus((a_len, b_len), ambient, n, np.eye(ambient.dim)[:2])
+
+
+def _audit_draws(count: int, seed: int) -> np.ndarray:
+    """Amplitudes a[s, kx + B, ky + B] in C^4, B = AUDIT_BAND, of `count`
+    audit sections: from default_rng(seed), per wave (AUDIT_MODES a section)
+    kx, ky in [-B, B] and its amplitude, real parts first; repeats add."""
+    rng = np.random.default_rng(seed)
+    draws = [(rng.integers(-AUDIT_BAND, AUDIT_BAND + 1),
+              rng.integers(-AUDIT_BAND, AUDIT_BAND + 1), *rng.standard_normal(8))
+             for _ in range(count * AUDIT_MODES)]
+    z = np.array(draws).reshape(count, AUDIT_MODES, 10)
+    k = z[..., :2].astype(int) + AUDIT_BAND
+    a = np.zeros((count, 2 * AUDIT_BAND + 1, 2 * AUDIT_BAND + 1, 4), complex)
+    np.add.at(a, (np.arange(count)[:, None], k[..., 0], k[..., 1]),
+              z[..., 2:6] + 1j * z[..., 6:])
+    return a
 
 
 def second_variation_form(imm: FlatTorus) -> StencilForm:
@@ -110,86 +123,55 @@ class EllipticScenario:
     def form(self, extent: int = 1) -> DiscreteForm:
         return euclidean_index_form(self.immersion().cover(CoverSpec.scaling(extent)))
 
+    def _bump(self, imm: Immersion) -> np.ndarray:
+        """0 within 1.3 puncture radii, so on masked nodes, 1 beyond 2."""
+        t = np.clip((imm.puncture_dist / self.puncture - 1.3) / 0.7, 0, 1)
+        return t * t * (3 - 2 * t)
+
     def random_normal_sections(self, count: int, extent: int = 1,
                                seed: int = 0):
         """Band-limited normal-projected sections supported off the puncture.
 
         Each of the `count` sections, (N, N, 4) on the chart of the scaling
-        cover of `extent`, N = extent * n, is AUDIT_MODES plane waves
-        e^{2 pi i (kx xi + ky eta)}, |kx|, |ky| <= 3, with complex Gaussian
-        amplitudes in R^4, summed as separable products e_kx(xi) e_ky(eta),
-        times a bump of `puncture_dist` that vanishes within 1.3 puncture
-        radii of each lattice point, so on every masked node, then projected
-        onto the normal plane node by node, as Fn^T Fn v in its orthonormal
-        frame Fn.  The stream depends on `seed` alone; `stability_audit`
-        reads the same sections in batches.
+        cover of `extent`, N = extent * n, sums the waves of `_audit_draws(
+        count, seed)` as separable products e_kx(xi) e_ky(eta) times their
+        amplitudes, times `_bump`, projected node by node as Fn^T Fn v in the
+        orthonormal normal frame Fn.  `stability_audit` reads the same draws
+        and builds no grid.
         """
         imm = self.immersion().cover(CoverSpec.scaling(extent))
-        quants = surface_quantities(imm)
-        for batch in self._section_batches(imm, quants, count, seed):
-            yield from np.moveaxis(batch, -1, 0)
-
-    def _section_batches(self, imm: Immersion, quants: SurfaceQuantities,
-                         count: int, seed: int):
-        """random_normal_sections on `imm` and its frames `quants`, as
-        (N, N, 4, S) batches of AUDIT_BATCH."""
-        N = imm.n
-        xi = np.arange(N) * (1.0 / N)
-        t = np.clip((imm.puncture_dist - 1.3 * self.puncture)
-                    / (0.7 * self.puncture), 0, 1)
-        bump = t * t * (3 - 2 * t)
-        # the normal projector Fn^T Fn of the normal frame, times the bump
-        Fn = quants.normal_frame
-        PN = np.swapaxes(Fn, -1, -2) @ (Fn * bump[..., None, None])
-        # the 1D waves e_k(xi) for k = -3..3; a 2D wave is e_kx(xi) e_ky(eta)
-        waves = np.exp(2j * np.pi * np.arange(-3, 4)[:, None] * xi)
-        rng = np.random.default_rng(seed)
-        for start in range(0, count, AUDIT_BATCH):
-            S = min(AUDIT_BATCH, count - start)
-            k = np.empty((S, AUDIT_MODES, 2), dtype=int)
-            amp = np.empty((S, AUDIT_MODES, 4), dtype=complex)
-            for s in range(S):
-                for m in range(AUDIT_MODES):
-                    k[s, m] = rng.integers(-3, 4), rng.integers(-3, 4)
-                    amp[s, m] = (rng.standard_normal(4)
-                                 + 1j * rng.standard_normal(4))
-            # section s: (4 N, M) @ (M, N) of a_m e_kx(xi), e_ky(eta), M modes
-            left = np.einsum("smc,smx->scxm", amp, waves[k[..., 0] + 3])
-            vals = left.reshape(S, 4 * N, AUDIT_MODES) @ waves[k[..., 1] + 3]
-            vals = vals.reshape(S, 4, N, N).transpose(2, 3, 1, 0).copy()
-            yield (PN @ vals.view(float)).view(complex)
+        Fn = surface_quantities(imm).normal_frame
+        PN = np.swapaxes(Fn, -1, -2) @ (Fn * self._bump(imm)[..., None, None])
+        waves = np.exp(2j * np.pi * np.outer(np.arange(-AUDIT_BAND, AUDIT_BAND + 1),
+                                             np.arange(imm.n) * (1.0 / imm.n)))
+        for a in _audit_draws(count, seed):
+            # sum a[kx, ky] e_kx(xi) e_ky(eta), per component (N, 7) (7, 7) (7, N)
+            vals = waves.T @ np.moveaxis(a, -1, 0) @ waves
+            yield np.einsum("xyij,jxy->xyi", PN, vals)
 
     def stability_audit(self, count: int = 200, extent: int = 1,
                         seed: int = 0) -> tuple[float, bool]:
         """Worst Q(s)/Mass(s) over random normal sections; True when stable.
 
-        The immersion of the scaling cover of `extent` and its frames are
-        built once.  The sections are `random_normal_sections(count, extent,
-        seed)`, and Q(s) is the cover's `euclidean_index_form`, evaluated on
-        the grid by its array form `_index_densities`, AUDIT_BATCH sections
-        at a time, with the mass sum lam2 |s|^2 over the unmasked cells.
-        Stable means the worst quotient is >= -1e-6 over the sections of mass
-        above 1e-14.  count < 1 or extent < 1 raises ConfigError; a run with
-        no section of mass above 1e-14 raises DomainError, as it has nothing
-        to decide on.
+        The sections are `random_normal_sections(count, extent, seed)`; Q is
+        the `euclidean_index_form` of the scaling cover of `extent`, M the
+        mass lam2 |s|^2 on its unmasked cells.  A section is a vector a of 49
+        wave modes x 4 amplitudes, repeats added: Q(s) = a^H Kq a and M(s) =
+        a^H Km a on the cover's `_wave_pencil`, with no grid built, to 1e-12
+        of the sparse form.  Stable means a worst quotient >= -1e-6 over the
+        sections of mass above 1e-14.  count < 1 or extent < 1 raises
+        ConfigError; no section of mass above 1e-14 raises DomainError.
         """
         if count < 1 or extent < 1:
             raise ConfigError("the audit needs count >= 1 and extent >= 1")
         imm = self.immersion().cover(CoverSpec.scaling(extent))
-        quants = surface_quantities(imm)
-        densities = _index_densities(imm, quants)
-        w = np.where(imm.mask, imm.dxdy_weight(), 0.0)
-        da = imm.da_field()
-        worst = np.inf
-        for batch in self._section_batches(imm, quants, count, seed):
-            plus, minus = densities(batch)
-            q = np.tensordot(w, plus - minus, 2)
-            m = np.tensordot(da, _node_norm2(batch), 2)
-            massive = m > 1e-14
-            if massive.any():
-                worst = min(worst, float(np.min(q[massive] / m[massive])))
-        if worst == np.inf:
+        Kq, Km = _wave_pencil(imm, self._bump(imm), AUDIT_BAND)
+        a = _audit_draws(count, seed).reshape(count, -1)
+        q, m = (np.sum((a.conj() @ K) * a, axis=1).real for K in (Kq, Km))
+        massive = m > 1e-14
+        if not massive.any():
             raise DomainError("no audit section has mass above 1e-14")
+        worst = float(np.min(q[massive] / m[massive]))
         return worst, bool(worst >= -1e-6)
 
 

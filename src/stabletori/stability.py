@@ -7,11 +7,9 @@ and the node mass w.  Its Hermitian symmetry is checked on each axis
 stencil, and `min_eigenvalue` checks each stencil's 1-D DFT against its
 symbol term.  Its sparse matrices are assembled on request, for test
 oracles and tracing.  The masked Euclidean index form is a `DiscreteForm`,
-an assembled sparse matrix checked as one.  The elliptic stability audit
-evaluates it matrix-free, as grid densities (`_index_densities`) summed
-against the cell measure.  Matrix and densities measure the derivatives in
-the same orthonormal node 2-frames, written in closed form by
-`geometry.surface_quantities`.
+an assembled sparse matrix checked as one; on band-limited sections it is
+the elliptic audit's 196 x 196 pencil on their wave amplitudes
+(`_wave_pencil`), measured in the same node frames of `surface_quantities`.
 
 The sparse matrices are the only use of scipy here, so it is imported
 inside the functions that build them: the CLI's subcommands never load it.
@@ -27,9 +25,8 @@ import numpy as np
 from .bundles import principal_angle
 from .errors import (ConvergenceError, DomainError, ResolutionError,
                      ShapeError, WrongFormError)
-from .geometry import Immersion, SurfaceQuantities, surface_quantities
+from .geometry import Immersion, surface_quantities
 from .lattice import Lattice, wirtinger_factors
-from .sections import _axis_diff
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -296,46 +293,67 @@ def min_eigenvalue(form: StencilForm) -> SpectrumResult:
 
 
 # ---------------------------------------------------------------------------
-# ambient-valued sections (shared by the index forms and audits)
+# the Euclidean index form on band-limited sections
 
 
-def _node_norm2(v: np.ndarray) -> np.ndarray:
-    """sum_i |v_i|^2 per node and section of a batch v, (N, N, dim, S)."""
-    sq = np.einsum("xyij,xyij->xyj", v.view(float), v.view(float))
-    return sq[..., 0::2] + sq[..., 1::2]
+def _wave_pencil(imm: Immersion, bump: np.ndarray,
+                 band: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pencil (Kq, Km), Q(s) = a^H Kq a and M(s) = a^H Km a, of the
+    masked Euclidean index form of `imm` (as `euclidean_index_form`) and its
+    mass on the sections s = bump Fn^T Fn sum_k a_k e_k, |kx|, |ky| <= band,
+    a_k in C^4 at block (kx + band) (2 band + 1) + ky + band of a; `bump`
+    must vanish on the masked nodes.
 
-
-def _index_densities(imm: Immersion, quants: SurfaceQuantities,
-                     twist: tuple[float, float] = (0.0, 0.0)):
-    """The array form of the Euclidean index form of `imm`.
-
-    Returns a function of a batch of ambient-valued fields v, (n, n, dim, S),
-    that gives |(d_zbar v)^perp|^2 and |(d_z v)^top|^2 per node and section;
-    Q(v) is the sum of their difference against the masked cell measure.
-    Both derivatives are `wirtinger_diff`'s, the stencil that
-    `euclidean_index_form` writes as a matrix, from one pair of axis
-    differences, with the connection phases `twist` per unit period of the
-    chart of `imm.lattice`, and both norms are frame norms |F w| in the
-    `surface_quantities` frames `quants`, as in the matrix.
+    e_k(x + o) = e_k(x) omega^{k . o}, omega = e^{2 pi i / n}, so a term of
+    Q or M is the DFT at k' - k of a node field, by two small matmuls.  The
+    frames of `surface_quantities` are complex lines of C^2 = R^4, so the
+    fields are rank-1 2 x 2 complex matrices on the +i block of the complex
+    structure, conjugate on the -i block, put back into real coordinates.
     """
+    n, d = imm.n, np.arange(-2 * band, 2 * band + 1)
     fx, fy = wirtinger_factors(imm.lattice)
-    r = fy / fx     # |fx a + fy b| = |fx| |a + r b|, conjugated for d_z
-    Fn, Ft = (abs(fx) * F for F in (quants.normal_frame, quants.tangent_frame))
-    h = 1.0 / imm.n
+    quants = surface_quantities(imm)
+    nu, tau = (F[..., 0, 0::2] + 1j * F[..., 0, 1::2]
+               for F in (quants.normal_frame, quants.tangent_frame))
+    # the cell measure times the squared |fx| / 2h of the differences
+    w = np.where(imm.mask, imm.dxdy_weight() * (abs(fx) * n / 2) ** 2, 0.0)
+    offsets = np.array(((1, 0), (-1, 0), (0, 1), (0, -1)))
+    turn = 2j * np.pi / n      # omega^t = e^{turn t}
+    E = np.exp(turn * (np.outer(d, np.arange(n)) % n))
 
-    def densities(v):
-        dx = _axis_diff(v, 0, h, twist[0] * h)
-        nx, tx = ((F @ dx.view(float)).view(complex) for F in (Fn, Ft))
-        dy = _axis_diff(v, 1, h, twist[1] * h).view(float)
-        ny, ty = dx.reshape(2, *nx.shape)   # D_xi v is spent by now
-        np.matmul(Fn, dy, out=ny.view(float))
-        np.matmul(Ft, dy, out=ty.view(float))
-        ny *= r
-        nx += ny
-        ty *= np.conj(r)
-        tx += ty
-        return _node_norm2(nx), _node_norm2(tx)
-    return densities
+    def dft(g):     # sum_x e_delta(x) g(x), and of conj(g) for the -i block
+        out = E @ (E @ g.reshape(n, -1)).reshape(d.size, n, -1)
+        out = out.reshape(d.size, d.size, *g.shape[2:])
+        return np.stack([out, np.conj(out[::-1, ::-1])])
+
+    # frame^H s(x + o_j) = beta_j^H f(x + o_j), beta_j = bump_j (nu_j^H
+    # frame) nu_j from the neighbours' unit normals nu_j and bumps bump_j
+    nbr, bnb = (np.stack([np.roll(f, tuple(-o), (0, 1)) for o in offsets], 2)
+                for f in (nu, bump))
+    X = 0   # |fx a + fy b| = |fx| |a + rho b|, rho conjugated for d_z
+    for frame, rho, sign in ((nu, fy / fx, 1), (tau, np.conj(fy / fx), -1)):
+        c = np.array([1, -1, rho, -rho])
+        beta = (bnb * np.sum(np.conj(nbr) * frame[..., None, :], -1))[..., None] * nbr
+        # one neighbour i at a time, so the node fields are (n, n, 2, 4, 2)
+        g = np.stack([dft(w[..., None, None, None] * beta[..., i, :, None, None]
+                          * np.conj(beta[..., None, :, :])) for i in range(4)], 3)
+        X = X + sign * np.multiply.outer(np.conj(c), c)[:, None, :, None] * g
+    # c_i(k)^* c_j(k') also carries omega^{(k' - k) . o_j - k . (o_i - o_j)}
+    kx, ky = np.indices((2 * band + 1,) * 2).reshape(2, -1) - band
+    delta = np.indices((d.size,) * 2) - 2 * band
+    pj = np.exp(turn * np.tensordot(offsets, delta, 1))
+    pij = np.exp(-turn * (offsets[:, None] - offsets) @ (kx, ky))
+    Xk = np.einsum("bxyipjq,jxy,ijm->bxympq", X, pj, pij, optimize=True)
+    dx, dy = kx - kx[:, None] + 2 * band, ky - ky[:, None] + 2 * band
+    gm = dft((imm.da_field() * bump ** 2)[..., None, None]
+             * nu[..., :, None] * np.conj(nu[..., None, :]))
+
+    def real(K):    # the blocks (K+, K-) on real and imaginary parts
+        re, im = (K[0] + K[1]) / 2, 0.5j * (K[0] - K[1])
+        return (np.array([[re, im], [-im, re]]).transpose(2, 4, 0, 3, 5, 1)
+                .reshape(4 * kx.size, 4 * kx.size))
+
+    return real(Xk[:, dx, dy, np.arange(kx.size)[:, None]]), real(gm[:, dx, dy])
 
 
 def euclidean_index_form(imm: Immersion,

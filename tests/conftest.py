@@ -256,6 +256,39 @@ def plane_wave_sections(normal_proj, tau, puncture, count, extent=1,
     return np.array(out)
 
 
+def index_densities(imm, quants, twist=(0.0, 0.0)):
+    """The array stencil of the Euclidean index form of `imm`.
+
+    Returns a function of a batch of ambient fields v, (n, n, dim, S), that
+    gives |(d_zbar v)^perp|^2 and |(d_z v)^top|^2 per node and section; Q(v)
+    is the sum of their difference against the masked cell measure.  Each
+    derivative is f_xi D_xi v + f_eta D_eta v with the central covariant
+    difference D = (v[+1] e^{-ia} - v[-1] e^{ia}) / 2h taken by np.roll,
+    a = twist * h per axis, and the Wirtinger factors of the chart z =
+    scale (xi + eta tau) written out (conjugated for d_z); the norms are
+    those of the node frames `quants`, |F w| for the 2 x dim rows F.
+    """
+    lat = imm.lattice
+    f_xi = 0.5 * (1 - 1j * lat.tau1 / lat.tau2) / lat.scale
+    f_eta = 0.5j / (lat.tau2 * lat.scale)
+    h = 1.0 / imm.n
+
+    def diff(v, axis):
+        a = twist[axis] * h
+        return (np.roll(v, -1, axis) * np.exp(-1j * a)
+                - np.roll(v, 1, axis) * np.exp(1j * a)) / (2 * h)
+
+    def densities(v):
+        dx, dy = diff(v, 0), diff(v, 1)
+        return tuple(
+            np.sum(np.abs(np.einsum("xyai,xyis->xyas", F, fa * dx + fb * dy))
+                   ** 2, axis=2)
+            for F, fa, fb in ((quants.normal_frame, f_xi, f_eta),
+                              (quants.tangent_frame, np.conj(f_xi),
+                               np.conj(f_eta))))
+    return densities
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

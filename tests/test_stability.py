@@ -25,9 +25,9 @@ from stabletori.stability import (SYMBOL_TOL, DiscreteForm, StencilForm,
                                   _stencil_hermitian_norms)
 from stabletori.sections import wirtinger_diff
 
-from conftest import (cutoff_phi, fourier_lambda_min, kron_twisted_form_q,
-                      plane_wave_sections, stencil_spectrum_mismatch,
-                      surface_projectors)
+from conftest import (cutoff_phi, fourier_lambda_min, index_densities,
+                      kron_twisted_form_q, plane_wave_sections,
+                      stencil_spectrum_mismatch, surface_projectors)
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +531,13 @@ def test_elliptic_audit_matches_the_sparse_form(n, extent):
 @pytest.mark.parametrize("extent, twist", [(1, (0.4, -1.1)), (2, (0.0, 0.0)),
                                            (2, (0.6, 0.4))])
 def test_audit_densities_match_two_wirtinger_diffs(extent, twist):
-    # the audit combines d_zbar and d_z from one pair of axis differences;
-    # the oracle runs wirtinger_diff once with the chart factors and once
-    # with their conjugates, and projects node by node.  The densities take
-    # the cover's immersion and the twist per unit period of its chart; the
-    # oracle works on the base chart, where the cover is [0, extent)^2 at
-    # step 1/n and the same connection is twist / extent per unit period
+    # the array stencil (conftest's index_densities, np.roll differences in
+    # the node frames) against wirtinger_diff run once with the chart factors
+    # and once with their conjugates, projected node by node.  The stencil
+    # takes the cover's immersion and the twist per unit period of its
+    # chart; wirtinger_diff works on the base chart, where the cover is
+    # [0, extent)^2 at step 1/n and the same connection is twist / extent
+    # per unit period
     sc = EllipticScenario(n=24)
     imm = sc.immersion()
     cover = imm.cover(CoverSpec.scaling(extent))
@@ -552,8 +553,7 @@ def test_audit_densities_match_two_wirtinger_diffs(extent, twist):
     PT, PN = surface_projectors(imm.Fz)
     want = (norm2(wirtinger_diff(v, fac, steps, base_twist), PN),
             norm2(wirtinger_diff(v, np.conj(fac), steps, base_twist), PT))
-    got = stability._index_densities(cover, surface_quantities(cover),
-                                      twist)(v)
+    got = index_densities(cover, surface_quantities(cover), twist)(v)
     for g, w in zip(got, want):
         assert g.shape == w.shape == (24 * extent, 24 * extent, 7)
         np.testing.assert_allclose(g, w, rtol=1e-13,
@@ -564,7 +564,7 @@ def test_audit_densities_match_two_wirtinger_diffs(extent, twist):
 @pytest.mark.parametrize("extent", [1, 2])
 def test_random_normal_sections_match_plane_waves(seed, extent):
     # the separable draw against one full-grid plane wave per mode, from
-    # the same default_rng(seed) draws: 13 sections span a partial batch
+    # the same default_rng(seed) draws
     sc = EllipticScenario(n=16)
     imm = sc.immersion()
     got = np.array(list(sc.random_normal_sections(13, extent, seed)))
@@ -624,17 +624,88 @@ def test_elliptic_audit_builds_no_sparse_form(monkeypatch):
 
 
 def test_elliptic_audit_needs_evidence(monkeypatch):
+    import stabletori.scenarios as scenarios
     sc = EllipticScenario(n=16)
     for kwargs in ({"count": 0}, {"count": -1}, {"extent": 0}):
         with pytest.raises(ConfigError):
             sc.stability_audit(**kwargs)
 
-    def massless(self, imm, quants, count, seed):
-        yield np.zeros((imm.n, imm.n, 4, count), dtype=complex)
+    # the draws with zero amplitudes; a valid puncture cannot empty the bump
+    draws = scenarios._audit_draws
 
-    monkeypatch.setattr(EllipticScenario, "_section_batches", massless)
+    def massless(count, seed):
+        return np.zeros_like(draws(count, seed))
+
+    monkeypatch.setattr(scenarios, "_audit_draws", massless)
     with pytest.raises(DomainError, match="mass"):
         sc.stability_audit(count=3)
+
+
+@pytest.mark.parametrize("extent", [1, 2])
+def test_elliptic_audit_lies_above_its_pencil_bottom(extent):
+    # every sampled quotient is a Rayleigh quotient of the audit's pencil,
+    # so it lies above the pencil's bottom, which scipy computes on the
+    # whole sampled subspace of 49 modes x 4 amplitudes
+    from stabletori.scenarios import AUDIT_BAND
+    sc = EllipticScenario(n=64)
+    imm = sc.immersion().cover(CoverSpec.scaling(extent))
+    Kq, Km = stability._wave_pencil(imm, sc._bump(imm), AUDIT_BAND)
+    assert Kq.shape == Km.shape == (196, 196)
+    for K in (Kq, Km):
+        np.testing.assert_allclose(K, K.conj().T, rtol=0,
+                                   atol=1e-13 * np.abs(K).max())
+    lam, vec = scipy.linalg.eigh(Kq, Km)
+    v = vec[:, 0]
+    norm_q = np.linalg.norm(Kq, 2)
+    res = np.linalg.norm(Kq @ v - lam[0] * (Km @ v)) / (norm_q
+                                                        * np.linalg.norm(v))
+    assert res <= 1e-12
+    # rounding slack of a quotient a^H Kq a / a^H Km a in double precision:
+    # 196 eps ||Kq||_2 ||Km^-1||_2
+    slack = 196 * np.finfo(float).eps * norm_q / np.linalg.eigvalsh(Km)[0]
+    worst, stable = sc.stability_audit(count=100, extent=extent, seed=extent)
+    assert worst >= lam[0] - slack
+    # criterion 6's bound holds on the whole sampled subspace, not only on
+    # the 100 draws
+    assert stable and lam[0] >= -1e-6
+
+
+@pytest.mark.parametrize("extent", [1, 2])
+def test_wave_pencil_is_the_sparse_form_on_its_basis(extent):
+    # every entry of the pencil against the sparse form, on the 196 grid
+    # sections bump Fn^T Fn e_k e_c of its basis, built one full-grid plane
+    # wave at a time: Kq = S^H Q S and Km = S^H M S
+    from stabletori.scenarios import AUDIT_BAND
+    sc = EllipticScenario(n=16)
+    imm = sc.immersion().cover(CoverSpec.scaling(extent))
+    form = stability.euclidean_index_form(imm)
+    PN = surface_projectors(imm.Fz)[1] * sc._bump(imm)[..., None, None]
+    N = imm.n
+    I, J = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+    k = range(-AUDIT_BAND, AUDIT_BAND + 1)
+    S = np.stack([form.pack(PN[..., :, c] * np.exp(
+        2j * np.pi * ((kx * I + ky * J) % N) / N)[..., None])
+        for kx in k for ky in k for c in range(4)], 1)
+    Kq, Km = stability._wave_pencil(imm, sc._bump(imm), AUDIT_BAND)
+    for K, A in ((Kq, form.Q), (Km, form.M)):
+        want = S.conj().T @ (A @ S)
+        np.testing.assert_allclose(K, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+def test_elliptic_audit_count_extends_its_stream(monkeypatch):
+    # count=400 reads count=100's draws first, so its worst is no larger;
+    # at extent 2 (N = 128) it builds no section grid
+    sc = EllipticScenario(n=64)
+    worst100, _ = sc.stability_audit(count=100, extent=2, seed=3)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the audit built a section grid")
+
+    monkeypatch.setattr(EllipticScenario, "random_normal_sections", no_grid)
+    worst400, stable = sc.stability_audit(count=400, extent=2, seed=3)
+    assert worst400 <= worst100
+    assert stable
 
 
 def test_euclidean_index_form_mass_is_the_area_density():
@@ -761,16 +832,16 @@ def _form_m_value(form, vals):
 
 
 def _array_q_value(imm, vals, twist=(0.0, 0.0)):
-    """Q(s) from the array form: the densities against the cell measure."""
-    perp, top = stability._index_densities(imm, surface_quantities(imm),
-                                           twist)(vals[..., None])
+    """Q(s) from the array stencil: the densities against the cell measure."""
+    perp, top = index_densities(imm, surface_quantities(imm),
+                                twist)(vals[..., None])
     w = np.where(imm.mask, imm.dxdy_weight(), 0.0)
     return float(np.sum(w * (perp - top)[..., 0]))
 
 
 def test_index_form_matrix_matches_the_array_stencil():
     # Q(s) = int |(d_zbar s)^perp|^2 - |(d_z s)^top|^2, once from the sparse
-    # matrix and once from the array stencil `_index_densities`
+    # matrix and once from the array stencil of conftest's index_densities
     sc = EllipticScenario(n=48)
     form = sc.form()
     imm = form.meta["immersion"]
