@@ -53,22 +53,31 @@ class LineHolonomy:
     def dual(self) -> "LineHolonomy":
         return LineHolonomy(-self.phi, -self.theta)
 
+    def lift(self, spec: CoverSpec) -> tuple[float, float]:
+        """The pullback's connection phases (a phi + b theta, c phi + d
+        theta) around the generators of `cover_lattice(lat, spec)`, its rows
+        (a, b) and (c, d), unwrapped: LineHolonomy(*lift) is its class."""
+        (a, b), (c, d) = spec.basis
+        return a * self.phi + b * self.theta, c * self.phi + d * self.theta
+
 
 def line_section(L: LineHolonomy, k: int, lat: Lattice,
                  n: int) -> ProductSection:
     """Unit almost-holomorphic section of the line bundle over C/(k*Lambda).
 
-    It lives on the cover's lattice Lattice(tau1, tau2, k*scale), whose
-    chart carries the pulled-back connection phases (k*phi, k*theta), as the
-    pure phase exp(i*(omega_x*x + omega_y*y)) of (x, y) = k*(xi, eta), with
-    omega chosen so that the residual connection frequency is the principal
-    lift divided by k, kept as its two 1-D waves on the n x n cover grid.
-    sup |dbar s| = |phi_k*dxi_dzbar + theta_k*deta_dzbar| in the cover's
-    Wirtinger factors is its closed form, `sup_dbar_exact`.
+    It lives on the cover's lattice `cover_lattice(lat, scaling(k))`, whose
+    chart carries the pulled-back connection phases `L.lift` = (k*phi,
+    k*theta), as the pure phase exp(i*(omega_x*x + omega_y*y)) of (x, y) =
+    k*(xi, eta), with omega chosen so that the residual connection frequency
+    is the principal lift divided by k, kept as its two 1-D waves on the
+    n x n cover grid.  sup |dbar s| = |phi_k*dxi_dzbar + theta_k*deta_dzbar|
+    in the cover's Wirtinger factors is its closed form, `sup_dbar_exact`.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    lifted = LineHolonomy(k * L.phi, k * L.theta)   # the pullback's holonomy
+    spec = CoverSpec.scaling(k)
+    phases = L.lift(spec)
+    lifted = LineHolonomy(*phases)      # the pullback's holonomy
     if n < 8:
         raise ResolutionError("grid must be at least 8")
     omega_x = L.phi - lifted.phi / k   # = 2*pi*(integer)/k
@@ -77,10 +86,10 @@ def line_section(L: LineHolonomy, k: int, lat: Lattice,
     f, g = np.exp(1j * omega_x * t), np.exp(1j * omega_y * t)
     # seam audit: over a full period of the cover each wave comes back
     seam = max(abs(np.exp(1j * omega * k) - 1.0) for omega in (omega_x, omega_y))
-    cover = Lattice(lat.tau1, lat.tau2, k * lat.scale)
+    cover = cover_lattice(lat, spec)
     fxi, feta = wirtinger_factors(cover)
     return ProductSection(
-        lattice=cover, f=f, g=g, phi=k * L.phi, theta=k * L.theta,
+        lattice=cover, f=f, g=g, phi=phases[0], theta=phases[1],
         seam_residual=float(seam), k=k,
         sup_dbar_exact=abs(lifted.phi * fxi + lifted.theta * feta))
 
@@ -130,7 +139,9 @@ class AtiyahData:
 
 @dataclass
 class FlatBundle:
-    """Commuting holonomy pair over a fixed lattice."""
+    """Commuting holonomy pair over a fixed lattice: rho1 around its first
+    generator scale and rhotau around scale*tau.  On a cover's lattice those
+    are the generators g1 and g2 of `cover_lattice`."""
 
     rho1: np.ndarray
     rhotau: np.ndarray
@@ -385,16 +396,14 @@ def _decompose_attempt(A: np.ndarray, C: np.ndarray,
 
 
 def pullback_bundle(bundle: FlatBundle, spec: CoverSpec) -> FlatBundle:
-    """Holonomy of the pullback to the sublattice cover.
+    """Holonomy of the pullback to the sublattice cover, on
+    `cover_lattice(bundle.lattice, spec)`.
 
-    The lifted generators are the words rho(1)^a rho(tau)^b and
-    rho(1)^c rho(tau)^d read off the sublattice basis rows.
+    Its generators g1 = a + b*tau and g2 = c + d*tau are the spec's rows, so
+    the lifted holonomies around them are the words rho(1)^a rho(tau)^b and
+    rho(1)^c rho(tau)^d; a line bundle's are `LineHolonomy.lift`.
     """
-    def power(M, e):
-        if e >= 0:
-            return np.linalg.matrix_power(M, e)
-        return np.linalg.matrix_power(np.linalg.inv(M), -e)
-
+    power = np.linalg.matrix_power      # a negative power inverts first
     (a, b), (c, d) = spec.basis
     r1 = power(bundle.rho1, a) @ power(bundle.rhotau, b)
     r2 = power(bundle.rho1, c) @ power(bundle.rhotau, d)

@@ -304,7 +304,7 @@ def cmd_systole(cfg, out: Path, svg: bool):
 
 def cmd_abelian(cfg, out: Path, svg: bool):
     k_max = _config_int(cfg, "k_max", 1)
-    rows = sublattice_growth_table(_config_lattice(cfg).tau, k_max)
+    rows = sublattice_growth_table(_config_lattice(cfg), k_max)
     failures = []
     for (k, deg, got, want) in rows:
         if abs(got - want) > 1e-10 * max(1.0, want):

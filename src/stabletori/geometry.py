@@ -15,7 +15,7 @@ import numpy as np
 
 from .bundles import LineHolonomy, principal_angle
 from .errors import DomainError, ResolutionError, ShapeError, WrongFormError
-from .lattice import CoverSpec, Lattice
+from .lattice import CoverSpec, Lattice, cover_lattice
 from .weierstrass import eisenstein_invariants, wp
 
 
@@ -372,16 +372,15 @@ class Immersion:
 
     def cover(self, spec: CoverSpec) -> "Immersion":
         """The immersion of the scaling cover ((k, 0), (0, k)), k >= 1: on
-        the lattice of scale k * scale, every node field tiled k x k onto
-        its kn x kn grid.  Any other spec raises DomainError."""
+        `cover_lattice`, of scale k * scale, every node field tiled k x k
+        onto its kn x kn grid.  Any other spec raises DomainError."""
         (k, shear_x), (shear_y, ky) = spec.basis
         if (shear_x, shear_y, ky) != (0, 0, k) or k < 1:
             raise DomainError(f"{spec.basis} is no scaling cover, k >= 1")
-        lat = self.lattice
         tiled = (np.tile(a, (k, k) + (1,) * (a.ndim - 2))
                  for a in (self.Fz, self.lam2, self.mask, self.puncture_dist))
-        return Immersion(Lattice(lat.tau1, lat.tau2, k * lat.scale),
-                         self.ambient, *tiled)
+        return Immersion(cover_lattice(self.lattice, spec), self.ambient,
+                         *tiled)
 
 
 @dataclass
@@ -420,12 +419,12 @@ class FlatTorus:
     def cover(self, spec: CoverSpec) -> "FlatTorus":
         """The torus of the diagonal cover ((kx, 0), (0, ky)): periods
         (kx a, ky b), on the same ambient, frame and grid, with each normal
-        line's holonomy lifted to (kx phi, ky theta).  A sheared spec, or a
+        line's holonomy lifted by `LineHolonomy.lift`.  A sheared spec, or a
         diagonal entry below 1 (negative periods), raises DomainError."""
         (kx, shear_x), (shear_y, ky) = spec.basis
         if shear_x != 0 or shear_y != 0 or min(kx, ky) < 1:
             raise DomainError(f"{spec.basis} is no diagonal cover, kx, ky >= 1")
-        lines = [(LineHolonomy(kx * hol.phi, ky * hol.theta), e)
+        lines = [(LineHolonomy(*hol.lift(spec)), e)
                  for hol, e in self.normal_lines]
         a, b = self.periods
         return FlatTorus((kx * a, ky * b), self.ambient, self.n, self.frame,

@@ -127,20 +127,18 @@ class CoverSpec:
 
 
 def cover_lattice(lat: Lattice, spec: CoverSpec) -> Lattice:
-    """The sublattice of `spec`, spanned by g1 = a + b*tau and
-    g2 = c + d*tau in units of lat.scale, as scale'*(Z + Z*tau') with tau'
-    reduced, so that flat systoles compare across covers.  Its covering
-    degree is spec.degree."""
+    """The sublattice of `spec` with the spec's rows as its generators:
+    g1 = a + b*tau and g2 = c + d*tau in units of lat.scale, so scale' =
+    lat.scale*|g1| and tau' = g2/g1, unreduced.  A lift to it reads its
+    holonomy around g1 and g2 (`LineHolonomy.lift`, `pullback_bundle`).
+    With b = 0, tau' = c/a + (d/a)*tau, so a scaling spec gives
+    Lattice(tau1, tau2, k*scale) exactly.  Its covering degree is
+    spec.degree."""
     (a, b), (c, d) = spec.basis
     g1 = a + b * lat.tau
-    g2 = c + d * lat.tau
-    tau_raw = g2 / g1
-    # det > 0 guarantees Im(tau_raw) > 0.
-    reduced, U = normalize_lattice(tau_raw)
-    # First generator after reduction, measured in the (g1, g2) frame.
-    gen1 = U[0, 0] + U[0, 1] * tau_raw
-    return Lattice(reduced.tau1, reduced.tau2,
-                   lat.scale * abs(g1) * abs(gen1))
+    tau = c / a + (d / a) * lat.tau if b == 0 else (c + d * lat.tau) / g1
+    # det > 0 guarantees Im(tau) > 0.
+    return Lattice(tau.real, tau.imag, lat.scale * abs(g1))
 
 
 def flat_systole(lat: Lattice) -> float:

@@ -11,8 +11,7 @@ from .errors import ConfigError, DomainError, WrongFormError
 from .geometry import (AmbientSpace, FlatTorus, Immersion,
                        elliptic_curve_immersion, product_geodesic_torus,
                        surface_quantities)
-from .lattice import (CoverSpec, Lattice, cover_lattice, flat_systole,
-                      normalize_lattice)
+from .lattice import CoverSpec, Lattice, cover_lattice, flat_systole
 from .stability import (DiscreteForm, StencilForm, _wave_pencil,
                         euclidean_index_form, flat_twisted_form,
                         min_eigenvalue)
@@ -21,8 +20,7 @@ AUDIT_MODES = 4     # waves per audit section
 AUDIT_BAND = 3      # |kx|, |ky| <= AUDIT_BAND for each wave e_k
 
 
-def flat_chart_immersion(a_len: float, b_len: float, n: int,
-                         ambient: AmbientSpace | None = None) -> FlatTorus:
+def flat_chart_immersion(a_len: float, b_len: float, n: int) -> FlatTorus:
     """Flat isometric chart torus with unit conformal factor.
 
     The totally geodesic torus of `FlatTorusScenario` inside a flat 4-torus,
@@ -31,9 +29,8 @@ def flat_chart_immersion(a_len: float, b_len: float, n: int,
     systole are tested.  Trial sections do not use it: the lens ones live
     on the lens torus.
     """
-    if ambient is None:
-        ambient = AmbientSpace(kind="flat_torus", dim=4)
-    return FlatTorus((a_len, b_len), ambient, n, np.eye(ambient.dim)[:2])
+    return FlatTorus((a_len, b_len), AmbientSpace(kind="flat_torus", dim=4),
+                     n, np.eye(4)[:2])
 
 
 def _audit_draws(count: int, seed: int) -> np.ndarray:
@@ -81,7 +78,8 @@ def second_variation_form(imm: FlatTorus) -> StencilForm:
 
 @dataclass
 class LensScenario:
-    """S^1(L) x lens(p, q) on S^3(rho), with the short geodesic torus.
+    """S^1(L) x lens(p, q) on S^3(rho), with the short geodesic torus: the
+    sphere is S^3, the only one `product_geodesic_torus` twists.
 
     `torus` is the `product_geodesic_torus` for an n x n grid, built once
     and held in closed form; every form of the sweep is the
@@ -93,10 +91,9 @@ class LensScenario:
     p: int = 3
     q: int = 1
     n: int = 96
-    n_sphere: int = 3
 
     def __post_init__(self):
-        self.torus = product_geodesic_torus(self.L, self.rho, self.n_sphere,
+        self.torus = product_geodesic_torus(self.L, self.rho, 3,
                                             (self.p, self.q), self.n)
 
     def cover_form(self, spec: CoverSpec) -> StencilForm:
@@ -192,9 +189,8 @@ class FlatTorusScenario:
     level = LensScenario.level
 
 
-def sublattice_growth_table(tau: complex, kmax: int = 10):
+def sublattice_growth_table(lat: Lattice, kmax: int = 10):
     """flat_systole along the tower k*Lambda, with the exact scaling law."""
-    lat, _ = normalize_lattice(tau)
     base = flat_systole(lat)
     rows = []
     for k in range(1, kmax + 1):

@@ -31,7 +31,7 @@ class SectionGrid:
     chart of its lattice, z = scale*(xi + eta*tau).
 
     values[i, j, :] = c(i/nx, j/ny).  A section over the cover C/(k*Lambda)
-    carries that lattice, `Lattice(tau1, tau2, k*scale)`.
+    carries that lattice, `cover_lattice(lat, CoverSpec.scaling(k))`.
     """
 
     lattice: Lattice

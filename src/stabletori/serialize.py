@@ -36,8 +36,12 @@ def write_json(path, obj):
                           encoding="utf-8")
 
 
+# Side of one field value's square in `svg_heatmap`, in SVG pixels.
+SVG_CELL = 4
+
+
 def svg_heatmap(path, field: np.ndarray, *, bounds: tuple[float, float],
-                title: str = "", cell: int = 4):
+                title: str = ""):
     """Tiny dependency-free SVG raster of a real scalar field, blue at
     bounds[0] to red at bounds[1], clipped outside; a caller-fixed range
     keeps rounding noise in a constant field one colour."""
@@ -47,15 +51,15 @@ def svg_heatmap(path, field: np.ndarray, *, bounds: tuple[float, float],
     nx, ny = red.shape
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{nx * cell}" height="{ny * cell}">',
+        f'width="{nx * SVG_CELL}" height="{ny * SVG_CELL}">',
         f"<title>{title}</title>",
     ]
     for i in range(nx):
         for j in range(ny):
             r = red[i, j]
             parts.append(
-                f'<rect x="{i * cell}" y="{(ny - 1 - j) * cell}" '
-                f'width="{cell}" height="{cell}" '
+                f'<rect x="{i * SVG_CELL}" y="{(ny - 1 - j) * SVG_CELL}" '
+                f'width="{SVG_CELL}" height="{SVG_CELL}" '
                 f'fill="rgb({r},0,{255 - r})"/>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts), encoding="utf-8")

@@ -162,23 +162,6 @@ def _cov_diff_1d(n: int, h: float, step_angle: float) -> sp.spmatrix:
             - shift_bwd * np.exp(1j * step_angle)) / (2 * h)
 
 
-def chart_metric(periods: tuple[float, float], shear: float = 0.0):
-    """Inverse metric entries and area element of the (xi, eta) chart.
-
-    Period vectors are p1 = (a, 0) and p2 = (shear, b) in the flat plane.
-    A metric with no finite inverse raises DomainError.
-    """
-    a, b = periods
-    G = np.array([[a * a, a * shear], [a * shear, shear * shear + b * b]])
-    try:
-        ginv = np.linalg.inv(G)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError(f"periods {periods} give a singular metric") from exc
-    if not np.isfinite(ginv).all():
-        raise DomainError(f"periods {periods} give no finite inverse metric")
-    return ginv, a * b
-
-
 def _stencil_hermitian_norms(s: np.ndarray) -> tuple[float, float]:
     """||A - A^H||_F and ||A||_F of an axis term A (x) I or I (x) A of Q on
     the n x n grid, for the circulant A of the axis stencil s.
@@ -213,12 +196,15 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
         raise ShapeError(f"potential must be a scalar, got shape "
                          f"{np.shape(potential)}")
     V = float(potential)
-    phi, theta = twist
     if not (np.isfinite([*periods, *twist, V]).all() and np.prod(periods)):
         raise DomainError("form inputs must be finite, the periods nonzero")
     h = 1.0 / n
-    ginv, sqrtg = chart_metric(periods)
-    w = sqrtg * h * h
+    # the chart's metric is diag(a^2, b^2), whose inverse must be finite
+    with np.errstate(divide="ignore", over="ignore"):
+        ginv = 1.0 / np.square(periods)
+    if not np.isfinite(ginv).all():
+        raise DomainError(f"periods {periods} give no finite inverse metric")
+    w = periods[0] * periods[1] * h * h
 
     # Q / w = g^00 Fx^H Fx + g^11 Fy^H Fy + V for F = (e^{-i a} S - 1) / h,
     # a the step phase and S the shift to the next node.  An axis stencil
@@ -228,14 +214,13 @@ def flat_twisted_form(periods: tuple[float, float], twist: tuple[float, float],
     one[0] = fwd[1] = bwd[-1] = 1.0
     stencils = tuple(
         w / h ** 2 * (g * (2 * one - e * fwd - np.conj(e) * bwd))
-        for g, e in ((ginv[0, 0], np.exp(-1j * phi * h)),
-                     (ginv[1, 1], np.exp(-1j * theta * h))))
+        for g, e in zip(ginv, np.exp(-1j * np.multiply(twist, h))))
     # The grid plane wave of mode m has step phase theta = (2 pi m - phi) h
     # under the connection, and F has symbol (e^{i theta} - 1) / h.  Signed
     # modes keep theta small.
     m = (np.arange(n) + n // 2) % n - n // 2
     symbols = tuple(g * (4 * np.sin((2 * np.pi * m - t) * h / 2) ** 2)
-                    for g, t in ((ginv[0, 0], phi), (ginv[1, 1], theta)))
+                    for g, t in zip(ginv, twist))
     # Each axis's continuum bottom is the mode nearest its twist, at
     # distance d; the grid scales its term by 4 sin^2(x/2) / x^2 in
     # [1 - x^2/12, 1] (x = d h) and puts no other mode lower.
@@ -470,13 +455,16 @@ def log_cutoff(epsilon: float, center: tuple[float, float], lattice: Lattice,
     win = np.clip(win, 0.0, 1.0)
     win[r == 0] = 0.0
 
-    ginv, sqrtg = chart_metric((scale, scale * lattice.tau2),
-                               shear=scale * lattice.tau1)
+    # |grad phi|^2 = 4 |f_xi px + f_eta py|^2 for a real phi, expanded in
+    # the real coefficients g_ab = 4 Re(f_a conj(f_b))
+    f = wirtinger_factors(lattice)
+    gxx, gyy, gxy = (4 * (f[a] * np.conj(f[b])).real
+                     for a, b in ((0, 0), (1, 1), (0, 1)))
     px = (win[1:, :-1] - win[:-1, :-1]) / hx
     py = (win[:-1, 1:] - win[:-1, :-1]) / hx
-    dens = (ginv[0, 0] * px ** 2 + ginv[1, 1] * py ** 2
-            + 2 * ginv[0, 1] * px * py)
-    return ix, iy, win, float(np.sum(dens) * sqrtg * hx * hx)
+    dens = gxx * px ** 2 + gyy * py ** 2 + 2 * gxy * px * py
+    area = scale * (scale * lattice.tau2)
+    return ix, iy, win, float(np.sum(dens) * area * hx * hx)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 from .bundles import LineHolonomy
 from .errors import DomainError, ResolutionError, WrongFormError
 from .geometry import FlatTorus
-from .lattice import Lattice, wirtinger_factors
+from .lattice import CoverSpec, Lattice, wirtinger_factors
 from .sections import ProductSection, _axis_diff
 from .stability import STABLE_TOL
 
@@ -195,12 +195,14 @@ class ExceptionalReport:
     injectivity_violations: int
 
 
-def exceptional_cutoffs(imm: FlatTorus, R: float, n: int) -> ExceptionalReport:
-    """Cutoff regions and localized sections on the vertical double cover.
+def exceptional_cutoffs(base: FlatTorus, R: float, n: int) -> ExceptionalReport:
+    """Cutoff regions and localized sections on the vertical double cover
+    of the flat torus `base`.
 
-    `imm` is that cover, two base tori stacked vertically, and everything
-    is measured in its own chart [0,1)^2 at n x 2n nodes, with a horizontal
-    holonomy of -1 detwisted by the truncated-distance phase.  d_j is the
+    The cover is `base.cover(((1, 0), (0, 2)))`, two base tori stacked
+    vertically (doubling a period is exact).  Everything is measured in its
+    own chart [0,1)^2 at n x 2n nodes, with a horizontal holonomy of -1
+    detwisted by the truncated-distance phase.  d_j is the
     induced distance to the circle eta = j / 2; U_j = {d_j <= R/3}; the
     I-case cutoff ramps as 3 - 6 d_1 / R between R/3 and R/2, the V-case
     uses (3/R) min(d_0, d_1).  `injectivity_violations` counts the
@@ -209,8 +211,9 @@ def exceptional_cutoffs(imm: FlatTorus, R: float, n: int) -> ExceptionalReport:
     xi alone and every distance on eta alone, so nothing of size n^2 is
     built: each grid sum is a product of two axis sums.
     """
-    if not isinstance(imm, FlatTorus):
+    if not isinstance(base, FlatTorus):
         raise DomainError("exceptional construction implemented on flat tori")
+    imm = base.cover(CoverSpec(((1, 0), (0, 2))))
     a_len, b_len = imm.periods
     if R / 6 < 4 * (b_len / n):
         raise ResolutionError("R/6 band resolved by fewer than ~8 cells")

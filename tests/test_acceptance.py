@@ -254,9 +254,8 @@ def test_criterion_8_trial_section_bounds():
     bound = s.grad_bound * np.abs(c.values[:, :, 0])
     h = max(imm.periods) / n
     point_ok = bool(np.all(grad <= bound * (1 + 4 * h)))
-    # exceptional construction on a vertical double cover
-    imm2 = flat_chart_immersion(1.0, 2.0, n)
-    rep = exceptional_cutoffs(imm2, 0.6, n)
+    # exceptional construction on the vertical double cover of the square
+    rep = exceptional_cutoffs(flat_chart_immersion(1.0, 1.0, n), 0.6, n)
     exc_ok = (rep.max_grad_I <= rep.grad_bound_I
               and rep.max_grad_V <= rep.grad_bound_V
               and rep.injectivity_violations == 0)

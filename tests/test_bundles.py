@@ -371,6 +371,38 @@ def test_pullback_line_bundle_powers():
     assert np.angle(pb.rhotau[0, 0]) == pytest.approx(principal_angle(3 * L.theta))
 
 
+def test_pullback_lattice_is_generated_by_the_lifted_words():
+    # the cover's generators are the spec's rows: degree 1 keeps the base
+    # lattice, and ((2, 0), (0, 1)) doubles 1, around which rho1 is rho(1)^2
+    rho1 = np.diag(np.exp([0.3j, -1.1j]))
+    rhotau = np.diag(np.exp([0.7j, 2.0j]))
+    base = Lattice(0.0, 0.2)
+    pb = pullback_bundle(FlatBundle(rho1, rhotau, base), CoverSpec.scaling(1))
+    assert pb.lattice == base
+    pb = pullback_bundle(FlatBundle(rho1, rhotau, LAT),
+                         CoverSpec(((2, 0), (0, 1))))
+    assert pb.lattice == Lattice(0.0, 0.5, 2.0)
+    np.testing.assert_allclose(pb.rho1, rho1 @ rho1, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(pb.rhotau, rhotau, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("basis", [((1, 0), (0, 1)), ((3, 0), (0, 3)),
+                                   ((2, 0), (1, 3)), ((1, 2), (-1, 1)),
+                                   ((-2, 1), (-3, -1))])
+def test_lift_agrees_with_the_rank_one_pullback(basis):
+    spec = CoverSpec(basis)
+    for L in (LineHolonomy(0.8, 0.5), LineHolonomy(math.pi, -2.0),
+              LineHolonomy(-0.3, 3.0)):
+        b = FlatBundle(np.array([[np.exp(1j * L.phi)]]),
+                       np.array([[np.exp(1j * L.theta)]]), LAT)
+        pb = pullback_bundle(b, spec)
+        lifted = LineHolonomy(*L.lift(spec))
+        np.testing.assert_allclose(
+            [pb.rho1[0, 0], pb.rhotau[0, 0]],
+            np.exp(1j * np.array([lifted.phi, lifted.theta])),
+            rtol=0, atol=1e-12)
+
+
 def test_two_torsion_classes_and_trivialization():
     pi = math.pi
     points = [(0.0, 0.0), (pi, 0.0), (0.0, pi), (pi, pi)]

@@ -346,6 +346,15 @@ def test_abelian_pass(tmp_path):
     assert (out / "abelian.csv").exists()
 
 
+def test_abelian_reports_the_systole_of_an_unreduced_lattice(tmp_path):
+    # Z + Z tau at tau = 2.5 + 0.05i has its shortest vector 2 tau - 5, of
+    # length 0.1: the table reads the lattice as given, not rescaled
+    cfg = _cfg(tmp_path, "c.json", {"tau": [2.5, 0.05], "k_max": 3})
+    assert main(["abelian", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "abelian.csv").read_text().splitlines()[2:]
+    assert [r.split(",")[2] for r in rows] == ["0.1", "0.2", "0.3"]
+
+
 # a small config and the flags of one run of each subcommand; a subcommand
 # missing here fails its case
 DETERMINISM_RUNS = {

@@ -108,6 +108,38 @@ def test_cover_lattice_scaling_tower():
         assert lat_k.scale == pytest.approx(k)
 
 
+@pytest.mark.parametrize("lat", [Lattice(0.0, 1.0), Lattice(0.3, 1.1, 2.5),
+                                 Lattice(-0.5, 0.9), Lattice(1.7, 0.05, 0.3)])
+def test_cover_lattice_of_a_scaling_is_the_scaled_lattice_exactly(lat):
+    # the spec's rows k and k*tau are the generators, with no reduction
+    for k in range(1, 13):
+        assert cover_lattice(lat, CoverSpec.scaling(k)) == Lattice(
+            lat.tau1, lat.tau2, k * lat.scale)
+
+
+def _hnf_specs(max_degree):
+    """Every sublattice of index <= max_degree, once: the Hermite normal
+    form rows (a, 0), (c, d) with a, d >= 1 and 0 <= c < a."""
+    for a in range(1, max_degree + 1):
+        for d in range(1, max_degree // a + 1):
+            for c in range(a):
+                yield CoverSpec(((a, 0), (c, d)))
+
+
+@pytest.mark.parametrize("lat", [Lattice(0.0, 1.0),
+                                 Lattice(0.5, np.sqrt(3) / 2),
+                                 Lattice(0.3, 1.1, 1.7), Lattice(-0.4, 0.8)])
+def test_flat_systole_of_every_hnf_cover_is_its_shortest_vector(lat):
+    m, n = np.meshgrid(np.arange(-30, 31), np.arange(-30, 31))
+    nonzero = (m != 0) | (n != 0)
+    for spec in _hnf_specs(24):
+        (a, b), (c, d) = spec.basis
+        g1, g2 = a + b * lat.tau, c + d * lat.tau
+        brute = lat.scale * np.abs(m * g1 + n * g2)[nonzero].min()
+        assert flat_systole(cover_lattice(lat, spec)) == pytest.approx(
+            brute, rel=1e-12)
+
+
 def test_cover_lattice_vertical_double():
     lat = Lattice(0.0, 1.0)
     # the sublattice spanned by 1 and 2*tau

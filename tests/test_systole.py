@@ -241,8 +241,7 @@ def test_exceptional_cutoffs_regions_and_bounds():
     # vertical double cover of a unit square torus: the deck translate has
     # length 1, comfortably above R, so supports stay injective
     n = 96
-    imm = flat_chart_immersion(1.0, 2.0, n)
-    rep = exceptional_cutoffs(imm, 0.6, n)
+    rep = exceptional_cutoffs(flat_chart_immersion(1.0, 1.0, n), 0.6, n)
     U0, U1 = rep.U_masks
     V0, V1 = rep.V_masks
     # the four regions tile the double cover without overlap
@@ -304,7 +303,9 @@ def _grid_exceptional(imm, R, n):
                                            ((1.3, 2.0), 0.45, 128),
                                            ((0.8, 2.5), 0.7, 100)])
 def test_exceptional_cutoffs_match_the_grid_oracle(periods, R, n):
-    rep = exceptional_cutoffs(flat_chart_immersion(*periods, n), R, n)
+    # `periods` are the double cover's: the construction takes its base
+    a_len, b_len = periods
+    rep = exceptional_cutoffs(flat_chart_immersion(a_len, b_len / 2, n), R, n)
     I, J, grad_I, grad_V, ray, viol = _grid_exceptional(
         flat_chart_immersion(*periods, n), R, n)
     np.testing.assert_allclose(rep.energies_I, I, rtol=1e-12, atol=0)
@@ -318,7 +319,7 @@ def test_exceptional_cutoffs_match_the_grid_oracle(periods, R, n):
 def test_exceptional_cutoffs_at_grid_1000_allocate_no_grid():
     # one n x 2n complex array would be 32 MB
     n = 1000
-    imm = flat_chart_immersion(1.0, 2.0, n)
+    imm = flat_chart_immersion(1.0, 1.0, n)
     tracemalloc.start()
     try:
         exceptional_cutoffs(imm, 0.6, n)
@@ -329,7 +330,7 @@ def test_exceptional_cutoffs_at_grid_1000_allocate_no_grid():
 
 
 def test_exceptional_cutoffs_resolution_guard():
-    imm = flat_chart_immersion(1.0, 2.0, 16)
+    imm = flat_chart_immersion(1.0, 1.0, 16)
     with pytest.raises(ResolutionError):
         exceptional_cutoffs(imm, 0.6, 16)
 
@@ -338,7 +339,7 @@ def test_exceptional_cutoffs_flags_short_deck_translate():
     # R above the deck translate length: the sampled support meets its own
     # vertical translate and the report says so
     n = 64
-    imm = flat_chart_immersion(1.0, 1.0, n)
+    imm = flat_chart_immersion(1.0, 0.5, n)
     rep = exceptional_cutoffs(imm, 0.6, n)
     assert rep.injectivity_violations > 0
 
