@@ -453,7 +453,9 @@ def elliptic_curve_immersion(lat: Lattice, puncture_radius: float,
     dist = np.abs(red)
     mask = dist > puncture_radius
 
-    Zs = np.where(mask, Z, 0.37 + 0.41j)  # dummy value off the pole
+    # masked nodes take the half period 1/2, no point of Z + Z tau for any
+    # tau2 > 0, where wp'' != 0, so lam2 > 0 there too
+    Zs = np.where(mask, Z, 0.5)
     p, pp = wp(Zs, lat)
     g2, _ = eisenstein_invariants(lat)
     ppp = 6.0 * p ** 2 - g2 / 2.0

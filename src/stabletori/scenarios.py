@@ -9,11 +9,9 @@ import numpy as np
 from .bundles import LineHolonomy
 from .errors import ConfigError, DomainError, WrongFormError
 from .geometry import (AmbientSpace, FlatTorus, Immersion,
-                       elliptic_curve_immersion, product_geodesic_torus,
-                       surface_quantities)
+                       elliptic_curve_immersion, product_geodesic_torus)
 from .lattice import CoverSpec, Lattice, cover_lattice, flat_systole
-from .stability import (DiscreteForm, StencilForm, _wave_pencil,
-                        euclidean_index_form, flat_twisted_form,
+from .stability import (StencilForm, euclidean_index_form, flat_twisted_form,
                         min_eigenvalue)
 
 AUDIT_MODES = 4     # waves per audit section
@@ -117,52 +115,28 @@ class EllipticScenario:
     def immersion(self) -> Immersion:
         return elliptic_curve_immersion(self.lat, self.puncture, self.n)
 
-    def form(self, extent: int = 1) -> DiscreteForm:
-        return euclidean_index_form(self.immersion().cover(CoverSpec.scaling(extent)))
-
     def _bump(self, imm: Immersion) -> np.ndarray:
         """0 within 1.3 puncture radii, so on masked nodes, 1 beyond 2."""
         t = np.clip((imm.puncture_dist / self.puncture - 1.3) / 0.7, 0, 1)
         return t * t * (3 - 2 * t)
 
-    def random_normal_sections(self, count: int, extent: int = 1,
-                               seed: int = 0):
-        """Band-limited normal-projected sections supported off the puncture.
-
-        Each of the `count` sections, (N, N, 4) on the chart of the scaling
-        cover of `extent`, N = extent * n, sums the waves of `_audit_draws(
-        count, seed)` as separable products e_kx(xi) e_ky(eta) times their
-        amplitudes, times `_bump`, projected node by node as Fn^T Fn v in the
-        orthonormal normal frame Fn.  `stability_audit` reads the same draws
-        and builds no grid.
-        """
-        imm = self.immersion().cover(CoverSpec.scaling(extent))
-        Fn = surface_quantities(imm).normal_frame
-        PN = np.swapaxes(Fn, -1, -2) @ (Fn * self._bump(imm)[..., None, None])
-        waves = np.exp(2j * np.pi * np.outer(np.arange(-AUDIT_BAND, AUDIT_BAND + 1),
-                                             np.arange(imm.n) * (1.0 / imm.n)))
-        for a in _audit_draws(count, seed):
-            # sum a[kx, ky] e_kx(xi) e_ky(eta), per component (N, 7) (7, 7) (7, N)
-            vals = waves.T @ np.moveaxis(a, -1, 0) @ waves
-            yield np.einsum("xyij,jxy->xyi", PN, vals)
-
     def stability_audit(self, count: int = 200, extent: int = 1,
                         seed: int = 0) -> tuple[float, bool]:
         """Worst Q(s)/Mass(s) over random normal sections; True when stable.
 
-        The sections are `random_normal_sections(count, extent, seed)`; Q is
-        the `euclidean_index_form` of the scaling cover of `extent`, M the
-        mass lam2 |s|^2 on its unmasked cells.  A section is a vector a of 49
-        wave modes x 4 amplitudes, repeats added: Q(s) = a^H Kq a and M(s) =
-        a^H Km a on the cover's `_wave_pencil`, with no grid built, to 1e-12
-        of the sparse form.  Stable means a worst quotient >= -1e-6 over the
-        sections of mass above 1e-14.  count < 1 or extent < 1 raises
+        Each of the `count` sections, on the scaling cover of `extent`, sums
+        the waves of `_audit_draws(count, seed)` with their amplitudes,
+        times `_bump` and projected node by node onto the normal plane.  It
+        is a vector a of 49 wave modes x 4 amplitudes, repeats added: Q(s) =
+        a^H Kq a and M(s) = a^H Km a on the cover's `euclidean_index_form`,
+        with no grid built.  Stable means a worst quotient >= -1e-6 over
+        the sections of mass above 1e-14.  count < 1 or extent < 1 raises
         ConfigError; no section of mass above 1e-14 raises DomainError.
         """
         if count < 1 or extent < 1:
             raise ConfigError("the audit needs count >= 1 and extent >= 1")
         imm = self.immersion().cover(CoverSpec.scaling(extent))
-        Kq, Km = _wave_pencil(imm, self._bump(imm), AUDIT_BAND)
+        Kq, Km = euclidean_index_form(imm, self._bump(imm), AUDIT_BAND)
         a = _audit_draws(count, seed).reshape(count, -1)
         q, m = (np.sum((a.conj() @ K) * a, axis=1).real for K in (Kq, Km))
         massive = m > 1e-14

@@ -6,18 +6,19 @@ two length-n stencils and two symbol terms, with the diagonal shift w V
 and the node mass w.  Its Hermitian symmetry is checked on each axis
 stencil, and `min_eigenvalue` checks each stencil's 1-D DFT against its
 symbol term.  Its sparse matrices are assembled on request, for test
-oracles and tracing.  The masked Euclidean index form is a `DiscreteForm`,
-an assembled sparse matrix checked as one; on band-limited sections it is
-the elliptic audit's 196 x 196 pencil on their wave amplitudes
-(`_wave_pencil`), measured in the same node frames of `surface_quantities`.
+oracles and tracing.  The Euclidean index form of a holomorphic curve is
+no stencil: `euclidean_index_form` returns it, with its mass, as a dense
+pencil on the wave amplitudes of band-limited normal sections (196 x 196
+at the audit's band), measured in the node frames of `surface_quantities`.
 
 The sparse matrices are the only use of scipy here, so it is imported
-inside the functions that build them: the CLI's subcommands never load it.
+inside the properties that build them: the CLI's subcommands and the
+elliptic audit never load it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -111,55 +112,11 @@ class StencilForm:
 
 
 @dataclass
-class DiscreteForm:
-    """Assembled Hermitian form Q and mass form M over section dofs.
-
-    The masked Euclidean index form: meta["active"] lists the grid dofs
-    that Q and M act on, and `pack` selects them from a grid field.
-
-    Q must be Hermitian (`_check_hermitian`), checked on the matrix.
-    """
-
-    Q: sp.spmatrix
-    M: sp.spmatrix
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.Q = self.Q.tocsr()
-        self.M = self.M.tocsr()
-        _check_hermitian(*_hermitian_norms(self.Q))
-
-    @property
-    def dof(self) -> int:
-        return self.Q.shape[0]
-
-    def pack(self, values: np.ndarray) -> np.ndarray:
-        v = np.asarray(values, dtype=complex).reshape(-1)
-        sel = self.meta.get("active")
-        return v[sel] if sel is not None else v
-
-
-def _hermitian_norms(Q: sp.csr_matrix) -> tuple[float, float]:
-    """||Q - Q^H||_F and ||Q||_F of an assembled matrix."""
-    import scipy.sparse.linalg as spla
-    return spla.norm(Q - Q.getH()), spla.norm(Q)
-
-
-@dataclass
 class SpectrumResult:
     lambda_min: float
     residual: float     # relative to max(1, max|symbol|) |M v|
     iterations: int     # 0: read off the closed-form symbol
     continuum: float    # the exact continuum bottom, form.continuum
-
-
-def _cov_diff_1d(n: int, h: float, step_angle: float) -> sp.spmatrix:
-    """1D periodic central covariant difference with a constant connection phase."""
-    import scipy.sparse as sp
-    shift_fwd = sp.diags([np.ones(n - 1), [1.0]], [1, -(n - 1)], format="csr")
-    shift_bwd = shift_fwd.T.tocsr()
-    return (shift_fwd * np.exp(-1j * step_angle)
-            - shift_bwd * np.exp(1j * step_angle)) / (2 * h)
 
 
 def _stencil_hermitian_norms(s: np.ndarray) -> tuple[float, float]:
@@ -247,8 +204,8 @@ def min_eigenvalue(form: StencilForm) -> SpectrumResult:
     check, a bottom that is not finite, or one outside the bracket
     [c - gap, c] of the continuum bottom c (with a rounding slack of 1e-12
     times the size of c's terms) raises ConvergenceError; c is returned as
-    `continuum`.  A form that is no `StencilForm` (the masked Euclidean
-    form) raises WrongFormError.
+    `continuum`.  Anything but a `StencilForm` (such as the pencil of
+    `euclidean_index_form`) raises WrongFormError.
     """
     if not isinstance(form, StencilForm):
         raise WrongFormError("form is no stencil with a Fourier symbol")
@@ -281,20 +238,29 @@ def min_eigenvalue(form: StencilForm) -> SpectrumResult:
 # the Euclidean index form on band-limited sections
 
 
-def _wave_pencil(imm: Immersion, bump: np.ndarray,
-                 band: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pencil (Kq, Km), Q(s) = a^H Kq a and M(s) = a^H Km a, of the
-    masked Euclidean index form of `imm` (as `euclidean_index_form`) and its
-    mass on the sections s = bump Fn^T Fn sum_k a_k e_k, |kx|, |ky| <= band,
-    a_k in C^4 at block (kx + band) (2 band + 1) + ky + band of a; `bump`
-    must vanish on the masked nodes.
+def euclidean_index_form(imm: Immersion, bump: np.ndarray,
+                         band: int) -> tuple[np.ndarray, np.ndarray]:
+    """The complexified stability form of a holomorphic curve in R^4 and
+    its mass, as the pencil (Kq, Km) on band-limited normal sections.
+
+    Q(s) = sum ( |(d_zbar s)^perp|^2 - |(d_z s)^top|^2 ) dxdy over the
+    unmasked cells of `imm`, each derivative f_xi D_xi s + f_eta D_eta s
+    (conjugated factors for d_z) with the central difference D = (s[+1] -
+    s[-1]) / 2h, and both norms taken in the node frames of
+    `surface_quantities`; M(s) = sum |s|^2 `imm.da_field()`.  On the
+    sections s = bump Fn^T Fn sum_k a_k e_k, |kx|, |ky| <= band, with a_k
+    in C^4 at block (kx + band) (2 band + 1) + ky + band of a, Q(s) = a^H
+    Kq a and M(s) = a^H Km a; `bump` must vanish on the masked nodes.
 
     e_k(x + o) = e_k(x) omega^{k . o}, omega = e^{2 pi i / n}, so a term of
     Q or M is the DFT at k' - k of a node field, by two small matmuls.  The
     frames of `surface_quantities` are complex lines of C^2 = R^4, so the
     fields are rank-1 2 x 2 complex matrices on the +i block of the complex
     structure, conjugate on the -i block, put back into real coordinates.
+    An immersion into anything but Euclidean space raises WrongFormError.
     """
+    if not isinstance(imm, Immersion) or imm.ambient.kind != "euclidean":
+        raise WrongFormError("euclidean index form needs a euclidean ambient")
     n, d = imm.n, np.arange(-2 * band, 2 * band + 1)
     fx, fy = wirtinger_factors(imm.lattice)
     quants = surface_quantities(imm)
@@ -339,62 +305,6 @@ def _wave_pencil(imm: Immersion, bump: np.ndarray,
                 .reshape(4 * kx.size, 4 * kx.size))
 
     return real(Xk[:, dx, dy, np.arange(kx.size)[:, None]]), real(gm[:, dx, dy])
-
-
-def euclidean_index_form(imm: Immersion,
-                         twist: tuple[float, float] = (0.0, 0.0)) -> DiscreteForm:
-    """Complexified stability form for an immersion into Euclidean space.
-
-    Q(s) = sum ( |(d_zbar s)^perp|^2 - |(d_z s)^top|^2 ) dxdy over the grid,
-    restricted to dofs on unmasked nodes; mass form uses the induced area
-    `imm.da_field()`.  Both norms are taken in the node frames of
-    `surface_quantities`.  `twist` is the connection phase per unit period
-    of the chart of `imm.lattice`; a cover's form is the form of
-    `imm.cover(spec)`.
-    """
-    if not isinstance(imm, Immersion) or imm.ambient.kind != "euclidean":
-        raise WrongFormError("euclidean index form needs a euclidean ambient")
-    import scipy.sparse as sp
-    quants = surface_quantities(imm)
-    n, dim = imm.n, imm.dim
-    h = 1.0 / n
-    phi, theta = twist
-    fxi, feta = wirtinger_factors(imm.lattice)
-    Cx = _cov_diff_1d(n, h, phi * h)
-    Cy = _cov_diff_1d(n, h, theta * h)
-    I = sp.eye(n, format="csr")
-    Id = sp.eye(dim, format="csr")
-    Dx = sp.kron(sp.kron(Cx, I), Id, format="csr")
-    Dy = sp.kron(sp.kron(I, Cy), Id, format="csr")
-    Dzb = fxi * Dx + feta * Dy
-    Dz = np.conj(fxi) * Dx + np.conj(feta) * Dy
-
-    # the node frames as block-diagonal (2 x dim)-block matrices
-    Fn, Ft = (sp.bsr_matrix((F.reshape(-1, 2, dim), np.arange(n * n),
-                             np.arange(n * n + 1)),
-                            shape=(2 * n * n, dim * n * n)).tocsr()
-              for F in (quants.normal_frame, quants.tangent_frame))
-
-    wcell = np.where(imm.mask, imm.dxdy_weight(), 0.0).reshape(-1)
-    W = sp.diags(np.repeat(wcell, 2))
-
-    An = Fn @ Dzb
-    At = Ft @ Dz
-    Qplus = (An.getH() @ W @ An).tocsr()
-    Qminus = (At.getH() @ W @ At).tocsr()
-    Q = Qplus - Qminus
-    M = sp.diags(np.repeat(imm.da_field().reshape(-1), dim))
-
-    active = np.repeat(imm.mask.reshape(-1), dim)
-    idx = np.flatnonzero(active)
-    Q = Q[idx][:, idx]
-    Qplus = Qplus[idx][:, idx]
-    Qminus = Qminus[idx][:, idx]
-    M = M.tocsr()[idx][:, idx]
-    return DiscreteForm(Q, M, meta={
-        "active": idx, "immersion": imm,
-        "Qplus": Qplus, "Qminus": Qminus, "twist": twist,
-    })
 
 
 # ---------------------------------------------------------------------------

@@ -195,14 +195,14 @@ class ExceptionalReport:
     injectivity_violations: int
 
 
-def exceptional_cutoffs(base: FlatTorus, R: float, n: int) -> ExceptionalReport:
+def exceptional_cutoffs(base: FlatTorus, R: float) -> ExceptionalReport:
     """Cutoff regions and localized sections on the vertical double cover
     of the flat torus `base`.
 
     The cover is `base.cover(((1, 0), (0, 2)))`, two base tori stacked
     vertically (doubling a period is exact).  Everything is measured in its
-    own chart [0,1)^2 at n x 2n nodes, with a horizontal holonomy of -1
-    detwisted by the truncated-distance phase.  d_j is the
+    own chart [0,1)^2 at n x 2n nodes, n = base.n, with a horizontal
+    holonomy of -1 detwisted by the truncated-distance phase.  d_j is the
     induced distance to the circle eta = j / 2; U_j = {d_j <= R/3}; the
     I-case cutoff ramps as 3 - 6 d_1 / R between R/3 and R/2, the V-case
     uses (3/R) min(d_0, d_1).  `injectivity_violations` counts the
@@ -215,6 +215,7 @@ def exceptional_cutoffs(base: FlatTorus, R: float, n: int) -> ExceptionalReport:
         raise DomainError("exceptional construction implemented on flat tori")
     imm = base.cover(CoverSpec(((1, 0), (0, 2))))
     a_len, b_len = imm.periods
+    n = base.n
     if R / 6 < 4 * (b_len / n):
         raise ResolutionError("R/6 band resolved by fewer than ~8 cells")
     ny = 2 * n

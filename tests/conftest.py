@@ -226,7 +226,7 @@ def plane_wave_sections(normal_proj, tau, puncture, count, extent=1,
     """Random normal sections, (count, N, N, 4) with N = extent * n, built
     one plane wave at a time.
 
-    Replays the draws of `EllipticScenario.random_normal_sections` from
+    Replays the draws of the elliptic stability audit from
     `default_rng(seed)`: per section and mode the integers kx, ky in
     [-3, 3] and the real and imaginary parts of the amplitude in R^4.  Each
     mode is the full grid wave e^{2 pi i (kx i + ky j) / N}, its phase
@@ -256,17 +256,17 @@ def plane_wave_sections(normal_proj, tau, puncture, count, extent=1,
     return np.array(out)
 
 
-def index_densities(imm, quants, twist=(0.0, 0.0)):
-    """The array stencil of the Euclidean index form of `imm`.
+def index_derivatives(imm, quants, twist=(0.0, 0.0)):
+    """The projected derivatives of the Euclidean index form of `imm`.
 
     Returns a function of a batch of ambient fields v, (n, n, dim, S), that
-    gives |(d_zbar v)^perp|^2 and |(d_z v)^top|^2 per node and section; Q(v)
-    is the sum of their difference against the masked cell measure.  Each
-    derivative is f_xi D_xi v + f_eta D_eta v with the central covariant
-    difference D = (v[+1] e^{-ia} - v[-1] e^{ia}) / 2h taken by np.roll,
-    a = twist * h per axis, and the Wirtinger factors of the chart z =
-    scale (xi + eta tau) written out (conjugated for d_z); the norms are
-    those of the node frames `quants`, |F w| for the 2 x dim rows F.
+    gives F_N (d_zbar v) and F_T (d_z v), (n, n, rows, S) each, per node and
+    section.  Each derivative is f_xi D_xi v + f_eta D_eta v with the
+    central covariant difference D = (v[+1] e^{-ia} - v[-1] e^{ia}) / 2h
+    taken by np.roll, a = twist * h per axis, and the Wirtinger factors of
+    the chart z = scale (xi + eta tau) written out (conjugated for d_z);
+    F_N and F_T are the normal and tangent rows of `quants`, the node
+    frames (2 x dim) or the projectors (dim x dim): |F w| is the same.
     """
     lat = imm.lattice
     f_xi = 0.5 * (1 - 1j * lat.tau1 / lat.tau2) / lat.scale
@@ -278,14 +278,27 @@ def index_densities(imm, quants, twist=(0.0, 0.0)):
         return (np.roll(v, -1, axis) * np.exp(-1j * a)
                 - np.roll(v, 1, axis) * np.exp(1j * a)) / (2 * h)
 
-    def densities(v):
+    def derivatives(v):
         dx, dy = diff(v, 0), diff(v, 1)
-        return tuple(
-            np.sum(np.abs(np.einsum("xyai,xyis->xyas", F, fa * dx + fb * dy))
-                   ** 2, axis=2)
-            for F, fa, fb in ((quants.normal_frame, f_xi, f_eta),
-                              (quants.tangent_frame, np.conj(f_xi),
-                               np.conj(f_eta))))
+        return tuple(np.einsum("xyai,xyis->xyas", F, fa * dx + fb * dy)
+                     for F, fa, fb in ((quants.normal_frame, f_xi, f_eta),
+                                       (quants.tangent_frame, np.conj(f_xi),
+                                        np.conj(f_eta))))
+    return derivatives
+
+
+def index_densities(imm, quants, twist=(0.0, 0.0)):
+    """The array stencil of the Euclidean index form of `imm`.
+
+    Returns a function of a batch of ambient fields v, (n, n, dim, S), that
+    gives |(d_zbar v)^perp|^2 and |(d_z v)^top|^2 per node and section, the
+    squared norms of `index_derivatives`; Q(v) is the sum of their
+    difference against the masked cell measure.
+    """
+    derivatives = index_derivatives(imm, quants, twist)
+
+    def densities(v):
+        return tuple(np.sum(np.abs(d) ** 2, axis=2) for d in derivatives(v))
     return densities
 
 

@@ -98,19 +98,25 @@ def test_level_spans_see_the_cover_form():
 
 def test_elliptic_audit_evaluates_the_curve_once_on_a_cover():
     # the extent-2 audit builds its cover from one immersion: wp runs on
-    # the 16 x 16 base grid only, and the immersion and its frames are
-    # built once, inside the audit
+    # the 16 x 16 base grid only, and the immersion is built once, inside
+    # the audit; its frames once, inside the audit's one index form
     tracer = tracing.Tracer()
     tracer.begin_pass(0)
     with tracer.installed():
         EllipticScenario(n=16).stability_audit(count=10, extent=2)
     spans = tracer.spans
+
+    def parents(name):
+        return [s[3] for s in spans if s[0] == name]
+
     audit, = (i for i, s in enumerate(spans)
               if s[0] == "scenarios.stability_audit")
-    for name in ("geometry.elliptic_curve_immersion",
-                 "geometry.surface_quantities"):
-        parents = [s[3] for s in spans if s[0] == name]
-        assert parents == [audit], name
+    form, = (i for i, s in enumerate(spans)
+             if s[0] == "stability.euclidean_index_form")
+    assert parents("scenarios.stability_audit") == [-1]
+    assert parents("geometry.elliptic_curve_immersion") == [audit]
+    assert parents("stability.euclidean_index_form") == [audit]
+    assert parents("geometry.surface_quantities") == [form]
     out = tracer.pass_summary(0, wall=1.0)
     assert out["weierstrass.wp.points"] == 16 * 16
 

@@ -434,10 +434,11 @@ def test_oversized_grid_trips_resource_guard(tmp_path):
 
 
 def test_subprocess_entry_point(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
         [sys.executable, "-m", "stabletori.cli", "abelian",
          "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -520,6 +521,7 @@ for sub, cfg in [("stability", {"grid": 32}), ("systole", {}),
     print(json.dumps([sub, run(sub, cfg), scipy_modules()]))
 from stabletori.scenarios import EllipticScenario
 EllipticScenario().stability_audit(count=10)
+EllipticScenario().stability_audit(count=10, extent=2)
 print(json.dumps(["audit", scipy_modules()]))
 print(json.dumps(["decompose", run("decompose", {"rank": 2, "count": 2}),
                   "scipy.linalg" in sys.modules]))
@@ -528,8 +530,8 @@ print(json.dumps(["decompose", run("decompose", {"rank": 2, "count": 2}),
 
 def test_only_decompose_loads_scipy(tmp_path):
     """Importing the CLI, running the five other subcommands (`systole`
-    at its default) and the elliptic stability audit loads no scipy
-    module; `decompose` then loads scipy.linalg.
+    at its default) and the elliptic stability audit, at extents 1 and 2,
+    loads no scipy module; `decompose` then loads scipy.linalg.
 
     A fresh interpreter is needed: this one already holds scipy.
     """

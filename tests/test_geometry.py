@@ -407,6 +407,18 @@ def test_elliptic_immersion_mask_removes_pole_neighborhood():
         elliptic_curve_immersion(lat, 0.5, 64)
 
 
+@pytest.mark.parametrize("tau", [0.37 + 0.41j, 0.5 + 0.5j, 1j])
+def test_elliptic_immersion_masks_without_touching_a_lattice_point(tau):
+    # masked nodes are evaluated at a point that is no lattice point of any
+    # lattice (0.37 + 0.41i is tau itself for the first one), and the
+    # frames exist at every node
+    lat = Lattice(tau.real, tau.imag)
+    imm = elliptic_curve_immersion(lat, 0.1, 16)
+    assert not imm.mask.all()
+    assert np.all(np.isfinite(imm.Fz)) and np.all(imm.lam2 > 0)
+    surface_quantities(imm)
+
+
 def test_product_torus_geometry():
     rho = 1.0
     imm = product_geodesic_torus(2.0, rho, 3, (3, 1), 32)

@@ -1,6 +1,7 @@
 """Twisted spectra, index forms, cutoffs, and covering sweeps."""
 
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,18 +17,20 @@ from stabletori.bundles import principal_angle
 from stabletori.geometry import (elliptic_curve_immersion,
                                  product_geodesic_torus, surface_quantities)
 from stabletori import stability
-from stabletori.scenarios import (EllipticScenario, FlatTorusScenario,
-                                  LensScenario, flat_chart_immersion,
+from stabletori.scenarios import (AUDIT_BAND, EllipticScenario,
+                                  FlatTorusScenario, LensScenario,
+                                  _audit_draws, flat_chart_immersion,
                                   second_variation_form)
-from stabletori.stability import (SYMBOL_TOL, DiscreteForm, StencilForm,
-                                  covering_sweep, flat_twisted_form,
+from stabletori.stability import (SYMBOL_TOL, StencilForm, covering_sweep,
+                                  euclidean_index_form, flat_twisted_form,
                                   log_cutoff, min_eigenvalue,
                                   _stencil_hermitian_norms)
 from stabletori.sections import wirtinger_diff
 
 from conftest import (cutoff_phi, fourier_lambda_min, index_densities,
-                      kron_twisted_form_q, plane_wave_sections,
-                      stencil_spectrum_mismatch, surface_projectors)
+                      index_derivatives, kron_twisted_form_q,
+                      plane_wave_sections, stencil_spectrum_mismatch,
+                      surface_projectors)
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +83,11 @@ def test_dense_and_sparse_paths_agree():
 
 
 def test_min_eigenvalue_rejects_form_without_lower_bound():
+    # the Euclidean index form is a dense pencil, no stencil with a symbol
+    sc = EllipticScenario(n=16)
+    imm = sc.immersion()
     with pytest.raises(WrongFormError):
-        min_eigenvalue(EllipticScenario(n=16).form())
+        min_eigenvalue(euclidean_index_form(imm, sc._bump(imm), AUDIT_BAND))
 
 
 @given(st.floats(0.3, 3.0), st.floats(0.3, 3.0),
@@ -287,17 +293,17 @@ def test_stencil_hermitian_norms_of_a_non_hermitian_stencil(rng, n):
 
 
 def test_flat_twisted_form_checks_its_stencil_not_its_matrix(monkeypatch):
-    def transpose_check(Q):
+    def no_matrix(form):
         raise AssertionError("the assembled matrix was checked")
 
-    monkeypatch.setattr(stability, "_hermitian_norms", transpose_check)
-    for potential in (0.0, -2.5):
-        form = flat_twisted_form((1.0, 1.3), (1.7, -0.6), 8,
-                                 potential=potential)
+    with monkeypatch.context() as m:
+        m.setattr(StencilForm, "Q", property(no_matrix))
+        m.setattr(StencilForm, "M", property(no_matrix))
+        forms = [flat_twisted_form((1.0, 1.3), (1.7, -0.6), 8,
+                                   potential=potential)
+                 for potential in (0.0, -2.5)]
+    for form in forms:
         assert form.Q.has_canonical_format
-    # a form built directly still goes through the matrix check
-    with pytest.raises(AssertionError, match="assembled matrix"):
-        DiscreteForm(form.Q, form.M)
 
 
 def test_stencil_form_built_directly_is_checked_on_its_stencil():
@@ -340,11 +346,15 @@ def test_flat_twisted_form_rejects_an_overflowing_diagonal():
 
 
 def test_hermitian_guard_rejects_one_changed_entry():
-    form = flat_twisted_form((1.0, 1.3), (1.7, -0.6), 8)
-    Q = form.Q.tolil()
+    # the guard on the Frobenius norms of an assembled Q, before and after
+    # one off-diagonal entry changes sign
+    Q = flat_twisted_form((1.0, 1.3), (1.7, -0.6), 8).Q.toarray()
+    stability._check_hermitian(np.linalg.norm(Q - Q.conj().T),
+                               np.linalg.norm(Q))
     Q[0, 1] = -Q[0, 1]
     with pytest.raises(DomainError, match="Hermitian"):
-        DiscreteForm(Q.tocsr(), form.M)
+        stability._check_hermitian(np.linalg.norm(Q - Q.conj().T),
+                                   np.linalg.norm(Q))
 
 
 def test_min_eigenvalue_rejects_nan_symbol():
@@ -487,14 +497,50 @@ def test_elliptic_form_positive_on_normal_sections():
     assert worst >= -1e-6
 
 
+def _oracle_frames(imm):
+    """The oracle's node projectors of `imm`, as the rows of conftest's
+    `index_derivatives`: |P w| = |F w| for the frame rows F, P = F^T F."""
+    PT, PN = surface_projectors(imm.Fz)
+    return SimpleNamespace(normal_frame=PN, tangent_frame=PT)
+
+
+def _wave_basis(imm, bump):
+    """The pencil's 196 basis sections bump P_N e_k e_c, (N, N, 4, 196),
+    one full-grid plane wave e_k = e^{2 pi i (kx i + ky j) / N} each, in
+    the order of its amplitudes: c fastest, then ky, then kx."""
+    N = imm.n
+    I, J = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+    P = surface_projectors(imm.Fz)[1] * bump[..., None, None]
+    k = range(-AUDIT_BAND, AUDIT_BAND + 1)
+    return np.stack([P[..., :, c] * np.exp(
+        2j * np.pi * ((kx * I + ky * J) % N) / N)[..., None]
+        for kx in k for ky in k for c in range(4)], -1)
+
+
+def _oracle_sections(sc, count, extent, seed):
+    """conftest's `plane_wave_sections` of the audit of `sc`, (count, N, N,
+    4) on the scaling cover of `extent`."""
+    imm = sc.immersion()
+    return plane_wave_sections(surface_projectors(imm.Fz)[1], imm.lattice.tau,
+                               sc.puncture, count, extent, seed)
+
+
+def _oracle_worst(sc, count, extent, seed):
+    """The worst Q(s)/M(s) of the array stencil on `_oracle_sections`, over
+    those of mass above 1e-14."""
+    imm = sc.immersion().cover(CoverSpec.scaling(extent))
+    v = np.moveaxis(_oracle_sections(sc, count, extent, seed), 0, -1)
+    perp, top = index_densities(imm, _oracle_frames(imm))(v)
+    w = np.where(imm.mask, imm.dxdy_weight(), 0.0)
+    q = np.einsum("xy,xys->s", w, perp - top)
+    m = np.einsum("xy,xys->s", imm.da_field(), np.sum(np.abs(v) ** 2, 2))
+    return float(np.min(q[m > 1e-14] / m[m > 1e-14]))
+
+
 def test_elliptic_audit_builds_its_immersion_once(monkeypatch):
     import stabletori.scenarios as scenarios
-    import stabletori.stability as stability
     sc = EllipticScenario(n=16)
-    # the audit's sections and form, built separately
-    form = sc.form()
-    want = min(_form_q_value(form, v) / _form_m_value(form, v)
-               for v in sc.random_normal_sections(5, seed=7))
+    want = _oracle_worst(sc, 5, 1, 7)
 
     builds = []
 
@@ -505,7 +551,6 @@ def test_elliptic_audit_builds_its_immersion_once(monkeypatch):
         return wrapper
 
     for mod, name in ((scenarios, "elliptic_curve_immersion"),
-                      (scenarios, "surface_quantities"),
                       (stability, "surface_quantities")):
         monkeypatch.setattr(mod, name, counting(getattr(mod, name)))
     worst, _ = sc.stability_audit(count=5, seed=7)
@@ -515,14 +560,13 @@ def test_elliptic_audit_builds_its_immersion_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [16, 48])
 @pytest.mark.parametrize("extent", [1, 2])
-def test_elliptic_audit_matches_the_sparse_form(n, extent):
-    # the audit evaluates Q on the grid in batches; the sparse form of the
-    # same stencil must give the same worst quotient over the same sections
+def test_elliptic_audit_matches_the_oracle(n, extent):
+    # the audit evaluates Q on wave amplitudes; the array stencil on the
+    # same sections, built on the grid by conftest's oracles, must give
+    # the same worst quotient
     sc = EllipticScenario(n=n)
-    form = sc.form(extent)
     for seed in range(3):
-        want = min(_form_q_value(form, v) / _form_m_value(form, v)
-                   for v in sc.random_normal_sections(13, extent, seed))
+        want = _oracle_worst(sc, 13, extent, seed)
         worst, stable = sc.stability_audit(count=13, extent=extent, seed=seed)
         assert worst == pytest.approx(want, rel=1e-12)
         assert stable == (want >= -1e-6)
@@ -541,7 +585,7 @@ def test_audit_densities_match_two_wirtinger_diffs(extent, twist):
     sc = EllipticScenario(n=24)
     imm = sc.immersion()
     cover = imm.cover(CoverSpec.scaling(extent))
-    v = np.stack(list(sc.random_normal_sections(7, extent, 5)), -1)
+    v = np.moveaxis(_oracle_sections(sc, 7, extent, 5), 0, -1)
     fac = wirtinger_factors(imm.lattice)
     steps = (1.0 / imm.n,) * 2
     base_twist = tuple(t / extent for t in twist)
@@ -563,13 +607,14 @@ def test_audit_densities_match_two_wirtinger_diffs(extent, twist):
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("extent", [1, 2])
 def test_random_normal_sections_match_plane_waves(seed, extent):
-    # the separable draw against one full-grid plane wave per mode, from
-    # the same default_rng(seed) draws
+    # the audit's sections, its amplitudes on the pencil's wave basis,
+    # against the oracle's replay of the same default_rng(seed) draws: the
+    # amplitude layout, the draws and the bump are the oracle's
     sc = EllipticScenario(n=16)
-    imm = sc.immersion()
-    got = np.array(list(sc.random_normal_sections(13, extent, seed)))
-    want = plane_wave_sections(surface_projectors(imm.Fz)[1],
-                               imm.lattice.tau, sc.puncture, 13, extent, seed)
+    cover = sc.immersion().cover(CoverSpec.scaling(extent))
+    a = _audit_draws(13, seed).reshape(13, -1)
+    got = np.einsum("xyic,sc->sxyi", _wave_basis(cover, sc._bump(cover)), a)
+    want = _oracle_sections(sc, 13, extent, seed)
     assert got.shape == want.shape == (13, 16 * extent, 16 * extent, 4)
     np.testing.assert_allclose(got, want, rtol=1e-14,
                                atol=1e-14 * np.abs(want).max())
@@ -612,17 +657,6 @@ def test_surface_quantities_refuse_a_non_holomorphic_curve():
         surface_quantities(imm)
 
 
-def test_elliptic_audit_builds_no_sparse_form(monkeypatch):
-    import stabletori.scenarios as scenarios
-    import stabletori.stability as stability
-    calls = []
-    for mod in (scenarios, stability):
-        monkeypatch.setattr(mod, "euclidean_index_form",
-                            lambda *a, **k: calls.append(a))
-    EllipticScenario(n=16).stability_audit(count=3, extent=2)
-    assert len(calls) == 0
-
-
 def test_elliptic_audit_needs_evidence(monkeypatch):
     import stabletori.scenarios as scenarios
     sc = EllipticScenario(n=16)
@@ -646,10 +680,9 @@ def test_elliptic_audit_lies_above_its_pencil_bottom(extent):
     # every sampled quotient is a Rayleigh quotient of the audit's pencil,
     # so it lies above the pencil's bottom, which scipy computes on the
     # whole sampled subspace of 49 modes x 4 amplitudes
-    from stabletori.scenarios import AUDIT_BAND
     sc = EllipticScenario(n=64)
     imm = sc.immersion().cover(CoverSpec.scaling(extent))
-    Kq, Km = stability._wave_pencil(imm, sc._bump(imm), AUDIT_BAND)
+    Kq, Km = euclidean_index_form(imm, sc._bump(imm), AUDIT_BAND)
     assert Kq.shape == Km.shape == (196, 196)
     for K in (Kq, Km):
         np.testing.assert_allclose(K, K.conj().T, rtol=0,
@@ -670,62 +703,55 @@ def test_elliptic_audit_lies_above_its_pencil_bottom(extent):
     assert stable and lam[0] >= -1e-6
 
 
-@pytest.mark.parametrize("extent", [1, 2])
-def test_wave_pencil_is_the_sparse_form_on_its_basis(extent):
-    # every entry of the pencil against the sparse form, on the 196 grid
-    # sections bump Fn^T Fn e_k e_c of its basis, built one full-grid plane
-    # wave at a time: Kq = S^H Q S and Km = S^H M S
-    from stabletori.scenarios import AUDIT_BAND
+def test_index_form_matrix_matches_the_array_stencil():
+    # every entry of the pencil against the Gram form of conftest's array
+    # stencil on the 196 basis sections S: Kq = sum w (An^H An - At^H At)
+    # for the projected derivatives An, At of S, and Km = sum da S^H S
     sc = EllipticScenario(n=16)
-    imm = sc.immersion().cover(CoverSpec.scaling(extent))
-    form = stability.euclidean_index_form(imm)
-    PN = surface_projectors(imm.Fz)[1] * sc._bump(imm)[..., None, None]
-    N = imm.n
-    I, J = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-    k = range(-AUDIT_BAND, AUDIT_BAND + 1)
-    S = np.stack([form.pack(PN[..., :, c] * np.exp(
-        2j * np.pi * ((kx * I + ky * J) % N) / N)[..., None])
-        for kx in k for ky in k for c in range(4)], 1)
-    Kq, Km = stability._wave_pencil(imm, sc._bump(imm), AUDIT_BAND)
-    for K, A in ((Kq, form.Q), (Km, form.M)):
-        want = S.conj().T @ (A @ S)
-        np.testing.assert_allclose(K, want, rtol=0,
-                                   atol=1e-12 * np.abs(want).max())
+    for extent in (1, 2):
+        imm = sc.immersion().cover(CoverSpec.scaling(extent))
+        bump = sc._bump(imm)
+        S = _wave_basis(imm, bump)
+        An, At = index_derivatives(imm, _oracle_frames(imm))(S)
+        w = np.where(imm.mask, imm.dxdy_weight(), 0.0)
+        gram = "xy,xyas,xyat->st"
+        want_q = (np.einsum(gram, w, An.conj(), An)
+                  - np.einsum(gram, w, At.conj(), At))
+        want_m = np.einsum(gram, imm.da_field(), S.conj(), S)
+        Kq, Km = euclidean_index_form(imm, bump, AUDIT_BAND)
+        for K, want in ((Kq, want_q), (Km, want_m)):
+            assert K.shape == want.shape == (196, 196)
+            np.testing.assert_allclose(K, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
 
 
-def test_elliptic_audit_count_extends_its_stream(monkeypatch):
-    # count=400 reads count=100's draws first, so its worst is no larger;
-    # at extent 2 (N = 128) it builds no section grid
+def test_elliptic_audit_count_extends_its_stream():
+    # count=400 reads count=100's draws first, so its worst is no larger
     sc = EllipticScenario(n=64)
     worst100, _ = sc.stability_audit(count=100, extent=2, seed=3)
-
-    def no_grid(*args, **kwargs):
-        raise AssertionError("the audit built a section grid")
-
-    monkeypatch.setattr(EllipticScenario, "random_normal_sections", no_grid)
     worst400, stable = sc.stability_audit(count=400, extent=2, seed=3)
     assert worst400 <= worst100
     assert stable
 
 
 def test_euclidean_index_form_mass_is_the_area_density():
-    # M is the masked induced area of each cell, dim times on its diagonal
-    imm = EllipticScenario(n=16).immersion()
-    form = stability.euclidean_index_form(imm)
-    da = np.repeat(imm.da_field().reshape(-1), imm.dim)[form.meta["active"]]
-    assert np.array_equal(form.M.toarray(), np.diag(da))
+    # |e_k|^2 = 1, so each wave's 4 x 4 diagonal block of Km is the same
+    # closed form: the masked induced area times bump^2 P_N, summed
+    sc = EllipticScenario(n=16)
+    imm = sc.immersion()
+    bump = sc._bump(imm)
+    _, Km = euclidean_index_form(imm, bump, AUDIT_BAND)
+    want = np.einsum("xy,xyij->ij", imm.da_field() * bump ** 2,
+                     surface_projectors(imm.Fz)[1])
+    blocks = Km.reshape(49, 4, 49, 4)[np.arange(49), :, np.arange(49)]
+    np.testing.assert_allclose(blocks, np.broadcast_to(want, (49, 4, 4)),
+                               rtol=0, atol=1e-13 * np.abs(want).max())
 
 
-def test_euclidean_index_form_split_parts_have_signs():
-    sc = EllipticScenario(n=32)
-    form = sc.form()
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        v = rng.standard_normal(form.dof) + 1j * rng.standard_normal(form.dof)
-        plus = np.real(np.vdot(v, form.meta["Qplus"] @ v))
-        minus = np.real(np.vdot(v, form.meta["Qminus"] @ v))
-        assert plus >= -1e-10
-        assert minus >= -1e-10
+def test_euclidean_index_form_needs_a_euclidean_curve():
+    torus = flat_chart_immersion(1.0, 1.0, 16)
+    with pytest.raises(WrongFormError, match="euclidean"):
+        euclidean_index_form(torus, np.ones((16, 16)), AUDIT_BAND)
 
 
 # ---------------------------------------------------------------------------
@@ -817,48 +843,6 @@ def test_log_cutoff_allocates_its_window_not_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
-
-
-def _form_q_value(form, vals):
-    """Q(s) of an assembled `DiscreteForm` on a grid field s."""
-    v = form.pack(vals)
-    return float(np.real(np.vdot(v, form.Q @ v)))
-
-
-def _form_m_value(form, vals):
-    """M(s) of an assembled `DiscreteForm` on a grid field s."""
-    v = form.pack(vals)
-    return float(np.real(np.vdot(v, form.M @ v)))
-
-
-def _array_q_value(imm, vals, twist=(0.0, 0.0)):
-    """Q(s) from the array stencil: the densities against the cell measure."""
-    perp, top = index_densities(imm, surface_quantities(imm),
-                                twist)(vals[..., None])
-    w = np.where(imm.mask, imm.dxdy_weight(), 0.0)
-    return float(np.sum(w * (perp - top)[..., 0]))
-
-
-def test_index_form_matrix_matches_the_array_stencil():
-    # Q(s) = int |(d_zbar s)^perp|^2 - |(d_z s)^top|^2, once from the sparse
-    # matrix and once from the array stencil of conftest's index_densities
-    sc = EllipticScenario(n=48)
-    form = sc.form()
-    imm = form.meta["immersion"]
-    for seed in range(3):
-        vals = next(sc.random_normal_sections(1, seed=seed))
-        assert not np.any(vals[~imm.mask])    # packing drops nothing
-        assert _form_q_value(form, vals) == pytest.approx(
-            _array_q_value(imm, vals), rel=1e-12)
-    # on a twisted cover, with the array form given the form's cover and
-    # twist
-    sc = EllipticScenario(n=16)
-    imm = sc.immersion().cover(CoverSpec.scaling(2))
-    twist = (0.7, -1.3)
-    form = stability.euclidean_index_form(imm, twist=twist)
-    vals = next(sc.random_normal_sections(1, extent=2, seed=5))
-    assert _form_q_value(form, vals) == pytest.approx(
-        _array_q_value(imm, vals, twist), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

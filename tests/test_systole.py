@@ -241,7 +241,7 @@ def test_exceptional_cutoffs_regions_and_bounds():
     # vertical double cover of a unit square torus: the deck translate has
     # length 1, comfortably above R, so supports stay injective
     n = 96
-    rep = exceptional_cutoffs(flat_chart_immersion(1.0, 1.0, n), 0.6, n)
+    rep = exceptional_cutoffs(flat_chart_immersion(1.0, 1.0, n), 0.6)
     U0, U1 = rep.U_masks
     V0, V1 = rep.V_masks
     # the four regions tile the double cover without overlap
@@ -305,7 +305,7 @@ def _grid_exceptional(imm, R, n):
 def test_exceptional_cutoffs_match_the_grid_oracle(periods, R, n):
     # `periods` are the double cover's: the construction takes its base
     a_len, b_len = periods
-    rep = exceptional_cutoffs(flat_chart_immersion(a_len, b_len / 2, n), R, n)
+    rep = exceptional_cutoffs(flat_chart_immersion(a_len, b_len / 2, n), R)
     I, J, grad_I, grad_V, ray, viol = _grid_exceptional(
         flat_chart_immersion(*periods, n), R, n)
     np.testing.assert_allclose(rep.energies_I, I, rtol=1e-12, atol=0)
@@ -322,7 +322,7 @@ def test_exceptional_cutoffs_at_grid_1000_allocate_no_grid():
     imm = flat_chart_immersion(1.0, 1.0, n)
     tracemalloc.start()
     try:
-        exceptional_cutoffs(imm, 0.6, n)
+        exceptional_cutoffs(imm, 0.6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -332,7 +332,7 @@ def test_exceptional_cutoffs_at_grid_1000_allocate_no_grid():
 def test_exceptional_cutoffs_resolution_guard():
     imm = flat_chart_immersion(1.0, 1.0, 16)
     with pytest.raises(ResolutionError):
-        exceptional_cutoffs(imm, 0.6, 16)
+        exceptional_cutoffs(imm, 0.6)
 
 
 def test_exceptional_cutoffs_flags_short_deck_translate():
@@ -340,7 +340,7 @@ def test_exceptional_cutoffs_flags_short_deck_translate():
     # vertical translate and the report says so
     n = 64
     imm = flat_chart_immersion(1.0, 0.5, n)
-    rep = exceptional_cutoffs(imm, 0.6, n)
+    rep = exceptional_cutoffs(imm, 0.6)
     assert rep.injectivity_violations > 0
 
 
