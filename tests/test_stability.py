@@ -703,26 +703,49 @@ def test_elliptic_audit_lies_above_its_pencil_bottom(extent):
     assert stable and lam[0] >= -1e-6
 
 
-def test_index_form_matrix_matches_the_array_stencil():
-    # every entry of the pencil against the Gram form of conftest's array
-    # stencil on the 196 basis sections S: Kq = sum w (An^H An - At^H At)
-    # for the projected derivatives An, At of S, and Km = sum da S^H S
+@pytest.mark.parametrize("extent", [1, 2])
+def test_wave_pencil_is_the_sparse_form_on_its_basis(extent):
+    # every entry of the pencil against the sparse form S^H Q S, S^H M S on
+    # the 196 basis sections S, written as the Gram form of conftest's array
+    # stencil: Kq = sum w (An^H An - At^H At) for the projected derivatives
+    # An, At of S, and Km = sum da S^H S
     sc = EllipticScenario(n=16)
-    for extent in (1, 2):
+    imm = sc.immersion().cover(CoverSpec.scaling(extent))
+    bump = sc._bump(imm)
+    S = _wave_basis(imm, bump)
+    An, At = index_derivatives(imm, _oracle_frames(imm))(S)
+    w = np.where(imm.mask, imm.dxdy_weight(), 0.0)
+    gram = "xy,xyas,xyat->st"
+    want_q = (np.einsum(gram, w, An.conj(), An)
+              - np.einsum(gram, w, At.conj(), At))
+    want_m = np.einsum(gram, imm.da_field(), S.conj(), S)
+    Kq, Km = euclidean_index_form(imm, bump, AUDIT_BAND)
+    for K, want in ((Kq, want_q), (Km, want_m)):
+        assert K.shape == want.shape == (196, 196)
+        np.testing.assert_allclose(K, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+def test_index_form_matrix_matches_the_array_stencil(rng):
+    # Q(s) = int |(d_zbar s)^perp|^2 - |(d_z s)^top|^2, once from the pencil
+    # as a^H Kq a and once from the densities of conftest's index_densities
+    # on s = S a, for random amplitudes a; likewise M(s) = a^H Km a
+    for n, extent in ((48, 1), (16, 2)):
+        sc = EllipticScenario(n=n)
         imm = sc.immersion().cover(CoverSpec.scaling(extent))
         bump = sc._bump(imm)
-        S = _wave_basis(imm, bump)
-        An, At = index_derivatives(imm, _oracle_frames(imm))(S)
+        a = rng.standard_normal((196, 3)) + 1j * rng.standard_normal((196, 3))
+        v = _wave_basis(imm, bump) @ a
+        assert not np.any(v[~imm.mask])    # the sections vanish where masked
+        perp, top = index_densities(imm, _oracle_frames(imm))(v)
         w = np.where(imm.mask, imm.dxdy_weight(), 0.0)
-        gram = "xy,xyas,xyat->st"
-        want_q = (np.einsum(gram, w, An.conj(), An)
-                  - np.einsum(gram, w, At.conj(), At))
-        want_m = np.einsum(gram, imm.da_field(), S.conj(), S)
+        q = np.einsum("xy,xys->s", w, perp - top)
+        m = np.einsum("xy,xys->s", imm.da_field(), np.sum(np.abs(v) ** 2, 2))
         Kq, Km = euclidean_index_form(imm, bump, AUDIT_BAND)
-        for K, want in ((Kq, want_q), (Km, want_m)):
-            assert K.shape == want.shape == (196, 196)
-            np.testing.assert_allclose(K, want, rtol=0,
-                                       atol=1e-12 * np.abs(want).max())
+        for K, want in ((Kq, q), (Km, m)):
+            got = np.einsum("cs,ct,ts->s", a.conj(), K, a)
+            np.testing.assert_allclose(got.real, want, rtol=1e-12)
+            assert np.all(np.abs(got.imag) <= 1e-12 * np.abs(got.real))
 
 
 def test_elliptic_audit_count_extends_its_stream():
